@@ -54,7 +54,6 @@ from .autgroup import (
     enumerate_affine_aut,
     random_decreasing_set,
     random_witness_instance,
-    transposition_reduction,
     transposition_witness,
     verify_blta_completeness,
 )

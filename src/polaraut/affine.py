@@ -141,32 +141,43 @@ def invert_permutation(p: Sequence[int]) -> list[int]:
 # action on monomials
 
 
-def _linear_form_tables(t: AffineMap) -> list[int]:
-    """Point-order truth tables of the n output coordinates of t."""
-    n = t.n
-    full = (1 << (1 << n)) - 1
-    tabs = []
-    for m in range(n):
-        row = t.a.row_mask(m)
-        tab = 0
-        for k in range(n):
-            if (row >> k) & 1:
-                tab ^= _var_table(n, k)
-        if t.b[m]:
-            tab ^= full
-        tabs.append(tab)
-    return tabs
+def _form_table(row: int, n: int) -> int:
+    """Point-order truth table of the linear form x -> row . x."""
+    tab = 0
+    for k in range(n):
+        if (row >> k) & 1:
+            tab ^= _var_table(n, k)
+    return tab
 
 
-def _support_int(tabs: list[int], mask: int, n: int) -> int:
-    """ANF support of the product of the selected coordinate forms,
-    packed as an int with bit m = coefficient of the monomial mask m."""
+def _map_tables(t: AffineMap) -> list[int]:
+    """Truth tables of the n output coordinates of t."""
+    full = (1 << (1 << t.n)) - 1
+    return [
+        _form_table(row, t.n) ^ (full if (t.b.bits >> m) & 1 else 0)
+        for m, row in enumerate(t.a.row_masks)
+    ]
+
+
+def _support(tabs, mask: int, n: int):
+    """ANF support of the product of the coordinate forms selected by
+    mask, with bit m = coefficient of the monomial mask m.
+
+    Uses only &, ^ and <<, so tabs may hold Python ints (one map, any n)
+    or numpy unsigned arrays of at least 2^n bits (one entry per map).
+    The first & makes a fresh array, so tabs is never written.
+    """
     t = (1 << (1 << n)) - 1
     k = mask
     while k:
         t &= tabs[(k & -k).bit_length() - 1]
         k &= k - 1
     return _mobius_int(t, n)
+
+
+def _masks_desc(ms: MonomialSet) -> tuple[int, ...]:
+    """Members, maximal degree first: the most discriminating tests lead."""
+    return tuple(sorted(ms.masks, key=lambda m: (-degree(m), m)))
 
 
 def transform_monomial_support(mask: int, t: AffineMap) -> MonomialSet:
@@ -178,7 +189,7 @@ def transform_monomial_support(mask: int, t: AffineMap) -> MonomialSet:
     n = t.n
     if mask < 0 or mask >> n:
         raise ValueError(f"mask 0x{mask:x} out of range for n={n}")
-    supp = _support_int(_linear_form_tables(t), mask, n)
+    supp = _support(_map_tables(t), mask, n)
     return MonomialSet(
         n, frozenset(m for m in range(1 << n) if (supp >> m) & 1)
     )
@@ -210,14 +221,9 @@ def is_affine_automorphism(t: AffineMap, ms: MonomialSet) -> bool:
         raise ValueError("dimension mismatch")
     if not is_decreasing(ms):
         warnings.warn("monomial set is not decreasing", stacklevel=2)
-    tabs = _linear_form_tables(t)
-    m_int = ms.as_int()
-    n = ms.n
-    # maximal monomials are the most discriminating; test them first
-    for mask in sorted(ms.masks, key=lambda m: (-degree(m), m)):
-        if _support_int(tabs, mask, n) & ~m_int:
-            return False
-    return True
+    tabs = _map_tables(t)
+    not_m = ~ms.as_int()
+    return not any(_support(tabs, mask, ms.n) & not_m for mask in _masks_desc(ms))
 
 
 # ---------------------------------------------------------------------------

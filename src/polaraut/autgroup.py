@@ -15,6 +15,7 @@ when (A, 0) is, and all counts below are counts of linear parts.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import asdict, dataclass
 from multiprocessing import Pool
@@ -22,10 +23,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, _gl_row_masks, gl_order
+from .gf2 import _ENUM_MAX_N, BitMatrix, _gl_row_masks, gl_order
 from .affine import (
     AffineMap,
+    _form_table,
+    _masks_desc,
     _row_block_end,
+    _support,
     block_profile,
     blta_order,
     is_affine_automorphism,
@@ -36,10 +40,7 @@ from .affine import (
 )
 from .monomial import (
     MonomialSet,
-    _pat_lo,
-    _var_table,
     decreasing_closure,
-    degree,
     is_decreasing,
     leq,
 )
@@ -54,13 +55,11 @@ __all__ = [
     "MonomialWitness",
     "WitnessTrace",
     "transposition_witness",
-    "transposition_reduction",
     "all_decreasing_sets",
     "random_decreasing_set",
     "random_witness_instance",
 ]
 
-_ENUM_MAX_N = 5
 _STORE_MAX_N = 4
 _CHUNK = 1 << 12  # fixed chunk boundaries keep results independent of --jobs
 
@@ -88,7 +87,6 @@ def _require(cond: bool, message: str, **context) -> None:
 
 
 _gl_rows_cache: dict[int, np.ndarray] = {}
-_gl_tables_cache: dict[int, np.ndarray] = {}
 
 
 def _gl_rows_array(n: int) -> np.ndarray:
@@ -105,44 +103,26 @@ def _gl_rows_array(n: int) -> np.ndarray:
     return arr
 
 
-def _linear_tables(rows: np.ndarray, n: int) -> np.ndarray:
-    """Point-order truth tables (uint32) of the n coordinate forms of
-    each matrix in `rows`."""
-    out = np.empty(rows.shape, dtype=np.uint32)
-    for m in range(n):
-        acc = np.zeros(len(rows), dtype=np.uint32)
-        col = rows[:, m].astype(np.uint32)
-        for k in range(n):
-            acc ^= ((col >> k) & 1) * np.uint32(_var_table(n, k))
-        out[:, m] = acc
-    return out
+@functools.lru_cache(maxsize=None)
+def _form_lut(n: int) -> np.ndarray:
+    """Truth tables of all 2^n linear forms, indexed by row mask, in the
+    narrowest unsigned dtype that holds 2^n bits."""
+    if (1 << n) > 64:
+        raise ValueError(f"batched truth tables need n <= 6 (2^n bits per word), got n={n}")
+    lut = np.array([_form_table(r, n) for r in range(1 << n)], dtype=f"u{max(1, (1 << n) // 8)}")
+    lut.setflags(write=False)
+    return lut
 
 
-def _gl_tables_array(n: int) -> np.ndarray:
-    tabs = _gl_tables_cache.get(n)
-    if tabs is None:
-        tabs = _linear_tables(_gl_rows_array(n), n)
-        tabs.setflags(write=False)
-        if n <= _STORE_MAX_N:
-            _gl_tables_cache[n] = tabs
-    return tabs
-
-
-def _aut_alive(tabs: np.ndarray, masks_desc: Sequence[int], m_int: int, n: int) -> np.ndarray:
-    """Boolean mask of matrices whose action keeps every monomial's
-    support inside the set."""
-    full = np.uint32((1 << (1 << n)) - 1)
-    not_m = np.uint32(~m_int & int(full))
-    alive = np.ones(len(tabs), dtype=bool)
+def _aut_alive(rows: np.ndarray, masks_desc: Sequence[int], m_int: int, n: int) -> np.ndarray:
+    """Boolean mask of the matrices (rows of row masks) whose action
+    keeps every monomial's support inside the set m_int."""
+    lut = _form_lut(n)
+    tabs = [lut[rows[:, m]] for m in range(n)]
+    not_m = ~m_int & ((1 << (1 << n)) - 1)
+    alive = np.ones(len(rows), dtype=bool)
     for mask in masks_desc:
-        t = np.full(len(tabs), full, dtype=np.uint32)
-        k = mask
-        while k:
-            t &= tabs[:, (k & -k).bit_length() - 1]
-            k &= k - 1
-        for k in range(n):
-            t ^= (t & np.uint32(_pat_lo(n, k))) << np.uint32(1 << k)
-        alive &= (t & not_m) == 0
+        alive &= (_support(tabs, mask, n) & not_m) == 0
         if not alive.any():
             break
     return alive
@@ -156,15 +136,10 @@ def _blta_alive(rows: np.ndarray, profile: Sequence[int]) -> np.ndarray:
     return ok
 
 
-def _masks_desc(ms: MonomialSet) -> tuple[int, ...]:
-    return tuple(sorted(ms.masks, key=lambda m: (-degree(m), m)))
-
-
 def _enum_chunk(args) -> tuple[int, list[tuple[int, ...]] | None, tuple[int, ...] | None]:
     n, lo, hi, masks_desc, m_int, store, profile = args
     rows = _gl_rows_array(n)[lo:hi]
-    tabs = _gl_tables_array(n)[lo:hi] if n <= _STORE_MAX_N else _linear_tables(rows, n)
-    alive = _aut_alive(tabs, masks_desc, m_int, n)
+    alive = _aut_alive(rows, masks_desc, m_int, n)
     count = int(alive.sum())
     elements = None
     if store:
@@ -220,7 +195,8 @@ class AutEnumeration:
 def _check_enum_pre(ms: MonomialSet) -> None:
     if ms.n > _ENUM_MAX_N:
         raise ValueError(
-            f"exhaustive enumeration refused for n={ms.n} (limit {_ENUM_MAX_N})"
+            f"exhaustive enumeration needs n <= {_ENUM_MAX_N} "
+            f"(GL({ms.n},2) is out of reach), got n={ms.n}"
         )
     if not is_decreasing(ms):
         raise ValueError("monomial set is not decreasing")
@@ -436,7 +412,7 @@ def transposition_witness(a: BitMatrix, ms: MonomialSet, i: int) -> WitnessTrace
     if not 0 <= i < n - 1:
         raise ValueError(f"need 0 <= i < {n - 1}, got {i}")
     if a.rows != n or a.cols != n:
-        raise ValueError("matrix size does not match the variable count")
+        raise ValueError(f"matrix is {a.rows}x{a.cols} but the code has n={n}")
     if a[i, i + 1] != 1:
         raise ValueError(f"entry ({i}, {i + 1}) must be 1")
     if not is_affine_automorphism(AffineMap.from_linear(a), ms):
@@ -530,6 +506,8 @@ def transposition_reduction_trace(
         raise ValueError("monomial set is not decreasing")
     if not 0 <= i < j < n:
         raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
+    if t.n != n:
+        raise ValueError(f"matrix is {t.n}x{t.n} but the code has n={n}")
     if t.a[i, j] != 1:
         raise ValueError(f"entry ({i}, {j}) must be 1")
     if not is_affine_automorphism(t, ms):
@@ -577,11 +555,6 @@ def transposition_reduction_trace(
         "swap permutation matrix fails the membership test", i=i, j=j,
     )
     return ReductionTrace(i, j, tuple(ops), work.row_masks, witnesses, swap_ok)
-
-
-def transposition_reduction(t: AffineMap, ms: MonomialSet, i: int, j: int) -> bool:
-    """True iff the reduction succeeds (exceptions carry the details)."""
-    return transposition_reduction_trace(t, ms, i, j).swap_preserves_set
 
 
 # ---------------------------------------------------------------------------

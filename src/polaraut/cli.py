@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success (and verification passed), 1 verification failure
-or falsification candidate, 2 usage error.  Every run echoes its seed;
+or falsification candidate, 2 usage error, including any argument value
+the library rejects with ValueError.  Every run echoes its seed;
 given the same arguments and seed the structured outputs are
 byte-identical regardless of --jobs.
 """
@@ -38,8 +39,6 @@ from .decode import (
     simulate_bler,
 )
 from .selfcheck import run_all
-
-_ENUM_MAX_N = 5
 
 
 def _add_code_args(p: argparse.ArgumentParser) -> None:
@@ -99,9 +98,6 @@ def cmd_construct(args, parser) -> int:
 
 def cmd_profile(args, parser) -> int:
     spec = _resolve_code(args, parser)
-    if not spec.is_decreasing():
-        print("error: monomial set is not decreasing", file=sys.stderr)
-        return 1
     profile = block_profile(spec.monomials)
     _dump(
         {
@@ -132,17 +128,6 @@ def cmd_verify_theorem(args, parser) -> int:
         )
         return 0 if ok else 1
     spec = _resolve_code(args, parser)
-    if spec.n > _ENUM_MAX_N:
-        print(
-            f"error: exhaustive verification needs n <= {_ENUM_MAX_N} "
-            f"(GL({spec.n},2) is out of reach), got n={spec.n}",
-            file=sys.stderr,
-        )
-        return 2
-    if not spec.is_decreasing():
-        print("error: monomial set is not decreasing; the group theory does not apply",
-              file=sys.stderr)
-        return 2
     report = verify_blta_completeness(spec.monomials, code_id=spec.code_id(), jobs=args.jobs)
     _dump(report.to_json(), args.out)
     return 0 if report.passed else 1
@@ -150,12 +135,6 @@ def cmd_verify_theorem(args, parser) -> int:
 
 def cmd_enumerate_aut(args, parser) -> int:
     spec = _resolve_code(args, parser)
-    if spec.n > _ENUM_MAX_N:
-        print(f"error: enumeration needs n <= {_ENUM_MAX_N}", file=sys.stderr)
-        return 2
-    if not spec.is_decreasing():
-        print("error: monomial set is not decreasing", file=sys.stderr)
-        return 2
     enum = enumerate_affine_aut(spec.monomials, code_id=spec.code_id(), jobs=args.jobs)
     profile = block_profile(spec.monomials)
     out = {
@@ -184,9 +163,6 @@ def _load_affine(args, parser) -> AffineMap:
 def cmd_witness(args, parser) -> int:
     spec = _resolve_code(args, parser)
     t = _load_affine(args, parser)
-    if t.n != spec.n:
-        print(f"error: matrix is {t.n}x{t.n} but the code has n={spec.n}", file=sys.stderr)
-        return 2
     try:
         if args.j is not None:
             trace = transposition_reduction_trace(t, spec.monomials, args.i, args.j)
@@ -195,18 +171,12 @@ def cmd_witness(args, parser) -> int:
     except FalsificationError as exc:
         _dump({"falsification_candidate": str(exc), "context": exc.context}, args.out)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     _dump(trace.to_json(), args.out)
     return 0
 
 
 def cmd_sample_perms(args, parser) -> int:
     spec = _resolve_code(args, parser)
-    if not spec.is_decreasing():
-        print("error: monomial set is not decreasing", file=sys.stderr)
-        return 2
     profile = (1,) * spec.n if args.lta_only else block_profile(spec.monomials)
     rng = random.Random(args.seed)
     out = []
@@ -245,9 +215,6 @@ def cmd_simulate(args, parser) -> int:
 
     perms = None
     if args.decoder == "ae":
-        if not spec.is_decreasing():
-            print("warning: non-decreasing set; sampled maps may not be automorphisms",
-                  file=sys.stderr)
         profile = block_profile(spec.monomials)
         rng = random.Random(args.seed)
         maps = [sample_blta(profile, rng) for _ in range(args.L)]
@@ -280,6 +247,13 @@ def cmd_selftest(args, parser) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polaraut",
@@ -290,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, code=True):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1, help="worker processes (results are independent of this)")
+        p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (results are independent of this)")
         p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
         if code:
             _add_code_args(p)
@@ -354,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
                   sys.stderr, indent=2)
         sys.stderr.write("\n")
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -135,11 +135,23 @@ def decreasing_closure(gens: MonomialSet) -> MonomialSet:
 
 @functools.lru_cache(maxsize=4096)
 def is_decreasing(ms: MonomialSet) -> bool:
-    """True iff ms is closed downward under the partial order."""
-    for f in ms.masks:
-        for g in range(1 << ms.n):
-            if g not in ms.masks and leq(g, f):
+    """True iff ms is closed downward under the partial order.
+
+    Checks only the lower covers of each member f: f without its lowest
+    variable, and f with one variable x_k moved to an absent x_{k-1}.
+    Every g <= f is reached from f by a chain of such steps, so O(K n)
+    membership tests suffice.
+    """
+    masks = ms.masks
+    for f in masks:
+        if f and (f & (f - 1)) not in masks:
+            return False
+        movable = f & ~(f << 1) & ~1  # x_k present, x_{k-1} absent, k >= 1
+        while movable:
+            b = movable & -movable
+            if (f ^ b ^ (b >> 1)) not in masks:
                 return False
+            movable ^= b
     return True
 
 
@@ -379,7 +391,10 @@ def construct_bec(n: int, k: int, erasure_prob: float) -> CodeSpec:
     if not 1 <= k <= (1 << n):
         raise ValueError(f"K={k} out of range for N={1 << n}")
     zs = bec_z_parameters(n, erasure_prob)
-    order = sorted(range(1 << n), key=lambda i: (zs[i], i))
+    # Z rounds to exactly equal values (0.0, 1.0) from n = 6 on; breaking
+    # ties by descending row index (ascending monomial mask) follows a
+    # linear extension of the partial order, so the set stays decreasing
+    order = sorted(range(1 << n), key=lambda i: (zs[i], -i))
     return _spec_from_rows(n, order[:k], "bec", erasure_prob)
 
 

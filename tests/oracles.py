@@ -93,6 +93,15 @@ def divisor_leq(g: int, f: int) -> bool:
     )
 
 
+def is_decreasing_oracle(ms: MonomialSet) -> bool:
+    """Closure tested against every non-member: O(K 2^n) order checks."""
+    for f in ms.masks:
+        for g in range(1 << ms.n):
+            if g not in ms.masks and divisor_leq(g, f):
+                return False
+    return True
+
+
 def bec_z_oracle(n: int, eps: float) -> list[float]:
     """Hand recursion on explicit bit strings, most significant first."""
     out = []

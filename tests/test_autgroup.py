@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from polaraut import (
@@ -12,23 +13,25 @@ from polaraut import (
     enumerate_affine_aut,
     enumerate_gl,
     gl_order,
+    induced_permutation,
     is_affine_automorphism,
     random_decreasing_set,
     random_witness_instance,
     reed_muller_set,
     sample_blta,
-    transposition_reduction,
     transposition_witness,
     verify_blta_completeness,
 )
+from polaraut.affine import _masks_desc
 from polaraut.autgroup import (
     FalsificationError,
+    _aut_alive,
     _require,
     transposition_reduction_trace,
 )
 from polaraut.monomial import all_monomials
 
-from oracles import swap_preserves_set
+from oracles import brute_force_matrices, codeword_level_automorphism, swap_preserves_set
 
 
 class TestEnumeration:
@@ -50,12 +53,35 @@ class TestEnumeration:
 
     def test_matches_scalar_filter_on_all_n3_downsets(self):
         gl3 = list(enumerate_gl(3))
+        perms = [induced_permutation(AffineMap.from_linear(a)) for a in gl3]
         for ms in all_decreasing_sets(3):
             scalar = sum(
                 1 for a in gl3
                 if is_affine_automorphism(AffineMap.from_linear(a), ms)
             )
-            assert enumerate_affine_aut(ms).count == scalar
+            # the batch and the single-map path share one kernel; the
+            # codeword-level oracle shares none of it
+            oracle = sum(1 for p in perms if codeword_level_automorphism(p, ms))
+            assert enumerate_affine_aut(ms).count == scalar == oracle
+
+    def test_batch_path_at_n6_matches_single_map(self):
+        rng = random.Random(12)
+        verdicts = []
+        for _ in range(8):
+            ms = random_decreasing_set(6, rng)
+            mats = [sample_blta(block_profile(ms), rng).a for _ in range(16)]
+            mats += brute_force_matrices(6, 16, rng.randrange(1 << 30))
+            rows = np.array([a.row_masks for a in mats], dtype=np.uint8)
+            alive = _aut_alive(rows, _masks_desc(ms), ms.as_int(), 6)
+            single = [is_affine_automorphism(AffineMap.from_linear(a), ms) for a in mats]
+            assert alive.tolist() == single
+            verdicts += single
+        assert True in verdicts and False in verdicts
+
+    def test_batch_path_refuses_n7(self):
+        rows = np.array([BitMatrix.identity(7).row_masks], dtype=np.uint8)
+        with pytest.raises(ValueError):
+            _aut_alive(rows, (0,), 1, 7)
 
     def test_stored_elements_are_automorphisms(self):
         ms = reed_muller_set(3, 1)
@@ -207,14 +233,15 @@ class TestReduction:
     def test_degenerate_chain_is_single_witness(self):
         rng = random.Random(5)
         ms, a, i = random_witness_instance(4, rng)
-        assert transposition_reduction(AffineMap.from_linear(a), ms, i, i + 1)
+        assert transposition_reduction_trace(
+            AffineMap.from_linear(a), ms, i, i + 1).swap_preserves_set
 
     def test_rm_code_far_entry(self):
         ms = reed_muller_set(4, 1)
         masks = list(BitMatrix.identity(4).row_masks)
         masks[0], masks[3] = masks[3], masks[0]  # a_{0,3} = 1
         t = AffineMap.from_linear(BitMatrix(masks, 4))
-        assert transposition_reduction(t, ms, 0, 3)
+        assert transposition_reduction_trace(t, ms, 0, 3).swap_preserves_set
 
     def test_random_cross_entries(self):
         rng = random.Random(6)
@@ -235,7 +262,7 @@ class TestReduction:
             if not pairs:
                 continue
             i, j = rng.choice(pairs)
-            assert transposition_reduction(t, ms, i, j)
+            assert transposition_reduction_trace(t, ms, i, j).swap_preserves_set
             assert swap_preserves_set(ms, i, j)
             done += 1
 
@@ -256,7 +283,7 @@ class TestReduction:
     def test_precondition_zero_entry(self):
         ms = reed_muller_set(3, 1)
         with pytest.raises(ValueError):
-            transposition_reduction(AffineMap.identity(3), ms, 0, 2)
+            transposition_reduction_trace(AffineMap.identity(3), ms, 0, 2)
 
 
 class TestBatteries:

@@ -180,6 +180,34 @@ class TestSimulate:
         assert exc.value.code == 2
 
 
+SIM = ["simulate", "--n", "3", "--K", "4", "--pw", "--snr", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "3", "--K", "99", "--pw"],
+    ["construct", "--n", "3", "--K", "4", "--bec", "1.5"],
+    SIM + ["--frames", "0"],
+    SIM + ["--decoder", "ae", "--L", "0"],
+    SIM + ["--jobs", "0"],
+    SIM + ["--jobs", "-3"],
+    ["witness", "--n", "3", "--mmin", "4", "--matrix-masks", "1,1,4", "--i", "0"],
+    ["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "1,2,4", "--i", "0"],
+    ["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "1,2,4", "--i", "0", "--j", "3"],
+])
+def test_rejected_argument_exits_2(capsys, argv):
+    try:
+        code = main(argv)
+        parsed = True
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+        parsed = False
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    if parsed:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         code, out, _ = run(capsys, "selftest", "--seed", "0")

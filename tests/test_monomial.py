@@ -26,7 +26,14 @@ from polaraut.gf2 import BitVec
 from polaraut.monomial import all_monomials, bec_z_parameters, monomial_str, pw_weights
 from polaraut.selfcheck import check_order_axioms
 
-from oracles import bec_z_oracle, divisor_leq, kron_power, mobius_direct, pw_weight_oracle
+from oracles import (
+    bec_z_oracle,
+    divisor_leq,
+    is_decreasing_oracle,
+    kron_power,
+    mobius_direct,
+    pw_weight_oracle,
+)
 
 X0, X1, X2, X3 = 1, 2, 4, 8
 
@@ -85,6 +92,23 @@ class TestDecreasingSets:
     def test_is_decreasing(self):
         assert is_decreasing(all_monomials(3))
         assert not is_decreasing(MonomialSet(2, frozenset({X1})))
+
+    def test_is_decreasing_matches_oracle(self):
+        for bits in range(1 << 8):
+            ms = MonomialSet(3, frozenset(m for m in range(8) if (bits >> m) & 1))
+            assert is_decreasing(ms) == is_decreasing_oracle(ms)
+        rng = random.Random(11)
+        for n in range(4, 9):
+            for _ in range(12):
+                gens = MonomialSet(n, frozenset(rng.randrange(1 << n) for _ in range(3)))
+                closed = decreasing_closure(gens)
+                sets = [closed, MonomialSet(n, frozenset(
+                    m for m in range(1 << n) if rng.random() < 0.7))]
+                if closed.masks:  # drop one member or add one non-member
+                    sets.append(MonomialSet(n, closed.masks - {rng.choice(sorted(closed.masks))}))
+                sets.append(MonomialSet(n, closed.masks | {rng.randrange(1 << n)}))
+                for ms in sets:
+                    assert is_decreasing(ms) == is_decreasing_oracle(ms), (n, sorted(ms.masks))
 
     def test_minimal_generators(self):
         rm = reed_muller_set(3, 1)
@@ -207,10 +231,11 @@ class TestConstructions:
         assert zs == pytest.approx(bec_z_oracle(2, 0.5))
 
     def test_bec_decreasing_sweep(self):
-        for n in range(1, 7):
-            for eps in (0.1, 0.3, 0.5):
+        # from n = 6 on, exactly tied Z values must not break the order
+        for n in range(1, 9):
+            for eps in (0.1, 0.3, 0.5, 0.7, 0.9):
                 for k in range(1, (1 << n) + 1):
-                    assert construct_bec(n, k, eps).is_decreasing()
+                    assert construct_bec(n, k, eps).is_decreasing(), (n, k, eps)
 
     def test_bec_validation(self):
         with pytest.raises(ValueError):
