@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and verification passed), 1 verification failure
 or falsification candidate, 2 usage error, including any argument value
-the library rejects with ValueError.  Every run echoes its seed;
+the library rejects with ValueError and a --code or --matrix file that
+cannot be read.  Every run echoes its seed;
 given the same arguments and seed the structured outputs are
 byte-identical regardless of --jobs.
 """
@@ -50,9 +51,21 @@ def _add_code_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mmin", metavar="MASKS", help="comma-separated generator monomial masks")
 
 
+# what a missing file, malformed JSON or a JSON value of the wrong shape
+# raises while a --code or --matrix file is read
+_READ_ERRORS = (OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError)
+
+
+def _unreadable(path: str, exc: Exception) -> ValueError:
+    return ValueError(f"cannot read {path}: {type(exc).__name__}: {exc}")
+
+
 def _resolve_code(args, parser: argparse.ArgumentParser) -> CodeSpec:
     if args.code:
-        return CodeSpec.load(args.code)
+        try:
+            return CodeSpec.load(args.code)
+        except _READ_ERRORS as exc:
+            raise _unreadable(args.code, exc) from exc
     if args.n is None:
         parser.error("need --code or --n with a construction")
     if args.mmin is not None:
@@ -152,8 +165,11 @@ def cmd_enumerate_aut(args, parser) -> int:
 
 def _load_affine(args, parser) -> AffineMap:
     if args.matrix:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            return AffineMap.from_json(json.load(fh))
+        try:
+            with open(args.matrix, "r", encoding="utf-8") as fh:
+                return AffineMap.from_json(json.load(fh))
+        except _READ_ERRORS as exc:
+            raise _unreadable(args.matrix, exc) from exc
     if args.matrix_masks:
         masks = [int(m) for m in args.matrix_masks.split(",")]
         return AffineMap.from_linear(BitMatrix(masks, len(masks)))

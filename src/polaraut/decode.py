@@ -14,6 +14,7 @@ points wrap a batch of one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -135,30 +136,84 @@ def is_codeword(x: np.ndarray, spec: CodeSpec) -> bool:
 
 # ---------------------------------------------------------------------------
 # successive cancellation
+#
+# The kernel walks a plan of the code tree that decodes whole subtrees in
+# one step (Alamdar-Yazdi & Kschischang, IEEE Comm. Letters 2011; Sarkis
+# et al., IEEE JSAC 2014): a rate-0 node is all zeros, a repetition node
+# (only its last leaf carries information) sums its LLRs in SC's own order
+# and repeats the sign, a rate-1 node takes the hard decision.  Each gives
+# bit for bit what min-sum SC gives, rate-1 only on rows without an exact
+# 0.0 LLR, so those rows are decoded again as two rate-1 halves.  SPC nodes
+# are left out: their usual decoder is ML, which is not SC.
+
+_F, _G, _XOR, _REP, _RATE1 = range(5)
+_Plan = tuple[tuple[int, int, int], ...]
 
 
-def _sc_batch(llrs: np.ndarray, info_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a (batch, size) LLR block; returns (codewords, u-vectors)."""
-    size = llrs.shape[1]
-    if size == 1:
-        if info_mask[0]:
-            u = (llrs < 0).astype(np.uint8)
+@functools.lru_cache(maxsize=32)
+def _sc_plan(mask: bytes) -> _Plan:
+    """Steps (op, lo, size) over the pruned tree of an information mask,
+    in decoding order.  Rate-0 nodes have none: the codeword starts at 0."""
+    plan = []
+
+    def walk(lo: int, size: int) -> None:
+        node = mask[lo:lo + size]
+        if not any(node):
+            return
+        if all(node):
+            plan.append((_RATE1, lo, size))
+        elif not any(node[:-1]):
+            plan.append((_REP, lo, size))
         else:
-            u = np.zeros(llrs.shape, dtype=np.uint8)
-        return u, u
-    h = size // 2
-    a, b = llrs[:, :h], llrs[:, h:]
-    l1 = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    x1, u1 = _sc_batch(l1, info_mask[:h])
-    l2 = b + (1.0 - 2.0 * x1) * a
-    x2, u2 = _sc_batch(l2, info_mask[h:])
-    return np.hstack([x1 ^ x2, x2]), np.hstack([u1, u2])
+            h = size // 2
+            plan.append((_F, lo, h))
+            walk(lo, h)
+            plan.append((_G, lo, h))
+            walk(lo + h, h)
+            plan.append((_XOR, lo, h))
+
+    walk(0, len(mask))
+    return tuple(plan)
 
 
-def _info_mask(spec: CodeSpec) -> np.ndarray:
-    mask = np.zeros(spec.N, dtype=np.uint8)
-    mask[list(spec.row_indices())] = 1
-    return mask
+def _plan(spec: CodeSpec) -> _Plan:
+    mask = bytearray(spec.N)
+    for r in spec.row_indices():
+        mask[r] = 1
+    return _sc_plan(bytes(mask))
+
+
+def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
+    """SC-decode a (batch, size) LLR block along a plan; returns the
+    codewords (their u-vectors are polar_transform of them)."""
+    x = np.zeros(llrs.shape, dtype=np.uint8)
+    # LLRs of the nodes on the path to the current one; after g a node's
+    # entry holds its right child's LLRs, as the node's own are spent
+    stack = [llrs]
+    for op, lo, size in plan:
+        v = stack[-1]
+        if op == _F:
+            a, b = v[:, :size], v[:, size:]
+            stack.append(np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b)))
+        elif op == _G:
+            stack.pop()
+            a, b = stack[-1][:, :size], stack[-1][:, size:]
+            stack[-1] = b + (1.0 - 2.0 * x[:, lo:lo + size]) * a
+        elif op == _XOR:
+            x[:, lo:lo + size] ^= x[:, lo + size:lo + 2 * size]
+        elif op == _REP:
+            while v.shape[1] > 1:
+                h = v.shape[1] // 2
+                v = v[:, h:] + v[:, :h]
+            x[:, lo:lo + size] = v < 0
+        else:  # _RATE1
+            x[:, lo:lo + size] = v < 0
+            if size > 1 and not v.all():
+                h = size // 2
+                halves = ((_F, 0, h), (_RATE1, 0, h), (_G, 0, h), (_RATE1, h, h), (_XOR, 0, h))
+                rows = np.flatnonzero((v == 0).any(axis=1))
+                x[rows, lo:lo + size] = _sc_batch(v[rows], halves)
+    return x
 
 
 @dataclass(frozen=True)
@@ -180,13 +235,12 @@ def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (spec.N,):
         raise ValueError(f"expected {spec.N} LLRs, got shape {llr.shape}")
-    x, u = _sc_batch(llr[None, :], _info_mask(spec))
-    info = u[0, list(spec.row_indices())]
-    return DecodeResult(info, x[0], (correlation_score(x[0], llr),), 0)
+    x = _sc_batch(llr[None, :], _plan(spec))[0]
+    return DecodeResult(extract_info(x, spec), x, (correlation_score(x, llr),), 0)
 
 
 def _ae_batch(
-    llrs: np.ndarray, perms: np.ndarray, info_mask: np.ndarray
+    llrs: np.ndarray, perms: np.ndarray, plan: _Plan
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ensemble decoding of a batch: permute, decode, de-interleave,
     keep the best-correlating candidate per frame.
@@ -194,12 +248,11 @@ def _ae_batch(
     Returns (codewords (B, N), chosen (B,), scores (B, L))."""
     batch, n_pos = llrs.shape
     n_perm = len(perms)
-    permuted = llrs[:, perms].reshape(batch * n_perm, n_pos)
-    x, _ = _sc_batch(permuted, info_mask)
-    x = x.reshape(batch, n_perm, n_pos)
-    cand = np.empty_like(x)
-    for l, pi in enumerate(perms):
-        cand[:, l, pi] = x[:, l, :]
+    permuted = np.take(llrs, perms.reshape(-1), axis=1).reshape(batch * n_perm, n_pos)
+    x = _sc_batch(permuted, plan).reshape(batch, n_perm * n_pos)
+    # candidate l at position pi_l[j] is x[l, j]: gather through the inverses
+    inverse = np.argsort(perms, axis=1) + n_pos * np.arange(n_perm)[:, None]
+    cand = np.take(x, inverse.reshape(-1), axis=1).reshape(batch, n_perm, n_pos)
     scores = ((1.0 - 2.0 * cand) * llrs[:, None, :]).sum(axis=2)
     chosen = scores.argmax(axis=1)  # ties resolve to the lowest index
     best = cand[np.arange(batch), chosen]
@@ -225,7 +278,7 @@ def ae_decode(
     if llr.shape != (spec.N,):
         raise ValueError(f"expected {spec.N} LLRs, got shape {llr.shape}")
     best, chosen, scores = _ae_batch(
-        llr[None, :], np.array(list(perms), dtype=np.intp), _info_mask(spec)
+        llr[None, :], np.array(list(perms), dtype=np.intp), _plan(spec)
     )
     info = extract_info(best[0], spec)
     return DecodeResult(info, best[0], tuple(float(s) for s in scores[0]), int(chosen[0]))
@@ -260,9 +313,9 @@ def sc_invariance_check(
     rng = np.random.default_rng([seed, 0])
     u = rng.integers(0, 2, size=(trials, spec.K), dtype=np.uint8)
     llrs = channel.llrs(_encode_batch(u, spec), rng, spec.rate)
-    mask = _info_mask(spec)
-    decoded_then_permuted = _sc_batch(llrs, mask)[0][:, perm]
-    permuted_then_decoded = _sc_batch(llrs[:, perm], mask)[0]
+    plan = _plan(spec)
+    decoded_then_permuted = _sc_batch(llrs, plan)[:, perm]
+    permuted_then_decoded = _sc_batch(llrs[:, perm], plan)
     equal = int((decoded_then_permuted == permuted_then_decoded).all(axis=1).sum())
     return InvarianceReport(trials, equal)
 
@@ -300,6 +353,12 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 
 _SIM_BATCH = 1024  # fixed so results never depend on the worker count
+# A batch is decoded in blocks of frames whose decoder input (L permuted
+# copies of each frame for the ensemble) holds about this many LLRs, 8 MB
+# of float64, so that a block's temporaries stay in cache and the allocator
+# reuses them instead of mapping fresh pages at every step.  Frames decode
+# independently, so the block size changes no output.
+_BLOCK_LLRS = 1 << 20
 
 
 def _sim_batch(args) -> int:
@@ -307,15 +366,14 @@ def _sim_batch(args) -> int:
     rng = np.random.default_rng([seed, batch_idx])
     u = rng.integers(0, 2, size=(count, spec.K), dtype=np.uint8)
     llrs = channel.llrs(_encode_batch(u, spec), rng, spec.rate)
-    mask = _info_mask(spec)
-    rows = list(spec.row_indices())
-    if perms is None:
-        _, u_full = _sc_batch(llrs, mask)
-        u_hat = u_full[:, rows]
-    else:
-        best, _, _ = _ae_batch(llrs, perms, mask)
-        u_hat = polar_transform(best)[:, rows]
-    return int((u_hat != u).any(axis=1).sum())
+    plan = _plan(spec)
+    step = max(1, _BLOCK_LLRS // (spec.N * (1 if perms is None else len(perms))))
+    errors = 0
+    for start in range(0, count, step):
+        block = llrs[start:start + step]
+        x = _sc_batch(block, plan) if perms is None else _ae_batch(block, perms, plan)[0]
+        errors += int((extract_info(x, spec) != u[start:start + step]).any(axis=1).sum())
+    return errors
 
 
 def simulate_bler(

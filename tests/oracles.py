@@ -164,3 +164,41 @@ def brute_force_matrices(n: int, count: int, seed: int) -> list[BitMatrix]:
         if m.rank() == n:
             out.append(m)
     return out
+
+
+def sc_oracle(llrs: np.ndarray, info_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plain recursive min-sum SC over the full tree, one node per call.
+    Decodes a (batch, size) LLR block; returns (codewords, u-vectors)."""
+    size = llrs.shape[1]
+    if size == 1:
+        if info_mask[0]:
+            u = (llrs < 0).astype(np.uint8)
+        else:
+            u = np.zeros(llrs.shape, dtype=np.uint8)
+        return u, u
+    h = size // 2
+    a, b = llrs[:, :h], llrs[:, h:]
+    l1 = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    x1, u1 = sc_oracle(l1, info_mask[:h])
+    l2 = b + (1.0 - 2.0 * x1) * a
+    x2, u2 = sc_oracle(l2, info_mask[h:])
+    return np.hstack([x1 ^ x2, x2]), np.hstack([u1, u2])
+
+
+def ae_oracle(
+    llrs: np.ndarray, perms: np.ndarray, info_mask: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ensemble SC with a fancy-index permute and a per-member scatter
+    back; returns (best codewords (B, N), chosen (B,), scores (B, L))."""
+    batch, n_pos = llrs.shape
+    n_perm = len(perms)
+    permuted = llrs[:, perms].reshape(batch * n_perm, n_pos)
+    x, _ = sc_oracle(permuted, info_mask)
+    x = x.reshape(batch, n_perm, n_pos)
+    cand = np.empty_like(x)
+    for l, pi in enumerate(perms):
+        cand[:, l, pi] = x[:, l, :]
+    scores = ((1.0 - 2.0 * cand) * llrs[:, None, :]).sum(axis=2)
+    chosen = scores.argmax(axis=1)  # ties resolve to the lowest index
+    best = cand[np.arange(batch), chosen]
+    return best, chosen, scores

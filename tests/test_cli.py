@@ -193,8 +193,18 @@ SIM = ["simulate", "--n", "3", "--K", "4", "--pw", "--snr", "1"]
     ["witness", "--n", "3", "--mmin", "4", "--matrix-masks", "1,1,4", "--i", "0"],
     ["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "1,2,4", "--i", "0"],
     ["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "1,2,4", "--i", "0", "--j", "3"],
+    ["profile", "--code", "{tmp}/missing.json"],
+    ["profile", "--code", "{tmp}/list.json"],
+    ["profile", "--code", "{tmp}/cut.json"],
+    ["witness", "--n", "4", "--mmin", "8", "--matrix", "{tmp}/missing.json", "--i", "0"],
+    ["witness", "--n", "4", "--mmin", "8", "--matrix", "{tmp}/no_a.json", "--i", "0"],
+    ["witness", "--n", "4", "--mmin", "8", "--matrix", "{tmp}/list.json", "--i", "0"],
 ])
-def test_rejected_argument_exits_2(capsys, argv):
+def test_rejected_argument_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "no_a.json").write_text('{"B": 1}')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "cut.json").write_text('{"n": 3, "K": 2')
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     try:
         code = main(argv)
         parsed = True
@@ -206,6 +216,8 @@ def test_rejected_argument_exits_2(capsys, argv):
     assert "Traceback" not in err
     if parsed:
         assert err.startswith("error: ") and err.count("\n") == 1
+    for path in (a for a in argv if a.startswith(str(tmp_path))):
+        assert path in err
 
 
 class TestSelftest:

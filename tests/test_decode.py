@@ -22,10 +22,12 @@ from polaraut import (
     simulate_bler,
     wilson_interval,
 )
-from polaraut.decode import CERTAIN_LLR, correlation_score
-from polaraut.monomial import all_monomials
+from polaraut import decode
+from polaraut.affine import block_profile
+from polaraut.decode import CERTAIN_LLR, _ae_batch, _plan, _sc_batch, correlation_score
+from polaraut.monomial import all_monomials, construct_bec
 
-from oracles import kron_power
+from oracles import ae_oracle, kron_power, sc_oracle
 
 
 def noiseless_llrs(codeword):
@@ -110,6 +112,61 @@ class TestScDecode:
         res = sc_decode(np.zeros(2), spec)
         assert not res.info_bits.any()
 
+    def test_rate1_zero_llr_is_not_a_hard_decision(self):
+        # SC decides u1 = 0 on the tie, then u2 from b + a: the codeword
+        # is [1, 1], where the hard decision of the LLRs is [0, 1]
+        res = sc_decode([0.0, -1.0], construct_pw(1, 2))
+        assert res.codeword.tolist() == [1, 1]
+        assert res.info_bits.tolist() == [0, 1]
+
+    def test_rate1_zero_llr_rows_on_bec(self):
+        # erasures put exact zeros into the rate-1 nodes: decoded by hard
+        # decision alone, 325, 492 and 500 of the 500 frames would differ
+        rng = np.random.default_rng(18)
+        for k in (40, 56, 64):
+            spec = construct_pw(6, k)
+            llrs = BecChannel(0.4).llrs(_codewords(spec, 500, rng), rng, spec.rate)
+            assert (_sc_batch(llrs, _plan(spec)) == sc_oracle(llrs, _mask(spec))[0]).all()
+
+
+def _mask(spec):
+    mask = np.zeros(spec.N, dtype=np.uint8)
+    mask[list(spec.row_indices())] = 1
+    return mask
+
+
+def _codewords(spec, count, rng):
+    u = np.zeros((count, spec.N), dtype=np.uint8)
+    u[:, list(spec.row_indices())] = rng.integers(0, 2, (count, spec.K), dtype=np.uint8)
+    return polar_transform(u)
+
+
+_TIE_LLRS = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, CERTAIN_LLR, -CERTAIN_LLR])
+
+
+def _llr_blocks(spec, rng, frames):
+    """AWGN at 1 and 3 dB, BEC at 0.3 and 0.6, and LLRs drawn from a small
+    set so that exact ties and g-sums to zero occur."""
+    blocks = [
+        chan.llrs(_codewords(spec, frames, rng), rng, spec.rate)
+        for chan in (AwgnBpskChannel(1.0), AwgnBpskChannel(3.0), BecChannel(0.3), BecChannel(0.6))
+    ]
+    blocks.append(rng.choice(_TIE_LLRS, size=(frames, spec.N)))
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sc_kernel_matches_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    big = 1 << n
+    for k in sorted({1, big // 4, big // 2, 3 * big // 4, big - 1, big} - {0}):
+        for spec in (construct_pw(n, k), construct_bec(n, k, 0.5)):
+            llrs = _llr_blocks(spec, rng, 24)
+            x = _sc_batch(llrs, _plan(spec))
+            x_ref, u_ref = sc_oracle(llrs, _mask(spec))
+            assert (x == x_ref).all(), (n, k, spec.construction)
+            assert (polar_transform(x) == u_ref).all(), (n, k, spec.construction)
+
 
 class TestAeDecode:
     def test_identity_only_matches_sc(self, pw6):
@@ -173,6 +230,43 @@ class TestAeDecode:
     def test_empty_ensemble_rejected(self, pw6):
         with pytest.raises(ValueError):
             ae_decode(np.zeros(64), [], pw6)
+
+
+def _blta_perms(spec, count, seed):
+    rng = random.Random(seed)
+    profile = block_profile(spec.monomials)
+    return [induced_permutation(sample_blta(profile, rng)) for _ in range(count)]
+
+
+def _ae_cases():
+    pw6, pw8 = construct_pw(6, 32), construct_pw(8, 128)
+    p6 = _blta_perms(pw6, 4, 19)
+    cases = [
+        ("blta-n6", pw6, _blta_perms(pw6, 8, 20)),
+        ("blta-n8", pw8, _blta_perms(pw8, 8, 21)),
+        ("identity", pw6, [list(range(64))]),
+        ("repeated", pw6, p6 + p6),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name,spec,perms", _ae_cases())
+def test_ae_matches_oracle(name, spec, perms):
+    rng = np.random.default_rng(22)
+    llrs = _llr_blocks(spec, rng, 8)
+    perm_arr = np.array(perms, dtype=np.intp)
+    best_ref, chosen_ref, scores_ref = ae_oracle(llrs, perm_arr, _mask(spec))
+    best, chosen, scores = _ae_batch(llrs, perm_arr, _plan(spec))
+    assert (best == best_ref).all() and (chosen == chosen_ref).all()
+    assert scores.tobytes() == scores_ref.tobytes()
+    for f, llr in enumerate(llrs):
+        res = ae_decode(llr, perms, spec)
+        assert (res.codeword == best_ref[f]).all()
+        assert (res.info_bits == extract_info(best_ref[f], spec)).all()
+        assert np.array(res.scores).tobytes() == scores_ref[f].tobytes()
+        assert res.chosen == chosen_ref[f]
+    if name == "repeated":  # equal scores: the lower copy wins
+        assert (chosen_ref < len(perms) // 2).all()
 
 
 class TestScoring:
@@ -243,6 +337,20 @@ class TestSimulate:
             pw6, AwgnBpskChannel(3.5), 2000, seed=3, decoder="ae", perms=perms
         )
         assert 0.0 <= res.bler < 0.2
+
+    def test_block_size_changes_no_count(self, monkeypatch, pw6):
+        perms = _blta_perms(pw6, 4, 23)
+        runs = [(AwgnBpskChannel(2.0), "sc", None), (BecChannel(0.4), "ae", perms)]
+
+        def counts():
+            return [
+                simulate_bler(pw6, chan, 1500, seed=4, decoder=dec, perms=p).errors
+                for chan, dec, p in runs
+            ]
+
+        whole = counts()
+        monkeypatch.setattr(decode, "_BLOCK_LLRS", 3000)  # 46 and 11 frames a block
+        assert counts() == whole
 
     def test_validation(self):
         spec = construct_pw(3, 4)
