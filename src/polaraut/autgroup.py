@@ -23,7 +23,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .gf2 import _ENUM_MAX_N, BitMatrix, _gl_row_masks, gl_order
+from .gf2 import _ENUM_MAX_N, BitMatrix, _gl_rows_array, gl_order
 from .affine import (
     AffineMap,
     _form_table,
@@ -84,23 +84,6 @@ def _require(cond: bool, message: str, **context) -> None:
 
 # ---------------------------------------------------------------------------
 # vectorized enumeration
-
-
-_gl_rows_cache: dict[int, np.ndarray] = {}
-
-
-def _gl_rows_array(n: int) -> np.ndarray:
-    """All GL(n,2) elements as an (order, n) uint8 array of row masks,
-    in the lexicographic enumeration order."""
-    arr = _gl_rows_cache.get(n)
-    if arr is None:
-        order = gl_order(n)
-        arr = np.empty((order, n), dtype=np.uint8)
-        for idx, masks in enumerate(_gl_row_masks(n)):
-            arr[idx] = masks
-        arr.setflags(write=False)
-        _gl_rows_cache[n] = arr
-    return arr
 
 
 @functools.lru_cache(maxsize=None)

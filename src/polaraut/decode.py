@@ -259,6 +259,15 @@ def _ae_batch(
     return best, chosen, scores
 
 
+def _perm_array(perms: Sequence[Sequence[int]], n_pos: int) -> np.ndarray:
+    """The ensemble as an (L, N) index array; ValueError unless every
+    entry is a permutation of range(N) (one sort over the ensemble)."""
+    arr = np.array(list(perms), dtype=np.intp)
+    if arr.ndim != 2 or arr.shape[1] != n_pos or (np.sort(arr, axis=1) != np.arange(n_pos)).any():
+        raise ValueError(f"every ensemble entry must be a permutation of range({n_pos})")
+    return arr
+
+
 def ae_decode(
     llr: Sequence[float] | np.ndarray,
     perms: Sequence[Sequence[int]],
@@ -268,18 +277,16 @@ def ae_decode(
 
     Each permutation is applied to the received LLRs, the permuted frame
     is SC decoded, the candidate is de-interleaved and scored by
-    correlation with the original LLRs; the best candidate wins.  The
-    permutations must be induced by automorphisms of the code (not
-    re-verified here).
+    correlation with the original LLRs; the best candidate wins.  Each
+    entry must be a permutation of range(N) (ValueError otherwise) and
+    should be induced by an automorphism of the code (not verified here).
     """
     if len(perms) == 0:
         raise ValueError("empty permutation ensemble")
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (spec.N,):
         raise ValueError(f"expected {spec.N} LLRs, got shape {llr.shape}")
-    best, chosen, scores = _ae_batch(
-        llr[None, :], np.array(list(perms), dtype=np.intp), _plan(spec)
-    )
+    best, chosen, scores = _ae_batch(llr[None, :], _perm_array(perms, spec.N), _plan(spec))
     info = extract_info(best[0], spec)
     return DecodeResult(info, best[0], tuple(float(s) for s in scores[0]), int(chosen[0]))
 
@@ -399,7 +406,7 @@ def simulate_bler(
     elif decoder == "ae":
         if not perms:
             raise ValueError("ensemble decoding needs a nonempty permutation list")
-        perm_arr = np.array(list(perms), dtype=np.intp)
+        perm_arr = _perm_array(perms, spec.N)
         ensemble = len(perm_arr)
     else:
         raise ValueError(f"unknown decoder {decoder!r}")

@@ -3,13 +3,18 @@
 Matrices are stored row-major as Python ints: bit j of row mask i is the
 entry (i, j).  Python ints give arbitrary width, so the same code covers
 everything from 2x2 kernels to 2^n-column generator matrices.  All values
-are immutable after construction and safe to share across workers.
+are immutable after construction and safe to share across workers; so is
+the GL(n,2) table behind `enumerate_gl`, a read-only numpy array built
+once per n.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "BitVec",
@@ -332,8 +337,9 @@ def _random_invertible(rng: random.Random, n: int) -> BitMatrix:
             return m
 
 
-# |GL(6,2)| is already 2e10 matrices; exhaustive streaming stops at 5.
+# |GL(6,2)| is already 2e10 matrices; exhaustive enumeration stops at 5.
 _ENUM_MAX_N = 5
+_TABLE_BLOCK = 1 << 14  # table rows produced (or yielded) per block
 
 
 def enumerate_gl(n: int) -> Iterator[BitMatrix]:
@@ -343,23 +349,75 @@ def enumerate_gl(n: int) -> Iterator[BitMatrix]:
     significant), so counts taken mid-stream are reproducible.  Refuses
     n > 5 (|GL(5,2)| = 9,999,360 is the largest practical sweep).
     """
-    for masks in _gl_row_masks(n):
-        yield BitMatrix(masks, n)
+    table = _gl_rows_array(n)
+    for lo in range(0, len(table), _TABLE_BLOCK):
+        for masks in table[lo:lo + _TABLE_BLOCK].tolist():
+            yield BitMatrix(masks, n)
 
 
-def _gl_row_masks(n: int) -> Iterator[tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def _gl_rows_array(n: int) -> np.ndarray:
+    """All GL(n,2) elements as a read-only (order, n) uint8 array of row
+    masks, in the lexicographic order of `enumerate_gl`.
+
+    Built one row level at a time.  A prefix of k independent rows
+    carries its span as one word of 2^n bits (bit x set iff x is in the
+    span); its continuations are the vectors outside the span, and
+    `np.nonzero` on the row-major "outside" mask lists them prefix-major,
+    vector-ascending, which keeps every level in lexicographic order.
+    The first n - 2 levels are built whole.  The last two are filled one
+    block of prefixes at a time straight into the output: every level-k
+    prefix has exactly 2^n - 2^k continuations, so each block's offset is
+    known, and the last level needs no spans.
+    """
     if not 1 <= n <= _ENUM_MAX_N:
         raise ValueError(f"refusing exhaustive GL({n},2) enumeration (limit n <= {_ENUM_MAX_N})")
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    spans = np.ones(1, dtype=np.uint64)  # the empty prefix spans {0}
+    whole = max(n - 2, 0)
+    for _ in range(whole):
+        rows, spans = _gl_extend(rows, spans, n)
+    out = np.empty((gl_order(n), n), dtype=np.uint8)
+    per_prefix = len(out) // len(rows)
+    step = max(1, _TABLE_BLOCK // per_prefix)
+    for lo in range(0, len(rows), step):
+        r, s = rows[lo:lo + step], spans[lo:lo + step]
+        for _ in range(whole, n - 1):
+            r, s = _gl_extend(r, s, n)
+        parent, v = _outside_span(s, n)
+        dst = out[lo * per_prefix:lo * per_prefix + len(v)]
+        dst[:, :-1] = r[parent]
+        dst[:, -1] = v
+    out.setflags(write=False)
+    return out
 
-    def rec(prefix: tuple[int, ...], span: frozenset[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield prefix
-            return
-        for v in range(1, 1 << n):
-            if v not in span:
-                yield from rec(prefix + (v,), span | {s ^ v for s in span})
 
-    return rec((), frozenset({0}))
+def _outside_span(spans: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(prefix index, vector) for every vector outside each prefix's span,
+    prefix-major and vector-ascending."""
+    bits = (spans[:, None] >> np.arange(1 << n, dtype=np.uint64)) & np.uint64(1)
+    return np.nonzero(bits == 0)
+
+
+def _gl_extend(rows: np.ndarray, spans: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every one-row continuation of every prefix, with its span."""
+    parent, v = _outside_span(spans, n)
+    grown = np.empty((len(v), rows.shape[1] + 1), dtype=np.uint8)
+    grown[:, :-1] = rows[parent]
+    grown[:, -1] = v
+    span = spans[parent]
+    return grown, span | _xor_shift(span, v, n)
+
+
+def _xor_shift(spans: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The bit sets {x ^ v : x in span}: the bit permutation x -> x ^ v,
+    one masked swap of bit blocks per set bit of v."""
+    for b in range(n):
+        w = 1 << b
+        low = np.uint64(sum(1 << x for x in range(1 << n) if not x & w))
+        swapped = ((spans & low) << np.uint64(w)) | ((spans >> np.uint64(w)) & low)
+        spans = np.where(((v >> b) & 1) == 1, swapped, spans)
+    return spans
 
 
 def gl_order(k: int) -> int:

@@ -46,6 +46,22 @@ def span_rank(masks: list[int]) -> int:
     return len(span).bit_length() - 1
 
 
+def gl_row_masks_oracle(n: int):
+    """Every invertible n x n matrix as a row-mask tuple, lexicographic:
+    depth-first over rows 0..n-1, each row ascending over the vectors
+    outside the span (kept as a set) of the rows before it."""
+
+    def rec(prefix, span):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for v in range(1, 1 << n):
+            if v not in span:
+                yield from rec(prefix + (v,), span | {s ^ v for s in span})
+
+    return rec((), frozenset({0}))
+
+
 def kron_power(n: int) -> np.ndarray:
     h = np.array([[1]], dtype=np.uint8)
     f = np.array([[1, 0], [1, 1]], dtype=np.uint8)

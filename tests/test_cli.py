@@ -76,6 +76,17 @@ class TestVerifyTheorem:
         obj = json.loads(out)
         assert code == 0 and obj["aut_count"] == 20160
 
+    def test_n5_passes_and_is_independent_of_jobs(self, capsys):
+        outs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "verify-theorem", "--n", "5", "--K", "12", "--pw",
+                               "--jobs", jobs)
+            assert code == 0
+            outs.append(out)
+        obj = json.loads(outs[0])
+        assert obj["pass"] is True and obj["aut_count"] == obj["blta_count"]
+        assert outs[0] == outs[1]
+
     def test_refuses_n6(self, capsys):
         code, _, err = run(capsys, "verify-theorem", "--n", "6", "--K", "32", "--pw")
         assert code == 2

@@ -232,6 +232,27 @@ class TestAeDecode:
             ae_decode(np.zeros(64), [], pw6)
 
 
+_NOT_PERMUTATIONS = {
+    "constant": [[0] * 64],
+    "repeated-half": [list(range(32)) * 2],
+    "out-of-range": [list(range(1, 65))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_PERMUTATIONS))
+def test_ae_decode_rejects_non_permutation(pw6, name):
+    perms = [list(range(64))] + _NOT_PERMUTATIONS[name]
+    with pytest.raises(ValueError, match="permutation of range"):
+        ae_decode(np.zeros(64), perms, pw6)
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_PERMUTATIONS))
+def test_simulate_ae_rejects_non_permutation(pw6, name):
+    perms = [list(range(64))] + _NOT_PERMUTATIONS[name]
+    with pytest.raises(ValueError, match="permutation of range"):
+        simulate_bler(pw6, AwgnBpskChannel(3.0), 10, seed=0, decoder="ae", perms=perms)
+
+
 def _blta_perms(spec, count, seed):
     rng = random.Random(seed)
     profile = block_profile(spec.monomials)

@@ -1,12 +1,15 @@
+import itertools
+import os
 import random
 
+import numpy as np
 import pytest
 
 from polaraut import BitMatrix, enumerate_gl, extend_minor, gl_order, random_invertible
-from polaraut.gf2 import BitVec
+from polaraut.gf2 import BitVec, _gl_rows_array
 from polaraut.selfcheck import check_independence_repair, check_minor_extension
 
-from oracles import leibniz_det, naive_mat_mul, span_rank
+from oracles import gl_row_masks_oracle, leibniz_det, naive_mat_mul, span_rank
 
 F = BitMatrix.from_rows([[1, 0], [1, 1]])
 
@@ -240,6 +243,63 @@ class TestEnumerateGl:
     def test_refuses_large_n(self):
         with pytest.raises(ValueError):
             next(enumerate_gl(6))
+
+
+def _oracle_table(n):
+    masks = itertools.chain.from_iterable(gl_row_masks_oracle(n))
+    return np.fromiter(masks, dtype=np.uint8, count=gl_order(n) * n).reshape(-1, n)
+
+
+def _all_invertible(table):
+    """Vectorized GF(2) elimination: reduce each row against the rows
+    before it (every kept row lacks the leading bits of the earlier ones);
+    a row reducing to 0 is dependent."""
+    basis = []
+    for row in table.T:  # row i of every matrix
+        v = row.copy()
+        for b in basis:
+            np.minimum(v, v ^ b, out=v)
+        if not v.all():
+            return False
+        basis.append(v)
+    return True
+
+
+class TestGlTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_oracle(self, n):
+        assert np.array_equal(_gl_rows_array(n), _oracle_table(n))
+
+    def test_n5_is_gl_in_lexicographic_order(self):
+        # strictly increasing keys make the rows distinct and sorted; with
+        # |GL(5,2)| invertible rows they are all of GL(5,2), in the
+        # lexicographic order of the row-mask tuples
+        table = _gl_rows_array(5)
+        assert table.shape == (gl_order(5), 5) and table.dtype == np.uint8
+        keys = np.zeros(len(table), dtype=np.uint32)
+        for row in table.T:  # row 0 most significant
+            keys <<= np.uint32(5)
+            keys |= row
+        assert (keys[1:] > keys[:-1]).all()
+        assert _all_invertible(table)
+
+    def test_invertibility_check_sees_a_singular_row(self):
+        table = _gl_rows_array(3).copy()
+        assert _all_invertible(table)
+        table[7, 2] = table[7, 0] ^ table[7, 1]
+        assert not _all_invertible(table)
+
+    def test_read_only_and_cached(self):
+        table = _gl_rows_array(4)
+        assert not table.flags.writeable
+        assert _gl_rows_array(4) is table
+
+    @pytest.mark.skipif(
+        not os.environ.get("POLARAUT_EXTENDED"),
+        reason="full n=5 oracle comparison disabled (set POLARAUT_EXTENDED=1)",
+    )
+    def test_extended_n5_matches_oracle(self):
+        assert np.array_equal(_gl_rows_array(5), _oracle_table(5))
 
 
 def test_gl_order_formula():
