@@ -251,6 +251,8 @@ def block_profile(ms: MonomialSet) -> tuple[int, ...]:
     if not is_decreasing(ms):
         raise ValueError("block profile requires a decreasing monomial set")
     n = ms.n
+    if n == 0:
+        return ()
     sizes = []
     size = 1
     for i in range(n - 1):
@@ -263,20 +265,15 @@ def block_profile(ms: MonomialSet) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def _block_ends(profile: Sequence[int]) -> list[int]:
-    ends = []
-    stop = 0
+def _blta_allowed(profile: Sequence[int]) -> list[int]:
+    """Column mask each row of a BLTA(profile) linear part may use: the
+    columns up to the end of the row's block."""
+    if any(s <= 0 for s in profile):
+        raise ValueError("profile entries must be positive")
+    allowed: list[int] = []
     for s in profile:
-        stop += s
-        ends.append(stop)
-    return ends
-
-
-def _row_block_end(profile: Sequence[int], row: int) -> int:
-    for end in _block_ends(profile):
-        if row < end:
-            return end
-    raise ValueError(f"row {row} beyond profile {profile}")
+        allowed += [(1 << (len(allowed) + s)) - 1] * s
+    return allowed
 
 
 def blta_membership(t: AffineMap | BitMatrix, profile: Sequence[int]) -> bool:
@@ -289,13 +286,8 @@ def blta_membership(t: AffineMap | BitMatrix, profile: Sequence[int]) -> bool:
     n = sum(profile)
     if a.rows != n or a.cols != n:
         raise ValueError(f"profile {tuple(profile)} does not match a {a.rows}x{a.cols} matrix")
-    if any(s <= 0 for s in profile):
-        raise ValueError("profile entries must be positive")
-    for row in range(n):
-        allowed = (1 << _row_block_end(profile, row)) - 1
-        if a.row_mask(row) & ~allowed:
-            return False
-    return True
+    allowed = _blta_allowed(profile)
+    return all(not a.row_mask(row) & ~cols for row, cols in enumerate(allowed))
 
 
 def sample_blta(profile: Sequence[int], seed_or_rng: int | random.Random) -> AffineMap:

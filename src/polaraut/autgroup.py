@@ -26,9 +26,9 @@ import numpy as np
 from .gf2 import _ENUM_MAX_N, BitMatrix, _gl_rows_array, gl_order
 from .affine import (
     AffineMap,
+    _blta_allowed,
     _form_table,
     _masks_desc,
-    _row_block_end,
     _support,
     block_profile,
     blta_order,
@@ -113,8 +113,7 @@ def _aut_alive(rows: np.ndarray, masks_desc: Sequence[int], m_int: int, n: int) 
 
 def _blta_alive(rows: np.ndarray, profile: Sequence[int]) -> np.ndarray:
     ok = np.ones(len(rows), dtype=bool)
-    for m in range(rows.shape[1]):
-        allowed = (1 << _row_block_end(profile, m)) - 1
+    for m, allowed in enumerate(_blta_allowed(profile)):
         ok &= (rows[:, m] & ~np.uint8(allowed & 0xFF)) == 0
     return ok
 
@@ -167,7 +166,6 @@ class AutEnumeration:
     code_id: str
     count: int
     elements: tuple[tuple[int, ...], ...] | None = None
-    profile: tuple[int, ...] | None = None
 
     def element_matrices(self) -> list[BitMatrix]:
         if self.elements is None:
@@ -189,18 +187,15 @@ def enumerate_affine_aut(
     ms: MonomialSet,
     code_id: str = "",
     jobs: int = 1,
-    store: bool | None = None,
 ) -> AutEnumeration:
     """Scan all of GL(n,2) for linear maps preserving the code of ms.
 
     Translations are dropped: (A, b) is an automorphism iff (A, 0) is,
     so the returned count is the number of linear parts.  Elements are
-    stored explicitly for n <= 4 unless overridden.
+    stored explicitly for n <= 4.
     """
     _check_enum_pre(ms)
-    if store is None:
-        store = ms.n <= _STORE_MAX_N
-    count, elements, _ = _run_chunks(ms.n, ms, store, None, jobs)
+    count, elements, _ = _run_chunks(ms.n, ms, ms.n <= _STORE_MAX_N, None, jobs)
     return AutEnumeration(
         ms.n,
         code_id,
@@ -573,11 +568,7 @@ def random_witness_instance(
     while True:
         ms = random_decreasing_set(n, rng)
         profile = block_profile(ms)
-        pairs = []
-        start = 0
-        for s in profile:
-            pairs.extend(range(start, start + s - 1))
-            start += s
+        pairs = [i for i, cols in enumerate(_blta_allowed(profile)) if cols >> (i + 1) & 1]
         if not pairs:
             continue
         i = rng.choice(pairs)

@@ -3,9 +3,9 @@
 Exit codes: 0 success (and verification passed), 1 verification failure
 or falsification candidate, 2 usage error, including any argument value
 the library rejects with ValueError and a --code or --matrix file that
-cannot be read.  Every run echoes its seed;
-given the same arguments and seed the structured outputs are
-byte-identical regardless of --jobs.
+cannot be read.  `simulate` and `sample-perms` echo their seed; given
+the same arguments and seed the structured outputs are byte-identical
+regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -258,8 +258,7 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_selftest(args, parser) -> int:
     results = run_all(seed=args.seed, quick=not args.full)
-    for r in results:
-        print(r.line())
+    _emit("".join(r.line() + "\n" for r in results), args.out)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -312,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-perms", help="sample ensemble permutations with screening report")
     common(p)
-    p.add_argument("--L", type=int, default=8, help="ensemble size")
+    p.add_argument("--L", type=_positive_int, default=8, help="ensemble size")
     p.add_argument("--lta-only", action="store_true", help="sample from the lower-triangular subgroup")
-    p.add_argument("--trials", type=int, default=50, help="SC-invariance screening frames")
+    p.add_argument("--trials", type=_positive_int, default=50, help="SC-invariance screening frames")
     p.set_defaults(func=cmd_sample_perms)
 
     p = sub.add_parser("simulate", help="Monte Carlo block error rate (CSV)")

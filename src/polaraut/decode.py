@@ -105,33 +105,33 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
     return c
 
 
+@functools.lru_cache(maxsize=32)
+def _info_mask(spec: CodeSpec) -> np.ndarray:
+    """Read-only boolean mask of the information rows of a code."""
+    mask = np.zeros(spec.N, dtype=bool)
+    mask[list(spec.row_indices())] = True
+    mask.flags.writeable = False
+    return mask
+
+
 def polar_encode(u: Sequence[int] | np.ndarray, spec: CodeSpec) -> np.ndarray:
-    """Codeword of K info bits: scatter into the information rows, then
-    apply the transform."""
+    """Codewords of (..., K) info bits: scatter into the information rows,
+    then apply the transform."""
     u = np.asarray(u, dtype=np.uint8)
-    if u.shape != (spec.K,):
+    if u.shape[-1:] != (spec.K,):
         raise ValueError(f"expected {spec.K} info bits, got shape {u.shape}")
-    full = np.zeros(spec.N, dtype=np.uint8)
-    full[list(spec.row_indices())] = u
-    return polar_transform(full)
-
-
-def _encode_batch(u: np.ndarray, spec: CodeSpec) -> np.ndarray:
-    full = np.zeros((u.shape[0], spec.N), dtype=np.uint8)
-    full[:, list(spec.row_indices())] = u
+    full = np.zeros(u.shape[:-1] + (spec.N,), dtype=np.uint8)
+    full[..., _info_mask(spec)] = u
     return polar_transform(full)
 
 
 def extract_info(codeword: np.ndarray, spec: CodeSpec) -> np.ndarray:
     """Info bits of a codeword (the transform is its own inverse)."""
-    u = polar_transform(np.asarray(codeword, dtype=np.uint8))
-    return u[..., list(spec.row_indices())]
+    return polar_transform(codeword)[..., _info_mask(spec)]
 
 
 def is_codeword(x: np.ndarray, spec: CodeSpec) -> bool:
-    u = polar_transform(np.asarray(x, dtype=np.uint8))
-    frozen = list(spec.frozen_indices())
-    return not frozen or not u[..., frozen].any()
+    return not polar_transform(x)[..., ~_info_mask(spec)].any()
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +177,7 @@ def _sc_plan(mask: bytes) -> _Plan:
 
 
 def _plan(spec: CodeSpec) -> _Plan:
-    mask = bytearray(spec.N)
-    for r in spec.row_indices():
-        mask[r] = 1
-    return _sc_plan(bytes(mask))
+    return _sc_plan(_info_mask(spec).tobytes())
 
 
 def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -224,17 +221,24 @@ class DecodeResult:
     chosen: int
 
 
-def correlation_score(codeword: np.ndarray, llr: np.ndarray) -> float:
-    """sum (1 - 2 x_i) llr_i; the ML metric for BPSK and permutation
-    consistent: score(pi(x), pi(llr)) == score(x, llr)."""
-    return float(((1.0 - 2.0 * codeword) * llr).sum())
+def correlation_score(codeword: np.ndarray, llr: np.ndarray) -> float | np.ndarray:
+    """sum (1 - 2 x_i) llr_i over the last axis; the ML metric for BPSK and
+    permutation consistent: score(pi(x), pi(llr)) == score(x, llr).  A
+    single frame gives a float, leading axes give an array of scores."""
+    score = ((1.0 - 2.0 * codeword) * llr).sum(axis=-1)
+    return float(score) if score.ndim == 0 else score
+
+
+def _llr_frame(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> np.ndarray:
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.shape != (spec.N,):
+        raise ValueError(f"expected {spec.N} LLRs, got shape {llr.shape}")
+    return llr
 
 
 def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult:
     """Plain successive cancellation decoding of one frame."""
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (spec.N,):
-        raise ValueError(f"expected {spec.N} LLRs, got shape {llr.shape}")
+    llr = _llr_frame(llr, spec)
     x = _sc_batch(llr[None, :], _plan(spec))[0]
     return DecodeResult(extract_info(x, spec), x, (correlation_score(x, llr),), 0)
 
@@ -253,16 +257,18 @@ def _ae_batch(
     # candidate l at position pi_l[j] is x[l, j]: gather through the inverses
     inverse = np.argsort(perms, axis=1) + n_pos * np.arange(n_perm)[:, None]
     cand = np.take(x, inverse.reshape(-1), axis=1).reshape(batch, n_perm, n_pos)
-    scores = ((1.0 - 2.0 * cand) * llrs[:, None, :]).sum(axis=2)
+    scores = correlation_score(cand, llrs[:, None, :])
     chosen = scores.argmax(axis=1)  # ties resolve to the lowest index
     best = cand[np.arange(batch), chosen]
     return best, chosen, scores
 
 
-def _perm_array(perms: Sequence[Sequence[int]], n_pos: int) -> np.ndarray:
-    """The ensemble as an (L, N) index array; ValueError unless every
-    entry is a permutation of range(N) (one sort over the ensemble)."""
-    arr = np.array(list(perms), dtype=np.intp)
+def _perm_array(perms: Sequence[Sequence[int]] | None, n_pos: int) -> np.ndarray:
+    """The ensemble as an (L, N) index array; ValueError unless it is
+    nonempty and each entry is a permutation of range(N) (one sort)."""
+    arr = np.array([] if perms is None else list(perms), dtype=np.intp)
+    if len(arr) == 0:
+        raise ValueError("empty permutation ensemble")
     if arr.ndim != 2 or arr.shape[1] != n_pos or (np.sort(arr, axis=1) != np.arange(n_pos)).any():
         raise ValueError(f"every ensemble entry must be a permutation of range({n_pos})")
     return arr
@@ -281,11 +287,7 @@ def ae_decode(
     entry must be a permutation of range(N) (ValueError otherwise) and
     should be induced by an automorphism of the code (not verified here).
     """
-    if len(perms) == 0:
-        raise ValueError("empty permutation ensemble")
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (spec.N,):
-        raise ValueError(f"expected {spec.N} LLRs, got shape {llr.shape}")
+    llr = _llr_frame(llr, spec)
     best, chosen, scores = _ae_batch(llr[None, :], _perm_array(perms, spec.N), _plan(spec))
     info = extract_info(best[0], spec)
     return DecodeResult(info, best[0], tuple(float(s) for s in scores[0]), int(chosen[0]))
@@ -319,7 +321,7 @@ def sc_invariance_check(
     perm = np.array(induced_permutation(t), dtype=np.intp)
     rng = np.random.default_rng([seed, 0])
     u = rng.integers(0, 2, size=(trials, spec.K), dtype=np.uint8)
-    llrs = channel.llrs(_encode_batch(u, spec), rng, spec.rate)
+    llrs = channel.llrs(polar_encode(u, spec), rng, spec.rate)
     plan = _plan(spec)
     decoded_then_permuted = _sc_batch(llrs, plan)[:, perm]
     permuted_then_decoded = _sc_batch(llrs[:, perm], plan)
@@ -372,14 +374,15 @@ def _sim_batch(args) -> int:
     spec, channel, perms, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
     u = rng.integers(0, 2, size=(count, spec.K), dtype=np.uint8)
-    llrs = channel.llrs(_encode_batch(u, spec), rng, spec.rate)
+    sent = polar_encode(u, spec)
+    llrs = channel.llrs(sent, rng, spec.rate)
     plan = _plan(spec)
     step = max(1, _BLOCK_LLRS // (spec.N * (1 if perms is None else len(perms))))
     errors = 0
     for start in range(0, count, step):
         block = llrs[start:start + step]
         x = _sc_batch(block, plan) if perms is None else _ae_batch(block, perms, plan)[0]
-        errors += int((extract_info(x, spec) != u[start:start + step]).any(axis=1).sum())
+        errors += int((x != sent[start:start + step]).any(axis=1).sum())
     return errors
 
 
@@ -396,29 +399,24 @@ def simulate_bler(
 
     Frames are processed in fixed-size batches whose randomness derives
     only from (seed, batch index), so the result is independent of the
-    worker count.  A block error is any mismatch in the decoded info bits.
+    worker count.  A block error is a decoded codeword that differs from
+    the sent one.  SC and automorphism-ensemble decoding return codewords
+    only, so this equals an info-bit mismatch; an ensemble entry that is
+    not an automorphism of the code can make the two counts differ.
     """
     if num_frames < 1:
         raise ValueError("need at least one frame")
     if decoder == "sc":
         perm_arr = None
-        ensemble = 1
     elif decoder == "ae":
-        if not perms:
-            raise ValueError("ensemble decoding needs a nonempty permutation list")
         perm_arr = _perm_array(perms, spec.N)
-        ensemble = len(perm_arr)
     else:
         raise ValueError(f"unknown decoder {decoder!r}")
 
-    batches = []
-    start = 0
-    idx = 0
-    while start < num_frames:
-        count = min(_SIM_BATCH, num_frames - start)
-        batches.append((spec, channel, perm_arr, seed, idx, count))
-        start += count
-        idx += 1
+    batches = [
+        (spec, channel, perm_arr, seed, idx, min(_SIM_BATCH, num_frames - start))
+        for idx, start in enumerate(range(0, num_frames, _SIM_BATCH))
+    ]
 
     if jobs > 1 and len(batches) > 1:
         with Pool(jobs) as pool:
@@ -430,6 +428,6 @@ def simulate_bler(
         errors=errors,
         channel_param=channel.param_value,
         decoder=decoder,
-        ensemble_size=ensemble,
+        ensemble_size=1 if perm_arr is None else len(perm_arr),
         seed=seed,
     )

@@ -205,6 +205,11 @@ class TestBlockProfile:
         with pytest.raises(ValueError):
             block_profile(MonomialSet(2, frozenset({2})))
 
+    def test_no_variables_no_blocks(self):
+        # the block sizes sum to n, so a code of length 1 has none
+        for masks in (frozenset(), frozenset({0})):
+            assert block_profile(MonomialSet(0, masks)) == ()
+
 
 class TestBltaMembership:
     def test_lower_triangular_in_every_profile(self):

@@ -9,6 +9,7 @@ from polaraut import (
     MonomialSet,
     all_decreasing_sets,
     block_profile,
+    blta_membership,
     blta_order,
     enumerate_affine_aut,
     enumerate_gl,
@@ -26,9 +27,11 @@ from polaraut.affine import _masks_desc
 from polaraut.autgroup import (
     FalsificationError,
     _aut_alive,
+    _blta_alive,
     _require,
     transposition_reduction_trace,
 )
+from polaraut.gf2 import _gl_rows_array
 from polaraut.monomial import all_monomials
 
 from oracles import brute_force_matrices, codeword_level_automorphism, swap_preserves_set
@@ -118,6 +121,16 @@ class TestEnumeration:
             enumerate_affine_aut(MonomialSet(6, frozenset({0})))
         with pytest.raises(ValueError):
             enumerate_affine_aut(MonomialSet(2, frozenset({2})))  # not decreasing
+
+    def test_batch_zero_pattern_matches_blta_membership(self):
+        cases = ((3, [(3,), (1, 2), (2, 1), (1, 1, 1)]), (4, [(4,), (1, 3), (2, 1, 1)]))
+        for n, profiles in cases:
+            rows = _gl_rows_array(n)
+            mats = [BitMatrix([int(x) for x in r], n) for r in rows]
+            for prof in profiles:
+                alive = _blta_alive(rows, prof)
+                assert alive.tolist() == [blta_membership(m, prof) for m in mats]
+                assert alive.sum() == blta_order(prof)
 
     def test_jobs_do_not_change_result(self):
         ms = reed_muller_set(4, 1)

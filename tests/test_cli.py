@@ -210,6 +210,9 @@ SIM = ["simulate", "--n", "3", "--K", "4", "--pw", "--snr", "1"]
     ["witness", "--n", "4", "--mmin", "8", "--matrix", "{tmp}/missing.json", "--i", "0"],
     ["witness", "--n", "4", "--mmin", "8", "--matrix", "{tmp}/no_a.json", "--i", "0"],
     ["witness", "--n", "4", "--mmin", "8", "--matrix", "{tmp}/list.json", "--i", "0"],
+    ["sample-perms", "--n", "3", "--mmin", "4", "--L", "0"],
+    ["sample-perms", "--n", "3", "--mmin", "4", "--L", "-2"],
+    ["sample-perms", "--n", "3", "--mmin", "4", "--trials", "0"],
 ])
 def test_rejected_argument_exits_2(capsys, tmp_path, argv):
     (tmp_path / "no_a.json").write_text('{"B": 1}')
@@ -236,3 +239,10 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--seed", "0")
         assert code == 0
         assert "[ok]" in out and "[FAIL]" not in out
+
+    def test_out_file(self, capsys, tmp_path):
+        path = tmp_path / "selftest.txt"
+        code, out, _ = run(capsys, "selftest", "--seed", "0", "--out", str(path))
+        assert code == 0 and out == ""
+        lines = path.read_text().splitlines()
+        assert lines and all(line.startswith("[ok] ") for line in lines)

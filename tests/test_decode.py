@@ -60,8 +60,26 @@ class TestEncode:
             assert is_codeword(x, spec)
 
     def test_length_checked(self):
+        for shape in ((3,), (5, 3), (2, 5, 3), ()):
+            with pytest.raises(ValueError):
+                polar_encode(np.zeros(shape, dtype=np.uint8), construct_pw(3, 4))
+
+    def test_batch_equals_single_frames(self):
+        rng = np.random.default_rng(24)
+        spec = construct_pw(5, 12)
+        u = rng.integers(0, 2, (9, spec.K), dtype=np.uint8)
+        x = polar_encode(u, spec)
+        assert x.shape == (9, spec.N)
+        assert all((x[b] == polar_encode(u[b], spec)).all() for b in range(9))
+        assert (polar_encode(u.reshape(3, 3, spec.K), spec) == x.reshape(3, 3, spec.N)).all()
+
+    def test_info_mask_is_cached_and_read_only(self):
+        spec = construct_pw(4, 7)
+        mask = decode._info_mask(spec)
+        assert mask is decode._info_mask(construct_pw(4, 7))
+        assert mask.dtype == bool and mask.sum() == 7
         with pytest.raises(ValueError):
-            polar_encode(np.zeros(3, dtype=np.uint8), construct_pw(3, 4))
+            mask[0] = not mask[0]
 
     def test_transform_is_involution(self):
         rng = np.random.default_rng(1)
@@ -165,6 +183,7 @@ def test_sc_kernel_matches_oracle(n):
             x = _sc_batch(llrs, _plan(spec))
             x_ref, u_ref = sc_oracle(llrs, _mask(spec))
             assert (x == x_ref).all(), (n, k, spec.construction)
+            assert is_codeword(x, spec), (n, k, spec.construction)  # every row
             assert (polar_transform(x) == u_ref).all(), (n, k, spec.construction)
 
 
@@ -372,6 +391,30 @@ class TestSimulate:
         whole = counts()
         monkeypatch.setattr(decode, "_BLOCK_LLRS", 3000)  # 46 and 11 frames a block
         assert counts() == whole
+
+    @pytest.mark.parametrize("spec,channel", [
+        (construct_pw(6, 32), AwgnBpskChannel(3.0)),
+        (construct_pw(8, 128), BecChannel(0.4)),
+    ], ids=["pw6-awgn3", "pw8-bec0.4"])
+    @pytest.mark.parametrize("decoder", ["sc", "ae"])
+    def test_counts_equal_oracle_info_bit_errors(self, spec, channel, decoder):
+        # 1100 frames: one full batch of 1024 and a partial one
+        frames, seed = 1100, 25
+        perms = _blta_perms(spec, 8, 26) if decoder == "ae" else None
+        res = simulate_bler(spec, channel, frames, seed=seed, decoder=decoder, perms=perms)
+        generator = kron_power(spec.n)[list(spec.row_indices())].astype(np.int64)
+        errors = 0
+        for idx, start in enumerate(range(0, frames, decode._SIM_BATCH)):
+            rng = np.random.default_rng([seed, idx])
+            u = rng.integers(0, 2, (min(decode._SIM_BATCH, frames - start), spec.K), dtype=np.uint8)
+            llrs = channel.llrs((u @ generator) % 2, rng, spec.rate)
+            if perms is None:
+                x = sc_oracle(llrs, _mask(spec))[0]
+            else:
+                x = ae_oracle(llrs, np.array(perms, dtype=np.intp), _mask(spec))[0]
+            errors += int((extract_info(x, spec) != u).any(axis=1).sum())
+        assert res.errors == errors
+        assert 0 < errors < frames
 
     def test_validation(self):
         spec = construct_pw(3, 4)
