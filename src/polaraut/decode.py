@@ -8,8 +8,11 @@ decodes to bit 0, so every decoding path is deterministic.  Erasure
 channels use +-1000.0 as the certainty sentinel and exactly 0.0 for an
 erasure.
 
-All decoders work on batches internally; the public single-frame entry
-points wrap a batch of one.
+Internally everything is positions-major: codewords and LLR blocks are
+(N, frames) arrays, so that the encoder's XOR passes and the decoder's
+f/g steps work on contiguous row blocks.  The decoders work on batches;
+the public single-frame entry points wrap a batch of one, and the public
+encoding helpers keep frames-major (..., N) arrays.
 """
 
 from __future__ import annotations
@@ -91,18 +94,37 @@ class AwgnBpskChannel:
 # encoding
 
 
-def polar_transform(u: np.ndarray) -> np.ndarray:
-    """Multiply bit rows by H = F^(x)n along the last axis (self-inverse)."""
-    c = np.array(u, dtype=np.uint8, copy=True)
-    n_pos = c.shape[-1]
-    if n_pos & (n_pos - 1):
-        raise ValueError(f"length {n_pos} is not a power of two")
+def _transform(c: np.ndarray) -> np.ndarray:
+    """Multiply by H = F^(x)n along axis 0 of a C-contiguous (N, ...) uint8
+    array, in place: each XOR pass adds whole row blocks."""
+    n_pos = len(c)
     d = 1
     while d < n_pos:
-        view = c.reshape(c.shape[:-1] + (n_pos // (2 * d), 2, d))
-        view[..., 0, :] ^= view[..., 1, :]
+        view = c.reshape((n_pos // (2 * d), 2, d) + c.shape[1:])
+        view[:, 0] ^= view[:, 1]
         d *= 2
     return c
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of a.T for a 2-D array, copied in slabs of 64
+    rows: a whole-array copy that reads a with a stride of one row per
+    element runs several times slower once the rows are a few kB long."""
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    for lo in range(0, len(a), 64):
+        out[:, lo:lo + 64] = a[lo:lo + 64].T
+    return out
+
+
+def polar_transform(u: np.ndarray) -> np.ndarray:
+    """Multiply bit rows by H = F^(x)n along the last axis (self-inverse);
+    returns a new C-contiguous uint8 array."""
+    u = np.asarray(u, dtype=np.uint8)
+    n_pos = u.shape[-1] if u.ndim else 0
+    if n_pos < 1 or n_pos & (n_pos - 1):
+        raise ValueError(f"bit rows of shape {u.shape}: the length is not a power of two")
+    rows = u.reshape(-1, n_pos)
+    return _transposed(_transform(_transposed(rows))).reshape(u.shape)
 
 
 @functools.lru_cache(maxsize=32)
@@ -114,15 +136,21 @@ def _info_mask(spec: CodeSpec) -> np.ndarray:
     return mask
 
 
-def polar_encode(u: Sequence[int] | np.ndarray, spec: CodeSpec) -> np.ndarray:
-    """Codewords of (..., K) info bits: scatter into the information rows,
-    then apply the transform."""
+def _encode(u: np.ndarray, spec: CodeSpec) -> np.ndarray:
+    """Positions-major codewords (N, ...) of (..., K) info bits: scatter
+    into the information rows, then apply the transform."""
     u = np.asarray(u, dtype=np.uint8)
     if u.shape[-1:] != (spec.K,):
         raise ValueError(f"expected {spec.K} info bits, got shape {u.shape}")
-    full = np.zeros(u.shape[:-1] + (spec.N,), dtype=np.uint8)
-    full[..., _info_mask(spec)] = u
-    return polar_transform(full)
+    x = np.zeros((spec.N,) + u.shape[:-1], dtype=np.uint8)
+    x[_info_mask(spec)] = np.moveaxis(u, -1, 0)
+    return _transform(x)
+
+
+def polar_encode(u: Sequence[int] | np.ndarray, spec: CodeSpec) -> np.ndarray:
+    """Codewords (..., N) of (..., K) info bits."""
+    x = _encode(u, spec)
+    return _transposed(x.reshape(spec.N, -1)).reshape(x.shape[1:] + (spec.N,))
 
 
 def extract_info(codeword: np.ndarray, spec: CodeSpec) -> np.ndarray:
@@ -181,8 +209,9 @@ def _plan(spec: CodeSpec) -> _Plan:
 
 
 def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
-    """SC-decode a (batch, size) LLR block along a plan; returns the
-    codewords (their u-vectors are polar_transform of them)."""
+    """SC-decode a positions-major (size, batch) LLR block along a plan;
+    returns the (size, batch) codewords (their u-vectors are the
+    transform of them)."""
     x = np.zeros(llrs.shape, dtype=np.uint8)
     # LLRs of the nodes on the path to the current one; after g a node's
     # entry holds its right child's LLRs, as the node's own are spent
@@ -190,26 +219,38 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
     for op, lo, size in plan:
         v = stack[-1]
         if op == _F:
-            a, b = v[:, :size], v[:, size:]
-            stack.append(np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b)))
+            # sign(a) * sign(b) * min(|a|, |b|): the same operations in
+            # the same order, written into two buffers
+            a, b = v[:size], v[size:]
+            f = np.sign(a)
+            f *= np.sign(b)
+            m = np.abs(a)
+            np.minimum(m, np.abs(b), out=m)
+            f *= m
+            stack.append(f)
         elif op == _G:
+            # b + (1 - 2 u) a, the same way, in one buffer
             stack.pop()
-            a, b = stack[-1][:, :size], stack[-1][:, size:]
-            stack[-1] = b + (1.0 - 2.0 * x[:, lo:lo + size]) * a
+            a, b = stack[-1][:size], stack[-1][size:]
+            g = np.multiply(x[lo:lo + size], 2.0)
+            np.subtract(1.0, g, out=g)
+            g *= a
+            g += b
+            stack[-1] = g
         elif op == _XOR:
-            x[:, lo:lo + size] ^= x[:, lo + size:lo + 2 * size]
+            x[lo:lo + size] ^= x[lo + size:lo + 2 * size]
         elif op == _REP:
-            while v.shape[1] > 1:
-                h = v.shape[1] // 2
-                v = v[:, h:] + v[:, :h]
-            x[:, lo:lo + size] = v < 0
+            while len(v) > 1:
+                h = len(v) // 2
+                v = v[h:] + v[:h]
+            np.less(v, 0, out=x[lo:lo + size])
         else:  # _RATE1
-            x[:, lo:lo + size] = v < 0
+            np.less(v, 0, out=x[lo:lo + size])
             if size > 1 and not v.all():
                 h = size // 2
                 halves = ((_F, 0, h), (_RATE1, 0, h), (_G, 0, h), (_RATE1, h, h), (_XOR, 0, h))
-                rows = np.flatnonzero((v == 0).any(axis=1))
-                x[rows, lo:lo + size] = _sc_batch(v[rows], halves)
+                cols = np.flatnonzero((v == 0).any(axis=0))
+                x[lo:lo + size, cols] = _sc_batch(v[:, cols], halves)
     return x
 
 
@@ -225,7 +266,11 @@ def correlation_score(codeword: np.ndarray, llr: np.ndarray) -> float | np.ndarr
     """sum (1 - 2 x_i) llr_i over the last axis; the ML metric for BPSK and
     permutation consistent: score(pi(x), pi(llr)) == score(x, llr).  A
     single frame gives a float, leading axes give an array of scores."""
-    score = ((1.0 - 2.0 * codeword) * llr).sum(axis=-1)
+    terms = np.empty(np.broadcast_shapes(np.shape(codeword), np.shape(llr)))
+    np.multiply(codeword, 2.0, out=terms)
+    np.subtract(1.0, terms, out=terms)
+    terms *= llr
+    score = terms.sum(axis=-1)
     return float(score) if score.ndim == 0 else score
 
 
@@ -239,27 +284,31 @@ def _llr_frame(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> np.ndarray:
 def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult:
     """Plain successive cancellation decoding of one frame."""
     llr = _llr_frame(llr, spec)
-    x = _sc_batch(llr[None, :], _plan(spec))[0]
+    x = _sc_batch(llr[:, None], _plan(spec))[:, 0]
     return DecodeResult(extract_info(x, spec), x, (correlation_score(x, llr),), 0)
 
 
 def _ae_batch(
     llrs: np.ndarray, perms: np.ndarray, plan: _Plan
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ensemble decoding of a batch: permute, decode, de-interleave,
-    keep the best-correlating candidate per frame.
+    """Ensemble decoding of a positions-major (N, B) batch: permute,
+    decode, de-interleave, keep the best-correlating candidate per frame.
 
-    Returns (codewords (B, N), chosen (B,), scores (B, L))."""
-    batch, n_pos = llrs.shape
+    Returns (codewords (N, B), chosen (B,), scores (L, B))."""
+    n_pos, batch = llrs.shape
     n_perm = len(perms)
-    permuted = np.take(llrs, perms.reshape(-1), axis=1).reshape(batch * n_perm, n_pos)
-    x = _sc_batch(permuted, plan).reshape(batch, n_perm * n_pos)
-    # candidate l at position pi_l[j] is x[l, j]: gather through the inverses
-    inverse = np.argsort(perms, axis=1) + n_pos * np.arange(n_perm)[:, None]
-    cand = np.take(x, inverse.reshape(-1), axis=1).reshape(batch, n_perm, n_pos)
-    scores = correlation_score(cand, llrs[:, None, :])
-    chosen = scores.argmax(axis=1)  # ties resolve to the lowest index
-    best = cand[np.arange(batch), chosen]
+    # column l*B + b of the decoder input is frame b permuted by pi_l
+    x = _sc_batch(llrs[perms.T].reshape(n_pos, n_perm * batch), plan)
+    # candidate l at position pi_l[j] is x[j, l*B + b]: gather the rows of
+    # the (N*L, B) view through the inverses
+    inverse = np.argsort(perms, axis=1).T * n_perm + np.arange(n_perm)
+    cand = np.take(x.reshape(n_pos * n_perm, batch), inverse.reshape(-1), axis=0)
+    # score frames-major: numpy sums a contiguous axis pairwise, and a sum
+    # over axis 0 would round differently
+    frames = _transposed(cand.reshape(n_pos, n_perm * batch)).reshape(n_perm, batch, n_pos)
+    scores = correlation_score(frames, _transposed(llrs))
+    chosen = scores.argmax(axis=0)  # ties resolve to the lowest index
+    best = cand.reshape(n_pos, n_perm, batch)[:, chosen, np.arange(batch)]
     return best, chosen, scores
 
 
@@ -288,9 +337,10 @@ def ae_decode(
     should be induced by an automorphism of the code (not verified here).
     """
     llr = _llr_frame(llr, spec)
-    best, chosen, scores = _ae_batch(llr[None, :], _perm_array(perms, spec.N), _plan(spec))
-    info = extract_info(best[0], spec)
-    return DecodeResult(info, best[0], tuple(float(s) for s in scores[0]), int(chosen[0]))
+    best, chosen, scores = _ae_batch(llr[:, None], _perm_array(perms, spec.N), _plan(spec))
+    x = best[:, 0]
+    scores = tuple(float(s) for s in scores[:, 0])
+    return DecodeResult(extract_info(x, spec), x, scores, int(chosen[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +366,18 @@ def sc_invariance_check(
 ) -> InvarianceReport:
     """Fraction of noisy frames with SC(pi(L)) == pi(SC(L)) bit-exactly,
     for the permutation induced by t (hard-decision codeword equality)."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     if channel is None:
         channel = AwgnBpskChannel(1.0)
     perm = np.array(induced_permutation(t), dtype=np.intp)
     rng = np.random.default_rng([seed, 0])
     u = rng.integers(0, 2, size=(trials, spec.K), dtype=np.uint8)
-    llrs = channel.llrs(polar_encode(u, spec), rng, spec.rate)
+    llrs = _transposed(channel.llrs(polar_encode(u, spec), rng, spec.rate))
     plan = _plan(spec)
-    decoded_then_permuted = _sc_batch(llrs, plan)[:, perm]
-    permuted_then_decoded = _sc_batch(llrs[:, perm], plan)
-    equal = int((decoded_then_permuted == permuted_then_decoded).all(axis=1).sum())
+    decoded_then_permuted = _sc_batch(llrs, plan)[perm]
+    permuted_then_decoded = _sc_batch(llrs[perm], plan)
+    equal = int((decoded_then_permuted == permuted_then_decoded).all(axis=0).sum())
     return InvarianceReport(trials, equal)
 
 
@@ -374,15 +426,18 @@ def _sim_batch(args) -> int:
     spec, channel, perms, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
     u = rng.integers(0, 2, size=(count, spec.K), dtype=np.uint8)
-    sent = polar_encode(u, spec)
+    # the channel draws its noise frames-major, (count, N), as it always
+    # has, so the codewords are handed to it frames-major; each block is
+    # turned positions-major on its own
+    sent = _transposed(_encode(u, spec))
     llrs = channel.llrs(sent, rng, spec.rate)
     plan = _plan(spec)
     step = max(1, _BLOCK_LLRS // (spec.N * (1 if perms is None else len(perms))))
     errors = 0
     for start in range(0, count, step):
-        block = llrs[start:start + step]
+        block = _transposed(llrs[start:start + step])
         x = _sc_batch(block, plan) if perms is None else _ae_batch(block, perms, plan)[0]
-        errors += int((x != sent[start:start + step]).any(axis=1).sum())
+        errors += int((x != _transposed(sent[start:start + step])).any(axis=0).sum())
     return errors
 
 

@@ -86,6 +86,40 @@ class TestEncode:
         v = rng.integers(0, 2, (5, 16), dtype=np.uint8)
         assert (polar_transform(polar_transform(v)) == v).all()
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_positions_major_passes_match_kron_power(self, n):
+        # columns are frames: column b becomes u_b H, the XOR of the rows
+        # of H that u_b selects
+        rng = np.random.default_rng(200 + n)
+        h = kron_power(n)
+        u = rng.integers(0, 2, (1 << n, 5), dtype=np.uint8)
+        x = decode._transform(u.copy())
+        for b in range(5):
+            assert (x[:, b] == np.bitwise_xor.reduce(h[u[:, b] == 1], axis=0)).all()
+
+    @pytest.mark.parametrize("shape", [(16,), (7, 16), (2, 3, 16), (0, 16), (1,), (3, 1)])
+    def test_public_transform_keeps_the_last_axis(self, shape):
+        rng = np.random.default_rng(26)
+        u = rng.integers(0, 2, shape, dtype=np.uint8)
+        expected = (u.astype(np.int64) @ kron_power(shape[-1].bit_length() - 1)) % 2
+        for given in (u, np.asfortranarray(u)):
+            x = polar_transform(given)
+            assert x.shape == shape and x.dtype == np.uint8 and x.flags.c_contiguous
+            assert (x == expected).all()
+
+    def test_transform_length_checked(self):
+        for shape in ((), (0,), (6,), (3, 12)):
+            with pytest.raises(ValueError, match="not a power of two"):
+                polar_transform(np.zeros(shape, dtype=np.uint8))
+
+    def test_transposed_is_a_contiguous_transpose(self):
+        rng = np.random.default_rng(27)
+        for shape in ((0, 5), (1, 3), (63, 7), (64, 2), (130, 9), (5, 0)):
+            for a in (rng.integers(0, 2, shape, dtype=np.uint8), rng.normal(size=shape)):
+                t = decode._transposed(a)
+                assert t.flags.c_contiguous and t.dtype == a.dtype
+                assert t.shape == shape[::-1] and (t == a.T).all()
+
 
 class TestScDecode:
     def test_noiseless_all_zero(self):
@@ -144,7 +178,8 @@ class TestScDecode:
         for k in (40, 56, 64):
             spec = construct_pw(6, k)
             llrs = BecChannel(0.4).llrs(_codewords(spec, 500, rng), rng, spec.rate)
-            assert (_sc_batch(llrs, _plan(spec)) == sc_oracle(llrs, _mask(spec))[0]).all()
+            x = _sc_batch(llrs.T, _plan(spec)).T
+            assert (x == sc_oracle(llrs, _mask(spec))[0]).all()
 
 
 def _mask(spec):
@@ -180,7 +215,7 @@ def test_sc_kernel_matches_oracle(n):
     for k in sorted({1, big // 4, big // 2, 3 * big // 4, big - 1, big} - {0}):
         for spec in (construct_pw(n, k), construct_bec(n, k, 0.5)):
             llrs = _llr_blocks(spec, rng, 24)
-            x = _sc_batch(llrs, _plan(spec))
+            x = _sc_batch(llrs.T, _plan(spec)).T
             x_ref, u_ref = sc_oracle(llrs, _mask(spec))
             assert (x == x_ref).all(), (n, k, spec.construction)
             assert is_codeword(x, spec), (n, k, spec.construction)  # every row
@@ -296,9 +331,9 @@ def test_ae_matches_oracle(name, spec, perms):
     llrs = _llr_blocks(spec, rng, 8)
     perm_arr = np.array(perms, dtype=np.intp)
     best_ref, chosen_ref, scores_ref = ae_oracle(llrs, perm_arr, _mask(spec))
-    best, chosen, scores = _ae_batch(llrs, perm_arr, _plan(spec))
-    assert (best == best_ref).all() and (chosen == chosen_ref).all()
-    assert scores.tobytes() == scores_ref.tobytes()
+    best, chosen, scores = _ae_batch(llrs.T, perm_arr, _plan(spec))
+    assert (best.T == best_ref).all() and (chosen == chosen_ref).all()
+    assert scores.T.tobytes() == scores_ref.tobytes()
     for f, llr in enumerate(llrs):
         res = ae_decode(llr, perms, spec)
         assert (res.codeword == best_ref[f]).all()
@@ -321,6 +356,15 @@ class TestScoring:
                 correlation_score(x[perm], llr[perm])
             )
 
+    def test_broadcasting_matches_the_formula(self):
+        rng = np.random.default_rng(28)
+        bits = rng.integers(0, 2, (3, 1, 16), dtype=np.uint8)
+        llr = rng.normal(size=(4, 16))
+        for x, y in ((bits, llr), (bits[0, 0], llr), (bits, llr[0])):
+            expected = ((1.0 - 2.0 * x) * y).sum(axis=-1)
+            assert correlation_score(x, y).tobytes() == expected.tobytes()
+        assert correlation_score([0, 1, 1], [1.5, 2.0, -0.25]) == -0.25
+
 
 class TestInvariance:
     def test_lta_maps_invariant(self, pw6):
@@ -333,6 +377,11 @@ class TestInvariance:
     def test_identity_invariant(self, pw6):
         rep = sc_invariance_check(AffineMap.identity(6), pw6, trials=50, seed=0)
         assert rep.fraction == 1.0
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, pw6, trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            sc_invariance_check(AffineMap.identity(6), pw6, trials=trials)
 
     def test_blta_reported_not_asserted(self, pw6):
         from polaraut.affine import block_profile
@@ -395,14 +444,18 @@ class TestSimulate:
     @pytest.mark.parametrize("spec,channel", [
         (construct_pw(6, 32), AwgnBpskChannel(3.0)),
         (construct_pw(8, 128), BecChannel(0.4)),
-    ], ids=["pw6-awgn3", "pw8-bec0.4"])
+        (construct_pw(10, 512), AwgnBpskChannel(2.0)),
+    ], ids=["pw6-awgn3", "pw8-bec0.4", "pw10-awgn2"])
     @pytest.mark.parametrize("decoder", ["sc", "ae"])
     def test_counts_equal_oracle_info_bit_errors(self, spec, channel, decoder):
-        # 1100 frames: one full batch of 1024 and a partial one
+        # 1100 frames: one full batch of 1024 and a partial one; at n=10
+        # AE-8 decodes them in blocks of 128 frames and a partial block
         frames, seed = 1100, 25
         perms = _blta_perms(spec, 8, 26) if decoder == "ae" else None
         res = simulate_bler(spec, channel, frames, seed=seed, decoder=decoder, perms=perms)
-        generator = kron_power(spec.n)[list(spec.row_indices())].astype(np.int64)
+        # float64 sums of at most K ones are exact, and numpy multiplies
+        # float64 matrices much faster than int64 ones
+        generator = kron_power(spec.n)[list(spec.row_indices())].astype(np.float64)
         errors = 0
         for idx, start in enumerate(range(0, frames, decode._SIM_BATCH)):
             rng = np.random.default_rng([seed, idx])
