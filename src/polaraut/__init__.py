@@ -46,12 +46,10 @@ from .affine import (
     transform_monomial_support,
 )
 from .autgroup import (
-    AutEnumeration,
     FalsificationError,
     TheoremReport,
     WitnessTrace,
     all_decreasing_sets,
-    enumerate_affine_aut,
     random_decreasing_set,
     random_witness_instance,
     transposition_witness,

@@ -73,9 +73,6 @@ class AffineMap:
     def translation(cls, b: BitVec) -> "AffineMap":
         return cls(BitMatrix.identity(b.n), b)
 
-    def linear_part(self) -> "AffineMap":
-        return AffineMap.from_linear(self.a)
-
     def compose(self, other: "AffineMap") -> "AffineMap":
         """The map x -> self(other(x))."""
         if self.n != other.n:
@@ -204,8 +201,6 @@ def substitution_coefficient(a: BitMatrix, rows: Sequence[int], cols: Sequence[i
     selected submatrix (signs vanish mod 2), so this simply evaluates
     that minor.
     """
-    if len(rows) != len(cols):
-        raise ValueError("index lists differ in size")
     return a.minor_det(rows, cols)
 
 

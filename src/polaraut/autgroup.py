@@ -1,8 +1,9 @@
 """Exhaustive affine automorphism groups of decreasing monomial codes.
 
-Enumerates GL(n,2), filters it down to the affine automorphisms of a
-code, and checks the central claim of this package: the group equals the
-block lower-triangular affine group of the code's profile.  The adjacent
+`verify_blta_completeness` is the one exhaustive sweep: it scans all of
+GL(n,2) (n <= 5), filters it down to the affine automorphisms of a code,
+and checks the central claim of this package: the group equals the block
+lower-triangular affine group of the code's profile.  The adjacent
 transposition argument behind that equality is implemented as a witness
 procedure that performs and re-verifies every elementary step, so a
 violated invariant surfaces as a falsification candidate instead of a
@@ -23,13 +24,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .gf2 import _ENUM_MAX_N, BitMatrix, _gl_rows_array, gl_order
+from .gf2 import BitMatrix, _gl_rows_array
 from .affine import (
     AffineMap,
     _blta_allowed,
     _form_table,
     _masks_desc,
     _support,
+    _swap_preserves,
     block_profile,
     blta_order,
     is_affine_automorphism,
@@ -47,9 +49,7 @@ from .monomial import (
 
 __all__ = [
     "FalsificationError",
-    "AutEnumeration",
     "TheoremReport",
-    "enumerate_affine_aut",
     "verify_blta_completeness",
     "WitnessStep",
     "MonomialWitness",
@@ -60,7 +60,6 @@ __all__ = [
     "random_witness_instance",
 ]
 
-_STORE_MAX_N = 4
 _CHUNK = 1 << 12  # fixed chunk boundaries keep results independent of --jobs
 
 
@@ -83,7 +82,7 @@ def _require(cond: bool, message: str, **context) -> None:
 
 
 # ---------------------------------------------------------------------------
-# vectorized enumeration
+# the exhaustive GL(n,2) sweep
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,90 +117,18 @@ def _blta_alive(rows: np.ndarray, profile: Sequence[int]) -> np.ndarray:
     return ok
 
 
-def _enum_chunk(args) -> tuple[int, list[tuple[int, ...]] | None, tuple[int, ...] | None]:
-    n, lo, hi, masks_desc, m_int, store, profile = args
+def _sweep_chunk(args) -> tuple[int, tuple[int, ...] | None]:
+    """Automorphism count of one chunk of the GL(n,2) table, and the
+    chunk's first automorphism outside BLTA(profile), if any."""
+    n, lo, hi, masks_desc, m_int, profile = args
     rows = _gl_rows_array(n)[lo:hi]
     alive = _aut_alive(rows, masks_desc, m_int, n)
     count = int(alive.sum())
-    elements = None
-    if store:
-        elements = [tuple(int(x) for x in rows[i]) for i in np.nonzero(alive)[0]]
-    counterexample = None
-    if profile is not None and count:
-        bad = alive & ~_blta_alive(rows, profile)
-        idx = np.nonzero(bad)[0]
+    if count:
+        idx = np.nonzero(alive & ~_blta_alive(rows, profile))[0]
         if len(idx):
-            counterexample = tuple(int(x) for x in rows[idx[0]])
-    return count, elements, counterexample
-
-
-def _run_chunks(n: int, ms: MonomialSet, store: bool, profile, jobs: int):
-    order = gl_order(n)
-    masks_desc = _masks_desc(ms)
-    m_int = ms.as_int()
-    bounds = [(lo, min(lo + _CHUNK, order)) for lo in range(0, order, _CHUNK)]
-    args = [(n, lo, hi, masks_desc, m_int, store, profile) for lo, hi in bounds]
-    _gl_rows_array(n)  # build before forking so workers share the cache
-    if jobs > 1 and len(args) > 1:
-        with Pool(jobs) as pool:
-            results = pool.map(_enum_chunk, args)
-    else:
-        results = [_enum_chunk(a) for a in args]
-
-    count = sum(r[0] for r in results)
-    elements = None
-    if store:
-        elements = []
-        for r in results:
-            elements.extend(r[1])
-    counterexample = next((r[2] for r in results if r[2] is not None), None)
-    return count, elements, counterexample
-
-
-@dataclass(frozen=True)
-class AutEnumeration:
-    """Result of an exhaustive scan of GL(n,2) against one code."""
-
-    n: int
-    code_id: str
-    count: int
-    elements: tuple[tuple[int, ...], ...] | None = None
-
-    def element_matrices(self) -> list[BitMatrix]:
-        if self.elements is None:
-            raise ValueError("elements were not stored for this enumeration")
-        return [BitMatrix(masks, self.n) for masks in self.elements]
-
-
-def _check_enum_pre(ms: MonomialSet) -> None:
-    if ms.n > _ENUM_MAX_N:
-        raise ValueError(
-            f"exhaustive enumeration needs n <= {_ENUM_MAX_N} "
-            f"(GL({ms.n},2) is out of reach), got n={ms.n}"
-        )
-    if not is_decreasing(ms):
-        raise ValueError("monomial set is not decreasing")
-
-
-def enumerate_affine_aut(
-    ms: MonomialSet,
-    code_id: str = "",
-    jobs: int = 1,
-) -> AutEnumeration:
-    """Scan all of GL(n,2) for linear maps preserving the code of ms.
-
-    Translations are dropped: (A, b) is an automorphism iff (A, 0) is,
-    so the returned count is the number of linear parts.  Elements are
-    stored explicitly for n <= 4.
-    """
-    _check_enum_pre(ms)
-    count, elements, _ = _run_chunks(ms.n, ms, ms.n <= _STORE_MAX_N, None, jobs)
-    return AutEnumeration(
-        ms.n,
-        code_id,
-        count,
-        tuple(elements) if elements is not None else None,
-    )
+            return count, tuple(int(x) for x in rows[idx[0]])
+    return count, None
 
 
 @dataclass(frozen=True)
@@ -237,17 +164,32 @@ def verify_blta_completeness(
 ) -> TheoremReport:
     """Exhaustively verify BLTA(profile) == affine automorphisms of ms.
 
-    Checks both directions at once: every enumerated automorphism must
-    lie in the block group (zero pattern), and the total count must equal
-    the block group's linear order.
+    Scans all of GL(n,2) in fixed chunks and checks both directions at
+    once: every automorphism found must lie in the block group (zero
+    pattern), and their count must equal the block group's linear order.
+    Raises ValueError if ms is not decreasing (`block_profile`) or n is
+    outside 1..5 (`gf2._gl_rows_array`).
     """
-    _check_enum_pre(ms)
+    n = ms.n
     profile = block_profile(ms)
-    count, _, counterexample = _run_chunks(ms.n, ms, False, profile, jobs)
+    order = len(_gl_rows_array(n))  # built before forking so workers share it
+    masks_desc = _masks_desc(ms)
+    m_int = ms.as_int()
+    args = [
+        (n, lo, min(lo + _CHUNK, order), masks_desc, m_int, profile)
+        for lo in range(0, order, _CHUNK)
+    ]
+    if jobs > 1 and len(args) > 1:
+        with Pool(jobs) as pool:
+            results = pool.map(_sweep_chunk, args)
+    else:
+        results = [_sweep_chunk(a) for a in args]
+    count = sum(r[0] for r in results)
+    counterexample = next((r[1] for r in results if r[1] is not None), None)
     expected = blta_order(profile)
     return TheoremReport(
-        code=code_id or f"n={ms.n},K={len(ms)}",
-        n=ms.n,
+        code=code_id or f"n={n},K={len(ms)}",
+        n=n,
         K=len(ms),
         profile=profile,
         aut_count=count,
@@ -442,8 +384,7 @@ def transposition_witness(a: BitMatrix, ms: MonomialSet, i: int) -> WitnessTrace
         _require(target in ms.masks, "swapped monomial is not a member", **ctx)
         entries.append(MonomialWitness(f, case, target, source, tuple(steps)))
 
-    swapped = frozenset(swap_variables(m, i, i + 1) for m in ms.masks)
-    swap_ok = swapped == ms.masks
+    swap_ok = _swap_preserves(ms, i, i + 1)
     _require(swap_ok, "per-monomial results contradict the set-level swap", i=i)
     return WitnessTrace(n, i, a.row_masks, tuple(entries), swap_ok)
 
@@ -523,8 +464,7 @@ def transposition_reduction_trace(
 
     # adjacent swaps generate the symmetric group on [i, j], so (i, j)
     # itself must preserve the set; check it directly
-    swapped = frozenset(swap_variables(m, i, j) for m in ms.masks)
-    swap_ok = swapped == ms.masks
+    swap_ok = _swap_preserves(ms, i, j)
     _require(swap_ok, "variable swap (i, j) does not preserve the set", i=i, j=j)
     perm_rows = list(BitMatrix.identity(n).row_masks)
     perm_rows[i], perm_rows[j] = perm_rows[j], perm_rows[i]
@@ -564,7 +504,9 @@ def random_witness_instance(
 ) -> tuple[MonomialSet, BitMatrix, int]:
     """A decreasing set, a sampled automorphism linear part, and an index
     i such that the block profile merges i with i+1 and the sampled
-    matrix has a 1 at (i, i+1)."""
+    matrix has a 1 at (i, i+1).  Needs n >= 2, so that such an i exists."""
+    if n < 2:
+        raise ValueError(f"a witness instance needs n >= 2, got n={n}")
     while True:
         ms = random_decreasing_set(n, rng)
         profile = block_profile(ms)

@@ -28,7 +28,6 @@ from .affine import (
 from .autgroup import (
     FalsificationError,
     all_decreasing_sets,
-    enumerate_affine_aut,
     transposition_reduction_trace,
     transposition_witness,
     verify_blta_completeness,
@@ -148,17 +147,9 @@ def cmd_verify_theorem(args, parser) -> int:
 
 def cmd_enumerate_aut(args, parser) -> int:
     spec = _resolve_code(args, parser)
-    enum = enumerate_affine_aut(spec.monomials, code_id=spec.code_id(), jobs=args.jobs)
-    profile = block_profile(spec.monomials)
-    out = {
-        "code": enum.code_id,
-        "n": enum.n,
-        "K": spec.K,
-        "aut_count": enum.count,
-        "profile": list(profile),
-        "blta_count": blta_order(profile),
-        "translations_note": "counts are linear parts; multiply by 2^n for (A, b) pairs",
-    }
+    obj = verify_blta_completeness(spec.monomials, code_id=spec.code_id(), jobs=args.jobs).to_json()
+    out = {k: obj[k] for k in ("code", "n", "K", "aut_count", "profile", "blta_count")}
+    out["translations_note"] = "counts are linear parts; multiply by 2^n for (A, b) pairs"
     _dump(out, args.out)
     return 0
 
@@ -297,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--battery", choices=["n3"], help="run every decreasing set at n=3")
     p.set_defaults(func=cmd_verify_theorem)
 
-    p = sub.add_parser("enumerate-aut", help="count (and for small n store) all affine automorphisms")
+    p = sub.add_parser("enumerate-aut", help="the verify-theorem sweep's counts, without the verdict")
     common(p)
     p.set_defaults(func=cmd_enumerate_aut)
 

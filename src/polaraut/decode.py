@@ -76,13 +76,27 @@ class AwgnBpskChannel:
 
     ebn0_db: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.ebn0_db):
+            raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db} dB")
+
     @property
     def param_value(self) -> float:
         return self.ebn0_db
 
     def noise_sigma(self, rate: float) -> float:
-        esn0 = rate * 10.0 ** (self.ebn0_db / 10.0)
-        return math.sqrt(1.0 / (2.0 * esn0))
+        """Noise standard deviation at code rate `rate`.  Raises ValueError
+        unless sigma and the LLR scale 2 / sigma^2 are finite and positive
+        (a rate-0 code or an extreme Eb/N0 has no such sigma)."""
+        try:
+            esn0 = rate * 10.0 ** (self.ebn0_db / 10.0)
+            sigma = math.sqrt(1.0 / (2.0 * esn0))
+            scale = 2.0 / (sigma * sigma)
+        except (OverflowError, ZeroDivisionError):
+            scale = math.nan
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"Eb/N0 {self.ebn0_db} dB at rate {rate} gives no finite, positive noise sigma")
+        return sigma
 
     def llrs(self, x: np.ndarray, rng: np.random.Generator, rate: float) -> np.ndarray:
         sigma = self.noise_sigma(rate)

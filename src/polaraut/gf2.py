@@ -371,7 +371,7 @@ def _gl_rows_array(n: int) -> np.ndarray:
     known, and the last level needs no spans.
     """
     if not 1 <= n <= _ENUM_MAX_N:
-        raise ValueError(f"refusing exhaustive GL({n},2) enumeration (limit n <= {_ENUM_MAX_N})")
+        raise ValueError(f"exhaustive GL(n,2) enumeration needs 1 <= n <= {_ENUM_MAX_N}, got n={n}")
     rows = np.zeros((1, 0), dtype=np.uint8)
     spans = np.ones(1, dtype=np.uint64)  # the empty prefix spans {0}
     whole = max(n - 2, 0)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .gf2 import BitMatrix, BitVec, _random_invertible, extend_minor
@@ -48,9 +49,7 @@ def _index_sets(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return pairs
 
 
-def check_substitution_coefficient(
-    n: int, matrices=None, rng: random.Random | None = None, samples: int = 200
-) -> CheckResult:
+def check_substitution_coefficient(n: int, matrices: Iterable[BitMatrix]) -> CheckResult:
     """The minor-determinant coefficient rule against the truth-table route.
 
     For each matrix and each pair of equal-size index sets, the claimed
@@ -58,9 +57,6 @@ def check_substitution_coefficient(
     must match membership in the support computed by composing and
     re-expanding the boolean function.
     """
-    if matrices is None:
-        rng = rng or random.Random(0)
-        matrices = [_random_invertible(rng, n) for _ in range(samples)]
     pairs = _index_sets(n)
     checked = failures = 0
     for a in matrices:
@@ -203,7 +199,7 @@ def run_all(seed: int = 0, quick: bool = True) -> list[CheckResult]:
     sub_n = 3 if quick else 4
     instances = 2000 if quick else 10_000
     results = [
-        check_substitution_coefficient(sub_n, matrices=None, rng=rng, samples=100),
+        check_substitution_coefficient(sub_n, [_random_invertible(rng, sub_n) for _ in range(100)]),
         check_minor_extension(rng, instances),
         check_independence_repair(rng, instances),
         check_order_axioms(4),

@@ -11,7 +11,6 @@ from polaraut import (
     block_profile,
     blta_membership,
     blta_order,
-    enumerate_affine_aut,
     enumerate_gl,
     gl_order,
     induced_permutation,
@@ -37,14 +36,24 @@ from polaraut.monomial import all_monomials
 from oracles import brute_force_matrices, codeword_level_automorphism, swap_preserves_set
 
 
+def _aut_rows(ms: MonomialSet) -> np.ndarray:
+    """Row masks of every automorphism linear part, in table order."""
+    rows = _gl_rows_array(ms.n)
+    return rows[_aut_alive(rows, _masks_desc(ms), ms.as_int(), ms.n)]
+
+
+def _aut_count(ms: MonomialSet) -> int:
+    return verify_blta_completeness(ms).aut_count
+
+
 class TestEnumeration:
     def test_rm13_count_is_full_gl(self):
-        enum = enumerate_affine_aut(reed_muller_set(3, 1), code_id="rm(1,3)")
-        assert enum.count == gl_order(3) == 168
+        report = verify_blta_completeness(reed_muller_set(3, 1), code_id="rm(1,3)")
+        assert report.aut_count == gl_order(3) == 168
 
     def test_rate1_counts(self):
         for n in (2, 3):
-            assert enumerate_affine_aut(all_monomials(n)).count == gl_order(n)
+            assert _aut_count(all_monomials(n)) == gl_order(n)
 
     def test_pw48_regression(self):
         # frozen from the first enumeration run; profile (3, 1)
@@ -52,7 +61,7 @@ class TestEnumeration:
 
         ms = construct_pw(4, 8).monomials
         assert block_profile(ms) == (3, 1)
-        assert enumerate_affine_aut(ms).count == 1344 == blta_order((3, 1))
+        assert _aut_count(ms) == 1344 == blta_order((3, 1))
 
     def test_matches_scalar_filter_on_all_n3_downsets(self):
         gl3 = list(enumerate_gl(3))
@@ -65,7 +74,7 @@ class TestEnumeration:
             # the batch and the single-map path share one kernel; the
             # codeword-level oracle shares none of it
             oracle = sum(1 for p in perms if codeword_level_automorphism(p, ms))
-            assert enumerate_affine_aut(ms).count == scalar == oracle
+            assert _aut_count(ms) == scalar == oracle
 
     def test_batch_path_at_n6_matches_single_map(self):
         rng = random.Random(12)
@@ -88,18 +97,17 @@ class TestEnumeration:
 
     def test_stored_elements_are_automorphisms(self):
         ms = reed_muller_set(3, 1)
-        enum = enumerate_affine_aut(ms)
-        mats = enum.element_matrices()
-        assert len(mats) == enum.count
+        mats = [BitMatrix(r, 3) for r in _aut_rows(ms).tolist()]
+        assert len(mats) == _aut_count(ms)
         for a in mats[:32]:
             assert is_affine_automorphism(AffineMap.from_linear(a), ms)
 
     def test_group_closure(self):
         rng = random.Random(0)
         ms = random_decreasing_set(3, rng)
-        enum = enumerate_affine_aut(ms)
-        members = set(enum.elements)
-        mats = enum.element_matrices()
+        rows = _aut_rows(ms).tolist()
+        members = set(map(tuple, rows))
+        mats = [BitMatrix(r, 3) for r in rows]
         for _ in range(1000):
             a, b = rng.choice(mats), rng.choice(mats)
             assert (a @ b).row_masks in members
@@ -110,17 +118,17 @@ class TestEnumeration:
         rng = random.Random(1)
         for _ in range(5):
             ms = random_decreasing_set(4, rng)
-            enum = enumerate_affine_aut(ms)
-            members = set(enum.elements)
+            members = {tuple(r) for r in _aut_rows(ms).tolist()}
             prof = block_profile(ms)
             for _ in range(50):
                 assert sample_blta(prof, rng).a.row_masks in members
 
     def test_guards(self):
-        with pytest.raises(ValueError):
-            enumerate_affine_aut(MonomialSet(6, frozenset({0})))
-        with pytest.raises(ValueError):
-            enumerate_affine_aut(MonomialSet(2, frozenset({2})))  # not decreasing
+        for n in (0, 6):
+            with pytest.raises(ValueError, match=r"1 <= n <= 5"):
+                verify_blta_completeness(MonomialSet(n, frozenset({0})))
+        with pytest.raises(ValueError, match="decreasing"):
+            verify_blta_completeness(MonomialSet(2, frozenset({2})))
 
     def test_batch_zero_pattern_matches_blta_membership(self):
         cases = ((3, [(3,), (1, 2), (2, 1), (1, 1, 1)]), (4, [(4,), (1, 3), (2, 1, 1)]))
@@ -134,10 +142,8 @@ class TestEnumeration:
 
     def test_jobs_do_not_change_result(self):
         ms = reed_muller_set(4, 1)
-        one = enumerate_affine_aut(ms, jobs=1)
-        two = enumerate_affine_aut(ms, jobs=2)
-        assert one.count == two.count
-        assert one.elements == two.elements
+        one, two = (verify_blta_completeness(ms, jobs=j).to_json() for j in (1, 2))
+        assert one == two
 
 
 class TestVerification:
@@ -325,6 +331,11 @@ class TestBatteries:
             ends.append((start, start + s))
             start += s
         assert any(lo <= i and i + 1 < hi for lo, hi in ends)
+
+    def test_witness_instance_needs_two_variables(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="n >= 2"):
+                random_witness_instance(n, random.Random(0))
 
 
 def test_falsification_error_carries_context():

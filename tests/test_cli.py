@@ -100,6 +100,19 @@ class TestEnumerateAut:
         assert code == 0
         assert obj["aut_count"] == 168 and obj["blta_count"] == 168
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_counts_are_verify_theorems(self, capsys, jobs):
+        code_args = ["--n", "4", "--K", "8", "--bec", "0.5", "--jobs", jobs]
+        code, out, _ = run(capsys, "enumerate-aut", *code_args)
+        assert code == 0
+        enum = json.loads(out)
+        code, out, _ = run(capsys, "verify-theorem", *code_args)
+        assert code == 0
+        verify = json.loads(out)
+        keys = ["code", "n", "K", "aut_count", "profile", "blta_count"]
+        assert list(enum) == keys + ["translations_note"]
+        assert {k: enum[k] for k in keys} == {k: verify[k] for k in keys}
+
 
 class TestWitness:
     def test_adjacent_swap(self, capsys, tmp_path):
@@ -192,6 +205,7 @@ class TestSimulate:
 
 
 SIM = ["simulate", "--n", "3", "--K", "4", "--pw", "--snr", "1"]
+AWGN = ["simulate", "--n", "3", "--K", "4", "--pw", "--frames", "10"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -213,6 +227,13 @@ SIM = ["simulate", "--n", "3", "--K", "4", "--pw", "--snr", "1"]
     ["sample-perms", "--n", "3", "--mmin", "4", "--L", "0"],
     ["sample-perms", "--n", "3", "--mmin", "4", "--L", "-2"],
     ["sample-perms", "--n", "3", "--mmin", "4", "--trials", "0"],
+    AWGN + ["--snr=-inf"],
+    AWGN + ["--snr=-4000"],
+    AWGN + ["--snr=4000"],
+    AWGN + ["--snr", "nan"],
+    AWGN + ["--snr", "inf"],
+    ["simulate", "--n", "3", "--mmin=", "--snr", "1"],
+    ["sample-perms", "--n", "3", "--mmin="],
 ])
 def test_rejected_argument_exits_2(capsys, tmp_path, argv):
     (tmp_path / "no_a.json").write_text('{"B": 1}')

@@ -9,6 +9,7 @@ from polaraut import (
     BecChannel,
     CodeSpec,
     ae_decode,
+    construct_explicit,
     construct_pw,
     extract_info,
     induced_permutation,
@@ -477,6 +478,26 @@ class TestSimulate:
             simulate_bler(spec, BecChannel(0.1), 10, seed=0, decoder="ae", perms=[])
         with pytest.raises(ValueError):
             simulate_bler(spec, BecChannel(0.1), 10, seed=0, decoder="bogus")
+
+    @pytest.mark.parametrize("db, rate", [
+        (float("nan"), 0.5), (float("inf"), 0.5), (float("-inf"), 0.5),
+        (4000.0, 0.5), (-4000.0, 0.5), (3080.0, 0.5), (1.0, 0.0),
+    ])
+    def test_awgn_without_a_usable_sigma_rejected(self, db, rate):
+        with pytest.raises(ValueError):
+            AwgnBpskChannel(db).noise_sigma(rate)
+
+    def test_awgn_extreme_but_usable_sigma(self):
+        for db in (3000.0, -3000.0):  # sigma and 2 / sigma^2 are still finite
+            assert 0.0 < AwgnBpskChannel(db).noise_sigma(0.5) < float("inf")
+
+    def test_rate0_code(self):
+        spec = construct_explicit(3, [])
+        with pytest.raises(ValueError, match="noise sigma"):
+            simulate_bler(spec, AwgnBpskChannel(1.0), 10, seed=0)
+        with pytest.raises(ValueError, match="noise sigma"):
+            sc_invariance_check(AffineMap.identity(3), spec, trials=5)
+        assert simulate_bler(spec, BecChannel(0.5), 10, seed=0).errors == 0
 
 
 class TestWilson:
