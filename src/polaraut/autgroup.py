@@ -1,9 +1,9 @@
 """Exhaustive affine automorphism groups of decreasing monomial codes.
 
-`verify_blta_completeness` is the one exhaustive sweep: it scans all of
-GL(n,2) (n <= 5), filters it down to the affine automorphisms of a code,
-and checks the central claim of this package: the group equals the block
-lower-triangular affine group of the code's profile.  The adjacent
+`verify_blta_completeness` is the one exhaustive sweep: it runs over all
+of GL(n,2) (n <= 5), filters it down to the affine automorphisms of a
+code, and checks the central claim of this package: the group equals the
+block lower-triangular affine group of the code's profile.  The adjacent
 transposition argument behind that equality is implemented as a witness
 procedure that performs and re-verifies every elementary step, so a
 violated invariant surfaces as a falsification candidate instead of a
@@ -12,19 +12,36 @@ wrong answer.
 Only linear parts (b = 0) are enumerated: every translation is an
 automorphism of a decreasing code, so (A, b) is an automorphism exactly
 when (A, 0) is, and all counts below are counts of linear parts.
+
+The sweep builds matrices one row at a time and prunes as it goes:
+
+* Level split.  Substituting x_m -> row_m . x sends a member monomial f
+  to a product of the forms of the rows in f, so its image depends only
+  on rows 0..k, k = f.bit_length() - 1.  Each member is tested once, on
+  the partial matrices of k + 1 rows, and a partial matrix that fails is
+  dropped with all of its continuations.
+* Degree skip.  f o A is a product of deg f linear forms, so its support
+  has degree <= deg f; when every monomial of degree <= r is in the set,
+  no member of degree <= r can fail and none is tested.
+* Counted tail.  The rows of the last block are never constrained by
+  BLTA, since their block ends at column n - 1.  So once no member is
+  left to test and only such rows remain, every continuation of a
+  surviving prefix survives and shares the prefix's BLTA verdict: those
+  levels are counted, not built, and the first counterexample is the
+  least completion of the first surviving prefix outside BLTA.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import asdict, dataclass
-from multiprocessing import Pool
 from collections.abc import Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, _gl_rows_array
+from .gf2 import BitMatrix, _check_enum_n, _gl_extend, _outside_span
 from .affine import (
     AffineMap,
     _blta_allowed,
@@ -43,6 +60,7 @@ from .affine import (
 from .monomial import (
     MonomialSet,
     decreasing_closure,
+    degree,
     is_decreasing,
     leq,
 )
@@ -60,7 +78,7 @@ __all__ = [
     "random_witness_instance",
 ]
 
-_CHUNK = 1 << 12  # fixed chunk boundaries keep results independent of --jobs
+_LAST_BLOCK = 1 << 12  # prefixes per block when the last row is tested
 
 
 class FalsificationError(RuntimeError):
@@ -97,10 +115,11 @@ def _form_lut(n: int) -> np.ndarray:
 
 
 def _aut_alive(rows: np.ndarray, masks_desc: Sequence[int], m_int: int, n: int) -> np.ndarray:
-    """Boolean mask of the matrices (rows of row masks) whose action
-    keeps every monomial's support inside the set m_int."""
+    """Boolean mask of the (partial) matrices, one per row of row masks,
+    whose action keeps every monomial's support inside the set m_int.
+    Every monomial may use only the variables of the columns given."""
     lut = _form_lut(n)
-    tabs = [lut[rows[:, m]] for m in range(n)]
+    tabs = [lut[col] for col in rows.T]
     not_m = ~m_int & ((1 << (1 << n)) - 1)
     alive = np.ones(len(rows), dtype=bool)
     for mask in masks_desc:
@@ -111,24 +130,70 @@ def _aut_alive(rows: np.ndarray, masks_desc: Sequence[int], m_int: int, n: int) 
 
 
 def _blta_alive(rows: np.ndarray, profile: Sequence[int]) -> np.ndarray:
+    """Zero-pattern test of BLTA(profile) on the leading rows given."""
     ok = np.ones(len(rows), dtype=bool)
-    for m, allowed in enumerate(_blta_allowed(profile)):
-        ok &= (rows[:, m] & ~np.uint8(allowed & 0xFF)) == 0
+    for col, allowed in zip(rows.T, _blta_allowed(profile)):
+        ok &= (col & ~np.uint8(allowed & 0xFF)) == 0
     return ok
 
 
-def _sweep_chunk(args) -> tuple[int, tuple[int, ...] | None]:
-    """Automorphism count of one chunk of the GL(n,2) table, and the
-    chunk's first automorphism outside BLTA(profile), if any."""
-    n, lo, hi, masks_desc, m_int, profile = args
-    rows = _gl_rows_array(n)[lo:hi]
-    alive = _aut_alive(rows, masks_desc, m_int, n)
-    count = int(alive.sum())
-    if count:
-        idx = np.nonzero(alive & ~_blta_alive(rows, profile))[0]
+def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...] | None]:
+    """Automorphism count of ms over GL(n,2), and its first automorphism
+    outside BLTA(profile) in the lexicographic order of the GL table.
+
+    Prefixes grow one row per level through `gf2._gl_extend`, which is
+    prefix-major and vector-ascending, so the survivors of every level
+    stay in table order.  See the module docstring for the pruning.
+    """
+    n = ms.n
+    _check_enum_n(n)
+    m_int = ms.as_int()
+    # members of lower degree than every non-member cannot fail
+    tested = min((degree(m) for m in range(1 << n) if not m_int >> m & 1), default=n + 1)
+    levels: list[list[int]] = [[] for _ in range(n)]
+    for f in _masks_desc(ms):
+        if degree(f) >= tested:
+            levels[f.bit_length() - 1].append(f)
+
+    last = max((k for k in range(n) if levels[k]), default=-1)
+    # rows from `depth` on meet neither a test nor a BLTA constraint
+    depth = max(last + 1, n - profile[-1])
+
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    spans = np.ones(1, dtype=np.uint64)  # the empty prefix spans {0}
+    for k in range(min(depth, n - 1)):
+        rows, spans = _gl_extend(rows, spans, n)
+        if levels[k]:
+            alive = _aut_alive(rows, levels[k], m_int, n)
+            rows, spans = rows[alive], spans[alive]
+
+    outside = ~_blta_alive(rows, profile)
+    if depth < n:
+        first = None
+        idx = np.nonzero(outside)[0]
         if len(idx):
-            return count, tuple(int(x) for x in rows[idx[0]])
-    return count, None
+            # the least completion: the first continuation at every level
+            r, sp = rows[idx[:1]], spans[idx[:1]]
+            for _ in range(depth, n):
+                r, sp = _gl_extend(r[:1], sp[:1], n)
+            first = tuple(r[0].tolist())
+        return len(rows) * math.prod((1 << n) - (1 << k) for k in range(depth, n)), first
+
+    count = 0
+    first = None
+    for lo in range(0, len(rows), _LAST_BLOCK):
+        parent, v = _outside_span(spans[lo:lo + _LAST_BLOCK], n)
+        parent += lo
+        full = np.empty((len(v), n), dtype=np.uint8)
+        full[:, :-1] = rows[parent]
+        full[:, -1] = v
+        alive = _aut_alive(full, levels[n - 1], m_int, n)
+        count += int(alive.sum())
+        if first is None:
+            idx = np.nonzero(alive & outside[parent])[0]
+            if len(idx):
+                first = tuple(full[idx[0]].tolist())
+    return count, first
 
 
 @dataclass(frozen=True)
@@ -159,33 +224,18 @@ class TheoremReport:
         return out
 
 
-def verify_blta_completeness(
-    ms: MonomialSet, code_id: str = "", jobs: int = 1
-) -> TheoremReport:
+def verify_blta_completeness(ms: MonomialSet, code_id: str = "") -> TheoremReport:
     """Exhaustively verify BLTA(profile) == affine automorphisms of ms.
 
-    Scans all of GL(n,2) in fixed chunks and checks both directions at
-    once: every automorphism found must lie in the block group (zero
-    pattern), and their count must equal the block group's linear order.
-    Raises ValueError if ms is not decreasing (`block_profile`) or n is
-    outside 1..5 (`gf2._gl_rows_array`).
+    Sweeps all of GL(n,2), pruned level by level, and checks both
+    directions at once: every automorphism found must lie in the block
+    group (zero pattern), and their count must equal the block group's
+    linear order.  Raises ValueError if ms is not decreasing
+    (`block_profile`) or n is outside 1..5 (`gf2._check_enum_n`).
     """
     n = ms.n
     profile = block_profile(ms)
-    order = len(_gl_rows_array(n))  # built before forking so workers share it
-    masks_desc = _masks_desc(ms)
-    m_int = ms.as_int()
-    args = [
-        (n, lo, min(lo + _CHUNK, order), masks_desc, m_int, profile)
-        for lo in range(0, order, _CHUNK)
-    ]
-    if jobs > 1 and len(args) > 1:
-        with Pool(jobs) as pool:
-            results = pool.map(_sweep_chunk, args)
-    else:
-        results = [_sweep_chunk(a) for a in args]
-    count = sum(r[0] for r in results)
-    counterexample = next((r[1] for r in results if r[1] is not None), None)
+    count, counterexample = _sweep(ms, profile)
     expected = blta_order(profile)
     return TheoremReport(
         code=code_id or f"n={n},K={len(ms)}",

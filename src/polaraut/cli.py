@@ -130,7 +130,7 @@ def cmd_verify_theorem(args, parser) -> int:
         if args.battery != "n3":
             parser.error("only the n3 battery is built in")
         reports = [
-            verify_blta_completeness(ms, code_id=f"n3-downset-{i}", jobs=args.jobs)
+            verify_blta_completeness(ms, code_id=f"n3-downset-{i}")
             for i, ms in enumerate(all_decreasing_sets(3))
         ]
         ok = all(r.passed for r in reports)
@@ -140,14 +140,14 @@ def cmd_verify_theorem(args, parser) -> int:
         )
         return 0 if ok else 1
     spec = _resolve_code(args, parser)
-    report = verify_blta_completeness(spec.monomials, code_id=spec.code_id(), jobs=args.jobs)
+    report = verify_blta_completeness(spec.monomials, code_id=spec.code_id())
     _dump(report.to_json(), args.out)
     return 0 if report.passed else 1
 
 
 def cmd_enumerate_aut(args, parser) -> int:
     spec = _resolve_code(args, parser)
-    obj = verify_blta_completeness(spec.monomials, code_id=spec.code_id(), jobs=args.jobs).to_json()
+    obj = verify_blta_completeness(spec.monomials, code_id=spec.code_id()).to_json()
     out = {k: obj[k] for k in ("code", "n", "K", "aut_count", "profile", "blta_count")}
     out["translations_note"] = "counts are linear parts; multiply by 2^n for (A, b) pairs"
     _dump(out, args.out)

@@ -342,6 +342,12 @@ _ENUM_MAX_N = 5
 _TABLE_BLOCK = 1 << 14  # table rows produced (or yielded) per block
 
 
+def _check_enum_n(n: int) -> None:
+    """Refuse an exhaustive GL(n,2) sweep outside 1 <= n <= 5."""
+    if not 1 <= n <= _ENUM_MAX_N:
+        raise ValueError(f"exhaustive GL(n,2) enumeration needs 1 <= n <= {_ENUM_MAX_N}, got n={n}")
+
+
 def enumerate_gl(n: int) -> Iterator[BitMatrix]:
     """Yield every invertible n x n matrix exactly once.
 
@@ -370,8 +376,7 @@ def _gl_rows_array(n: int) -> np.ndarray:
     prefix has exactly 2^n - 2^k continuations, so each block's offset is
     known, and the last level needs no spans.
     """
-    if not 1 <= n <= _ENUM_MAX_N:
-        raise ValueError(f"exhaustive GL(n,2) enumeration needs 1 <= n <= {_ENUM_MAX_N}, got n={n}")
+    _check_enum_n(n)
     rows = np.zeros((1, 0), dtype=np.uint8)
     spans = np.ones(1, dtype=np.uint64)  # the empty prefix spans {0}
     whole = max(n - 2, 0)

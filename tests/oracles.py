@@ -1,17 +1,23 @@
 """Independent brute-force oracles the tests check the package against.
 
 Everything here is deliberately naive (triple loops, permutation
-expansions, subset sums) and shares no code path with the package.
+expansions, subset sums) and shares no code path with the package, with
+one exception: `aut_sweep_oracle` is the whole-table GL(n,2) sweep that
+the level-pruned `autgroup._sweep` replaced, kept as its reference.  It
+runs the package's GL table and support kernel, which other tests check
+against `gl_row_masks_oracle` and `codeword_level_automorphism`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
 from polaraut import BitMatrix, MonomialSet, generator_matrix
-from polaraut.gf2 import BitVec
+from polaraut.autgroup import _aut_alive
+from polaraut.gf2 import BitVec, _gl_rows_array
 from polaraut.monomial import CodeSpec
 
 
@@ -60,6 +66,44 @@ def gl_row_masks_oracle(n: int):
                 yield from rec(prefix + (v,), span | {s ^ v for s in span})
 
     return rec((), frozenset({0}))
+
+
+@functools.lru_cache(maxsize=1)
+def _aut_columns(ms: MonomialSet) -> np.ndarray:
+    """The automorphisms of ms as columns (entry (m, j): row mask m of the
+    j-th automorphism in table order), filtered in blocks of table rows."""
+    rows = _gl_rows_array(ms.n)
+    alive = np.concatenate([
+        _aut_alive(rows[lo:lo + (1 << 16)], sorted(ms.masks), ms.as_int(), ms.n)
+        for lo in range(0, len(rows), 1 << 16)
+    ])
+    return np.ascontiguousarray(rows[alive].T)
+
+
+def aut_sweep_oracle(ms: MonomialSet, profile) -> tuple[int, tuple[int, ...] | None]:
+    """The whole-table sweep: every member tested on every row of the
+    GL(n,2) table.  Returns the automorphism count and the first
+    automorphism, in table order, with a nonzero entry right of the
+    block diagonal of profile (past the column where its row's block ends)."""
+    cols = _aut_columns(ms)
+    outside = np.zeros(cols.shape[1], dtype=bool)
+    end = 0
+    for size in profile:
+        end += size
+        for col in cols[end - size:end]:
+            outside |= (col >> end) != 0
+    idx = np.flatnonzero(outside)
+    first = tuple(int(x) for x in cols[:, idx[0]]) if len(idx) else None
+    return cols.shape[1], first
+
+
+def compositions(n: int):
+    """Every tuple of positive integers summing to n."""
+    if n == 0:
+        yield ()
+    for head in range(1, n + 1):
+        for tail in compositions(n - head):
+            yield (head,) + tail
 
 
 def kron_power(n: int) -> np.ndarray:

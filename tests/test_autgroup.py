@@ -1,3 +1,4 @@
+import os
 import random
 
 import numpy as np
@@ -11,6 +12,8 @@ from polaraut import (
     block_profile,
     blta_membership,
     blta_order,
+    construct_bec,
+    construct_pw,
     enumerate_gl,
     gl_order,
     induced_permutation,
@@ -22,18 +25,27 @@ from polaraut import (
     transposition_witness,
     verify_blta_completeness,
 )
-from polaraut.affine import _masks_desc
+from polaraut.affine import _masks_desc, _support
 from polaraut.autgroup import (
     FalsificationError,
     _aut_alive,
     _blta_alive,
+    _form_lut,
     _require,
+    _sweep,
     transposition_reduction_trace,
 )
+from polaraut.cli import main as cli_main
 from polaraut.gf2 import _gl_rows_array
-from polaraut.monomial import all_monomials
+from polaraut.monomial import all_monomials, degree
 
-from oracles import brute_force_matrices, codeword_level_automorphism, swap_preserves_set
+from oracles import (
+    aut_sweep_oracle,
+    brute_force_matrices,
+    codeword_level_automorphism,
+    compositions,
+    swap_preserves_set,
+)
 
 
 def _aut_rows(ms: MonomialSet) -> np.ndarray:
@@ -57,8 +69,6 @@ class TestEnumeration:
 
     def test_pw48_regression(self):
         # frozen from the first enumeration run; profile (3, 1)
-        from polaraut import construct_pw
-
         ms = construct_pw(4, 8).monomials
         assert block_profile(ms) == (3, 1)
         assert _aut_count(ms) == 1344 == blta_order((3, 1))
@@ -140,10 +150,60 @@ class TestEnumeration:
                 assert alive.tolist() == [blta_membership(m, prof) for m in mats]
                 assert alive.sum() == blta_order(prof)
 
-    def test_jobs_do_not_change_result(self):
-        ms = reed_muller_set(4, 1)
-        one, two = (verify_blta_completeness(ms, jobs=j).to_json() for j in (1, 2))
-        assert one == two
+    def test_jobs_do_not_change_result(self, capsys):
+        outs = []
+        for jobs in ("1", "2"):  # RM(1,4): the closure of x3
+            assert cli_main(["verify-theorem", "--n", "4", "--mmin", "8", "--jobs", jobs]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert '"aut_count": 20160' in outs[0]
+
+
+def _check_sweep_against_oracle(codes) -> int:
+    """Compare the level-pruned sweep with the whole-table oracle under
+    every profile of each code's n; returns how many comparisons had a
+    counterexample.  A forced profile finer than the code's own puts
+    automorphisms outside BLTA, which exercises the counterexample path."""
+    with_counterexample = 0
+    for ms in codes:
+        for prof in compositions(ms.n):
+            got = _sweep(ms, prof)
+            assert got == aut_sweep_oracle(ms, prof), (sorted(ms.masks), prof)
+            with_counterexample += got[1] is not None
+    return with_counterexample
+
+
+class TestLevelSweep:
+    def test_matches_oracle_under_forced_profiles(self):
+        rng = random.Random(8)
+        codes = [ms for n in (1, 2, 3) for ms in all_decreasing_sets(n)]
+        codes += [reed_muller_set(4, r) for r in range(5)]
+        codes += [random_decreasing_set(4, rng) for _ in range(40)]
+        assert _check_sweep_against_oracle(codes) > 100
+
+    @pytest.mark.skipif(
+        not os.environ.get("POLARAUT_EXTENDED"),
+        reason="n=5 oracle comparison disabled (set POLARAUT_EXTENDED=1)",
+    )
+    def test_extended_n5_matches_oracle_under_forced_profiles(self):
+        codes = [
+            reed_muller_set(5, 1),
+            reed_muller_set(5, 2),
+            construct_pw(5, 12).monomials,
+            construct_bec(5, 16, 0.5).monomials,
+            random_decreasing_set(5, random.Random(1)),
+        ]
+        assert _check_sweep_against_oracle(codes) > 20
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_degree_skip_premise(self, n):
+        # the sweep skips members of degree below every non-member's,
+        # because no image support has a monomial of higher degree
+        rows = _gl_rows_array(n)
+        tabs = [_form_lut(n)[col] for col in rows.T]
+        for f in range(1 << n):
+            higher = sum(1 << m for m in range(1 << n) if degree(m) > degree(f))
+            assert not np.any(_support(tabs, f, n) & higher)
 
 
 class TestVerification:

@@ -211,6 +211,10 @@ AWGN = ["simulate", "--n", "3", "--K", "4", "--pw", "--frames", "10"]
 @pytest.mark.parametrize("argv", [
     ["construct", "--n", "3", "--K", "99", "--pw"],
     ["construct", "--n", "3", "--K", "4", "--bec", "1.5"],
+    ["construct", "--n", "40", "--K", "1", "--pw"],
+    ["construct", "--n", "40", "--K", "1", "--bec", "0.5"],
+    ["construct", "--n", "40", "--mmin", "3"],
+    ["construct", "--n", "-1", "--K", "0", "--pw"],
     SIM + ["--frames", "0"],
     SIM + ["--decoder", "ae", "--L", "0"],
     SIM + ["--jobs", "0"],

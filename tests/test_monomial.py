@@ -262,6 +262,17 @@ class TestConstructions:
         spec = construct_explicit(2, [X0 | X1])
         assert spec.K == 4
 
+    @pytest.mark.parametrize("n", [-1, 17, 40])
+    def test_scale_limit(self, n):
+        for build in (lambda: reed_muller_set(n, 1), lambda: construct_pw(n, 1),
+                      lambda: construct_bec(n, 1, 0.5), lambda: construct_explicit(n, [0])):
+            with pytest.raises(ValueError, match=rf"0 <= n <= 16, got n={n}$"):
+                build()
+
+    def test_scale_limit_admits_16(self):
+        assert reed_muller_set(16, 1).masks == {0} | {1 << k for k in range(16)}
+        assert construct_explicit(16, [1 << 15]).K == 17
+
 
 class TestCodeSpecJson:
     def test_roundtrip_constructions(self):
