@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo block error rate (CSV)")
     common(p)
     p.add_argument("--decoder", choices=["sc", "ae"], default="sc")
-    p.add_argument("--L", type=int, default=8, help="ensemble size for ae")
+    p.add_argument("--L", type=_positive_int, default=8, help="ensemble size for ae")
     p.add_argument("--frames", type=int, default=10000)
     p.add_argument("--snr", metavar="DB[,DB...]", help="AWGN Eb/N0 sweep")
     p.add_argument("--epsilon", metavar="E[,E...]", help="BEC erasure sweep")

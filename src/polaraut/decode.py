@@ -100,8 +100,16 @@ class AwgnBpskChannel:
 
     def llrs(self, x: np.ndarray, rng: np.random.Generator, rate: float) -> np.ndarray:
         sigma = self.noise_sigma(rate)
-        y = (1.0 - 2.0 * x.astype(np.float64)) + rng.normal(0.0, sigma, x.shape)
-        return 2.0 * y / (sigma * sigma)
+        # 2 ((1 - 2x) + rng.normal(0, sigma)) / sigma^2 in place: normal(0, s)
+        # is 0 + s * standard_normal, so the draws and every LLR are the same
+        y = rng.standard_normal(x.shape)
+        y *= sigma
+        symbols = np.multiply(x, -2.0, dtype=np.float64)
+        symbols += 1.0
+        y += symbols
+        y *= 2.0
+        y /= sigma * sigma
+        return y
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +193,12 @@ def is_codeword(x: np.ndarray, spec: CodeSpec) -> bool:
 # (only its last leaf carries information) sums its LLRs in SC's own order
 # and repeats the sign, a rate-1 node takes the hard decision.  Each gives
 # bit for bit what min-sum SC gives, rate-1 only on rows without an exact
-# 0.0 LLR, so those rows are decoded again as two rate-1 halves.  SPC nodes
-# are left out: their usual decoder is ML, which is not SC.
+# 0.0 LLR, so those rows are decoded again as two rate-1 halves.  A node
+# whose left child is rate-0 skips f, whose LLRs nothing would read, and
+# takes g with u = 0 at once.  SPC nodes are left out: their usual decoder
+# is ML, which is not SC.
 
-_F, _G, _XOR, _REP, _RATE1 = range(5)
+_F, _G, _G0, _XOR, _REP, _RATE1 = range(6)
 _Plan = tuple[tuple[int, int, int], ...]
 
 
@@ -208,9 +218,12 @@ def _sc_plan(mask: bytes) -> _Plan:
             plan.append((_REP, lo, size))
         else:
             h = size // 2
-            plan.append((_F, lo, h))
-            walk(lo, h)
-            plan.append((_G, lo, h))
+            if any(node[:h]):
+                plan.append((_F, lo, h))
+                walk(lo, h)
+                plan.append((_G, lo, h))
+            else:
+                plan.append((_G0, lo, h))
             walk(lo + h, h)
             plan.append((_XOR, lo, h))
 
@@ -222,6 +235,8 @@ def _plan(spec: CodeSpec) -> _Plan:
     return _sc_plan(_info_mask(spec).tobytes())
 
 
+# f lends only the sign of a * b, which may overflow to +-inf
+@np.errstate(over="ignore")
 def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
     """SC-decode a positions-major (size, batch) LLR block along a plan;
     returns the (size, batch) codewords (their u-vectors are the
@@ -233,17 +248,19 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
     for op, lo, size in plan:
         v = stack[-1]
         if op == _F:
-            # sign(a) * sign(b) * min(|a|, |b|): the same operations in
-            # the same order, written into two buffers
+            # min(|a|, |b|) with the sign of a * b, in two buffers.  This is
+            # sign(a) * sign(b) * min(|a|, |b|) up to the sign of a zero,
+            # which no step reads: decisions test < 0 and == 0, and a zero
+            # term in a sum or in g leaves the other term as it is
             a, b = v[:size], v[size:]
-            f = np.sign(a)
-            f *= np.sign(b)
-            m = np.abs(a)
-            np.minimum(m, np.abs(b), out=m)
-            f *= m
+            f = np.abs(a)
+            m = np.abs(b)
+            np.minimum(f, m, out=f)
+            np.multiply(a, b, out=m)
+            np.copysign(f, m, out=f)
             stack.append(f)
         elif op == _G:
-            # b + (1 - 2 u) a, the same way, in one buffer
+            # b + (1 - 2 u) a in one buffer
             stack.pop()
             a, b = stack[-1][:size], stack[-1][size:]
             g = np.multiply(x[lo:lo + size], 2.0)
@@ -251,6 +268,10 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
             g *= a
             g += b
             stack[-1] = g
+        elif op == _G0:
+            # g after a rate-0 left child, whose u is 0: b + a, exactly
+            # what b + 1.0 * a gives
+            stack[-1] = v[size:] + v[:size]
         elif op == _XOR:
             x[lo:lo + size] ^= x[lo + size:lo + 2 * size]
         elif op == _REP:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -224,6 +225,13 @@ def brute_force_matrices(n: int, count: int, seed: int) -> list[BitMatrix]:
         if m.rank() == n:
             out.append(m)
     return out
+
+
+def awgn_llrs_oracle(x: np.ndarray, rng: np.random.Generator, ebn0_db: float, rate: float) -> np.ndarray:
+    """BPSK over AWGN, one formula: 2 ((1 - 2x) + normal(0, sigma)) / sigma^2
+    with sigma^2 = 1 / (2 rate Eb/N0), the noise drawn in x's shape."""
+    sigma = math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
+    return 2.0 * ((1.0 - 2.0 * x.astype(np.float64)) + rng.normal(0.0, sigma, x.shape)) / (sigma * sigma)
 
 
 def sc_oracle(llrs: np.ndarray, info_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -198,12 +199,34 @@ class TestSimulate:
         assert main(args + ["--jobs", "2", "--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_golden_bytes(self, capsys):
+        # tests/data/simulate_golden.csv holds each command's output, after
+        # a "# argv" line, as written by commit 51882c5, before the pruned
+        # f steps and the in-place channel
+        golden = (Path(__file__).parent / "data" / "simulate_golden.csv").read_text()
+        blocks = []
+        for argv in GOLDEN_SIMULATE:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            blocks.append("# " + " ".join(argv) + "\n" + out)
+        assert "".join(blocks) == golden
+
     def test_needs_channel(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "simulate", "--n", "3", "--K", "4", "--pw")
         assert exc.value.code == 2
 
 
+PW6 = ["--n", "6", "--K", "32", "--pw"]
+PW8 = ["--n", "8", "--K", "128", "--pw"]
+GOLDEN_SIMULATE = [
+    ["simulate", *PW6, "--decoder", "sc", "--snr", "3.0,3.5", "--frames", "3000", "--seed", "5"],
+    ["simulate", *PW6, "--decoder", "ae", "--L", "8", "--snr", "3.0,3.5", "--frames", "3000", "--seed", "5"],
+    ["simulate", *PW6, "--decoder", "sc", "--epsilon", "0.4", "--frames", "4000", "--seed", "6"],
+    ["simulate", *PW6, "--decoder", "ae", "--L", "8", "--epsilon", "0.4", "--frames", "4000", "--seed", "6"],
+    ["simulate", *PW8, "--decoder", "sc", "--snr", "2.5", "--frames", "2000", "--seed", "7"],
+    ["simulate", *PW8, "--decoder", "ae", "--L", "8", "--snr", "2.5", "--frames", "2000", "--seed", "7"],
+]
 SIM = ["simulate", "--n", "3", "--K", "4", "--pw", "--snr", "1"]
 AWGN = ["simulate", "--n", "3", "--K", "4", "--pw", "--frames", "10"]
 
@@ -217,6 +240,8 @@ AWGN = ["simulate", "--n", "3", "--K", "4", "--pw", "--frames", "10"]
     ["construct", "--n", "-1", "--K", "0", "--pw"],
     SIM + ["--frames", "0"],
     SIM + ["--decoder", "ae", "--L", "0"],
+    SIM + ["--decoder", "ae", "--L", "-1"],
+    SIM + ["--decoder", "sc", "--L", "-5"],
     SIM + ["--jobs", "0"],
     SIM + ["--jobs", "-3"],
     ["witness", "--n", "3", "--mmin", "4", "--matrix-masks", "1,1,4", "--i", "0"],

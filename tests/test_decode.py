@@ -25,10 +25,10 @@ from polaraut import (
 )
 from polaraut import decode
 from polaraut.affine import block_profile
-from polaraut.decode import CERTAIN_LLR, _ae_batch, _plan, _sc_batch, correlation_score
+from polaraut.decode import _F, _G0, CERTAIN_LLR, _ae_batch, _plan, _sc_batch, correlation_score
 from polaraut.monomial import all_monomials, construct_bec
 
-from oracles import ae_oracle, kron_power, sc_oracle
+from oracles import ae_oracle, awgn_llrs_oracle, kron_power, sc_oracle
 
 
 def noiseless_llrs(codeword):
@@ -213,14 +213,52 @@ def _llr_blocks(spec, rng, frames):
 def test_sc_kernel_matches_oracle(n):
     rng = np.random.default_rng(100 + n)
     big = 1 << n
+    g0_codes = 0
     for k in sorted({1, big // 4, big // 2, 3 * big // 4, big - 1, big} - {0}):
         for spec in (construct_pw(n, k), construct_bec(n, k, 0.5)):
+            g0_codes += any(op == _G0 for op, _, _ in _plan(spec))
             llrs = _llr_blocks(spec, rng, 24)
             x = _sc_batch(llrs.T, _plan(spec)).T
             x_ref, u_ref = sc_oracle(llrs, _mask(spec))
             assert (x == x_ref).all(), (n, k, spec.construction)
             assert is_codeword(x, spec), (n, k, spec.construction)  # every row
             assert (polar_transform(x) == u_ref).all(), (n, k, spec.construction)
+    # the step that replaces f over a rate-0 left child is checked too
+    assert g0_codes > 0 or n == 1
+
+
+_EXTREME_LLRS = np.array([0.0, -0.0, 1e-200, -1e-200, 1.0, -1.0, 1e200, -1e200, 1e300, -1e300])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sc_kernel_extreme_llrs_match_oracle(n):
+    # a * b over- and underflows here (1e200 * 1e300, 1e-200 * 1e-200),
+    # and the suite turns numpy's overflow warning into an error
+    rng = np.random.default_rng(300 + n)
+    big = 1 << n
+    for k in sorted({1, big // 4, big // 2, 3 * big // 4, big - 1, big} - {0}):
+        spec = construct_pw(n, k)
+        llrs = rng.choice(_EXTREME_LLRS, size=(200, spec.N))
+        x = _sc_batch(llrs.T, _plan(spec)).T
+        assert (x == sc_oracle(llrs, _mask(spec))[0]).all(), (n, k)
+
+
+def _left_child_rate0(mask, lo, size):
+    return not mask[lo:lo + size].any()
+
+
+def test_plan_has_no_f_over_rate0_left_children():
+    spec = construct_pw(12, 2048)
+    mask = _mask(spec)
+    plan = _plan(spec)
+    ops = [op for op, _, _ in plan]
+    assert not any(op == _F and _left_child_rate0(mask, lo, h) for op, lo, h in plan)
+    assert all(_left_child_rate0(mask, lo, h) for op, lo, h in plan if op == _G0)
+    # a plan that took f over every split had 356 f steps, 55 of them
+    # over rate-0 left children, and the same XOR, repetition and rate-1
+    # steps
+    assert ops.count(_F) == 301 and ops.count(_G0) == 55
+    assert [ops.count(op) for op in (decode._XOR, decode._REP, decode._RATE1)] == [356, 128, 174]
 
 
 class TestAeDecode:
@@ -461,7 +499,11 @@ class TestSimulate:
         for idx, start in enumerate(range(0, frames, decode._SIM_BATCH)):
             rng = np.random.default_rng([seed, idx])
             u = rng.integers(0, 2, (min(decode._SIM_BATCH, frames - start), spec.K), dtype=np.uint8)
-            llrs = channel.llrs((u @ generator) % 2, rng, spec.rate)
+            sent = (u @ generator) % 2
+            if isinstance(channel, AwgnBpskChannel):
+                llrs = awgn_llrs_oracle(sent, rng, channel.ebn0_db, spec.rate)
+            else:
+                llrs = channel.llrs(sent, rng, spec.rate)
             if perms is None:
                 x = sc_oracle(llrs, _mask(spec))[0]
             else:
@@ -486,6 +528,19 @@ class TestSimulate:
     def test_awgn_without_a_usable_sigma_rejected(self, db, rate):
         with pytest.raises(ValueError):
             AwgnBpskChannel(db).noise_sigma(rate)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 64), (1024, 64), (7, 4096)])
+    @pytest.mark.parametrize("db", [-1.0, 2.5, 6.0])
+    @pytest.mark.parametrize("rate", [0.25, 0.75])
+    def test_awgn_llrs_match_oracle(self, dtype, shape, db, rate):
+        x = np.random.default_rng(41).integers(0, 2, shape).astype(dtype)
+        got_rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
+        got = AwgnBpskChannel(db).llrs(x, got_rng, rate)
+        ref = awgn_llrs_oracle(x, ref_rng, db, rate)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert (got.view(np.uint64) == ref.view(np.uint64)).all()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_awgn_extreme_but_usable_sigma(self):
         for db in (3000.0, -3000.0):  # sigma and 2 / sigma^2 are still finite
