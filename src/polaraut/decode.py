@@ -65,8 +65,11 @@ class BecChannel:
         return self.erasure_prob
 
     def llrs(self, x: np.ndarray, rng: np.random.Generator, rate: float) -> np.ndarray:
-        out = (1.0 - 2.0 * x.astype(np.float64)) * CERTAIN_LLR
-        out[rng.random(x.shape) < self.erasure_prob] = 0.0
+        # (1 - 2x) * CERTAIN_LLR built in place as CERTAIN_LLR - 2x *
+        # CERTAIN_LLR, which is exact for bits; the erasures are one draw
+        out = np.multiply(x, -2.0 * CERTAIN_LLR, dtype=np.float64)
+        out += CERTAIN_LLR
+        np.copyto(out, 0.0, where=rng.random(x.shape) < self.erasure_prob)
         return out
 
 
@@ -235,42 +238,69 @@ def _plan(spec: CodeSpec) -> _Plan:
     return _sc_plan(_info_mask(spec).tobytes())
 
 
-# f lends only the sign of a * b, which may overflow to +-inf
+# f and g steps whose half-blocks hold more than this many LLRs (128 kB of
+# float64) run slab by slab, each slab of whole rows going through all of
+# its passes while it is in cache; smaller steps run whole
+_TILE = 1 << 14
+
+
+def _check_node(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = max(min(a, b), -max(a, b)): min(|a|, |b|) with the sign of
+    a * b, and no product.  This is sign(a) * sign(b) * min(|a|, |b|) up to
+    the sign of a zero, which no step reads: decisions test < 0 and == 0,
+    and a zero term in a sum or in g leaves the other term as it is."""
+    np.minimum(a, b, out=out)
+    np.maximum(a, b, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.maximum(out, scratch, out=out)
+
+
+def _variable_node(u: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = b + (1 - 2 u) a."""
+    np.multiply(u, 2.0, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= a
+    out += b
+
+
+# g and repetition sums of LLRs near the float maximum overflow to +-inf,
+# which decides as any LLR of that sign does
 @np.errstate(over="ignore")
 def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
     """SC-decode a positions-major (size, batch) LLR block along a plan;
     returns the (size, batch) codewords (their u-vectors are the
     transform of them)."""
     x = np.zeros(llrs.shape, dtype=np.uint8)
+    rows = max(1, _TILE // llrs.shape[1])  # rows in a slab
     # LLRs of the nodes on the path to the current one; after g a node's
     # entry holds its right child's LLRs, as the node's own are spent
     stack = [llrs]
     for op, lo, size in plan:
         v = stack[-1]
         if op == _F:
-            # min(|a|, |b|) with the sign of a * b, in two buffers.  This is
-            # sign(a) * sign(b) * min(|a|, |b|) up to the sign of a zero,
-            # which no step reads: decisions test < 0 and == 0, and a zero
-            # term in a sum or in g leaves the other term as it is
             a, b = v[:size], v[size:]
-            f = np.abs(a)
-            m = np.abs(b)
-            np.minimum(f, m, out=f)
-            np.multiply(a, b, out=m)
-            np.copysign(f, m, out=f)
+            f = np.empty(a.shape)
+            if size <= rows:
+                _check_node(a, b, f, np.empty(a.shape))
+            else:
+                scratch = np.empty((rows, a.shape[1]))
+                for r in range(0, size, rows):
+                    fs = f[r:r + rows]
+                    _check_node(a[r:r + rows], b[r:r + rows], fs, scratch[:len(fs)])
             stack.append(f)
         elif op == _G:
-            # b + (1 - 2 u) a in one buffer
             stack.pop()
-            a, b = stack[-1][:size], stack[-1][size:]
-            g = np.multiply(x[lo:lo + size], 2.0)
-            np.subtract(1.0, g, out=g)
-            g *= a
-            g += b
+            a, b, u = stack[-1][:size], stack[-1][size:], x[lo:lo + size]
+            g = np.empty(a.shape)
+            if size <= rows:
+                _variable_node(u, a, b, g)
+            else:
+                for r in range(0, size, rows):
+                    _variable_node(u[r:r + rows], a[r:r + rows], b[r:r + rows], g[r:r + rows])
             stack[-1] = g
         elif op == _G0:
             # g after a rate-0 left child, whose u is 0: b + a, exactly
-            # what b + 1.0 * a gives
+            # what b + 1.0 * a gives; one pass, so nothing to tile
             stack[-1] = v[size:] + v[:size]
         elif op == _XOR:
             x[lo:lo + size] ^= x[lo + size:lo + 2 * size]
@@ -299,8 +329,10 @@ class DecodeResult:
 
 def correlation_score(codeword: np.ndarray, llr: np.ndarray) -> float | np.ndarray:
     """sum (1 - 2 x_i) llr_i over the last axis; the ML metric for BPSK and
-    permutation consistent: score(pi(x), pi(llr)) == score(x, llr).  A
-    single frame gives a float, leading axes give an array of scores."""
+    permutation consistent up to rounding: score(pi(x), pi(llr)) equals
+    score(x, llr) in exact arithmetic, but the permuted terms are summed in
+    another order, so the floats can differ in the last bits.  A single
+    frame gives a float, leading axes give an array of scores."""
     terms = np.empty(np.broadcast_shapes(np.shape(codeword), np.shape(llr)))
     np.multiply(codeword, 2.0, out=terms)
     np.subtract(1.0, terms, out=terms)
@@ -323,25 +355,31 @@ def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult
     return DecodeResult(extract_info(x, spec), x, (correlation_score(x, llr),), 0)
 
 
+def _deinterleave_index(perms: np.ndarray) -> np.ndarray:
+    """Rows of the (N*L, B) view of the decoded (N, L*B) block that hold
+    the candidates in code order: candidate l at position pi_l[j] is row
+    j*L + l, so position i of candidate l is row argsort(pi_l)[i]*L + l."""
+    n_perm = len(perms)
+    return (np.argsort(perms, axis=1).T * n_perm + np.arange(n_perm)).reshape(-1)
+
+
 def _ae_batch(
-    llrs: np.ndarray, perms: np.ndarray, plan: _Plan
+    llrs: np.ndarray, perms: np.ndarray, inverse: np.ndarray, plan: _Plan
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ensemble decoding of a positions-major (N, B) batch: permute,
-    decode, de-interleave, keep the best-correlating candidate per frame.
+    """Ensemble decoding of a frames-major (B, N) batch: permute, decode,
+    de-interleave through `inverse` (`_deinterleave_index(perms)`), keep
+    the best-correlating candidate per frame.
 
     Returns (codewords (N, B), chosen (B,), scores (L, B))."""
-    n_pos, batch = llrs.shape
+    batch, n_pos = llrs.shape
     n_perm = len(perms)
     # column l*B + b of the decoder input is frame b permuted by pi_l
-    x = _sc_batch(llrs[perms.T].reshape(n_pos, n_perm * batch), plan)
-    # candidate l at position pi_l[j] is x[j, l*B + b]: gather the rows of
-    # the (N*L, B) view through the inverses
-    inverse = np.argsort(perms, axis=1).T * n_perm + np.arange(n_perm)
-    cand = np.take(x.reshape(n_pos * n_perm, batch), inverse.reshape(-1), axis=0)
+    x = _sc_batch(_transposed(llrs)[perms.T].reshape(n_pos, n_perm * batch), plan)
+    cand = np.take(x.reshape(n_pos * n_perm, batch), inverse, axis=0)
     # score frames-major: numpy sums a contiguous axis pairwise, and a sum
     # over axis 0 would round differently
     frames = _transposed(cand.reshape(n_pos, n_perm * batch)).reshape(n_perm, batch, n_pos)
-    scores = correlation_score(frames, _transposed(llrs))
+    scores = correlation_score(frames, llrs)
     chosen = scores.argmax(axis=0)  # ties resolve to the lowest index
     best = cand.reshape(n_pos, n_perm, batch)[:, chosen, np.arange(batch)]
     return best, chosen, scores
@@ -372,7 +410,8 @@ def ae_decode(
     should be induced by an automorphism of the code (not verified here).
     """
     llr = _llr_frame(llr, spec)
-    best, chosen, scores = _ae_batch(llr[:, None], _perm_array(perms, spec.N), _plan(spec))
+    perms = _perm_array(perms, spec.N)
+    best, chosen, scores = _ae_batch(llr[None, :], perms, _deinterleave_index(perms), _plan(spec))
     x = best[:, 0]
     scores = tuple(float(s) for s in scores[:, 0])
     return DecodeResult(extract_info(x, spec), x, scores, int(chosen[0]))
@@ -451,9 +490,11 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 _SIM_BATCH = 1024  # fixed so results never depend on the worker count
 # A batch is decoded in blocks of frames whose decoder input (L permuted
 # copies of each frame for the ensemble) holds about this many LLRs, 8 MB
-# of float64, so that a block's temporaries stay in cache and the allocator
-# reuses them instead of mapping fresh pages at every step.  Frames decode
-# independently, so the block size changes no output.
+# of float64.  The block bounds the decoder's memory, and the allocator
+# reuses its temporaries instead of mapping fresh pages at every step;
+# cache locality comes from the kernel's row slabs (_TILE), so the block
+# can stay wide and spread each plan step's Python cost over many frames.
+# Frames decode independently, so the block size changes no output.
 _BLOCK_LLRS = 1 << 20
 
 
@@ -468,10 +509,14 @@ def _sim_batch(args) -> int:
     llrs = channel.llrs(sent, rng, spec.rate)
     plan = _plan(spec)
     step = max(1, _BLOCK_LLRS // (spec.N * (1 if perms is None else len(perms))))
+    inverse = None if perms is None else _deinterleave_index(perms)
     errors = 0
     for start in range(0, count, step):
-        block = _transposed(llrs[start:start + step])
-        x = _sc_batch(block, plan) if perms is None else _ae_batch(block, perms, plan)[0]
+        block = llrs[start:start + step]
+        if perms is None:
+            x = _sc_batch(_transposed(block), plan)
+        else:
+            x = _ae_batch(block, perms, inverse, plan)[0]
         errors += int((x != _transposed(sent[start:start + step])).any(axis=0).sum())
     return errors
 

@@ -234,6 +234,14 @@ def awgn_llrs_oracle(x: np.ndarray, rng: np.random.Generator, ebn0_db: float, ra
     return 2.0 * ((1.0 - 2.0 * x.astype(np.float64)) + rng.normal(0.0, sigma, x.shape)) / (sigma * sigma)
 
 
+def bec_llrs_oracle(x: np.ndarray, rng: np.random.Generator, erasure_prob: float) -> np.ndarray:
+    """Binary erasure channel, one formula: (1 - 2x) * 1000.0, then exactly
+    0.0 wherever a uniform draw in x's shape falls below erasure_prob."""
+    out = (1.0 - 2.0 * x.astype(np.float64)) * 1000.0
+    out[rng.random(x.shape) < erasure_prob] = 0.0
+    return out
+
+
 def sc_oracle(llrs: np.ndarray, info_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Plain recursive min-sum SC over the full tree, one node per call.
     Decodes a (batch, size) LLR block; returns (codewords, u-vectors)."""

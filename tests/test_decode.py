@@ -28,7 +28,7 @@ from polaraut.affine import block_profile
 from polaraut.decode import _F, _G0, CERTAIN_LLR, _ae_batch, _plan, _sc_batch, correlation_score
 from polaraut.monomial import all_monomials, construct_bec
 
-from oracles import ae_oracle, awgn_llrs_oracle, kron_power, sc_oracle
+from oracles import ae_oracle, awgn_llrs_oracle, bec_llrs_oracle, kron_power, sc_oracle
 
 
 def noiseless_llrs(codeword):
@@ -232,8 +232,9 @@ _EXTREME_LLRS = np.array([0.0, -0.0, 1e-200, -1e-200, 1.0, -1.0, 1e200, -1e200, 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sc_kernel_extreme_llrs_match_oracle(n):
-    # a * b over- and underflows here (1e200 * 1e300, 1e-200 * 1e-200),
-    # and the suite turns numpy's overflow warning into an error
+    # a check node that formed a * b would over- and underflow here
+    # (1e200 * 1e300, 1e-200 * 1e-200), and the suite turns numpy's
+    # overflow warning into an error
     rng = np.random.default_rng(300 + n)
     big = 1 << n
     for k in sorted({1, big // 4, big // 2, 3 * big // 4, big - 1, big} - {0}):
@@ -241,6 +242,36 @@ def test_sc_kernel_extreme_llrs_match_oracle(n):
         llrs = rng.choice(_EXTREME_LLRS, size=(200, spec.N))
         x = _sc_batch(llrs.T, _plan(spec)).T
         assert (x == sc_oracle(llrs, _mask(spec))[0]).all(), (n, k)
+
+
+def test_sc_kernel_near_float_max_llrs():
+    # noiseless LLRs of +-1.5e308: g and repetition sums overflow to +-inf,
+    # which must still decide by its sign, and without the overflow warning
+    # that the suite turns into an error
+    rng = np.random.default_rng(400)
+    for n in range(1, 9):
+        for k in sorted({1, 1 << (n - 1), 1 << n}):
+            spec = construct_pw(n, k)
+            sent = _codewords(spec, 50, rng)
+            x = _sc_batch(((1.0 - 2.0 * sent) * 1.5e308).T, _plan(spec)).T
+            assert (x == sent).all(), (n, k)
+
+
+@pytest.mark.parametrize("tile", [1, 7, 100])
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_tiled_sc_kernel_matches_oracle(monkeypatch, n, tile):
+    # blocks of 1, 2, 33 and 28 frames: slabs of 100, 50, 7, 3 and 1 rows,
+    # most of which divide no node size, so the last slab is short
+    monkeypatch.setattr(decode, "_TILE", tile)
+    rng = np.random.default_rng(500 + n)
+    big = 1 << n
+    for k in sorted({1, big // 4, big // 2, 3 * big // 4, big - 1, big} - {0}):
+        for spec in (construct_pw(n, k), construct_bec(n, k, 0.5)):
+            llrs = np.vstack([_llr_blocks(spec, rng, 8), rng.choice(_EXTREME_LLRS, size=(24, spec.N))])
+            x_ref = sc_oracle(llrs, _mask(spec))[0]
+            for lo, hi in ((0, 1), (1, 3), (3, 36), (36, 64)):
+                x = _sc_batch(np.ascontiguousarray(llrs[lo:hi].T), _plan(spec)).T
+                assert (x == x_ref[lo:hi]).all(), (n, k, spec.construction, hi - lo)
 
 
 def _left_child_rate0(mask, lo, size):
@@ -370,7 +401,7 @@ def test_ae_matches_oracle(name, spec, perms):
     llrs = _llr_blocks(spec, rng, 8)
     perm_arr = np.array(perms, dtype=np.intp)
     best_ref, chosen_ref, scores_ref = ae_oracle(llrs, perm_arr, _mask(spec))
-    best, chosen, scores = _ae_batch(llrs.T, perm_arr, _plan(spec))
+    best, chosen, scores = _ae_batch(llrs, perm_arr, decode._deinterleave_index(perm_arr), _plan(spec))
     assert (best.T == best_ref).all() and (chosen == chosen_ref).all()
     assert scores.T.tobytes() == scores_ref.tobytes()
     for f, llr in enumerate(llrs):
@@ -480,6 +511,22 @@ class TestSimulate:
         monkeypatch.setattr(decode, "_BLOCK_LLRS", 3000)  # 46 and 11 frames a block
         assert counts() == whole
 
+    @pytest.mark.parametrize("tile", [1, 7, 100, decode._TILE])
+    def test_tile_changes_no_count(self, monkeypatch, pw6, tile):
+        perms = _blta_perms(pw6, 4, 23)
+        runs = [(AwgnBpskChannel(2.0), "sc", None), (AwgnBpskChannel(3.0), "ae", perms)]
+
+        def counts():
+            return [
+                simulate_bler(pw6, chan, 1500, seed=4, decoder=dec, perms=p).errors
+                for chan, dec, p in runs
+            ]
+
+        monkeypatch.setattr(decode, "_TILE", 1 << 62)  # every step whole
+        whole = counts()
+        monkeypatch.setattr(decode, "_TILE", tile)
+        assert counts() == whole
+
     @pytest.mark.parametrize("spec,channel", [
         (construct_pw(6, 32), AwgnBpskChannel(3.0)),
         (construct_pw(8, 128), BecChannel(0.4)),
@@ -503,7 +550,7 @@ class TestSimulate:
             if isinstance(channel, AwgnBpskChannel):
                 llrs = awgn_llrs_oracle(sent, rng, channel.ebn0_db, spec.rate)
             else:
-                llrs = channel.llrs(sent, rng, spec.rate)
+                llrs = bec_llrs_oracle(sent, rng, channel.erasure_prob)
             if perms is None:
                 x = sc_oracle(llrs, _mask(spec))[0]
             else:
@@ -538,6 +585,18 @@ class TestSimulate:
         got_rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
         got = AwgnBpskChannel(db).llrs(x, got_rng, rate)
         ref = awgn_llrs_oracle(x, ref_rng, db, rate)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert (got.view(np.uint64) == ref.view(np.uint64)).all()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64])
+    @pytest.mark.parametrize("shape", [(1, 64), (1024, 64), (7, 4096)])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.9])
+    def test_bec_llrs_match_oracle(self, dtype, shape, p):
+        x = np.random.default_rng(43).integers(0, 2, shape).astype(dtype)
+        got_rng, ref_rng = np.random.default_rng(44), np.random.default_rng(44)
+        got = BecChannel(p).llrs(x, got_rng, 0.5)
+        ref = bec_llrs_oracle(x, ref_rng, p)
         assert got.dtype == np.float64 and got.shape == shape
         assert (got.view(np.uint64) == ref.view(np.uint64)).all()
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
