@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from multiprocessing import Pool
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -238,33 +238,16 @@ def _plan(spec: CodeSpec) -> _Plan:
     return _sc_plan(_info_mask(spec).tobytes())
 
 
-# f and g steps whose half-blocks hold more than this many LLRs (128 kB of
-# float64) run slab by slab, each slab of whole rows going through all of
-# its passes while it is in cache; smaller steps run whole
+# f and g steps run over slabs of whole rows holding at most this many
+# LLRs (128 kB of float64), so that each slab goes through all of its
+# passes while it is in cache; a step no larger than one slab is one slab
 _TILE = 1 << 14
 
 
-def _check_node(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """out = max(min(a, b), -max(a, b)): min(|a|, |b|) with the sign of
-    a * b, and no product.  This is sign(a) * sign(b) * min(|a|, |b|) up to
-    the sign of a zero, which no step reads: decisions test < 0 and == 0,
-    and a zero term in a sum or in g leaves the other term as it is."""
-    np.minimum(a, b, out=out)
-    np.maximum(a, b, out=scratch)
-    np.negative(scratch, out=scratch)
-    np.maximum(out, scratch, out=out)
-
-
-def _variable_node(u: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = b + (1 - 2 u) a."""
-    np.multiply(u, 2.0, out=out)
-    np.subtract(1.0, out, out=out)
-    out *= a
-    out += b
-
-
-# g and repetition sums of LLRs near the float maximum overflow to +-inf,
-# which decides as any LLR of that sign does
+# g and repetition sums of LLRs near the float maximum overflow: same-sign
+# terms give +-inf, which decides by its sign; opposite infinities give NaN
+# with an "invalid" warning, which this does not silence (see the FOUND on
+# near-max LLRs in CHANGES.md)
 @np.errstate(over="ignore")
 def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
     """SC-decode a positions-major (size, batch) LLR block along a plan;
@@ -278,25 +261,33 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
     for op, lo, size in plan:
         v = stack[-1]
         if op == _F:
+            # f = max(min(a, b), -max(a, b)): min(|a|, |b|) with the sign
+            # of a * b, and no product.  This is sign(a) sign(b) min(|a|, |b|)
+            # up to the sign of a zero, which no step reads: decisions test
+            # < 0 and == 0, and a zero term in a sum or in g leaves the
+            # other term as it is
             a, b = v[:size], v[size:]
             f = np.empty(a.shape)
-            if size <= rows:
-                _check_node(a, b, f, np.empty(a.shape))
-            else:
-                scratch = np.empty((rows, a.shape[1]))
-                for r in range(0, size, rows):
-                    fs = f[r:r + rows]
-                    _check_node(a[r:r + rows], b[r:r + rows], fs, scratch[:len(fs)])
+            scratch = np.empty((min(rows, size), a.shape[1]))
+            for r in range(0, size, rows):
+                fs = f[r:r + rows]
+                t = scratch[:len(fs)]
+                np.minimum(a[r:r + rows], b[r:r + rows], out=fs)
+                np.maximum(a[r:r + rows], b[r:r + rows], out=t)
+                np.negative(t, out=t)
+                np.maximum(fs, t, out=fs)
             stack.append(f)
         elif op == _G:
+            # g = b + (1 - 2u) a
             stack.pop()
             a, b, u = stack[-1][:size], stack[-1][size:], x[lo:lo + size]
             g = np.empty(a.shape)
-            if size <= rows:
-                _variable_node(u, a, b, g)
-            else:
-                for r in range(0, size, rows):
-                    _variable_node(u[r:r + rows], a[r:r + rows], b[r:r + rows], g[r:r + rows])
+            for r in range(0, size, rows):
+                gs = g[r:r + rows]
+                np.multiply(u[r:r + rows], 2.0, out=gs)
+                np.subtract(1.0, gs, out=gs)
+                gs *= a[r:r + rows]
+                gs += b[r:r + rows]
             stack[-1] = g
         elif op == _G0:
             # g after a rate-0 left child, whose u is 0: b + a, exactly
@@ -355,34 +346,35 @@ def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult
     return DecodeResult(extract_info(x, spec), x, (correlation_score(x, llr),), 0)
 
 
-def _deinterleave_index(perms: np.ndarray) -> np.ndarray:
-    """Rows of the (N*L, B) view of the decoded (N, L*B) block that hold
-    the candidates in code order: candidate l at position pi_l[j] is row
-    j*L + l, so position i of candidate l is row argsort(pi_l)[i]*L + l."""
-    n_perm = len(perms)
-    return (np.argsort(perms, axis=1).T * n_perm + np.arange(n_perm)).reshape(-1)
+_Decoded = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _ae_batch(
-    llrs: np.ndarray, perms: np.ndarray, inverse: np.ndarray, plan: _Plan
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ensemble decoding of a frames-major (B, N) batch: permute, decode,
-    de-interleave through `inverse` (`_deinterleave_index(perms)`), keep
-    the best-correlating candidate per frame.
+def _ae_decoder(perms: np.ndarray, plan: _Plan) -> Callable[[np.ndarray], _Decoded]:
+    """Ensemble decoder under an (L, N) permutation array.  It takes a
+    frames-major (B, N) block of LLRs: permute, decode, de-interleave,
+    keep the best-correlating candidate per frame, and returns
+    (codewords (N, B), chosen (B,), scores (L, B)).  The de-interleave
+    index is built once here, not once for every block it decodes (a
+    batch of 1024 frames at N = 4096 has 32 blocks)."""
+    n_perm, n_pos = perms.shape
+    # candidate l at position pi_l[j] is x[j, l*B + b]: gather the rows of
+    # the (N*L, B) view through the inverses
+    inverse = (np.argsort(perms, axis=1).T * n_perm + np.arange(n_perm)).reshape(-1)
 
-    Returns (codewords (N, B), chosen (B,), scores (L, B))."""
-    batch, n_pos = llrs.shape
-    n_perm = len(perms)
-    # column l*B + b of the decoder input is frame b permuted by pi_l
-    x = _sc_batch(_transposed(llrs)[perms.T].reshape(n_pos, n_perm * batch), plan)
-    cand = np.take(x.reshape(n_pos * n_perm, batch), inverse, axis=0)
-    # score frames-major: numpy sums a contiguous axis pairwise, and a sum
-    # over axis 0 would round differently
-    frames = _transposed(cand.reshape(n_pos, n_perm * batch)).reshape(n_perm, batch, n_pos)
-    scores = correlation_score(frames, llrs)
-    chosen = scores.argmax(axis=0)  # ties resolve to the lowest index
-    best = cand.reshape(n_pos, n_perm, batch)[:, chosen, np.arange(batch)]
-    return best, chosen, scores
+    def decode_block(llrs: np.ndarray) -> _Decoded:
+        batch = len(llrs)
+        # column l*B + b of the decoder input is frame b permuted by pi_l
+        x = _sc_batch(_transposed(llrs)[perms.T].reshape(n_pos, n_perm * batch), plan)
+        cand = np.take(x.reshape(n_pos * n_perm, batch), inverse, axis=0)
+        # score frames-major: numpy sums a contiguous axis pairwise, and a
+        # sum over axis 0 would round differently
+        frames = _transposed(cand.reshape(n_pos, n_perm * batch)).reshape(n_perm, batch, n_pos)
+        scores = correlation_score(frames, llrs)
+        chosen = scores.argmax(axis=0)  # ties resolve to the lowest index
+        best = cand.reshape(n_pos, n_perm, batch)[:, chosen, np.arange(batch)]
+        return best, chosen, scores
+
+    return decode_block
 
 
 def _perm_array(perms: Sequence[Sequence[int]] | None, n_pos: int) -> np.ndarray:
@@ -411,7 +403,7 @@ def ae_decode(
     """
     llr = _llr_frame(llr, spec)
     perms = _perm_array(perms, spec.N)
-    best, chosen, scores = _ae_batch(llr[None, :], perms, _deinterleave_index(perms), _plan(spec))
+    best, chosen, scores = _ae_decoder(perms, _plan(spec))(llr[None, :])
     x = best[:, 0]
     scores = tuple(float(s) for s in scores[:, 0])
     return DecodeResult(extract_info(x, spec), x, scores, int(chosen[0]))
@@ -509,14 +501,14 @@ def _sim_batch(args) -> int:
     llrs = channel.llrs(sent, rng, spec.rate)
     plan = _plan(spec)
     step = max(1, _BLOCK_LLRS // (spec.N * (1 if perms is None else len(perms))))
-    inverse = None if perms is None else _deinterleave_index(perms)
+    ae = None if perms is None else _ae_decoder(perms, plan)
     errors = 0
     for start in range(0, count, step):
         block = llrs[start:start + step]
         if perms is None:
             x = _sc_batch(_transposed(block), plan)
         else:
-            x = _ae_batch(block, perms, inverse, plan)[0]
+            x = ae(block)[0]
         errors += int((x != _transposed(sent[start:start + step])).any(axis=0).sum())
     return errors
 

@@ -25,7 +25,7 @@ from polaraut import (
 )
 from polaraut import decode
 from polaraut.affine import block_profile
-from polaraut.decode import _F, _G0, CERTAIN_LLR, _ae_batch, _plan, _sc_batch, correlation_score
+from polaraut.decode import _F, _G0, CERTAIN_LLR, _ae_decoder, _plan, _sc_batch, correlation_score
 from polaraut.monomial import all_monomials, construct_bec
 
 from oracles import ae_oracle, awgn_llrs_oracle, bec_llrs_oracle, kron_power, sc_oracle
@@ -401,7 +401,7 @@ def test_ae_matches_oracle(name, spec, perms):
     llrs = _llr_blocks(spec, rng, 8)
     perm_arr = np.array(perms, dtype=np.intp)
     best_ref, chosen_ref, scores_ref = ae_oracle(llrs, perm_arr, _mask(spec))
-    best, chosen, scores = _ae_batch(llrs, perm_arr, decode._deinterleave_index(perm_arr), _plan(spec))
+    best, chosen, scores = _ae_decoder(perm_arr, _plan(spec))(llrs)
     assert (best.T == best_ref).all() and (chosen == chosen_ref).all()
     assert scores.T.tobytes() == scores_ref.tobytes()
     for f, llr in enumerate(llrs):
