@@ -41,7 +41,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, _check_enum_n, _gl_extend, _outside_span
+from .gf2 import BitMatrix, _check_enum_n, _gl_complete, _gl_extend
 from .affine import (
     AffineMap,
     _blta_allowed,
@@ -77,9 +77,6 @@ __all__ = [
     "random_decreasing_set",
     "random_witness_instance",
 ]
-
-_LAST_BLOCK = 1 << 12  # prefixes per block when the last row is tested
-
 
 class FalsificationError(RuntimeError):
     """An invariant of the proof machinery failed.
@@ -139,10 +136,11 @@ def _blta_alive(rows: np.ndarray, profile: Sequence[int]) -> np.ndarray:
 
 def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...] | None]:
     """Automorphism count of ms over GL(n,2), and its first automorphism
-    outside BLTA(profile) in the lexicographic order of the GL table.
+    outside BLTA(profile) in the lexicographic order of `enumerate_gl`.
 
-    Prefixes grow one row per level through `gf2._gl_extend`, which is
-    prefix-major and vector-ascending, so the survivors of every level
+    Prefixes grow one row per level through `gf2._gl_extend`, and the last
+    row through `gf2._gl_complete`, the walk behind `enumerate_gl`.  Both
+    are prefix-major and vector-ascending, so the survivors of every level
     stay in table order.  See the module docstring for the pruning.
     """
     n = ms.n
@@ -181,12 +179,7 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
 
     count = 0
     first = None
-    for lo in range(0, len(rows), _LAST_BLOCK):
-        parent, v = _outside_span(spans[lo:lo + _LAST_BLOCK], n)
-        parent += lo
-        full = np.empty((len(v), n), dtype=np.uint8)
-        full[:, :-1] = rows[parent]
-        full[:, -1] = v
+    for parent, full in _gl_complete(rows, spans, n):
         alive = _aut_alive(full, levels[n - 1], m_int, n)
         count += int(alive.sum())
         if first is None:

@@ -127,8 +127,6 @@ def cmd_profile(args, parser) -> int:
 
 def cmd_verify_theorem(args, parser) -> int:
     if args.battery:
-        if args.battery != "n3":
-            parser.error("only the n3 battery is built in")
         reports = [
             verify_blta_completeness(ms, code_id=f"n3-downset-{i}")
             for i, ms in enumerate(all_decreasing_sets(3))

@@ -336,6 +336,8 @@ def _llr_frame(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> np.ndarray:
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (spec.N,):
         raise ValueError(f"expected {spec.N} LLRs, got shape {llr.shape}")
+    if not np.isfinite(llr).all():
+        raise ValueError("LLRs must be finite (no NaN or +-inf)")
     return llr
 
 

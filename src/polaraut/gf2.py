@@ -3,14 +3,21 @@
 Matrices are stored row-major as Python ints: bit j of row mask i is the
 entry (i, j).  Python ints give arbitrary width, so the same code covers
 everything from 2x2 kernels to 2^n-column generator matrices.  All values
-are immutable after construction and safe to share across workers; so is
-the GL(n,2) table behind `enumerate_gl`, a read-only numpy array built
-once per n.
+are immutable after construction and safe to share across workers.
+
+`enumerate_gl` and the level-pruned sweep in `autgroup` share one walk
+over GL(n,2), on numpy arrays of row masks, and neither keeps a table of
+the whole group.  `_gl_extend` adds one row to every prefix.  A prefix
+of k independent rows carries its span as one word of 2^n bits (bit x
+set iff x is in the span); its continuations are the vectors outside
+the span, and `np.nonzero` on the row-major "outside" mask lists them
+prefix-major, vector-ascending, which keeps every level in lexicographic
+order.  The last row needs no spans, so `_gl_complete` adds it to a
+block of prefixes at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from collections.abc import Iterator, Sequence
 
@@ -339,7 +346,7 @@ def _random_invertible(rng: random.Random, n: int) -> BitMatrix:
 
 # |GL(6,2)| is already 2e10 matrices; exhaustive enumeration stops at 5.
 _ENUM_MAX_N = 5
-_TABLE_BLOCK = 1 << 14  # table rows produced (or yielded) per block
+_LAST_BLOCK = 1 << 12  # prefixes per block when the last row is completed
 
 
 def _check_enum_n(n: int) -> None:
@@ -355,46 +362,14 @@ def enumerate_gl(n: int) -> Iterator[BitMatrix]:
     significant), so counts taken mid-stream are reproducible.  Refuses
     n > 5 (|GL(5,2)| = 9,999,360 is the largest practical sweep).
     """
-    table = _gl_rows_array(n)
-    for lo in range(0, len(table), _TABLE_BLOCK):
-        for masks in table[lo:lo + _TABLE_BLOCK].tolist():
-            yield BitMatrix(masks, n)
-
-
-@functools.lru_cache(maxsize=None)
-def _gl_rows_array(n: int) -> np.ndarray:
-    """All GL(n,2) elements as a read-only (order, n) uint8 array of row
-    masks, in the lexicographic order of `enumerate_gl`.
-
-    Built one row level at a time.  A prefix of k independent rows
-    carries its span as one word of 2^n bits (bit x set iff x is in the
-    span); its continuations are the vectors outside the span, and
-    `np.nonzero` on the row-major "outside" mask lists them prefix-major,
-    vector-ascending, which keeps every level in lexicographic order.
-    The first n - 2 levels are built whole.  The last two are filled one
-    block of prefixes at a time straight into the output: every level-k
-    prefix has exactly 2^n - 2^k continuations, so each block's offset is
-    known, and the last level needs no spans.
-    """
     _check_enum_n(n)
     rows = np.zeros((1, 0), dtype=np.uint8)
     spans = np.ones(1, dtype=np.uint64)  # the empty prefix spans {0}
-    whole = max(n - 2, 0)
-    for _ in range(whole):
+    for _ in range(n - 1):
         rows, spans = _gl_extend(rows, spans, n)
-    out = np.empty((gl_order(n), n), dtype=np.uint8)
-    per_prefix = len(out) // len(rows)
-    step = max(1, _TABLE_BLOCK // per_prefix)
-    for lo in range(0, len(rows), step):
-        r, s = rows[lo:lo + step], spans[lo:lo + step]
-        for _ in range(whole, n - 1):
-            r, s = _gl_extend(r, s, n)
-        parent, v = _outside_span(s, n)
-        dst = out[lo * per_prefix:lo * per_prefix + len(v)]
-        dst[:, :-1] = r[parent]
-        dst[:, -1] = v
-    out.setflags(write=False)
-    return out
+    for _, full in _gl_complete(rows, spans, n):
+        for masks in full.tolist():
+            yield BitMatrix(masks, n)
 
 
 def _outside_span(spans: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -407,11 +382,29 @@ def _outside_span(spans: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _gl_extend(rows: np.ndarray, spans: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every one-row continuation of every prefix, with its span."""
     parent, v = _outside_span(spans, n)
+    grown = _append_rows(rows, parent, v)
+    span = spans[parent]
+    return grown, span | _xor_shift(span, v, n)
+
+
+def _gl_complete(
+    rows: np.ndarray, spans: np.ndarray, n: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The continuations of `_gl_extend` for the last row, which needs no
+    spans: (prefix index, grown rows) for `_LAST_BLOCK` prefixes at a time,
+    so the blocks concatenate to the whole level in table order."""
+    for lo in range(0, len(rows), _LAST_BLOCK):
+        parent, v = _outside_span(spans[lo:lo + _LAST_BLOCK], n)
+        parent += lo
+        yield parent, _append_rows(rows, parent, v)
+
+
+def _append_rows(rows: np.ndarray, parent: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Prefix parent[i] with row v[i] appended, for every i."""
     grown = np.empty((len(v), rows.shape[1] + 1), dtype=np.uint8)
     grown[:, :-1] = rows[parent]
     grown[:, -1] = v
-    span = spans[parent]
-    return grown, span | _xor_shift(span, v, n)
+    return grown
 
 
 def _xor_shift(spans: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:

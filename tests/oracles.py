@@ -1,11 +1,13 @@
 """Independent brute-force oracles the tests check the package against.
 
 Everything here is deliberately naive (triple loops, permutation
-expansions, subset sums) and shares no code path with the package, with
-one exception: `aut_sweep_oracle` is the whole-table GL(n,2) sweep that
-the level-pruned `autgroup._sweep` replaced, kept as its reference.  It
-runs the package's GL table and support kernel, which other tests check
-against `gl_row_masks_oracle` and `codeword_level_automorphism`.
+expansions, subset sums).  It imports only public names of the package
+and shares no algorithm with it, with one exception: `aut_sweep_oracle`
+is the whole-table GL(n,2) sweep that the level-pruned `autgroup._sweep`
+replaced, kept as its reference.  It filters `gl_table_oracle` through
+the package's batched support kernel `_aut_alive`, which other tests
+check against `is_affine_automorphism` and `codeword_level_automorphism`.
+`test_oracles.py` enforces the rule.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ import math
 
 import numpy as np
 
-from polaraut import BitMatrix, MonomialSet, generator_matrix
+from polaraut import BitMatrix, BitVec, CodeSpec, MonomialSet, generator_matrix
 from polaraut.autgroup import _aut_alive
-from polaraut.gf2 import BitVec, _gl_rows_array
-from polaraut.monomial import CodeSpec
 
 
 def naive_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -69,11 +69,21 @@ def gl_row_masks_oracle(n: int):
     return rec((), frozenset({0}))
 
 
+@functools.lru_cache(maxsize=None)
+def gl_table_oracle(n: int) -> np.ndarray:
+    """`gl_row_masks_oracle(n)` as a read-only (|GL(n,2)|, n) uint8 array,
+    built once per n (about 30 s at n = 5)."""
+    masks = itertools.chain.from_iterable(gl_row_masks_oracle(n))
+    table = np.fromiter(masks, dtype=np.uint8).reshape(-1, n)
+    table.setflags(write=False)
+    return table
+
+
 @functools.lru_cache(maxsize=1)
 def _aut_columns(ms: MonomialSet) -> np.ndarray:
     """The automorphisms of ms as columns (entry (m, j): row mask m of the
     j-th automorphism in table order), filtered in blocks of table rows."""
-    rows = _gl_rows_array(ms.n)
+    rows = gl_table_oracle(ms.n)
     alive = np.concatenate([
         _aut_alive(rows[lo:lo + (1 << 16)], sorted(ms.masks), ms.as_int(), ms.n)
         for lo in range(0, len(rows), 1 << 16)

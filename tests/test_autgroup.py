@@ -25,6 +25,7 @@ from polaraut import (
     transposition_witness,
     verify_blta_completeness,
 )
+from polaraut import gf2
 from polaraut.affine import _masks_desc, _support
 from polaraut.autgroup import (
     FalsificationError,
@@ -36,7 +37,6 @@ from polaraut.autgroup import (
     transposition_reduction_trace,
 )
 from polaraut.cli import main as cli_main
-from polaraut.gf2 import _gl_rows_array
 from polaraut.monomial import all_monomials, degree
 
 from oracles import (
@@ -44,13 +44,14 @@ from oracles import (
     brute_force_matrices,
     codeword_level_automorphism,
     compositions,
+    gl_table_oracle,
     swap_preserves_set,
 )
 
 
 def _aut_rows(ms: MonomialSet) -> np.ndarray:
     """Row masks of every automorphism linear part, in table order."""
-    rows = _gl_rows_array(ms.n)
+    rows = gl_table_oracle(ms.n)
     return rows[_aut_alive(rows, _masks_desc(ms), ms.as_int(), ms.n)]
 
 
@@ -143,7 +144,7 @@ class TestEnumeration:
     def test_batch_zero_pattern_matches_blta_membership(self):
         cases = ((3, [(3,), (1, 2), (2, 1), (1, 1, 1)]), (4, [(4,), (1, 3), (2, 1, 1)]))
         for n, profiles in cases:
-            rows = _gl_rows_array(n)
+            rows = gl_table_oracle(n)
             mats = [BitMatrix([int(x) for x in r], n) for r in rows]
             for prof in profiles:
                 alive = _blta_alive(rows, prof)
@@ -181,6 +182,14 @@ class TestLevelSweep:
         codes += [random_decreasing_set(4, rng) for _ in range(40)]
         assert _check_sweep_against_oracle(codes) > 100
 
+    def test_matches_oracle_across_completion_blocks(self, monkeypatch):
+        # up to n=4 every last row fits one block of prefixes; blocks of 7
+        # make each block's prefix indices depend on its offset
+        monkeypatch.setattr(gf2, "_LAST_BLOCK", 7)
+        codes = all_decreasing_sets(3) + [reed_muller_set(4, r) for r in range(5)]
+        codes += [construct_pw(4, k).monomials for k in (4, 8, 12)]
+        assert _check_sweep_against_oracle(codes) > 20
+
     @pytest.mark.skipif(
         not os.environ.get("POLARAUT_EXTENDED"),
         reason="n=5 oracle comparison disabled (set POLARAUT_EXTENDED=1)",
@@ -199,7 +208,7 @@ class TestLevelSweep:
     def test_degree_skip_premise(self, n):
         # the sweep skips members of degree below every non-member's,
         # because no image support has a monomial of higher degree
-        rows = _gl_rows_array(n)
+        rows = gl_table_oracle(n)
         tabs = [_form_lut(n)[col] for col in rows.T]
         for f in range(1 << n):
             higher = sum(1 << m for m in range(1 << n) if degree(m) > degree(f))

@@ -263,6 +263,7 @@ AWGN = ["simulate", "--n", "3", "--K", "4", "--pw", "--frames", "10"]
     AWGN + ["--snr", "inf"],
     ["simulate", "--n", "3", "--mmin=", "--snr", "1"],
     ["sample-perms", "--n", "3", "--mmin="],
+    ["verify-theorem", "--battery", "n4"],
 ])
 def test_rejected_argument_exits_2(capsys, tmp_path, argv):
     (tmp_path / "no_a.json").write_text('{"B": 1}')

@@ -377,6 +377,19 @@ def test_simulate_ae_rejects_non_permutation(pw6, name):
         simulate_bler(pw6, AwgnBpskChannel(3.0), 10, seed=0, decoder="ae", perms=perms)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("decoder", ["sc", "ae"])
+def test_decoders_reject_non_finite_llrs(bad, decoder):
+    # a NaN decided as bit 0 with score nan, and +-inf gave score inf
+    spec = construct_pw(2, 2)
+    llr = [bad, 1.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match="LLRs must be finite"):
+        if decoder == "sc":
+            sc_decode(llr, spec)
+        else:
+            ae_decode(llr, [list(range(4))], spec)
+
+
 def _blta_perms(spec, count, seed):
     rng = random.Random(seed)
     profile = block_profile(spec.monomials)

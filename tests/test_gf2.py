@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from polaraut import BitMatrix, enumerate_gl, extend_minor, gl_order, random_invertible
-from polaraut.gf2 import BitVec, _gl_rows_array
+from polaraut.gf2 import BitVec, _gl_complete, _gl_extend
 from polaraut.selfcheck import check_independence_repair, check_minor_extension
 
-from oracles import gl_row_masks_oracle, leibniz_det, naive_mat_mul, span_rank
+from oracles import gl_table_oracle, leibniz_det, naive_mat_mul, span_rank
 
 F = BitMatrix.from_rows([[1, 0], [1, 1]])
 
@@ -245,9 +245,14 @@ class TestEnumerateGl:
             next(enumerate_gl(6))
 
 
-def _oracle_table(n):
-    masks = itertools.chain.from_iterable(gl_row_masks_oracle(n))
-    return np.fromiter(masks, dtype=np.uint8, count=gl_order(n) * n).reshape(-1, n)
+def _walk_table(n):
+    """GL(n,2) from the walk itself: whole levels, then the concatenated
+    last-row blocks."""
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    spans = np.ones(1, dtype=np.uint64)
+    for _ in range(n - 1):
+        rows, spans = _gl_extend(rows, spans, n)
+    return np.concatenate([full for _, full in _gl_complete(rows, spans, n)])
 
 
 def _all_invertible(table):
@@ -268,13 +273,14 @@ def _all_invertible(table):
 class TestGlTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_oracle(self, n):
-        assert np.array_equal(_gl_rows_array(n), _oracle_table(n))
+        masks = [m.row_masks for m in enumerate_gl(n)]
+        assert np.array_equal(np.array(masks, dtype=np.uint8), gl_table_oracle(n))
 
     def test_n5_is_gl_in_lexicographic_order(self):
         # strictly increasing keys make the rows distinct and sorted; with
         # |GL(5,2)| invertible rows they are all of GL(5,2), in the
         # lexicographic order of the row-mask tuples
-        table = _gl_rows_array(5)
+        table = _walk_table(5)
         assert table.shape == (gl_order(5), 5) and table.dtype == np.uint8
         keys = np.zeros(len(table), dtype=np.uint32)
         for row in table.T:  # row 0 most significant
@@ -284,22 +290,19 @@ class TestGlTable:
         assert _all_invertible(table)
 
     def test_invertibility_check_sees_a_singular_row(self):
-        table = _gl_rows_array(3).copy()
+        table = _walk_table(3)
         assert _all_invertible(table)
         table[7, 2] = table[7, 0] ^ table[7, 1]
         assert not _all_invertible(table)
-
-    def test_read_only_and_cached(self):
-        table = _gl_rows_array(4)
-        assert not table.flags.writeable
-        assert _gl_rows_array(4) is table
 
     @pytest.mark.skipif(
         not os.environ.get("POLARAUT_EXTENDED"),
         reason="full n=5 oracle comparison disabled (set POLARAUT_EXTENDED=1)",
     )
     def test_extended_n5_matches_oracle(self):
-        assert np.array_equal(_gl_rows_array(5), _oracle_table(5))
+        masks = itertools.chain.from_iterable(m.row_masks for m in enumerate_gl(5))
+        table = np.fromiter(masks, dtype=np.uint8, count=gl_order(5) * 5).reshape(-1, 5)
+        assert np.array_equal(table, gl_table_oracle(5))
 
 
 def test_gl_order_formula():
