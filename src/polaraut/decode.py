@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from multiprocessing import Pool
 from collections.abc import Callable, Sequence
@@ -243,18 +244,46 @@ def _plan(spec: CodeSpec) -> _Plan:
 # passes while it is in cache; a step no larger than one slab is one slab
 _TILE = 1 << 14
 
+# Each thread keeps one grow-only float64 buffer for the kernel's LLRs, so
+# that steady-state decoding maps no fresh pages: freeing and re-allocating
+# megabytes of temporaries at every step makes the allocator hand pages
+# back to the system and fault them in again.  A buffer above _BLOCK_LLRS
+# LLRs is not kept, so a thread retains at most 8 MB.
+_local = threading.local()
+
+
+def _workspace(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) float64 buffer: a view of this thread's retained
+    buffer, or a fresh array when it would exceed _BLOCK_LLRS LLRs."""
+    need = rows * cols
+    if need > _BLOCK_LLRS:
+        return np.empty((rows, cols))
+    buf = getattr(_local, "work", None)
+    if buf is None or len(buf) < need:
+        buf = _local.work = np.empty(need)
+    return buf[:need].reshape(rows, cols)
+
 
 # g and repetition sums of LLRs near the float maximum overflow: same-sign
 # terms give +-inf, which decides by its sign; opposite infinities give NaN
 # with an "invalid" warning, which this does not silence (see the FOUND on
 # near-max LLRs in CHANGES.md)
 @np.errstate(over="ignore")
-def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
+def _sc_batch(llrs: np.ndarray, plan: _Plan, work: np.ndarray | None = None) -> np.ndarray:
     """SC-decode a positions-major (size, batch) LLR block along a plan;
     returns the (size, batch) codewords (their u-vectors are the
-    transform of them)."""
+    transform of them) in a fresh array.
+
+    Every LLR the kernel computes goes to `work`, a (size - 1, batch)
+    buffer, this thread's workspace by default: a node of size s uses rows
+    [size - 2s, size - s), which hold nothing still needed whenever such a
+    node is written, as the nodes on the path to it are all larger."""
+    n_pos, batch = llrs.shape
+    if work is None:
+        work = _workspace(n_pos - 1, batch)
     x = np.zeros(llrs.shape, dtype=np.uint8)
-    rows = max(1, _TILE // llrs.shape[1])  # rows in a slab
+    rows = max(1, _TILE // batch)  # rows in a slab
+    scratch = np.empty((min(rows, n_pos // 2), batch))
     # LLRs of the nodes on the path to the current one; after g a node's
     # entry holds its right child's LLRs, as the node's own are spent
     stack = [llrs]
@@ -267,8 +296,7 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
             # < 0 and == 0, and a zero term in a sum or in g leaves the
             # other term as it is
             a, b = v[:size], v[size:]
-            f = np.empty(a.shape)
-            scratch = np.empty((min(rows, size), a.shape[1]))
+            f = work[n_pos - 2 * size:n_pos - size]
             for r in range(0, size, rows):
                 fs = f[r:r + rows]
                 t = scratch[:len(fs)]
@@ -281,7 +309,7 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
             # g = b + (1 - 2u) a
             stack.pop()
             a, b, u = stack[-1][:size], stack[-1][size:], x[lo:lo + size]
-            g = np.empty(a.shape)
+            g = work[n_pos - 2 * size:n_pos - size]
             for r in range(0, size, rows):
                 gs = g[r:r + rows]
                 np.multiply(u[r:r + rows], 2.0, out=gs)
@@ -292,13 +320,14 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
         elif op == _G0:
             # g after a rate-0 left child, whose u is 0: b + a, exactly
             # what b + 1.0 * a gives; one pass, so nothing to tile
-            stack[-1] = v[size:] + v[:size]
+            stack[-1] = np.add(v[size:], v[:size], out=work[n_pos - 2 * size:n_pos - size])
         elif op == _XOR:
             x[lo:lo + size] ^= x[lo + size:lo + 2 * size]
         elif op == _REP:
+            # each partial sum of h rows goes where a node of size h would
             while len(v) > 1:
                 h = len(v) // 2
-                v = v[h:] + v[:h]
+                v = np.add(v[h:], v[:h], out=work[n_pos - 2 * h:n_pos - h])
             np.less(v, 0, out=x[lo:lo + size])
         else:  # _RATE1
             np.less(v, 0, out=x[lo:lo + size])
@@ -306,7 +335,9 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
                 h = size // 2
                 halves = ((_F, 0, h), (_RATE1, 0, h), (_G, 0, h), (_RATE1, h, h), (_XOR, 0, h))
                 cols = np.flatnonzero((v == 0).any(axis=0))
-                x[lo:lo + size, cols] = _sc_batch(v[:, cols], halves)
+                # a buffer of its own: this call's workspace still holds
+                # the LLRs of the nodes above this one
+                x[lo:lo + size, cols] = _sc_batch(v[:, cols], halves, np.empty((size - 1, len(cols))))
     return x
 
 
@@ -484,11 +515,12 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 _SIM_BATCH = 1024  # fixed so results never depend on the worker count
 # A batch is decoded in blocks of frames whose decoder input (L permuted
 # copies of each frame for the ensemble) holds about this many LLRs, 8 MB
-# of float64.  The block bounds the decoder's memory, and the allocator
-# reuses its temporaries instead of mapping fresh pages at every step;
-# cache locality comes from the kernel's row slabs (_TILE), so the block
-# can stay wide and spread each plan step's Python cost over many frames.
-# Frames decode independently, so the block size changes no output.
+# of float64.  The block bounds the channel's draw, which is made one
+# block at a time, and the kernel's workspace, which each thread retains
+# up to this size; cache locality comes from the kernel's row slabs
+# (_TILE), so the block can stay wide and spread each plan step's Python
+# cost over many frames.  Frames decode independently and the blocks draw
+# their noise in frame order, so the block size changes no output.
 _BLOCK_LLRS = 1 << 20
 
 
@@ -496,22 +528,22 @@ def _sim_batch(args) -> int:
     spec, channel, perms, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
     u = rng.integers(0, 2, size=(count, spec.K), dtype=np.uint8)
-    # the channel draws its noise frames-major, (count, N), as it always
-    # has, so the codewords are handed to it frames-major; each block is
-    # turned positions-major on its own
-    sent = _transposed(_encode(u, spec))
-    llrs = channel.llrs(sent, rng, spec.rate)
+    sent = _encode(u, spec)
     plan = _plan(spec)
     step = max(1, _BLOCK_LLRS // (spec.N * (1 if perms is None else len(perms))))
     ae = None if perms is None else _ae_decoder(perms, plan)
     errors = 0
     for start in range(0, count, step):
-        block = llrs[start:start + step]
-        if perms is None:
-            x = _sc_batch(_transposed(block), plan)
+        block = sent[:, start:start + step]
+        # the channel draws its noise frames-major, (frames, N), so each
+        # block's draw continues the stream where the previous block's
+        # ended, and the batch draws what one (count, N) draw would
+        llrs = channel.llrs(_transposed(block), rng, spec.rate)
+        if ae is None:
+            x = _sc_batch(_transposed(llrs), plan)
         else:
-            x = ae(block)[0]
-        errors += int((x != _transposed(sent[start:start + step])).any(axis=0).sum())
+            x = ae(llrs)[0]
+        errors += int((x != block).any(axis=0).sum())
     return errors
 
 

@@ -104,6 +104,15 @@ class BitMatrix:
         self._r = tuple(masks)
 
     @classmethod
+    def _unchecked(cls, masks: tuple[int, ...], cols: int) -> "BitMatrix":
+        """A matrix of row masks that the caller knows fit in `cols`."""
+        m = cls.__new__(cls)
+        m.rows = len(masks)
+        m.cols = cols
+        m._r = masks
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
         return cls([0] * rows, cols)
 
@@ -367,9 +376,11 @@ def enumerate_gl(n: int) -> Iterator[BitMatrix]:
     spans = np.ones(1, dtype=np.uint64)  # the empty prefix spans {0}
     for _ in range(n - 1):
         rows, spans = _gl_extend(rows, spans, n)
+    # every walk row is a nonzero n-bit mask, so nothing needs checking
+    make = BitMatrix._unchecked
     for _, full in _gl_complete(rows, spans, n):
         for masks in full.tolist():
-            yield BitMatrix(masks, n)
+            yield make(tuple(masks), n)
 
 
 def _outside_span(spans: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -292,6 +294,69 @@ def test_plan_has_no_f_over_rate0_left_children():
     assert [ops.count(op) for op in (decode._XOR, decode._REP, decode._RATE1)] == [356, 128, 174]
 
 
+def _dirty_workspace():
+    work = getattr(decode._local, "work", None)
+    if work is not None:
+        work.fill(np.nan)
+
+
+def test_sc_kernel_workspace_reuse_matches_oracle(monkeypatch):
+    # back-to-back calls of mixed shapes on one thread, each on a workspace
+    # that an earlier call left full of NaN; BEC blocks put exact 0.0 LLRs
+    # on rate-1 nodes, which takes the nested rate-1 re-decode
+    rng = np.random.default_rng(600)
+    calls = [(construct_pw(8, 128), 9), (construct_pw(3, 4), 1), (construct_bec(6, 40, 0.5), 13),
+             (construct_pw(10, 700), 2), (construct_pw(1, 1), 5), (construct_pw(8, 128), 9)]
+    for spec, frames in calls:
+        llrs = _llr_blocks(spec, rng, frames)
+        decode._workspace(spec.N - 1, len(llrs))  # grown now, so the call reuses it
+        _dirty_workspace()
+        x = _sc_batch(np.ascontiguousarray(llrs.T), _plan(spec))
+        assert (x.T == sc_oracle(llrs, _mask(spec))[0]).all(), (spec.n, spec.K)
+        assert not np.shares_memory(x, decode._local.work)
+    # a call above the retention cap decodes in a buffer of its own and
+    # leaves the retained one as it was
+    monkeypatch.setattr(decode, "_BLOCK_LLRS", 4096)
+    kept = decode._local.work
+    spec = construct_bec(8, 100, 0.5)
+    llrs = _llr_blocks(spec, rng, 12)
+    assert (spec.N - 1) * len(llrs) > decode._BLOCK_LLRS
+    _dirty_workspace()
+    x = _sc_batch(np.ascontiguousarray(llrs.T), _plan(spec))
+    assert (x.T == sc_oracle(llrs, _mask(spec))[0]).all()
+    assert decode._local.work is kept and np.isnan(kept).all()
+
+
+def test_sc_kernel_threads_match_serial():
+    # four threads on two cores, two codes of different lengths: each thread
+    # decodes in its own workspace, so the results equal a serial run
+    rng = np.random.default_rng(700)
+    jobs = []
+    for spec in (construct_pw(9, 256), construct_bec(7, 80, 0.5)) * 2:
+        jobs.append((np.ascontiguousarray(_llr_blocks(spec, rng, 16).T), _plan(spec)))
+    serial = [_sc_batch(llrs, plan) for llrs, plan in jobs]
+    results = [[] for _ in jobs]
+
+    def run(i):
+        llrs, plan = jobs[i]
+        for _ in range(8):
+            results[i].append(_sc_batch(llrs, plan))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for ref, got in zip(serial, results):
+        assert len(got) == 8 and all((x == ref).all() for x in got)
+
+
 class TestAeDecode:
     def test_identity_only_matches_sc(self, pw6):
         rng = np.random.default_rng(5)
@@ -512,7 +577,11 @@ class TestSimulate:
 
     def test_block_size_changes_no_count(self, monkeypatch, pw6):
         perms = _blta_perms(pw6, 4, 23)
-        runs = [(AwgnBpskChannel(2.0), "sc", None), (BecChannel(0.4), "ae", perms)]
+        runs = [
+            (chan, dec, perms if dec == "ae" else None)
+            for chan in (AwgnBpskChannel(2.0), BecChannel(0.4))
+            for dec in ("sc", "ae")
+        ]
 
         def counts():
             return [
@@ -523,6 +592,37 @@ class TestSimulate:
         whole = counts()
         monkeypatch.setattr(decode, "_BLOCK_LLRS", 3000)  # 46 and 11 frames a block
         assert counts() == whole
+
+    @pytest.mark.parametrize("channel", [AwgnBpskChannel(2.0), BecChannel(0.4)], ids=["awgn", "bec"])
+    @pytest.mark.parametrize("decoder", ["sc", "ae"])
+    def test_block_draws_join_to_one_draw(self, monkeypatch, pw6, channel, decoder):
+        # the channel is called once per decode block, 70 frames (SC) or
+        # 17 (AE-4), neither of which divides the 1000-frame batch; joined
+        # in order, the blocks are the oracle's one draw over the batch,
+        # and the generator ends where that draw leaves it
+        perms = np.array(_blta_perms(pw6, 4, 23), dtype=np.intp) if decoder == "ae" else None
+        monkeypatch.setattr(decode, "_BLOCK_LLRS", 70 * pw6.N)
+        calls = []
+
+        class Recorder:
+            def llrs(self, x, rng, rate):
+                out = channel.llrs(x, rng, rate)
+                calls.append((x.copy(), out.copy(), rng))
+                return out
+
+        decode._sim_batch((pw6, Recorder(), perms, 31, 2, 1000))
+        rng = np.random.default_rng([31, 2])
+        u = rng.integers(0, 2, (1000, pw6.K), dtype=np.uint8)
+        sent = (u @ kron_power(pw6.n)[list(pw6.row_indices())]) % 2
+        if isinstance(channel, AwgnBpskChannel):
+            ref = awgn_llrs_oracle(sent, rng, channel.ebn0_db, pw6.rate)
+        else:
+            ref = bec_llrs_oracle(sent, rng, channel.erasure_prob)
+        step = 70 if decoder == "sc" else 17
+        assert [len(x) for x, _, _ in calls] == [step] * (1000 // step) + [1000 % step]
+        assert (np.vstack([x for x, _, _ in calls]) == sent).all()
+        assert np.vstack([llrs for _, llrs, _ in calls]).tobytes() == ref.tobytes()
+        assert calls[-1][2].bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("tile", [1, 7, 100, decode._TILE])
     def test_tile_changes_no_count(self, monkeypatch, pw6, tile):
