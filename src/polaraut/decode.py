@@ -412,13 +412,14 @@ def _ae_decoder(perms: np.ndarray, plan: _Plan) -> Callable[[np.ndarray], _Decod
 
 def _perm_array(perms: Sequence[Sequence[int]] | None, n_pos: int) -> np.ndarray:
     """The ensemble as an (L, N) index array; ValueError unless it is
-    nonempty and each entry is a permutation of range(N) (one sort)."""
-    arr = np.array([] if perms is None else list(perms), dtype=np.intp)
+    nonempty and each entry is an integer permutation of range(N) (one sort)."""
+    arr = np.array([] if perms is None else list(perms))
     if len(arr) == 0:
         raise ValueError("empty permutation ensemble")
-    if arr.ndim != 2 or arr.shape[1] != n_pos or (np.sort(arr, axis=1) != np.arange(n_pos)).any():
+    if (not np.issubdtype(arr.dtype, np.integer) or arr.ndim != 2 or arr.shape[1] != n_pos
+            or (np.sort(arr, axis=1) != np.arange(n_pos)).any()):
         raise ValueError(f"every ensemble entry must be a permutation of range({n_pos})")
-    return arr
+    return arr.astype(np.intp, copy=False)
 
 
 def ae_decode(

@@ -186,20 +186,8 @@ class BitMatrix:
         return BitMatrix(masks, self.rows)
 
     def rank(self) -> int:
-        work = list(self._r)
-        r = 0
-        for col in range(self.cols):
-            piv = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            for i in range(r + 1, len(work)):
-                if (work[i] >> col) & 1:
-                    work[i] ^= work[r]
-            r += 1
-            if r == len(work):
-                break
-        return r
+        basis: list[int] = []
+        return sum(1 for m in self._r if _reduce(basis, m))
 
     def det(self) -> int:
         """Determinant mod 2 (1 iff invertible)."""
@@ -223,7 +211,17 @@ class BitMatrix:
         """Determinant of the selected square submatrix."""
         if len(rows) != len(cols):
             raise ValueError(f"index lists differ in size: {len(rows)} vs {len(cols)}")
-        return self.submatrix(rows, cols).det()
+        _check_indices(rows, self.rows, "row")
+        _check_indices(cols, self.cols, "column")
+        basis: list[int] = []
+        for i in rows:
+            row = self._r[i]
+            m = 0
+            for jj, j in enumerate(cols):
+                m |= ((row >> j) & 1) << jj
+            if not _reduce(basis, m):
+                return 0
+        return 1
 
     def add_column(self, src: int, dst: int) -> "BitMatrix":
         """New matrix with column dst replaced by dst xor src."""
@@ -300,43 +298,43 @@ def extend_minor(
         raise ValueError("starting minor is singular")
     t = m.rank()
 
-    sel_rows = list(rows)
-    # Extend rows while the selected rows gain rank over all columns.
-    basis: list[int] = []
-    for i in sel_rows:
-        _basis_add(basis, m.row_mask(i))
-    for i in range(m.rows):
-        if len(sel_rows) == t:
-            break
-        if i not in sel_rows and _basis_add(basis, m.row_mask(i)):
-            sel_rows.append(i)
-
-    # Extend columns of the selected-row submatrix the same way.
-    sub = m.submatrix(sel_rows, range(m.cols))
-    subt = sub.transpose()
-    sel_cols = list(cols)
-    basis = []
-    for j in sel_cols:
-        _basis_add(basis, subt.row_mask(j))
-    for j in range(m.cols):
-        if len(sel_cols) == t:
-            break
-        if j not in sel_cols and _basis_add(basis, subt.row_mask(j)):
-            sel_cols.append(j)
+    # Extend rows while the selected rows gain rank over all columns, then
+    # the columns of the selected-row submatrix the same way.
+    sel_rows = _extend_independent(list(rows), m.row_masks, t)
+    cols_of_rows = m.submatrix(sel_rows, range(m.cols)).transpose().row_masks
+    sel_cols = _extend_independent(list(cols), cols_of_rows, t)
 
     if len(sel_rows) != t or len(sel_cols) != t or m.minor_det(sel_rows, sel_cols) != 1:
         raise AssertionError("minor extension failed to reach full rank")
     return tuple(sel_rows), tuple(sel_cols)
 
 
-def _basis_add(basis: list[int], v: int) -> bool:
-    """Reduce v against basis; append and return True if independent."""
+def _extend_independent(sel: list[int], vecs: Sequence[int], t: int) -> list[int]:
+    """Append to sel, lowest first, each index whose vector is independent
+    of those already selected, until sel has t entries."""
+    basis: list[int] = []
+    for k in sel:
+        _reduce(basis, vecs[k])
+    for k in range(len(vecs)):
+        if len(sel) == t:
+            break
+        if k not in sel and _reduce(basis, vecs[k]):
+            sel.append(k)
+    return sel
+
+
+def _reduce(basis: list[int], v: int) -> int:
+    """Reduce v against basis, append it when nonzero, and return it.
+
+    Invariant: the basis vectors have distinct leading bits, and each
+    lacks the leading bits of the vectors before it.  The result then
+    lacks every leading bit of the basis, and is 0 iff v is in its span.
+    """
     for b in basis:
         v = min(v, v ^ b)
     if v:
         basis.append(v)
-        return True
-    return False
+    return v
 
 
 def random_invertible(n: int, seed: int) -> BitMatrix:

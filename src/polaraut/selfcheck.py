@@ -11,8 +11,8 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVec, _random_invertible, extend_minor
-from .affine import AffineMap, substitution_coefficient, transform_monomial_support
+from .gf2 import BitMatrix, BitVec, _random_invertible, _reduce, extend_minor
+from .affine import AffineMap, _map_tables, _support, substitution_coefficient
 from .monomial import anf, evaluation_vector, leq
 
 __all__ = [
@@ -41,11 +41,12 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.checked} checks, {self.failures} failures"
 
 
-def _index_sets(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _index_sets(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
+    """Every pair of equal-size nonempty index sets, with their masks."""
     pairs = []
     for r in range(1, n + 1):
-        subsets = list(itertools.combinations(range(n), r))
-        pairs.extend((rows, cols) for rows in subsets for cols in subsets)
+        subsets = [(s, sum(1 << i for i in s)) for s in itertools.combinations(range(n), r)]
+        pairs.extend((rows, cols, mr, mc) for rows, mr in subsets for cols, mc in subsets)
     return pairs
 
 
@@ -60,14 +61,12 @@ def check_substitution_coefficient(n: int, matrices: Iterable[BitMatrix]) -> Che
     pairs = _index_sets(n)
     checked = failures = 0
     for a in matrices:
-        t = AffineMap.from_linear(a)
+        tabs = _map_tables(AffineMap.from_linear(a))
         supports = {}
-        for rows, cols in pairs:
-            mask_rows = sum(1 << r for r in rows)
+        for rows, cols, mask_rows, mask_cols in pairs:
             if mask_rows not in supports:
-                supports[mask_rows] = transform_monomial_support(mask_rows, t).masks
-            mask_cols = sum(1 << c for c in cols)
-            via_anf = 1 if mask_cols in supports[mask_rows] else 0
+                supports[mask_rows] = _support(tabs, mask_rows, n)
+            via_anf = (supports[mask_rows] >> mask_cols) & 1
             via_minor = substitution_coefficient(a, rows, cols)
             checked += 1
             failures += via_anf != via_minor
@@ -75,24 +74,19 @@ def check_substitution_coefficient(n: int, matrices: Iterable[BitMatrix]) -> Che
 
 
 def _pivot_minor(m: BitMatrix) -> tuple[list[int], list[int]]:
-    """Row/column pivot indices of an elimination; every prefix selects a
-    nonsingular minor."""
-    work = list(m.row_masks)
-    order = list(range(m.rows))
+    """The rows whose reduction is nonzero, each with the leading column
+    of its reduced vector; every prefix selects a nonsingular minor.
+
+    On those columns the reduced rows form an upper unitriangular block
+    (see `_reduce`), and the original rows differ from them by a lower
+    unitriangular factor.
+    """
+    basis: list[int] = []
     rows, cols = [], []
-    r = 0
-    for col in range(m.cols):
-        piv = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        order[r], order[piv] = order[piv], order[r]
-        for i in range(r + 1, len(work)):
-            if (work[i] >> col) & 1:
-                work[i] ^= work[r]
-        rows.append(order[r])
-        cols.append(col)
-        r += 1
+    for i, row in enumerate(m.row_masks):
+        if v := _reduce(basis, row):
+            rows.append(i)
+            cols.append(v.bit_length() - 1)
     return rows, cols
 
 

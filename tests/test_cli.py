@@ -287,9 +287,10 @@ def test_rejected_argument_exits_2(capsys, tmp_path, argv):
 
 class TestSelftest:
     def test_passes(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--seed", "0")
-        assert code == 0
-        assert "[ok]" in out and "[FAIL]" not in out
+        for extra in ([], ["--full"]):
+            code, out, _ = run(capsys, "selftest", "--seed", "0", *extra)
+            assert code == 0
+            assert "[ok]" in out and "[FAIL]" not in out
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "selftest.txt"

@@ -442,6 +442,18 @@ def test_simulate_ae_rejects_non_permutation(pw6, name):
         simulate_bler(pw6, AwgnBpskChannel(3.0), 10, seed=0, decoder="ae", perms=perms)
 
 
+@pytest.mark.parametrize("perms", [[[1.9, 0.2]], [[True, False]], [["1", "0"]]], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("entry", ["ae_decode", "simulate"])
+def test_ae_rejects_non_integer_ensemble(perms, entry):
+    # these were cast to intp: [[1.9, 0.2]] decoded under [1, 0]
+    spec = construct_pw(1, 1)
+    with pytest.raises(ValueError, match="permutation of range"):
+        if entry == "ae_decode":
+            ae_decode([1.0, -2.0], perms, spec)
+        else:
+            simulate_bler(spec, AwgnBpskChannel(3.0), 10, seed=0, decoder="ae", perms=perms)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("decoder", ["sc", "ae"])
 def test_decoders_reject_non_finite_llrs(bad, decoder):

@@ -7,7 +7,7 @@ import pytest
 
 from polaraut import BitMatrix, enumerate_gl, extend_minor, gl_order, random_invertible
 from polaraut.gf2 import BitVec, _gl_complete, _gl_extend
-from polaraut.selfcheck import check_independence_repair, check_minor_extension
+from polaraut.selfcheck import _pivot_minor, check_independence_repair, check_minor_extension
 
 from oracles import gl_table_oracle, leibniz_det, naive_mat_mul, span_rank
 
@@ -64,9 +64,10 @@ class TestRankDet:
 
     def test_rank_against_span_enumeration(self):
         rng = random.Random(2)
-        for _ in range(30):
-            m = random_matrix(rng, 5, 7)
-            assert m.rank() == span_rank(list(m.row_masks))
+        for rows, cols in [(5, 7), (0, 7), (3, 16), (16, 3)]:
+            for _ in range(30):
+                m = random_matrix(rng, rows, cols)
+                assert m.rank() == span_rank(list(m.row_masks))
 
     def test_det_examples(self):
         assert F.det() == 1
@@ -104,13 +105,16 @@ class TestMinorDet:
                 assert m.minor_det([i], [j]) == m[i, j]
 
     def test_against_extract_then_det(self):
+        # rectangular parents, every minor size, indices in shuffled order
         rng = random.Random(6)
-        for _ in range(40):
-            m = random_matrix(rng, 5, 5)
-            rows = rng.sample(range(5), 3)
-            cols = rng.sample(range(5), 3)
-            sub = [[m[i, j] for j in cols] for i in rows]
-            assert m.minor_det(rows, cols) == leibniz_det(sub)
+        for p, q in [(5, 5), (5, 7), (7, 5)]:
+            for k in range(min(p, q) + 1):
+                for _ in range(40):
+                    m = random_matrix(rng, p, q)
+                    rows = rng.sample(range(p), k)
+                    cols = rng.sample(range(q), k)
+                    sub = [[m[i, j] for j in cols] for i in rows]
+                    assert m.minor_det(rows, cols) == leibniz_det(sub)
 
     def test_index_validation(self):
         m = BitMatrix.identity(3)
@@ -196,6 +200,27 @@ class TestExtendMinor:
     def test_randomized_suite(self):
         res = check_minor_extension(random.Random(13), instances=500)
         assert res.failures == 0
+
+    def test_pivot_minor_prefixes_are_nonsingular(self):
+        # the fallback start of check_minor_extension, on uniform matrices
+        # and on rank-deficient ones (k = 0 generators: the zero matrix)
+        rng = random.Random(15)
+        for trial in range(300):
+            p, q = rng.randint(1, 8), rng.randint(1, 8)
+            if trial % 2:
+                m = random_matrix(rng, p, q)
+            else:
+                gens = [rng.getrandbits(q) for _ in range(rng.randint(0, min(p, q) - 1))]
+                masks = [0] * p
+                for i in range(p):
+                    for g in gens:
+                        masks[i] ^= g if rng.getrandbits(1) else 0
+                m = BitMatrix(masks, q)
+            rows, cols = _pivot_minor(m)
+            assert len(rows) == len(cols) == span_rank(list(m.row_masks))
+            for k in range(1, len(rows) + 1):
+                sub = [[m[i, j] for j in cols[:k]] for i in rows[:k]]
+                assert leibniz_det(sub) == 1
 
 
 class TestRandomInvertible:
