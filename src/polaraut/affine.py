@@ -11,6 +11,8 @@ induced from T yields the evaluation vector of f o T.
 
 from __future__ import annotations
 
+import itertools
+import numbers
 import random
 import warnings
 from dataclasses import dataclass
@@ -260,15 +262,18 @@ def block_profile(ms: MonomialSet) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def _blocks(profile: Sequence[int]) -> list[tuple[int, int]]:
+    """(first row, size) of each diagonal block of a BLTA(profile) matrix;
+    ValueError unless every entry is a positive integer."""
+    if not all(isinstance(s, numbers.Integral) and s > 0 for s in profile):
+        raise ValueError(f"profile entries must be positive integers, got {tuple(profile)}")
+    return list(zip(itertools.accumulate(profile, initial=0), profile))
+
+
 def _blta_allowed(profile: Sequence[int]) -> list[int]:
     """Column mask each row of a BLTA(profile) linear part may use: the
     columns up to the end of the row's block."""
-    if any(s <= 0 for s in profile):
-        raise ValueError("profile entries must be positive")
-    allowed: list[int] = []
-    for s in profile:
-        allowed += [(1 << (len(allowed) + s)) - 1] * s
-    return allowed
+    return [(1 << (start + s)) - 1 for start, s in _blocks(profile) for _ in range(s)]
 
 
 def blta_membership(t: AffineMap | BitMatrix, profile: Sequence[int]) -> bool:
@@ -278,10 +283,10 @@ def blta_membership(t: AffineMap | BitMatrix, profile: Sequence[int]) -> bool:
     then forces the diagonal blocks to be invertible.
     """
     a = t.a if isinstance(t, AffineMap) else t
-    n = sum(profile)
+    allowed = _blta_allowed(profile)
+    n = len(allowed)
     if a.rows != n or a.cols != n:
         raise ValueError(f"profile {tuple(profile)} does not match a {a.rows}x{a.cols} matrix")
-    allowed = _blta_allowed(profile)
     return all(not a.row_mask(row) & ~cols for row, cols in enumerate(allowed))
 
 
@@ -292,34 +297,24 @@ def sample_blta(profile: Sequence[int], seed_or_rng: int | random.Random) -> Aff
     the entries below the block diagonal and the translation are uniform
     bits.  Deterministic for a given seed.
     """
-    if any(s <= 0 for s in profile):
-        raise ValueError("profile entries must be positive")
+    blocks = _blocks(profile)
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
-    n = sum(profile)
-    masks = [0] * n
-    start = 0
-    for s in profile:
+    masks = []
+    for start, s in blocks:
         block = _random_invertible(rng, s)
         for r in range(s):
             row = block.row_mask(r) << start
             if start:
                 row |= rng.getrandbits(start)
-            masks[start + r] = row
-        start += s
+            masks.append(row)
+    n = len(masks)
     return AffineMap(BitMatrix(masks, n), BitVec(n, rng.getrandbits(n)))
 
 
 def blta_order(profile: Sequence[int]) -> int:
     """Order of the linear part of the BLTA group (multiply by 2^n for
     the full group including translations)."""
-    if any(s <= 0 for s in profile):
-        raise ValueError("profile entries must be positive")
     out = 1
-    for s in profile:
-        out *= gl_order(s)
-    total = 0
-    below = 0
-    for s in profile:
-        below += total * s  # entries under the diagonal blocks
-        total += s
-    return out << below
+    for start, s in _blocks(profile):
+        out *= gl_order(s) << (start * s)  # each of the s rows has start free entries
+    return out

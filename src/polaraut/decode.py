@@ -413,12 +413,16 @@ def _ae_decoder(perms: np.ndarray, plan: _Plan) -> Callable[[np.ndarray], _Decod
 def _perm_array(perms: Sequence[Sequence[int]] | None, n_pos: int) -> np.ndarray:
     """The ensemble as an (L, N) index array; ValueError unless it is
     nonempty and each entry is an integer permutation of range(N) (one sort)."""
-    arr = np.array([] if perms is None else list(perms))
+    not_perms = ValueError(f"every ensemble entry must be a permutation of range({n_pos})")
+    try:
+        arr = np.array([] if perms is None else list(perms))
+    except ValueError:  # ragged: entries of different lengths, or a scalar entry
+        raise not_perms from None
     if len(arr) == 0:
         raise ValueError("empty permutation ensemble")
     if (not np.issubdtype(arr.dtype, np.integer) or arr.ndim != 2 or arr.shape[1] != n_pos
             or (np.sort(arr, axis=1) != np.arange(n_pos)).any()):
-        raise ValueError(f"every ensemble entry must be a permutation of range({n_pos})")
+        raise not_perms
     return arr.astype(np.intp, copy=False)
 
 

@@ -133,44 +133,46 @@ def all_monomials(n: int) -> MonomialSet:
     return MonomialSet(n, frozenset(range(1 << n)))
 
 
+def _below(masks: Iterable[int]) -> set[int]:
+    """The lower steps of each mask f: f without its lowest variable, and
+    f with one variable x_k moved to an absent x_{k-1}.
+
+    Every step is strictly below f, and every g < f is reached from f by
+    a chain of steps, so a set is decreasing iff it holds its steps.
+    """
+    out: set[int] = set()
+    for f in masks:
+        if f:
+            out.add(f & (f - 1))
+        movable = f & ~(f << 1) & ~1  # x_k present, x_{k-1} absent, k >= 1
+        while movable:
+            b = movable & -movable
+            out.add(f ^ b ^ (b >> 1))
+            movable ^= b
+    return out
+
+
 def decreasing_closure(gens: MonomialSet) -> MonomialSet:
     """Union of the down-sets of all generators."""
-    members = {
-        m for m in range(1 << gens.n) if any(leq(m, g) for g in gens.masks)
-    }
+    members = frontier = set(gens.masks)
+    while frontier:
+        frontier = _below(frontier) - members
+        members |= frontier
     return MonomialSet(gens.n, frozenset(members))
 
 
 @functools.lru_cache(maxsize=4096)
 def is_decreasing(ms: MonomialSet) -> bool:
-    """True iff ms is closed downward under the partial order.
-
-    Checks only the lower covers of each member f: f without its lowest
-    variable, and f with one variable x_k moved to an absent x_{k-1}.
-    Every g <= f is reached from f by a chain of such steps, so O(K n)
-    membership tests suffice.
-    """
-    masks = ms.masks
-    for f in masks:
-        if f and (f & (f - 1)) not in masks:
-            return False
-        movable = f & ~(f << 1) & ~1  # x_k present, x_{k-1} absent, k >= 1
-        while movable:
-            b = movable & -movable
-            if (f ^ b ^ (b >> 1)) not in masks:
-                return False
-            movable ^= b
-    return True
+    """True iff ms is closed downward under the partial order: O(K n)."""
+    return _below(ms.masks) <= ms.masks
 
 
 def minimal_generators(ms: MonomialSet) -> MonomialSet:
-    """The maximal elements of a decreasing set (its generators)."""
+    """The maximal elements of a decreasing set (its generators): the
+    members that are no lower step of another member."""
     if not is_decreasing(ms):
         raise ValueError("monomial set is not decreasing")
-    gens = {
-        f for f in ms.masks if not any(h != f and leq(f, h) for h in ms.masks)
-    }
-    return MonomialSet(ms.n, frozenset(gens))
+    return MonomialSet(ms.n, ms.masks - _below(ms.masks))
 
 
 def monomial_index(mask: int, n: int) -> int:
@@ -320,9 +322,7 @@ class CodeSpec:
             return f"bec(n={self.n},K={self.K},eps={self.erasure_prob})"
         if self.construction == "pw":
             return f"pw(n={self.n},K={self.K})"
-        gens = sorted(minimal_generators(self.monomials).masks) if self.is_decreasing() \
-            else sorted(self.monomials.masks)
-        return f"explicit(n={self.n},mmin={gens})"
+        return f"explicit(n={self.n},mmin={self.to_json()['m_min_masks']})"
 
     def to_json(self) -> dict:
         out: dict = {"n": self.n, "K": self.K, "construction": self.construction}

@@ -173,6 +173,24 @@ def is_decreasing_oracle(ms: MonomialSet) -> bool:
     return True
 
 
+def decreasing_closure_oracle(gens: MonomialSet) -> MonomialSet:
+    """Every monomial tested against every generator: O(2^n |gens|) order
+    checks."""
+    return MonomialSet(gens.n, frozenset(
+        m for m in range(1 << gens.n) if any(divisor_leq(m, g) for g in gens.masks)
+    ))
+
+
+def minimal_generators_oracle(ms: MonomialSet) -> MonomialSet:
+    """Members below no other member: O(K^2) order checks.  Members of
+    higher degree are tried first, so that most non-maximal members stop
+    after a few checks."""
+    by_degree = sorted(ms.masks, key=int.bit_count, reverse=True)
+    return MonomialSet(ms.n, frozenset(
+        f for f in ms.masks if not any(h != f and divisor_leq(f, h) for h in by_degree)
+    ))
+
+
 def bec_z_oracle(n: int, eps: float) -> list[float]:
     """Hand recursion on explicit bit strings, most significant first."""
     out = []

@@ -292,6 +292,18 @@ class TestBltaOrder:
         assert checked > 5
 
 
+@pytest.mark.parametrize("profile", [(0,), (-1, 2), (1.5,), ("1",)])
+@pytest.mark.parametrize("call", ["sample_blta", "blta_order", "blta_membership"])
+def test_invalid_profile_rejected(call, profile):
+    run = {
+        "sample_blta": lambda: sample_blta(profile, 0),
+        "blta_order": lambda: blta_order(profile),
+        "blta_membership": lambda: blta_membership(BitMatrix.identity(1), profile),
+    }[call]
+    with pytest.raises(ValueError, match="profile entries must be positive integers"):
+        run()
+
+
 def test_swap_variables():
     assert swap_variables(0b001, 0, 1) == 0b010
     assert swap_variables(0b011, 0, 1) == 0b011

@@ -425,6 +425,8 @@ _NOT_PERMUTATIONS = {
     "constant": [[0] * 64],
     "repeated-half": [list(range(32)) * 2],
     "out-of-range": [list(range(1, 65))],
+    "ragged": [[0]],
+    "scalar-entry": [5],
 }
 
 

@@ -28,9 +28,11 @@ from polaraut.selfcheck import check_order_axioms
 
 from oracles import (
     bec_z_oracle,
+    decreasing_closure_oracle,
     divisor_leq,
     is_decreasing_oracle,
     kron_power,
+    minimal_generators_oracle,
     mobius_direct,
     pw_weight_oracle,
 )
@@ -101,7 +103,7 @@ class TestDecreasingSets:
         for n in range(4, 9):
             for _ in range(12):
                 gens = MonomialSet(n, frozenset(rng.randrange(1 << n) for _ in range(3)))
-                closed = decreasing_closure(gens)
+                closed = decreasing_closure_oracle(gens)
                 sets = [closed, MonomialSet(n, frozenset(
                     m for m in range(1 << n) if rng.random() < 0.7))]
                 if closed.masks:  # drop one member or add one non-member
@@ -116,12 +118,28 @@ class TestDecreasingSets:
         assert minimal_generators(all_monomials(3)).masks == {X0 | X1 | X2}
         assert minimal_generators(MonomialSet(2, frozenset({0}))).masks == {0}
 
+    def test_closure_and_generators_match_oracles(self):
+        sets = [MonomialSet(n, frozenset(m for m in range(1 << n) if (bits >> m) & 1))
+                for n in range(4) for bits in range(1 << (1 << n))]
+        rng = random.Random(13)
+        for n, count in zip(range(4, 11), (20, 20, 10, 6, 4, 2, 1)):
+            sets += [MonomialSet(n, frozenset(rng.randrange(1 << n) for _ in range(rng.randint(1, 4))))
+                     for _ in range(count)]
+        for gens in sets:
+            closed = decreasing_closure(gens)
+            assert closed == decreasing_closure_oracle(gens), (gens.n, sorted(gens.masks))
+            assert minimal_generators(closed) == minimal_generators_oracle(closed), (gens.n, sorted(gens.masks))
+
     def test_generators_roundtrip(self):
         rng = random.Random(1)
-        for _ in range(20):
-            gens = MonomialSet(5, frozenset(rng.randrange(32) for _ in range(3)))
-            ms = decreasing_closure(gens)
+        sets = [decreasing_closure(MonomialSet(5, frozenset(rng.randrange(32) for _ in range(3))))
+                for _ in range(20)]
+        specs = [build(n, 1 << (n - 1)) for n in (10, 12, 14)
+                 for build in (construct_pw, lambda n, k: construct_bec(n, k, 0.5))]
+        for ms in sets + [spec.monomials for spec in specs]:
             assert decreasing_closure(minimal_generators(ms)).masks == ms.masks
+        for spec in specs:
+            assert CodeSpec.from_json(spec.to_json()) == spec
 
     def test_minimal_generators_requires_decreasing(self):
         with pytest.raises(ValueError):
