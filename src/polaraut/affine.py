@@ -11,12 +11,15 @@ induced from T yields the evaluation vector of f o T.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 import random
 import warnings
 from dataclasses import dataclass
 from collections.abc import Sequence
+
+import numpy as np
 
 from .gf2 import BitMatrix, BitVec, _random_invertible, gl_order
 from .monomial import (
@@ -100,14 +103,6 @@ def apply_point(t: AffineMap, x: BitVec) -> BitVec:
     return t.a.mul_vec(x) ^ t.b
 
 
-def _apply_int(row_masks: Sequence[int], b_bits: int, x: int) -> int:
-    y = b_bits
-    for m, row in enumerate(row_masks):
-        if (row & x).bit_count() & 1:
-            y ^= 1 << m
-    return y
-
-
 def induced_permutation(t: AffineMap) -> list[int]:
     """Forward position permutation of the affine point map.
 
@@ -116,10 +111,12 @@ def induced_permutation(t: AffineMap) -> list[int]:
     homomorphism: induced(t1.compose(t2)) == compose_permutations(
     induced(t1), induced(t2)).
     """
-    n = t.n
-    full = (1 << n) - 1
-    rows, b = t.a.row_masks, t.b.bits
-    return [full ^ _apply_int(rows, b, full ^ i) for i in range(1 << n)]
+    # by linearity: after the columns of bits 0..c, images[x] = T(x), x < 2^(c+1)
+    images = [t.b.bits]
+    for col in t.a.transpose().row_masks:
+        images += [y ^ col for y in images]
+    full = (1 << t.n) - 1
+    return [full ^ y for y in reversed(images)]
 
 
 def compose_permutations(p: Sequence[int], q: Sequence[int]) -> list[int]:
@@ -174,9 +171,15 @@ def _support(tabs, mask: int, n: int):
     return _mobius_int(t, n)
 
 
-def _masks_desc(ms: MonomialSet) -> tuple[int, ...]:
-    """Members, maximal degree first: the most discriminating tests lead."""
-    return tuple(sorted(ms.masks, key=lambda m: (-degree(m), m)))
+@functools.lru_cache(maxsize=4096)
+def _members_to_test(ms: MonomialSet) -> tuple[int, ...]:
+    """Members an affine map could send outside ms, highest degree first.
+
+    f o T is a product of deg f affine forms, so its support has degree
+    at most deg f: a member of lower degree than every non-member cannot
+    fail, for any affine T and any set, and is dropped."""
+    least = min((degree(m) for m in range(1 << ms.n) if m not in ms.masks), default=ms.n + 1)
+    return tuple(sorted((f for f in ms.masks if degree(f) >= least), key=lambda m: (-degree(m), m)))
 
 
 def transform_monomial_support(mask: int, t: AffineMap) -> MonomialSet:
@@ -220,7 +223,34 @@ def is_affine_automorphism(t: AffineMap, ms: MonomialSet) -> bool:
         warnings.warn("monomial set is not decreasing", stacklevel=2)
     tabs = _map_tables(t)
     not_m = ~ms.as_int()
-    return not any(_support(tabs, mask, ms.n) & not_m for mask in _masks_desc(ms))
+    return not any(_support(tabs, mask, ms.n) & not_m for mask in _members_to_test(ms))
+
+
+@functools.lru_cache(maxsize=None)
+def _form_lut(n: int) -> np.ndarray:
+    """Truth tables of all 2^n linear forms, indexed by row mask, in the
+    narrowest unsigned dtype that holds 2^n bits."""
+    if (1 << n) > 64:
+        raise ValueError(f"batched truth tables need n <= 6 (2^n bits per word), got n={n}")
+    lut = np.array([_form_table(r, n) for r in range(1 << n)], dtype=f"u{max(1, (1 << n) // 8)}")
+    lut.setflags(write=False)
+    return lut
+
+
+def _aut_alive(rows: np.ndarray, ms: MonomialSet, masks: Sequence[int]) -> np.ndarray:
+    """`is_affine_automorphism` for a batch of (partial) linear maps given
+    as rows of row masks, on the monomials in masks: one bool per map.
+    Every monomial may use only the variables of the columns given."""
+    n = ms.n
+    lut = _form_lut(n)
+    tabs = [lut[col] for col in rows.T]
+    not_m = ~ms.as_int() & ((1 << (1 << n)) - 1)
+    alive = np.ones(len(rows), dtype=bool)
+    for mask in masks:
+        alive &= (_support(tabs, mask, n) & not_m) == 0
+        if not alive.any():
+            break
+    return alive
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +297,8 @@ def _blocks(profile: Sequence[int]) -> list[tuple[int, int]]:
     ValueError unless every entry is a positive integer."""
     if not all(isinstance(s, numbers.Integral) and s > 0 for s in profile):
         raise ValueError(f"profile entries must be positive integers, got {tuple(profile)}")
-    return list(zip(itertools.accumulate(profile, initial=0), profile))
+    sizes = [int(s) for s in profile]  # numpy integers would overflow below
+    return list(zip(itertools.accumulate(sizes, initial=0), sizes))
 
 
 def _blta_allowed(profile: Sequence[int]) -> list[int]:

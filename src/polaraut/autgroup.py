@@ -22,7 +22,8 @@ The sweep builds matrices one row at a time and prunes as it goes:
   dropped with all of its continuations.
 * Degree skip.  f o A is a product of deg f linear forms, so its support
   has degree <= deg f; when every monomial of degree <= r is in the set,
-  no member of degree <= r can fail and none is tested.
+  no member of degree <= r can fail and none is tested.  The rule lives in
+  `affine._members_to_test`, which `is_affine_automorphism` reads too.
 * Counted tail.  The rows of the last block are never constrained by
   BLTA, since their block ends at column n - 1.  So once no member is
   left to test and only such rows remain, every continuation of a
@@ -33,7 +34,6 @@ The sweep builds matrices one row at a time and prunes as it goes:
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -44,10 +44,9 @@ import numpy as np
 from .gf2 import BitMatrix, _check_enum_n, _gl_complete, _gl_extend
 from .affine import (
     AffineMap,
+    _aut_alive,
     _blta_allowed,
-    _form_table,
-    _masks_desc,
-    _support,
+    _members_to_test,
     _swap_preserves,
     block_profile,
     blta_order,
@@ -60,7 +59,6 @@ from .affine import (
 from .monomial import (
     MonomialSet,
     decreasing_closure,
-    degree,
     is_decreasing,
     leq,
 )
@@ -100,32 +98,6 @@ def _require(cond: bool, message: str, **context) -> None:
 # the exhaustive GL(n,2) sweep
 
 
-@functools.lru_cache(maxsize=None)
-def _form_lut(n: int) -> np.ndarray:
-    """Truth tables of all 2^n linear forms, indexed by row mask, in the
-    narrowest unsigned dtype that holds 2^n bits."""
-    if (1 << n) > 64:
-        raise ValueError(f"batched truth tables need n <= 6 (2^n bits per word), got n={n}")
-    lut = np.array([_form_table(r, n) for r in range(1 << n)], dtype=f"u{max(1, (1 << n) // 8)}")
-    lut.setflags(write=False)
-    return lut
-
-
-def _aut_alive(rows: np.ndarray, masks_desc: Sequence[int], m_int: int, n: int) -> np.ndarray:
-    """Boolean mask of the (partial) matrices, one per row of row masks,
-    whose action keeps every monomial's support inside the set m_int.
-    Every monomial may use only the variables of the columns given."""
-    lut = _form_lut(n)
-    tabs = [lut[col] for col in rows.T]
-    not_m = ~m_int & ((1 << (1 << n)) - 1)
-    alive = np.ones(len(rows), dtype=bool)
-    for mask in masks_desc:
-        alive &= (_support(tabs, mask, n) & not_m) == 0
-        if not alive.any():
-            break
-    return alive
-
-
 def _blta_alive(rows: np.ndarray, profile: Sequence[int]) -> np.ndarray:
     """Zero-pattern test of BLTA(profile) on the leading rows given."""
     ok = np.ones(len(rows), dtype=bool)
@@ -145,13 +117,9 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
     """
     n = ms.n
     _check_enum_n(n)
-    m_int = ms.as_int()
-    # members of lower degree than every non-member cannot fail
-    tested = min((degree(m) for m in range(1 << n) if not m_int >> m & 1), default=n + 1)
     levels: list[list[int]] = [[] for _ in range(n)]
-    for f in _masks_desc(ms):
-        if degree(f) >= tested:
-            levels[f.bit_length() - 1].append(f)
+    for f in _members_to_test(ms):
+        levels[f.bit_length() - 1].append(f)
 
     last = max((k for k in range(n) if levels[k]), default=-1)
     # rows from `depth` on meet neither a test nor a BLTA constraint
@@ -162,7 +130,7 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
     for k in range(min(depth, n - 1)):
         rows, spans = _gl_extend(rows, spans, n)
         if levels[k]:
-            alive = _aut_alive(rows, levels[k], m_int, n)
+            alive = _aut_alive(rows, ms, levels[k])
             rows, spans = rows[alive], spans[alive]
 
     outside = ~_blta_alive(rows, profile)
@@ -180,7 +148,7 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
     count = 0
     first = None
     for parent, full in _gl_complete(rows, spans, n):
-        alive = _aut_alive(full, levels[n - 1], m_int, n)
+        alive = _aut_alive(full, ms, levels[n - 1])
         count += int(alive.sum())
         if first is None:
             idx = np.nonzero(alive & outside[parent])[0]

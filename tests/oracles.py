@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from polaraut import BitMatrix, BitVec, CodeSpec, MonomialSet, generator_matrix
-from polaraut.autgroup import _aut_alive
+from polaraut import BitMatrix, BitVec, MonomialSet
+from polaraut.affine import _aut_alive
 
 
 def naive_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -82,10 +82,12 @@ def gl_table_oracle(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _aut_columns(ms: MonomialSet) -> np.ndarray:
     """The automorphisms of ms as columns (entry (m, j): row mask m of the
-    j-th automorphism in table order), filtered in blocks of table rows."""
+    j-th automorphism in table order), filtered in blocks of table rows.
+    Every member is tested, with no degree skip, so that the reference
+    does not rest on the skip it checks."""
     rows = gl_table_oracle(ms.n)
     alive = np.concatenate([
-        _aut_alive(rows[lo:lo + (1 << 16)], sorted(ms.masks), ms.as_int(), ms.n)
+        _aut_alive(rows[lo:lo + (1 << 16)], ms, sorted(ms.masks))
         for lo in range(0, len(rows), 1 << 16)
     ])
     return np.ascontiguousarray(rows[alive].T)
@@ -217,17 +219,24 @@ def pw_weight_oracle(i: int) -> float:
     return w
 
 
+def evaluation_vector_oracle(mask: int, n: int) -> int:
+    """A monomial's evaluation vector as bits, one position at a time:
+    position i evaluates at the complemented point of i, so the entry is
+    1 exactly when mask and i are disjoint."""
+    bits = 0
+    for i in range(1 << n):
+        if mask & i == 0:
+            bits |= 1 << i
+    return bits
+
+
 def codeword_level_automorphism(perm: list[int], ms: MonomialSet) -> bool:
     """Permute every generator row and test membership via ANF support."""
     from polaraut.monomial import anf_support
 
-    spec = CodeSpec(ms.n, ms)
-    if len(ms) == 0:
-        return True
-    gen = generator_matrix(spec)
-    for r in range(gen.rows):
-        row = [gen[r, j] for j in range(gen.cols)]
-        permuted = BitVec.from_list([row[perm[i]] for i in range(len(perm))])
+    for f in ms.masks:
+        row = evaluation_vector_oracle(f, ms.n)
+        permuted = BitVec.from_list([(row >> perm[i]) & 1 for i in range(len(perm))])
         if not anf_support(permuted).masks <= ms.masks:
             return False
     return True

@@ -1,5 +1,7 @@
+import json
 import random
 
+import numpy as np
 import pytest
 
 from polaraut import (
@@ -23,6 +25,7 @@ from polaraut import (
     swap_variables,
     transform_monomial_support,
 )
+from polaraut.affine import _members_to_test
 from polaraut.gf2 import BitVec
 from polaraut.monomial import anf_support
 from polaraut.autgroup import random_decreasing_set
@@ -93,6 +96,15 @@ class TestInducedPermutation:
             lhs = induced_permutation(t1.compose(t2))
             rhs = compose_permutations(induced_permutation(t1), induced_permutation(t2))
             assert lhs == rhs
+
+    def test_matches_apply_point(self):
+        rng = random.Random(15)
+        for n in range(1, 11):
+            full = (1 << n) - 1
+            for _ in range(3):
+                t = random_affine(rng, n)
+                points = [apply_point(t, BitVec(n, full ^ i)).bits for i in range(1 << n)]
+                assert induced_permutation(t) == [full ^ y for y in points]
 
     def test_inverse_permutation(self):
         rng = random.Random(3)
@@ -179,6 +191,28 @@ class TestIsAffineAutomorphism:
             agree += 1
         assert agree == 1000
 
+    def test_matches_oracle_where_the_degree_skip_drops_members(self):
+        # RM(r, n), the full set and the empty set leave no member to test;
+        # the non-decreasing sets {1, x1} and RM(1, n) + x_{n-2} x_{n-1}
+        # leave some members but not all
+        rng = random.Random(14)
+        verdicts = set()
+        for n in (2, 3, 4):
+            closed = [reed_muller_set(n, r) for r in range(n + 1)] + [MonomialSet(n)]
+            assert all(_members_to_test(ms) == () for ms in closed)
+            odd = MonomialSet(n, {0, 2} if n == 2 else reed_muller_set(n, 1).masks | {3 << (n - 2)})
+            assert 0 < len(_members_to_test(odd)) < len(odd)
+            for _ in range(40):
+                t = random_affine(rng, n)
+                perm = induced_permutation(t)
+                for ms in closed:
+                    assert is_affine_automorphism(t, ms) == codeword_level_automorphism(perm, ms)
+                with pytest.warns(UserWarning):
+                    got = is_affine_automorphism(t, odd)
+                assert got == codeword_level_automorphism(perm, odd)
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
     def test_warns_on_non_decreasing(self):
         ms = MonomialSet(2, frozenset({2}))
         with pytest.warns(UserWarning):
@@ -250,6 +284,10 @@ class TestSampleBlta:
     def test_deterministic_per_seed(self):
         assert sample_blta((2, 2), 42) == sample_blta((2, 2), 42)
 
+    def test_numpy_integer_profile(self):
+        got = sample_blta((np.int64(2), np.int64(3)), 0)
+        assert json.dumps(got.to_json()) == json.dumps(sample_blta((2, 3), 0).to_json())
+
     def test_identity_reachable_by_seed(self):
         hit = None
         for seed in range(500):
@@ -265,6 +303,11 @@ class TestBltaOrder:
         assert gl_order(3) == 168
         assert blta_order((3,)) == 168
         assert blta_order((4,)) == gl_order(4)
+
+    def test_numpy_integer_profiles(self):
+        # exact int orders: fixed-width arithmetic would wrap (8, 8) to 0
+        for prof in ((8, 8), (2, 30), (1,) * 20):
+            assert blta_order(tuple(np.int64(s) for s in prof)) == blta_order(prof)
 
     def test_two_singleton_blocks(self):
         assert blta_order((1, 1)) == 2

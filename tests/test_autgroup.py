@@ -26,12 +26,10 @@ from polaraut import (
     verify_blta_completeness,
 )
 from polaraut import gf2
-from polaraut.affine import _masks_desc, _support
+from polaraut.affine import _aut_alive, _form_lut, _members_to_test, _support
 from polaraut.autgroup import (
     FalsificationError,
-    _aut_alive,
     _blta_alive,
-    _form_lut,
     _require,
     _sweep,
     transposition_reduction_trace,
@@ -52,7 +50,7 @@ from oracles import (
 def _aut_rows(ms: MonomialSet) -> np.ndarray:
     """Row masks of every automorphism linear part, in table order."""
     rows = gl_table_oracle(ms.n)
-    return rows[_aut_alive(rows, _masks_desc(ms), ms.as_int(), ms.n)]
+    return rows[_aut_alive(rows, ms, _members_to_test(ms))]
 
 
 def _aut_count(ms: MonomialSet) -> int:
@@ -95,7 +93,7 @@ class TestEnumeration:
             mats = [sample_blta(block_profile(ms), rng).a for _ in range(16)]
             mats += brute_force_matrices(6, 16, rng.randrange(1 << 30))
             rows = np.array([a.row_masks for a in mats], dtype=np.uint8)
-            alive = _aut_alive(rows, _masks_desc(ms), ms.as_int(), 6)
+            alive = _aut_alive(rows, ms, _members_to_test(ms))
             single = [is_affine_automorphism(AffineMap.from_linear(a), ms) for a in mats]
             assert alive.tolist() == single
             verdicts += single
@@ -104,7 +102,7 @@ class TestEnumeration:
     def test_batch_path_refuses_n7(self):
         rows = np.array([BitMatrix.identity(7).row_masks], dtype=np.uint8)
         with pytest.raises(ValueError):
-            _aut_alive(rows, (0,), 1, 7)
+            _aut_alive(rows, MonomialSet(7, frozenset({0})), (0,))
 
     def test_stored_elements_are_automorphisms(self):
         ms = reed_muller_set(3, 1)
@@ -206,13 +204,17 @@ class TestLevelSweep:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_degree_skip_premise(self, n):
-        # the sweep skips members of degree below every non-member's,
-        # because no image support has a monomial of higher degree
+        # the automorphism test skips members of degree below every
+        # non-member's, because no image support under any affine map has
+        # a monomial of higher degree: every linear part, every translation
         rows = gl_table_oracle(n)
-        tabs = [_form_lut(n)[col] for col in rows.T]
-        for f in range(1 << n):
-            higher = sum(1 << m for m in range(1 << n) if degree(m) > degree(f))
-            assert not np.any(_support(tabs, f, n) & higher)
+        full = (1 << (1 << n)) - 1
+        linear = [_form_lut(n)[col] for col in rows.T]
+        for b in range(1 << n):
+            tabs = [tab ^ full if (b >> m) & 1 else tab for m, tab in enumerate(linear)]
+            for f in range(1 << n):
+                higher = sum(1 << m for m in range(1 << n) if degree(m) > degree(f))
+                assert not np.any(_support(tabs, f, n) & higher)
 
 
 class TestVerification:

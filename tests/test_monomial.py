@@ -30,6 +30,7 @@ from oracles import (
     bec_z_oracle,
     decreasing_closure_oracle,
     divisor_leq,
+    evaluation_vector_oracle,
     is_decreasing_oracle,
     kron_power,
     minimal_generators_oracle,
@@ -182,6 +183,11 @@ class TestEvaluationVector:
             for mask in range(1 << n):
                 assert evaluation_vector(mask, n).weight() == 1 << (n - degree(mask))
 
+    def test_matches_position_loop(self):
+        for n in range(11):
+            for mask in range(1 << n):
+                assert evaluation_vector(mask, n).bits == evaluation_vector_oracle(mask, n)
+
 
 class TestGeneratorMatrix:
     def test_n1_full(self):
@@ -268,8 +274,18 @@ class TestConstructions:
         assert construct_pw(4, 1).monomials.masks == {0}
 
     def test_pw_weights_oracle(self):
-        for i in range(64):
-            assert pw_weights(6)[i] == pytest.approx(pw_weight_oracle(i))
+        # both add beta^k in ascending k, so the floats agree exactly
+        want = [pw_weight_oracle(i) for i in range(1 << 16)]
+        for n in range(17):
+            assert pw_weights(n) == want[:1 << n]
+
+    def test_pw_sets_follow_oracle_weights(self):
+        # ties in weight go to the lower row index
+        for n in range(11):
+            order = sorted(range(1 << n), key=lambda i: (-pw_weight_oracle(i), i))
+            for k in range(1, (1 << n) + 1):
+                want = {index_monomial(i, n) for i in order[:k]}
+                assert construct_pw(n, k).monomials.masks == want, (n, k)
 
     def test_pw_decreasing_sweep(self):
         for n in range(1, 7):
