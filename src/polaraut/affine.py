@@ -28,6 +28,7 @@ from .monomial import (
     _var_table,
     degree,
     is_decreasing,
+    minimal_generators,
 )
 
 __all__ = [
@@ -265,30 +266,36 @@ def swap_variables(mask: int, i: int, j: int) -> int:
     return mask
 
 
-def _swap_preserves(ms: MonomialSet, i: int, j: int) -> bool:
-    return frozenset(swap_variables(m, i, j) for m in ms.masks) == ms.masks
-
-
 def block_profile(ms: MonomialSet) -> tuple[int, ...]:
     """Coarsest block sizes whose intra-block adjacent swaps preserve ms.
 
     Adjacent variables i, i+1 belong to one block iff exchanging them
     maps ms onto itself; maximal runs of mergeable pairs become blocks.
+    Only the generators are swapped, which suffices for adjacent pairs.
+    Proof: let sigma exchange x_i and x_{i+1}, and write c_s(h) for the
+    number of variables x_k of h with k >= s, so that h <= g iff c_s(h)
+    <= c_s(g) for every s.  sigma fixes a member with both or neither
+    variable and moves one with x_{i+1} alone below itself.  A member f
+    with x_i alone lies below a generator g, and c_s(sigma f) = c_s(f) +
+    [s = i+1], so sigma f <= g unless c_{i+1}(f) = c_{i+1}(g).  Then
+    c_{i+1}(g) = c_{i+2}(f) <= c_{i+2}(g) and c_i(g) >= c_i(f) =
+    c_{i+1}(g) + 1: g holds x_i and not x_{i+1}, and sigma f <= sigma g.
+    So sigma maps ms into itself, hence onto itself, iff it maps every
+    generator into ms.  The argument needs adjacency: for j > i + 1 the
+    generators do not decide the swap of x_i and x_j.
     """
     if not is_decreasing(ms):
         raise ValueError("block profile requires a decreasing monomial set")
     n = ms.n
     if n == 0:
         return ()
-    sizes = []
-    size = 1
+    gens = minimal_generators(ms).masks
+    sizes = [1]
     for i in range(n - 1):
-        if _swap_preserves(ms, i, i + 1):
-            size += 1
+        if all(swap_variables(g, i, i + 1) in ms.masks for g in gens):
+            sizes[-1] += 1
         else:
-            sizes.append(size)
-            size = 1
-    sizes.append(size)
+            sizes.append(1)
     return tuple(sizes)
 
 

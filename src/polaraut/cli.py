@@ -81,8 +81,11 @@ def _resolve_code(args, parser: argparse.ArgumentParser) -> CodeSpec:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {type(exc).__name__}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -470,6 +470,8 @@ def sc_invariance_check(
 ) -> InvarianceReport:
     """Fraction of noisy frames with SC(pi(L)) == pi(SC(L)) bit-exactly,
     for the permutation induced by t (hard-decision codeword equality)."""
+    if t.n != spec.n:
+        raise ValueError("dimension mismatch")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if channel is None:

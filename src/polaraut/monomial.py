@@ -76,25 +76,13 @@ def leq(g: int, f: int) -> bool:
     """The reliability partial order: g <= f means g is universally more
     reliable.
 
-    Same degree: the sorted variable indices of g are componentwise <=
-    those of f.  Different degree: g <= f iff g is dominated by some
-    divisor of f of equal degree; the deg(g) largest variables of f are
-    the componentwise-largest such divisor, so only that one is checked.
+    For every s, g has at most as many variables x_k with k >= s as f
+    has (s = 0 compares the degrees).  This is the two-part definition
+    written as counts: same degree, the sorted variable indices of g are
+    componentwise <= those of f; lower degree, g is so dominated by the
+    deg(g) largest variables of f, the componentwise-largest divisor.
     """
-    dg, df = g.bit_count(), f.bit_count()
-    if dg > df:
-        return False
-    ff = f
-    for _ in range(df - dg):
-        ff &= ff - 1  # drop lowest remaining variable
-    # prefix-count comparison == sorted componentwise comparison
-    cg = cf = 0
-    for t in range(max(g.bit_length(), ff.bit_length())):
-        cg += (g >> t) & 1
-        cf += (ff >> t) & 1
-        if cf > cg:
-            return False
-    return True
+    return all((g >> s).bit_count() <= (f >> s).bit_count() for s in range(g.bit_length()))
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,28 @@ def is_decreasing_oracle(ms: MonomialSet) -> bool:
     return True
 
 
+def down_sets_oracle(n: int) -> list[MonomialSet]:
+    """Every decreasing set of n-variable monomials, by a walk that
+    decides each monomial in turn, fewest monomials below it first, and
+    admits it only when every monomial below it is already in."""
+    monos = range(1 << n)
+    below = {f: [g for g in monos if g != f and divisor_leq(g, f)] for f in monos}
+    order = sorted(monos, key=lambda f: len(below[f]))
+    out = []
+
+    def walk(k: int, members: frozenset[int]) -> None:
+        if k == len(order):
+            out.append(MonomialSet(n, members))
+            return
+        walk(k + 1, members)
+        f = order[k]
+        if all(g in members for g in below[f]):
+            walk(k + 1, members | {f})
+
+    walk(0, frozenset())
+    return out
+
+
 def decreasing_closure_oracle(gens: MonomialSet) -> MonomialSet:
     """Every monomial tested against every generator: O(2^n |gens|) order
     checks."""

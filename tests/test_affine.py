@@ -13,6 +13,8 @@ from polaraut import (
     blta_membership,
     blta_order,
     compose_permutations,
+    construct_bec,
+    construct_pw,
     enumerate_gl,
     evaluation_vector,
     gl_order,
@@ -31,9 +33,20 @@ from polaraut.monomial import anf_support
 from polaraut.autgroup import random_decreasing_set
 from polaraut.selfcheck import check_substitution_coefficient
 
-from oracles import codeword_level_automorphism
+from oracles import codeword_level_automorphism, down_sets_oracle, swap_preserves_set
 
 F = BitMatrix.from_rows([[1, 0], [1, 1]])
+
+
+def profile_oracle(ms):
+    """Block sizes from the all-member swap test on each adjacent pair."""
+    sizes = [1] if ms.n else []
+    for i in range(ms.n - 1):
+        if swap_preserves_set(ms, i, i + 1):
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return tuple(sizes)
 
 
 def random_affine(rng, n):
@@ -238,6 +251,25 @@ class TestBlockProfile:
     def test_requires_decreasing(self):
         with pytest.raises(ValueError):
             block_profile(MonomialSet(2, frozenset({2})))
+
+    def test_matches_all_member_swaps_on_every_down_set(self):
+        for n in range(6):
+            for ms in down_sets_oracle(n):
+                assert block_profile(ms) == profile_oracle(ms), sorted(ms.masks)
+
+    def test_matches_all_member_swaps_on_random_sets(self):
+        rng = random.Random(17)
+        for k in range(300):
+            ms = random_decreasing_set(6 + k % 5, rng)
+            assert block_profile(ms) == profile_oracle(ms), (ms.n, sorted(ms.masks))
+
+    def test_matches_all_member_swaps_on_constructed_codes(self):
+        for n in range(11):
+            big = 1 << n
+            for k in sorted({1, big // 4, big // 2, 3 * big // 4, big - 1, big} - {0}):
+                for spec in (construct_pw(n, k), construct_bec(n, k, 0.5)):
+                    ms = spec.monomials
+                    assert block_profile(ms) == profile_oracle(ms), spec.code_id()
 
     def test_no_variables_no_blocks(self):
         # the block sizes sum to n, so a code of length 1 has none

@@ -42,6 +42,7 @@ from oracles import (
     brute_force_matrices,
     codeword_level_automorphism,
     compositions,
+    down_sets_oracle,
     gl_table_oracle,
     swap_preserves_set,
 )
@@ -352,8 +353,9 @@ class TestReduction:
             if not pairs:
                 continue
             i, j = rng.choice(pairs)
-            assert transposition_reduction_trace(t, ms, i, j).swap_preserves_set
-            assert swap_preserves_set(ms, i, j)
+            trace = transposition_reduction_trace(t, ms, i, j)
+            assert trace.swap_preserves_set == swap_preserves_set(ms, i, j)
+            assert trace.swap_preserves_set
             done += 1
 
     def test_trace_contents(self):
@@ -381,6 +383,10 @@ class TestBatteries:
         sets = all_decreasing_sets(2)
         # chains in the 4-element poset 1 < x0 < x1 < x0x1: 5 down-sets
         assert len(sets) == 5
+
+    def test_all_decreasing_sets_match_oracle_walk(self):
+        for n in range(4):
+            assert set(all_decreasing_sets(n)) == set(down_sets_oracle(n))
 
     def test_all_decreasing_sets_refuses_large(self):
         with pytest.raises(ValueError):

@@ -264,6 +264,16 @@ AWGN = ["simulate", "--n", "3", "--K", "4", "--pw", "--frames", "10"]
     ["simulate", "--n", "3", "--mmin=", "--snr", "1"],
     ["sample-perms", "--n", "3", "--mmin="],
     ["verify-theorem", "--battery", "n4"],
+    ["construct", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}/missing/x.json"],
+    ["construct", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}"],
+    ["profile", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}/missing/x.json"],
+    ["verify-theorem", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}"],
+    ["enumerate-aut", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}/missing/x.json"],
+    ["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "8,2,4,1", "--i", "0", "--j", "3",
+     "--out", "{tmp}"],
+    ["sample-perms", "--n", "3", "--mmin", "4", "--L", "2", "--out", "{tmp}/missing/x.json"],
+    SIM + ["--frames", "10", "--out", "{tmp}"],
+    ["selftest", "--out", "{tmp}/missing/x.txt"],
 ])
 def test_rejected_argument_exits_2(capsys, tmp_path, argv):
     (tmp_path / "no_a.json").write_text('{"B": 1}')

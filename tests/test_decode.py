@@ -545,6 +545,11 @@ class TestInvariance:
         with pytest.raises(ValueError, match="at least one trial"):
             sc_invariance_check(AffineMap.identity(6), pw6, trials=trials)
 
+    @pytest.mark.parametrize("n", [5, 3])
+    def test_map_of_other_dimension_rejected(self, n):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sc_invariance_check(AffineMap.identity(n), construct_pw(4, 8), trials=5)
+
     def test_blta_reported_not_asserted(self, pw6):
         from polaraut.affine import block_profile
 

@@ -70,6 +70,32 @@ class TestOrder:
                 for f in range(1 << n):
                     assert leq(g, f) == divisor_leq(g, f), (g, f)
 
+    def test_matches_divisor_definition_on_seeded_pairs(self):
+        rng = random.Random(16)
+        answers = set()
+        for n in range(5, 11):
+            for _ in range(200):
+                f = rng.randrange(1 << n)
+                g = rng.randrange(1 << n)
+                near = f
+                for k in rng.sample(range(n), rng.randint(0, n)):
+                    if (near >> k) & 1:
+                        if rng.random() < 0.5:
+                            near ^= 1 << k  # drop x_k
+                        elif k and not (near >> (k - 1)) & 1:
+                            near ^= 3 << (k - 1)  # move x_k to x_{k-1}
+                for h in (g, near):
+                    answers.add(leq(h, f))
+                    assert leq(h, f) == divisor_leq(h, f), (n, h, f)
+                    assert leq(f, h) == divisor_leq(f, h), (n, f, h)
+        assert answers == {True, False}
+
+    def test_constant_monomial_edges(self):
+        for n in (0, 3, 10):
+            for m in range(0, 1 << n, max(1, (1 << n) // 64)):
+                assert leq(0, m)
+                assert leq(m, 0) == (m == 0) == divisor_leq(m, 0)
+
     def test_axioms_exhaustive(self):
         for n in (3, 4, 5):
             res = check_order_axioms(n)
