@@ -287,36 +287,29 @@ def _witness_chain(a: BitMatrix, ms: MonomialSet, i: int, f: int):
         _require(got >= bound, "rank bound violated",
                  **ctx, target_col=v, rank=got, needed=bound)
 
+        # the direct pivots (s, v) first, then (s, t) reached by adding t to v
         row_pool = [s for s in range(v + 1) if s not in rows]
-        chosen = None
-        for s in row_pool:
-            if work.minor_det(rows + [s], cols + [v]) == 1:
-                chosen = (s, v, None)
-                break
-        if chosen is None:
-            col_pool = [t for t in range(v + 1, n) if t not in cols]
-            for s in row_pool:
-                for t in col_pool:
-                    if work.minor_det(rows + [s], cols + [t]) == 1:
-                        new = work.add_column(t, v)
-                        _require(
-                            new.minor_det(rows + [s], cols + [v]) == 1,
-                            "column addition did not restore independence",
-                            **ctx, target_col=v, helper_col=t,
-                        )
-                        _require(
-                            is_affine_automorphism(AffineMap.from_linear(new), ms),
-                            "column addition left the automorphism group",
-                            **ctx, op={"op": "addcol", "src": t, "dst": v},
-                        )
-                        work = new
-                        chosen = (s, t, {"op": "addcol", "src": t, "dst": v})
-                        break
-                if chosen is not None:
-                    break
+        col_pool = [t for t in range(v + 1, n) if t not in cols]
+        candidates = [(s, v) for s in row_pool] + [(s, t) for s in row_pool for t in col_pool]
+        chosen = next(((s, c) for s, c in candidates
+                       if work.minor_det(rows + [s], cols + [c]) == 1), None)
         _require(chosen is not None, "no admissible minor extension exists",
                  **ctx, target_col=v)
-        s, helper, op = chosen
+        s, helper = chosen
+        op = None
+        if helper != v:
+            op = {"op": "addcol", "src": helper, "dst": v}
+            work = work.add_column(helper, v)
+            _require(
+                work.minor_det(rows + [s], cols + [v]) == 1,
+                "column addition did not restore independence",
+                **ctx, target_col=v, helper_col=helper,
+            )
+            _require(
+                is_affine_automorphism(AffineMap.from_linear(work), ms),
+                "column addition left the automorphism group",
+                **ctx, op=op,
+            )
         rows.append(s)
         cols.append(v)
         steps.append(WitnessStep(v, s, helper, op, tuple(rows), tuple(cols)))
@@ -332,6 +325,22 @@ def _swap_map(n: int, i: int, j: int) -> AffineMap:
     return AffineMap.from_linear(BitMatrix(rows, n))
 
 
+def _check_entry(t: AffineMap, ms: MonomialSet, i: int, j: int) -> None:
+    """Both witness entry points' preconditions: ms is decreasing and t is
+    an automorphism of it with a 1 at (i, j), 0 <= i < j < n."""
+    n = ms.n
+    if not is_decreasing(ms):
+        raise ValueError("monomial set is not decreasing")
+    if not 0 <= i < j < n:
+        raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
+    if t.n != n:
+        raise ValueError(f"matrix is {t.n}x{t.n} but the code has n={n}")
+    if t.a[i, j] != 1:
+        raise ValueError(f"entry ({i}, {j}) must be 1")
+    if not is_affine_automorphism(t, ms):
+        raise ValueError("map is not an automorphism of the code")
+
+
 def transposition_witness(a: BitMatrix, ms: MonomialSet, i: int) -> WitnessTrace:
     """Constructive check that the swap of x_i and x_{i+1} preserves ms,
     given an automorphism whose matrix has a 1 at (i, i+1).
@@ -344,18 +353,13 @@ def transposition_witness(a: BitMatrix, ms: MonomialSet, i: int) -> WitnessTrace
     dominated member.  Raises FalsificationError if any step invariant
     fails, ValueError on precondition violations.
     """
-    n = ms.n
-    if not is_decreasing(ms):
-        raise ValueError("monomial set is not decreasing")
-    if not 0 <= i < n - 1:
-        raise ValueError(f"need 0 <= i < {n - 1}, got {i}")
-    if a.rows != n or a.cols != n:
-        raise ValueError(f"matrix is {a.rows}x{a.cols} but the code has n={n}")
-    if a[i, i + 1] != 1:
-        raise ValueError(f"entry ({i}, {i + 1}) must be 1")
-    if not is_affine_automorphism(AffineMap.from_linear(a), ms):
-        raise ValueError("matrix is not an automorphism of the code")
+    _check_entry(AffineMap.from_linear(a), ms, i, i + 1)
+    return _adjacent_witness(a, ms, i)
 
+
+def _adjacent_witness(a: BitMatrix, ms: MonomialSet, i: int) -> WitnessTrace:
+    """`transposition_witness` on inputs that already meet `_check_entry`."""
+    n = ms.n
     entries = []
     for f in sorted(ms.masks):
         has_i = (f >> i) & 1
@@ -437,18 +441,7 @@ def transposition_reduction_trace(
     witness for each k in [i, j), and finally checks the (i, j) variable
     swap itself.
     """
-    n = ms.n
-    if not is_decreasing(ms):
-        raise ValueError("monomial set is not decreasing")
-    if not 0 <= i < j < n:
-        raise ValueError(f"need 0 <= i < j < {n}, got ({i}, {j})")
-    if t.n != n:
-        raise ValueError(f"matrix is {t.n}x{t.n} but the code has n={n}")
-    if t.a[i, j] != 1:
-        raise ValueError(f"entry ({i}, {j}) must be 1")
-    if not is_affine_automorphism(t, ms):
-        raise ValueError("map is not an automorphism of the code")
-
+    _check_entry(t, ms, i, j)
     work = t.a  # composing with the translation (I, b) removes b
     _require(
         is_affine_automorphism(AffineMap.from_linear(work), ms),
@@ -466,22 +459,20 @@ def transposition_reduction_trace(
         ops.append(op)
         return new
 
+    # step k writes only column k+1 < j and row k > i, so (i, j) and earlier fills stay 1
     for k in range(i, j):
-        if work[k, k + 1] == 1:
-            continue
-        if work[i, k + 1] == 0:
-            # k + 1 < j here: at k = j - 1 the entry (i, j) is already 1
-            _require(k + 1 < j, "column fill would target its own source", k=k)
+        if work[k, k + 1] == 0 and work[i, k + 1] == 0:
             work = apply(work.add_column(j, k + 1), {"op": "addcol", "src": j, "dst": k + 1})
-        if k > i:
+        if work[k, k + 1] == 0:
             work = apply(work.add_row(i, k), {"op": "addrow", "src": i, "dst": k})
         _require(work[k, k + 1] == 1, "superdiagonal fill failed", k=k)
 
-    witnesses = tuple(transposition_witness(work, ms, k) for k in range(i, j))
+    # the fill and `apply` have proved the core's inputs: no `_check_entry`
+    witnesses = tuple(_adjacent_witness(work, ms, k) for k in range(i, j))
 
     # adjacent swaps generate the symmetric group on [i, j], so (i, j)
     # itself must preserve the set; check it directly
-    swap_ok = is_affine_automorphism(_swap_map(n, i, j), ms)
+    swap_ok = is_affine_automorphism(_swap_map(ms.n, i, j), ms)
     _require(swap_ok, "variable swap (i, j) does not preserve the set", i=i, j=j)
     return ReductionTrace(i, j, tuple(ops), work.row_masks, witnesses, swap_ok)
 

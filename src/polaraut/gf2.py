@@ -244,19 +244,19 @@ class BitMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        # Gauss-Jordan on the augmented [A | I].
-        aug = [self._r[i] | (1 << (n + i)) for i in range(n)]
-        r = 0
-        for col in range(n):
-            piv = next((i for i in range(r, n) if (aug[i] >> col) & 1), None)
-            if piv is None:
+        # reduce each row of [A | I], A in the high bits: a row whose A part
+        # vanishes depends on the rows before it
+        basis: list[int] = []
+        for i, row in enumerate(self._r):
+            if not _reduce(basis, row << n | 1 << i) >> n:
                 raise ValueError("matrix is singular")
-            aug[r], aug[piv] = aug[piv], aug[r]
-            for i in range(n):
-                if i != r and (aug[i] >> col) & 1:
-                    aug[i] ^= aug[r]
-            r += 1
-        return BitMatrix([m >> n for m in aug], n)
+        # against the vectors after it, each vector's A part becomes one e_c,
+        # and its I part is then row c of the inverse
+        inv = [0] * n
+        for m, v in enumerate(basis):
+            v = _reduce(basis[m + 1:], v)
+            inv[(v >> n).bit_length() - 1] = v & ((1 << n) - 1)
+        return BitMatrix(inv, n)
 
     def __eq__(self, other) -> bool:
         return (

@@ -155,6 +155,7 @@ def is_decreasing(ms: MonomialSet) -> bool:
     return _below(ms.masks) <= ms.masks
 
 
+@functools.lru_cache(maxsize=4096)
 def minimal_generators(ms: MonomialSet) -> MonomialSet:
     """The maximal elements of a decreasing set (its generators): the
     members that are no lower step of another member."""

@@ -58,6 +58,38 @@ def _aut_count(ms: MonomialSet) -> int:
     return verify_blta_completeness(ms).aut_count
 
 
+def _entry_points(t: AffineMap, ms: MonomialSet, i: int):
+    """Both witness entry points, on the adjacent pair (i, i + 1)."""
+    return [lambda: transposition_witness(t.a, ms, i),
+            lambda: transposition_reduction_trace(t, ms, i, i + 1)]
+
+
+def _seeded_reductions(seed: int, draws: int):
+    """(ms, t, i, j) per draw: a random decreasing set with n in 4..7, a
+    sampled BLTA map of its profile, and a random (i, j) with entry 1.
+    Draws whose map has no 1 above the diagonal are skipped."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        n = rng.choice([4, 5, 6, 7])
+        ms = random_decreasing_set(n, rng)
+        t = sample_blta(block_profile(ms), rng)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if t.a[i, j] == 1]
+        if pairs:
+            yield (ms, t) + rng.choice(pairs)
+
+
+def _replay(masks, ops):
+    """Apply recorded row/column additions to row masks, bit by bit."""
+    rows = list(masks)
+    for op in ops:
+        src, dst = op["src"], op["dst"]
+        if op["op"] == "addrow":
+            rows[dst] ^= rows[src]
+        else:
+            rows = [r ^ (((r >> src) & 1) << dst) for r in rows]
+    return tuple(rows)
+
+
 class TestEnumeration:
     def test_rm13_count_is_full_gl(self):
         report = verify_blta_completeness(reed_muller_set(3, 1), code_id="rm(1,3)")
@@ -304,20 +336,38 @@ class TestWitness:
 
     def test_precondition_upper_entry(self):
         ms = reed_muller_set(3, 1)
-        lower = BitMatrix.identity(3)  # a_{i,i+1} = 0 for every i
-        with pytest.raises(ValueError):
-            transposition_witness(lower, ms, 0)
+        lower = AffineMap.identity(3)  # a_{i,i+1} = 0 for every i
+        for call in _entry_points(lower, ms, 0):
+            with pytest.raises(ValueError, match=r"entry \(0, 1\) must be 1"):
+                call()
 
     def test_precondition_not_automorphism(self):
         # {1, x0} is preserved by no matrix with a 1 at (0, 1)
         ms = MonomialSet(2, frozenset({0, 1}))
-        a = BitMatrix.from_rows([[1, 1], [0, 1]])
-        with pytest.raises(ValueError):
-            transposition_witness(a, ms, 0)
+        t = AffineMap.from_linear(BitMatrix.from_rows([[1, 1], [0, 1]]))
+        for call in _entry_points(t, ms, 0):
+            with pytest.raises(ValueError, match="not an automorphism"):
+                call()
 
     def test_precondition_not_decreasing(self):
-        with pytest.raises(ValueError):
-            transposition_witness(BitMatrix.identity(2), MonomialSet(2, frozenset({2})), 0)
+        ms = MonomialSet(2, frozenset({2}))
+        for call in _entry_points(AffineMap.identity(2), ms, 0):
+            with pytest.raises(ValueError, match="not decreasing"):
+                call()
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_precondition_index_out_of_range(self, i):
+        ms = reed_muller_set(3, 1)
+        for call in _entry_points(AffineMap.identity(3), ms, i):
+            with pytest.raises(ValueError, match=r"need 0 <= i < j < 3"):
+                call()
+
+    def test_precondition_wrong_dimension(self):
+        ms = reed_muller_set(3, 1)
+        t = AffineMap.from_linear(BitMatrix([3, 2, 4, 8], 4))  # a_{0,1} = 1
+        for call in _entry_points(t, ms, 0):
+            with pytest.raises(ValueError, match="4x4 but the code has n=3"):
+                call()
 
 
 class TestReduction:
@@ -374,8 +424,31 @@ class TestReduction:
 
     def test_precondition_zero_entry(self):
         ms = reed_muller_set(3, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"entry \(0, 2\) must be 1"):
             transposition_reduction_trace(AffineMap.identity(3), ms, 0, 2)
+
+    def test_seeded_reductions_fill_the_superdiagonal(self):
+        # draws 118, 153 and 164 put a 1 at (k, j) where the column
+        # addition for (k, k+1) already fills it; an unconditional row
+        # addition then emptied it again
+        done = 0
+        for ms, t, i, j in _seeded_reductions(6, 200):
+            trace = transposition_reduction_trace(t, ms, i, j)
+            assert trace.swap_preserves_set == swap_preserves_set(ms, i, j)
+            assert _replay(t.a.row_masks, trace.fill_ops) == trace.filled_matrix
+            filled = BitMatrix(list(trace.filled_matrix), ms.n)
+            assert all(filled[k, k + 1] == 1 for k in range(i, j))
+            assert filled[i, j] == 1
+            done += 1
+        assert done > 180
+
+    def test_witnesses_equal_the_adjacent_entry_point(self):
+        for ms, t, i, j in _seeded_reductions(16, 40):
+            trace = transposition_reduction_trace(t, ms, i, j)
+            filled = BitMatrix(list(trace.filled_matrix), ms.n)
+            assert len(trace.witnesses) == j - i
+            for k, w in enumerate(trace.witnesses):
+                assert w.to_json() == transposition_witness(filled, ms, i + k).to_json()
 
 
 class TestBatteries:

@@ -135,6 +135,16 @@ class TestWitness:
         assert obj["swap_preserves_set"] is True
         assert len(obj["witnesses"]) == 3
 
+    def test_reduction_where_the_column_fill_sets_the_superdiagonal(self, capsys):
+        # all monomials but x0x1x2x3; at k = 1 adding column 3 to column 2
+        # already sets (1, 2), so no row addition may follow
+        code, out, _ = run(capsys, "witness", "--n", "4", "--mmin", "14",
+                           "--matrix-masks", "11,10,9,7", "--i", "0", "--j", "3")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["swap_preserves_set"] is True
+        assert len(obj["witnesses"]) == 3
+
     def test_bad_precondition_is_usage_error(self, capsys):
         code, _, err = run(capsys, "witness", "--n", "3", "--mmin", "4",
                            "--matrix-masks", "1,2,4", "--i", "0")

@@ -162,6 +162,30 @@ class TestInverse:
         with pytest.raises(ValueError):
             BitMatrix.from_rows([[1, 1], [1, 1]]).inverse()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_two_sided_on_all_of_gl(self, n):
+        eye = BitMatrix.identity(n).to_rows()
+        for m in enumerate_gl(n):
+            rows, inv = m.to_rows(), m.inverse().to_rows()
+            assert naive_mat_mul(rows, inv) == eye
+            assert naive_mat_mul(inv, rows) == eye
+
+    def test_seeded_singular_matrices_raise(self):
+        rng = random.Random(13)
+        seen = 0
+        while seen < 200:
+            n = rng.randint(1, 10)
+            m = random_matrix(rng, n, n)
+            if span_rank(list(m.row_masks)) == n:
+                continue
+            with pytest.raises(ValueError, match="matrix is singular"):
+                m.inverse()
+            seen += 1
+
+    def test_non_square(self):
+        with pytest.raises(ValueError, match="non-square"):
+            BitMatrix.zeros(2, 3).inverse()
+
 
 class TestExtendMinor:
     def test_full_size_start_is_identity_case(self):
