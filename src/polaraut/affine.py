@@ -21,12 +21,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVec, _random_invertible, gl_order
+from .gf2 import BitMatrix, BitVec, _pat_lo, _random_invertible, gl_order
 from .monomial import (
     MonomialSet,
-    _mobius_int,
-    _var_table,
+    _butterfly_int,
     degree,
+    index_monomial,
     is_decreasing,
     minimal_generators,
 )
@@ -139,11 +139,11 @@ def invert_permutation(p: Sequence[int]) -> list[int]:
 
 
 def _form_table(row: int, n: int) -> int:
-    """Point-order truth table of the linear form x -> row . x."""
+    """Truth table over codeword positions of the form x -> row . x."""
     tab = 0
     for k in range(n):
         if (row >> k) & 1:
-            tab ^= _var_table(n, k)
+            tab ^= _pat_lo(n, k)
     return tab
 
 
@@ -158,9 +158,10 @@ def _map_tables(t: AffineMap) -> list[int]:
 
 def _support(tabs, mask: int, n: int):
     """ANF support of the product of the coordinate forms selected by
-    mask, with bit m = coefficient of the monomial mask m.
+    mask, packed by row index: bit r = coefficient of the monomial
+    (2^n - 1) ^ r.
 
-    Uses only &, ^ and <<, so tabs may hold Python ints (one map, any n)
+    Uses only &, ^ and >>, so tabs may hold Python ints (one map, any n)
     or numpy unsigned arrays of at least 2^n bits (one entry per map).
     The first & makes a fresh array, so tabs is never written.
     """
@@ -169,7 +170,13 @@ def _support(tabs, mask: int, n: int):
     while k:
         t &= tabs[(k & -k).bit_length() - 1]
         k &= k - 1
-    return _mobius_int(t, n)
+    return _butterfly_int(t, n)
+
+
+def _by_row(ms: MonomialSet) -> int:
+    """ms packed like a support: bit r set iff the monomial (2^n - 1) ^ r
+    is a member, the 2^n-bit reversal of ms.as_int()."""
+    return int(format(ms.as_int(), f"0{1 << ms.n}b")[::-1], 2)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -193,9 +200,7 @@ def transform_monomial_support(mask: int, t: AffineMap) -> MonomialSet:
     if mask < 0 or mask >> n:
         raise ValueError(f"mask 0x{mask:x} out of range for n={n}")
     supp = _support(_map_tables(t), mask, n)
-    return MonomialSet(
-        n, frozenset(m for m in range(1 << n) if (supp >> m) & 1)
-    )
+    return MonomialSet(n, frozenset(index_monomial(r, n) for r in range(1 << n) if (supp >> r) & 1))
 
 
 def substitution_coefficient(a: BitMatrix, rows: Sequence[int], cols: Sequence[int]) -> int:
@@ -223,7 +228,7 @@ def is_affine_automorphism(t: AffineMap, ms: MonomialSet) -> bool:
     if not is_decreasing(ms):
         warnings.warn("monomial set is not decreasing", stacklevel=2)
     tabs = _map_tables(t)
-    not_m = ~ms.as_int()
+    not_m = ~_by_row(ms)
     return not any(_support(tabs, mask, ms.n) & not_m for mask in _members_to_test(ms))
 
 
@@ -245,7 +250,7 @@ def _aut_alive(rows: np.ndarray, ms: MonomialSet, masks: Sequence[int]) -> np.nd
     n = ms.n
     lut = _form_lut(n)
     tabs = [lut[col] for col in rows.T]
-    not_m = ~ms.as_int() & ((1 << (1 << n)) - 1)
+    not_m = ~_by_row(ms) & ((1 << (1 << n)) - 1)
     alive = np.ones(len(rows), dtype=bool)
     for mask in masks:
         alive &= (_support(tabs, mask, n) & not_m) == 0

@@ -22,7 +22,7 @@ import math
 import threading
 from dataclasses import dataclass
 from multiprocessing import Pool
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -478,12 +478,13 @@ def sc_invariance_check(
         channel = AwgnBpskChannel(1.0)
     perm = np.array(induced_permutation(t), dtype=np.intp)
     rng = np.random.default_rng([seed, 0])
-    u = rng.integers(0, 2, size=(trials, spec.K), dtype=np.uint8)
-    llrs = _transposed(channel.llrs(polar_encode(u, spec), rng, spec.rate))
     plan = _plan(spec)
-    decoded_then_permuted = _sc_batch(llrs, plan)[perm]
-    permuted_then_decoded = _sc_batch(llrs[perm], plan)
-    equal = int((decoded_then_permuted == permuted_then_decoded).all(axis=0).sum())
+    equal = 0
+    for _, llrs in _frames(spec, channel, rng, trials, max(1, _BLOCK_LLRS // spec.N)):
+        llrs = _transposed(llrs)
+        decoded_then_permuted = _sc_batch(llrs, plan)[perm]
+        permuted_then_decoded = _sc_batch(llrs[perm], plan)
+        equal += int((decoded_then_permuted == permuted_then_decoded).all(axis=0).sum())
     return InvarianceReport(trials, equal)
 
 
@@ -520,37 +521,41 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 
 _SIM_BATCH = 1024  # fixed so results never depend on the worker count
-# A batch is decoded in blocks of frames whose decoder input (L permuted
-# copies of each frame for the ensemble) holds about this many LLRs, 8 MB
-# of float64.  The block bounds the channel's draw, which is made one
-# block at a time, and the kernel's workspace, which each thread retains
-# up to this size; cache locality comes from the kernel's row slabs
-# (_TILE), so the block can stay wide and spread each plan step's Python
-# cost over many frames.  Frames decode independently and the blocks draw
-# their noise in frame order, so the block size changes no output.
+# A batch, like the frames of an SC invariance check, is decoded in blocks
+# of frames whose decoder input (L permuted copies of each frame for the
+# ensemble) holds about this many LLRs, 8 MB of float64.  The block bounds
+# the channel's draw, which is made one block at a time, and the kernel's
+# workspace, which each thread retains up to this size; cache locality
+# comes from the kernel's row slabs (_TILE), so the block can stay wide and
+# spread each plan step's Python cost over many frames.  Frames decode
+# independently and the blocks draw their noise in frame order, so the
+# block size changes no output.
 _BLOCK_LLRS = 1 << 20
+
+
+def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.random.Generator,
+            count: int, step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """`count` random frames of spec as (sent codewords (N, b), frames-major
+    LLRs (b, N)) in blocks of b <= step.  The info bits are drawn at once;
+    the channel draws each block's noise where the previous block's ended,
+    so the blocks draw what one (count, N) draw would."""
+    u = rng.integers(0, 2, size=(count, spec.K), dtype=np.uint8)
+    sent = _encode(u, spec)
+    for start in range(0, count, step):
+        block = sent[:, start:start + step]
+        yield block, channel.llrs(_transposed(block), rng, spec.rate)
 
 
 def _sim_batch(args) -> int:
     spec, channel, perms, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
-    u = rng.integers(0, 2, size=(count, spec.K), dtype=np.uint8)
-    sent = _encode(u, spec)
     plan = _plan(spec)
     step = max(1, _BLOCK_LLRS // (spec.N * (1 if perms is None else len(perms))))
     ae = None if perms is None else _ae_decoder(perms, plan)
     errors = 0
-    for start in range(0, count, step):
-        block = sent[:, start:start + step]
-        # the channel draws its noise frames-major, (frames, N), so each
-        # block's draw continues the stream where the previous block's
-        # ended, and the batch draws what one (count, N) draw would
-        llrs = channel.llrs(_transposed(block), rng, spec.rate)
-        if ae is None:
-            x = _sc_batch(_transposed(llrs), plan)
-        else:
-            x = ae(llrs)[0]
-        errors += int((x != block).any(axis=0).sum())
+    for sent, llrs in _frames(spec, channel, rng, count, step):
+        x = _sc_batch(_transposed(llrs), plan) if ae is None else ae(llrs)[0]
+        errors += int((x != sent).any(axis=0).sum())
     return errors
 
 

@@ -13,11 +13,13 @@ set iff x is in the span); its continuations are the vectors outside
 the span, and `np.nonzero` on the row-major "outside" mask lists them
 prefix-major, vector-ascending, which keeps every level in lexicographic
 order.  The last row needs no spans, so `_gl_complete` adds it to a
-block of prefixes at a time.
+block of prefixes at a time.  `_xor_shift` moves spans with the masks
+of `_pat_lo`, which `monomial`'s transforms and `affine`'s tables share.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Iterator, Sequence
 
@@ -421,10 +423,20 @@ def _xor_shift(spans: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     one masked swap of bit blocks per set bit of v."""
     for b in range(n):
         w = 1 << b
-        low = np.uint64(sum(1 << x for x in range(1 << n) if not x & w))
+        low = np.uint64(_pat_lo(n, b))
         swapped = ((spans & low) << np.uint64(w)) | ((spans >> np.uint64(w)) & low)
         spans = np.where(((v >> b) & 1) == 1, swapped, spans)
     return spans
+
+
+@functools.lru_cache(maxsize=None)
+def _pat_lo(n: int, k: int) -> int:
+    """{p < 2^n : bit k of p is 0}, k < n: over codeword positions the
+    truth table of x_k, over vectors the low half of the swap on bit k."""
+    t = (1 << (1 << k)) - 1  # the run p < 2^k, doubled up to 2^n bits
+    for s in range(k + 1, n):
+        t |= t << (1 << s)
+    return t
 
 
 def gl_order(k: int) -> int:

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator
 
-from .gf2 import BitMatrix, BitVec
+from .gf2 import BitMatrix, BitVec, _pat_lo
 
 __all__ = [
     "degree",
@@ -195,30 +195,7 @@ def generator_matrix(spec: "CodeSpec") -> BitMatrix:
 
 
 # ---------------------------------------------------------------------------
-# packed transforms on 2^n-bit ints (shared with the affine machinery)
-
-
-@functools.lru_cache(maxsize=None)
-def _var_table(n: int, k: int) -> int:
-    """Truth table of the coordinate x_k over points 0..2^n-1 (bit p = bit k of p)."""
-    seg = ((1 << (1 << k)) - 1) << (1 << k)
-    t = 0
-    for start in range(0, 1 << n, 1 << (k + 1)):
-        t |= seg << start
-    return t
-
-
-@functools.lru_cache(maxsize=None)
-def _pat_lo(n: int, k: int) -> int:
-    """Positions p < 2^n with bit k of p clear."""
-    return _var_table(n, k) >> (1 << k)
-
-
-def _mobius_int(t: int, n: int) -> int:
-    """Self-inverse Moebius transform of a point-indexed truth table."""
-    for k in range(n):
-        t ^= (t & _pat_lo(n, k)) << (1 << k)
-    return t
+# packed transforms on position- and row-indexed 2^n-bit ints (shared with affine)
 
 
 def _butterfly_int(v: int, n: int) -> int:

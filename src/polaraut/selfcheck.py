@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .gf2 import BitMatrix, BitVec, _random_invertible, _reduce, extend_minor
 from .affine import AffineMap, _map_tables, _support, substitution_coefficient
-from .monomial import anf, evaluation_vector, leq
+from .monomial import anf, evaluation_vector, leq, monomial_index
 
 __all__ = [
     "CheckResult",
@@ -66,7 +66,7 @@ def check_substitution_coefficient(n: int, matrices: Iterable[BitMatrix]) -> Che
         for rows, cols, mask_rows, mask_cols in pairs:
             if mask_rows not in supports:
                 supports[mask_rows] = _support(tabs, mask_rows, n)
-            via_anf = (supports[mask_rows] >> mask_cols) & 1
+            via_anf = (supports[mask_rows] >> monomial_index(mask_cols, n)) & 1
             via_minor = substitution_coefficient(a, rows, cols)
             checked += 1
             failures += via_anf != via_minor

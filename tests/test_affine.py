@@ -16,7 +16,6 @@ from polaraut import (
     construct_bec,
     construct_pw,
     enumerate_gl,
-    evaluation_vector,
     gl_order,
     induced_permutation,
     invert_permutation,
@@ -27,13 +26,18 @@ from polaraut import (
     swap_variables,
     transform_monomial_support,
 )
-from polaraut.affine import _members_to_test
+from polaraut.affine import _map_tables, _members_to_test, _support
 from polaraut.gf2 import BitVec
 from polaraut.monomial import anf_support
 from polaraut.autgroup import random_decreasing_set
 from polaraut.selfcheck import check_substitution_coefficient
 
-from oracles import codeword_level_automorphism, down_sets_oracle, swap_preserves_set
+from oracles import (
+    codeword_level_automorphism,
+    down_sets_oracle,
+    evaluation_vector_oracle,
+    swap_preserves_set,
+)
 
 F = BitMatrix.from_rows([[1, 0], [1, 1]])
 
@@ -131,10 +135,16 @@ class TestEvaluationConsistency:
     @staticmethod
     def check(t, n):
         perm = induced_permutation(t)
+        tabs = _map_tables(t)
+        full = (1 << n) - 1
         for mask in range(1 << n):
-            ev = evaluation_vector(mask, n)
-            permuted = BitVec.from_list([ev[perm[i]] for i in range(1 << n)])
-            assert anf_support(permuted).masks == transform_monomial_support(mask, t).masks
+            ev = evaluation_vector_oracle(mask, n)
+            permuted = BitVec.from_list([(ev >> perm[i]) & 1 for i in range(1 << n)])
+            supp = transform_monomial_support(mask, t).masks
+            assert anf_support(permuted).masks == supp
+            # the kernel packs by row index: bit r is the monomial full ^ r
+            bits = _support(tabs, mask, n)
+            assert {full ^ r for r in range(1 << n) if (bits >> r) & 1} == supp
 
     def test_exhaustive_n_le_3(self):
         for n in (1, 2, 3):

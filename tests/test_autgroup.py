@@ -35,7 +35,7 @@ from polaraut.autgroup import (
     transposition_reduction_trace,
 )
 from polaraut.cli import main as cli_main
-from polaraut.monomial import all_monomials, degree
+from polaraut.monomial import all_monomials, degree, monomial_index
 
 from oracles import (
     aut_sweep_oracle,
@@ -240,13 +240,14 @@ class TestLevelSweep:
         # the automorphism test skips members of degree below every
         # non-member's, because no image support under any affine map has
         # a monomial of higher degree: every linear part, every translation
+        # (supports are packed by row index: bit r is the monomial r ^ (2^n - 1))
         rows = gl_table_oracle(n)
         full = (1 << (1 << n)) - 1
         linear = [_form_lut(n)[col] for col in rows.T]
         for b in range(1 << n):
             tabs = [tab ^ full if (b >> m) & 1 else tab for m, tab in enumerate(linear)]
             for f in range(1 << n):
-                higher = sum(1 << m for m in range(1 << n) if degree(m) > degree(f))
+                higher = sum(1 << monomial_index(m, n) for m in range(1 << n) if degree(m) > degree(f))
                 assert not np.any(_support(tabs, f, n) & higher)
 
 

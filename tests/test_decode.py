@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -549,6 +550,37 @@ class TestInvariance:
     def test_map_of_other_dimension_rejected(self, n):
         with pytest.raises(ValueError, match="dimension mismatch"):
             sc_invariance_check(AffineMap.identity(n), construct_pw(4, 8), trials=5)
+
+    @pytest.mark.parametrize("channel", [AwgnBpskChannel(1.0), BecChannel(0.4)], ids=["awgn", "bec"])
+    def test_blocks_match_oracle_on_the_whole_stream(self, channel):
+        # the check decodes its frames in blocks of at most 1024 at N = 1024;
+        # the reference draws the same stream in one piece and decodes it
+        # with the plain recursive SC oracle
+        spec = construct_pw(10, 512)
+        trials, seed = 2500, 7
+        assert trials > 2 * (decode._BLOCK_LLRS // spec.N)  # three blocks or more
+        t = sample_blta(block_profile(spec.monomials), 3)
+        perm = induced_permutation(t)
+        rng = np.random.default_rng([seed, 0])
+        u = rng.integers(0, 2, size=(trials, spec.K), dtype=np.uint8)
+        llrs = channel.llrs(polar_encode(u, spec), rng, spec.rate)
+        decoded_then_permuted = sc_oracle(llrs, _mask(spec))[0][:, perm]
+        permuted_then_decoded = sc_oracle(llrs[:, perm], _mask(spec))[0]
+        equal = int((decoded_then_permuted == permuted_then_decoded).all(axis=1).sum())
+        rep = sc_invariance_check(t, spec, trials=trials, seed=seed, channel=channel)
+        assert (rep.trials, rep.equal) == (trials, equal)
+
+    def test_memory_bounded_by_blocks(self):
+        # 4096 frames of N = 1024 held at once are 32 MB per float64 copy
+        spec = construct_pw(10, 512)
+        t = sample_blta(block_profile(spec.monomials), 3)
+        tracemalloc.start()
+        try:
+            sc_invariance_check(t, spec, trials=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
 
     def test_blta_reported_not_asserted(self, pw6):
         from polaraut.affine import block_profile

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from polaraut import BitMatrix, enumerate_gl, extend_minor, gl_order, random_invertible
-from polaraut.gf2 import BitVec, _gl_complete, _gl_extend
+from polaraut.gf2 import BitVec, _gl_complete, _gl_extend, _pat_lo
+from polaraut.monomial import evaluation_vector
 from polaraut.selfcheck import _pivot_minor, check_independence_repair, check_minor_extension
 
 from oracles import gl_table_oracle, leibniz_det, naive_mat_mul, span_rank
@@ -352,6 +353,15 @@ class TestGlTable:
         masks = itertools.chain.from_iterable(m.row_masks for m in enumerate_gl(5))
         table = np.fromiter(masks, dtype=np.uint8, count=gl_order(5) * 5).reshape(-1, 5)
         assert np.array_equal(table, gl_table_oracle(5))
+
+
+def test_pat_lo_is_variable_table_and_swap_mask():
+    # one mask serves the truth table of x_k over codeword positions and
+    # the low half of the swap on bit k in the GL walk
+    for n in range(11):
+        for k in range(n):
+            swap_low = sum(1 << x for x in range(1 << n) if not x & (1 << k))
+            assert _pat_lo(n, k) == evaluation_vector(1 << k, n).bits == swap_low
 
 
 def test_gl_order_formula():
