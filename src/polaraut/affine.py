@@ -25,6 +25,7 @@ from .gf2 import BitMatrix, BitVec, _pat_lo, _random_invertible, gl_order
 from .monomial import (
     MonomialSet,
     _butterfly_int,
+    _pack_bits,
     degree,
     index_monomial,
     is_decreasing,
@@ -173,10 +174,12 @@ def _support(tabs, mask: int, n: int):
     return _butterfly_int(t, n)
 
 
+@functools.lru_cache(maxsize=4096)
 def _by_row(ms: MonomialSet) -> int:
     """ms packed like a support: bit r set iff the monomial (2^n - 1) ^ r
-    is a member, the 2^n-bit reversal of ms.as_int()."""
-    return int(format(ms.as_int(), f"0{1 << ms.n}b")[::-1], 2)
+    is a member."""
+    full = (1 << ms.n) - 1
+    return _pack_bits((full ^ m for m in ms.masks), 1 << ms.n)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -243,20 +246,40 @@ def _form_lut(n: int) -> np.ndarray:
     return lut
 
 
-def _aut_alive(rows: np.ndarray, ms: MonomialSet, masks: Sequence[int]) -> np.ndarray:
-    """`is_affine_automorphism` for a batch of (partial) linear maps given
-    as rows of row masks, on the monomials in masks: one bool per map.
-    Every monomial may use only the variables of the columns given."""
+def _aut_level(rows: np.ndarray, ms: MonomialSet, masks: Sequence[int]) -> np.ndarray:
+    """Which rows may follow each prefix: entry (p, v) of the (P, 2^n)
+    bool result is set iff, with row v appended to the k rows of prefix
+    p, every monomial in masks keeps its image inside ms.  Each monomial
+    must have x_k as its top variable.
+
+    Write f = x_k g.  Then f o A = (g o A) (v . x), and with c the ANF of
+    g o A packed by row index, the image of (g o A) x_j is the word S_j =
+    (c ^ (c >> 2^j)) & _pat_lo(n, j).  So the image of f is the XOR of
+    S_j over the bits j of v: linear in v, and all 2^n rows come from n
+    words by doubling.  v = 0 and the rows in a prefix's span are not
+    excluded here."""
     n = ms.n
     lut = _form_lut(n)
     tabs = [lut[col] for col in rows.T]
-    not_m = ~_by_row(ms) & ((1 << (1 << n)) - 1)
-    alive = np.ones(len(rows), dtype=bool)
+    not_m = ~_by_row(ms)
+    shifts = np.array([1 << j for j in range(n)], dtype=lut.dtype)[:, None]
+    outside = np.array([_pat_lo(n, j) & not_m for j in range(n)], dtype=lut.dtype)[:, None]
+    # row v of image is the part of f's image outside ms, v-major so
+    # that each doubling step writes one contiguous block
+    image = np.empty((1 << n, len(rows)), dtype=lut.dtype)
+    image[0] = 0  # the doubling never writes row 0
+    alive = np.ones(image.shape, dtype=bool)
+    top = 1 << rows.shape[1]
     for mask in masks:
-        alive &= (_support(tabs, mask, n) & not_m) == 0
+        c = _support(tabs, mask ^ top, n)
+        s = (c ^ (c >> shifts)) & outside
+        for j in range(n):
+            w = 1 << j
+            np.bitwise_xor(image[:w], s[j], out=image[w:2 * w])
+        alive &= image == 0
         if not alive.any():
             break
-    return alive
+    return alive.T
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,13 @@ The sweep builds matrices one row at a time and prunes as it goes:
   on rows 0..k, k = f.bit_length() - 1.  Each member is tested once, on
   the partial matrices of k + 1 rows, and a partial matrix that fails is
   dropped with all of its continuations.
+* Linear in the newest row.  With f = x_k g, the image of f is the image
+  of g, fixed by the prefix, times the form of row k, so its part outside
+  the set is linear in that row: the rows that pass form a subspace.
+  `affine._aut_level` decides all 2^n candidate rows of every prefix at
+  once, from n words per member and prefix, and only the survivors are
+  built.  The last level is not built at all: its survivors are counted
+  from the mask, one block of prefixes at a time.
 * Degree skip.  f o A is a product of deg f linear forms, so its support
   has degree <= deg f; when every monomial of degree <= r is in the set,
   no member of degree <= r can fail and none is tested.  The rule lives in
@@ -41,10 +48,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, _check_enum_n, _gl_complete, _gl_extend
+from .gf2 import BitMatrix, _check_enum_n, _gl_extend, _last_blocks, _outside_span
 from .affine import (
     AffineMap,
-    _aut_alive,
+    _aut_level,
     _blta_allowed,
     _members_to_test,
     block_profile,
@@ -109,10 +116,12 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
     """Automorphism count of ms over GL(n,2), and its first automorphism
     outside BLTA(profile) in the lexicographic order of `enumerate_gl`.
 
-    Prefixes grow one row per level through `gf2._gl_extend`, and the last
-    row through `gf2._gl_complete`, the walk behind `enumerate_gl`.  Both
-    are prefix-major and vector-ascending, so the survivors of every level
-    stay in table order.  See the module docstring for the pruning.
+    Each level masks the continuations of every prefix (`gf2._outside_span`)
+    with the level's test (`affine._aut_level`) and builds only the
+    survivors through `gf2._gl_extend`, the walk behind `enumerate_gl`.
+    Both are prefix-major and vector-ascending, so every level stays in
+    table order.  The last row is counted from its mask, one block of
+    prefixes at a time.  See the module docstring for the pruning.
     """
     n = ms.n
     _check_enum_n(n)
@@ -127,10 +136,10 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
     rows = np.zeros((1, 0), dtype=np.uint8)
     spans = np.ones(1, dtype=np.uint64)  # the empty prefix spans {0}
     for k in range(min(depth, n - 1)):
-        rows, spans = _gl_extend(rows, spans, n)
+        keep = _outside_span(spans, n)
         if levels[k]:
-            alive = _aut_alive(rows, ms, levels[k])
-            rows, spans = rows[alive], spans[alive]
+            keep &= _aut_level(rows, ms, levels[k])
+        rows, spans = _gl_extend(rows, spans, keep, n)
 
     outside = ~_blta_alive(rows, profile)
     if depth < n:
@@ -140,19 +149,21 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
             # the least completion: the first continuation at every level
             r, sp = rows[idx[:1]], spans[idx[:1]]
             for _ in range(depth, n):
-                r, sp = _gl_extend(r[:1], sp[:1], n)
+                r, sp = _gl_extend(r, sp, _outside_span(sp, n), n)
+                r, sp = r[:1], sp[:1]
             first = tuple(r[0].tolist())
         return len(rows) * math.prod((1 << n) - (1 << k) for k in range(depth, n)), first
 
     count = 0
     first = None
-    for parent, full in _gl_complete(rows, spans, n):
-        alive = _aut_alive(full, ms, levels[n - 1])
-        count += int(alive.sum())
-        if first is None:
-            idx = np.nonzero(alive & outside[parent])[0]
-            if len(idx):
-                first = tuple(full[idx[0]].tolist())
+    for lo, keep in _last_blocks(spans, n):
+        hi = lo + len(keep)
+        keep &= _aut_level(rows[lo:hi], ms, levels[n - 1])
+        count += int(np.count_nonzero(keep))
+        if first is None and outside[lo:hi].any():
+            p, v = np.nonzero(keep & outside[lo:hi, None])
+            if len(p):
+                first = tuple(rows[lo + p[0]].tolist()) + (int(v[0]),)
     return count, first
 
 

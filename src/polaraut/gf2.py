@@ -7,20 +7,24 @@ are immutable after construction and safe to share across workers.
 
 `enumerate_gl` and the level-pruned sweep in `autgroup` share one walk
 over GL(n,2), on numpy arrays of row masks, and neither keeps a table of
-the whole group.  `_gl_extend` adds one row to every prefix.  A prefix
-of k independent rows carries its span as one word of 2^n bits (bit x
-set iff x is in the span); its continuations are the vectors outside
-the span, and `np.nonzero` on the row-major "outside" mask lists them
-prefix-major, vector-ascending, which keeps every level in lexicographic
-order.  The last row needs no spans, so `_gl_complete` adds it to a
-block of prefixes at a time.  `_xor_shift` moves spans with the masks
-of `_pat_lo`, which `monomial`'s transforms and `affine`'s tables share.
+the whole group.  A prefix of k independent rows carries its span as one
+word of 2^n bits (bit x set iff x is in the span); its continuations are
+the vectors outside the span.  `_outside_span` gives them as a (P, 2^n)
+bool mask, row-major, and `_gl_extend` appends the rows a mask selects:
+`np.nonzero` lists them prefix-major, vector-ascending, which keeps every
+level in lexicographic order.  `enumerate_gl` keeps every continuation;
+the sweep first ANDs in its automorphism test, so only survivors are
+built.  The last row needs no spans, so `_last_blocks` hands out its
+masks a block of prefixes at a time.  `_xor_shift` moves spans with the
+masks of `_pat_lo`, which `monomial`'s transforms and `affine`'s tables
+share.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from operator import index
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -276,13 +280,16 @@ class BitMatrix:
 
 
 def _check_indices(idx: Sequence[int], bound: int, kind: str) -> None:
-    seen = set()
+    """ValueError unless every index lies in [0, bound) and none repeats.
+    The indices seen are kept as the bits of one int, not in a set."""
+    seen = 0
     for i in idx:
         if not 0 <= i < bound:
             raise ValueError(f"{kind} index {i} out of range [0, {bound})")
-        if i in seen:
+        bit = 1 << (i if type(i) is int else index(i))  # numpy shifts in fixed width
+        if seen & bit:
             raise ValueError(f"duplicate {kind} index {i}")
-        seen.add(i)
+        seen |= bit
 
 
 def extend_minor(
@@ -375,7 +382,7 @@ def enumerate_gl(n: int) -> Iterator[BitMatrix]:
     rows = np.zeros((1, 0), dtype=np.uint8)
     spans = np.ones(1, dtype=np.uint64)  # the empty prefix spans {0}
     for _ in range(n - 1):
-        rows, spans = _gl_extend(rows, spans, n)
+        rows, spans = _gl_extend(rows, spans, _outside_span(spans, n), n)
     # every walk row is a nonzero n-bit mask, so nothing needs checking
     make = BitMatrix._unchecked
     for _, full in _gl_complete(rows, spans, n):
@@ -383,29 +390,41 @@ def enumerate_gl(n: int) -> Iterator[BitMatrix]:
             yield make(tuple(masks), n)
 
 
-def _outside_span(spans: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(prefix index, vector) for every vector outside each prefix's span,
+def _outside_span(spans: np.ndarray, n: int) -> np.ndarray:
+    """(P, 2^n) bools: entry (p, v) is set iff vector v lies outside the
+    span of prefix p, so `np.nonzero` lists the continuations
     prefix-major and vector-ascending."""
-    bits = (spans[:, None] >> np.arange(1 << n, dtype=np.uint64)) & np.uint64(1)
-    return np.nonzero(bits == 0)
+    octets = spans.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, :1 << n] == 0
 
 
-def _gl_extend(rows: np.ndarray, spans: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every one-row continuation of every prefix, with its span."""
-    parent, v = _outside_span(spans, n)
+def _gl_extend(
+    rows: np.ndarray, spans: np.ndarray, keep: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one-row continuations (p, v) with keep[p, v], with their spans.
+    keep must lie inside `_outside_span(spans, n)`."""
+    parent, v = np.nonzero(keep)
     grown = _append_rows(rows, parent, v)
     span = spans[parent]
     return grown, span | _xor_shift(span, v, n)
 
 
+def _last_blocks(spans: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The last row needs no spans, so it is added to `_LAST_BLOCK`
+    prefixes at a time: (offset, `_outside_span` of the block) per block,
+    in table order."""
+    for lo in range(0, len(spans), _LAST_BLOCK):
+        yield lo, _outside_span(spans[lo:lo + _LAST_BLOCK], n)
+
+
 def _gl_complete(
     rows: np.ndarray, spans: np.ndarray, n: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The continuations of `_gl_extend` for the last row, which needs no
-    spans: (prefix index, grown rows) for `_LAST_BLOCK` prefixes at a time,
-    so the blocks concatenate to the whole level in table order."""
-    for lo in range(0, len(rows), _LAST_BLOCK):
-        parent, v = _outside_span(spans[lo:lo + _LAST_BLOCK], n)
+    """Every last-row continuation, one block of prefixes at a time:
+    (prefix index, grown rows), so the blocks concatenate to the whole
+    level in table order."""
+    for lo, outside in _last_blocks(spans, n):
+        parent, v = np.nonzero(outside)
         parent += lo
         yield parent, _append_rows(rows, parent, v)
 

@@ -25,6 +25,8 @@ import json
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 from .gf2 import BitMatrix, BitVec, _pat_lo
 
 __all__ = [
@@ -111,10 +113,16 @@ class MonomialSet:
 
     def as_int(self) -> int:
         """The set packed as an int: bit m set iff mask m is a member."""
-        out = 0
-        for m in self.masks:
-            out |= 1 << m
-        return out
+        return _pack_bits(self.masks, 1 << self.n)
+
+
+def _pack_bits(positions: Iterable[int], size: int) -> int:
+    """The int with bit p set for each p in positions, all below size:
+    one numpy scatter and one byte conversion, so the cost does not grow
+    with the width of the int per position."""
+    bits = np.zeros(size, dtype=np.uint8)
+    bits[np.fromiter(positions, dtype=np.intp)] = 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def all_monomials(n: int) -> MonomialSet:

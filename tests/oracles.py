@@ -2,12 +2,15 @@
 
 Everything here is deliberately naive (triple loops, permutation
 expansions, subset sums).  It imports only public names of the package
-and shares no algorithm with it, with one exception: `aut_sweep_oracle`
-is the whole-table GL(n,2) sweep that the level-pruned `autgroup._sweep`
-replaced, kept as its reference.  It filters `gl_table_oracle` through
-the package's batched support kernel `_aut_alive`, which other tests
-check against `is_affine_automorphism` and `codeword_level_automorphism`.
-`test_oracles.py` enforces the rule.
+and shares no algorithm with it, with one exception: `_aut_alive`, the
+candidate-by-candidate support test that the sweep's level kernel
+`affine._aut_level` replaced, and `aut_sweep_oracle`, the whole-table
+GL(n,2) sweep that the level-pruned `autgroup._sweep` replaced, are kept
+as their references.  `_aut_alive` reads the package's truth tables
+(`_form_lut`), product supports (`_support`) and packed set (`_by_row`),
+and tests check it against `is_affine_automorphism` and
+`codeword_level_automorphism`; `aut_sweep_oracle` filters
+`gl_table_oracle` through it.  `test_oracles.py` enforces the rule.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
 from polaraut import BitMatrix, BitVec, MonomialSet
-from polaraut.affine import _aut_alive
+from polaraut.affine import _by_row, _form_lut, _support
 
 
 def naive_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -77,6 +81,22 @@ def gl_table_oracle(n: int) -> np.ndarray:
     table = np.fromiter(masks, dtype=np.uint8).reshape(-1, n)
     table.setflags(write=False)
     return table
+
+
+def _aut_alive(rows: np.ndarray, ms: MonomialSet, masks: Sequence[int]) -> np.ndarray:
+    """`is_affine_automorphism` for a batch of (partial) linear maps given
+    as rows of row masks, on the monomials in masks: one bool per map.
+    Every monomial may use only the variables of the columns given."""
+    n = ms.n
+    lut = _form_lut(n)
+    tabs = [lut[col] for col in rows.T]
+    not_m = ~_by_row(ms) & ((1 << (1 << n)) - 1)
+    alive = np.ones(len(rows), dtype=bool)
+    for mask in masks:
+        alive &= (_support(tabs, mask, n) & not_m) == 0
+        if not alive.any():
+            break
+    return alive
 
 
 @functools.lru_cache(maxsize=1)

@@ -26,7 +26,7 @@ from polaraut import (
     swap_variables,
     transform_monomial_support,
 )
-from polaraut.affine import _map_tables, _members_to_test, _support
+from polaraut.affine import _by_row, _map_tables, _members_to_test, _support
 from polaraut.gf2 import BitVec
 from polaraut.monomial import anf_support
 from polaraut.autgroup import random_decreasing_set
@@ -240,6 +240,24 @@ class TestIsAffineAutomorphism:
         ms = MonomialSet(2, frozenset({2}))
         with pytest.warns(UserWarning):
             is_affine_automorphism(AffineMap.identity(2), ms)
+
+    def test_row_packing_is_the_reversed_member_bits(self):
+        # bit r of _by_row(ms) is the monomial (2^n - 1) ^ r: the 2^n-bit
+        # reversal of the set packed one member at a time
+        rng = random.Random(15)
+        for n in range(13):
+            sets = [MonomialSet(n), MonomialSet(n, frozenset(range(1 << n)))]
+            sets += [MonomialSet(n, frozenset(m for m in range(1 << n) if rng.random() < p))
+                     for p in (0.1, 0.5, 0.9)]
+            for ms in sets:
+                naive = 0
+                for m in ms.masks:
+                    naive |= 1 << m
+                assert ms.as_int() == naive
+                assert _by_row(ms) == int(format(naive, f"0{1 << n}b")[::-1], 2)
+        hits = _by_row.cache_info().hits
+        assert _by_row(ms) == _by_row(ms)
+        assert _by_row.cache_info().hits == hits + 2
 
 
 class TestBlockProfile:

@@ -25,8 +25,8 @@ from polaraut import (
     transposition_witness,
     verify_blta_completeness,
 )
-from polaraut import gf2
-from polaraut.affine import _aut_alive, _form_lut, _members_to_test, _support
+from polaraut import autgroup, gf2
+from polaraut.affine import _aut_level, _form_lut, _members_to_test, _support
 from polaraut.autgroup import (
     FalsificationError,
     _blta_alive,
@@ -35,9 +35,11 @@ from polaraut.autgroup import (
     transposition_reduction_trace,
 )
 from polaraut.cli import main as cli_main
+from polaraut.gf2 import _gl_extend, _outside_span
 from polaraut.monomial import all_monomials, degree, monomial_index
 
 from oracles import (
+    _aut_alive,
     aut_sweep_oracle,
     brute_force_matrices,
     codeword_level_automorphism,
@@ -133,9 +135,9 @@ class TestEnumeration:
         assert True in verdicts and False in verdicts
 
     def test_batch_path_refuses_n7(self):
-        rows = np.array([BitMatrix.identity(7).row_masks], dtype=np.uint8)
+        rows = np.array([BitMatrix.identity(7).row_masks[:1]], dtype=np.uint8)
         with pytest.raises(ValueError):
-            _aut_alive(rows, MonomialSet(7, frozenset({0})), (0,))
+            _aut_level(rows, MonomialSet(7, frozenset({0, 1, 2})), (2,))
 
     def test_stored_elements_are_automorphisms(self):
         ms = reed_muller_set(3, 1)
@@ -205,7 +207,69 @@ def _check_sweep_against_oracle(codes) -> int:
     return with_counterexample
 
 
+def _check_level_against_oracle(ms: MonomialSet, rows: np.ndarray, spans: np.ndarray) -> tuple[int, int]:
+    """The level kernel on the prefixes given, restricted to the vectors
+    outside each prefix's span, against the candidate-by-candidate oracle
+    on every continuation.  Every member whose top variable is the next
+    row is tested (no degree skip); the constant has no row.  Returns the
+    (passing, failing) continuation counts."""
+    n, k = ms.n, rows.shape[1]
+    members = [f for f in sorted(ms.masks) if f.bit_length() - 1 == k]
+    outside = _outside_span(spans, n)
+    parent, v = np.nonzero(outside)
+    grown = np.column_stack([rows[parent], v]).astype(np.uint8)
+    expected = np.zeros_like(outside)
+    expected[parent, v] = _aut_alive(grown, ms, members)
+    got = _aut_level(rows, ms, members)
+    assert got.shape == outside.shape
+    assert np.array_equal(got & outside, expected), (sorted(ms.masks), k)
+    return int(expected.sum()), int(outside.sum() - expected.sum())
+
+
+def _naive_spans(rows: np.ndarray) -> np.ndarray:
+    """Each prefix's span as a word, from the set of its xor-combinations."""
+    out = []
+    for prefix in rows.tolist():
+        span = {0}
+        for m in prefix:
+            span |= {s ^ m for s in span}
+        out.append(sum(1 << x for x in span))
+    return np.array(out, dtype=np.uint64)
+
+
 class TestLevelSweep:
+    def test_level_kernel_matches_oracle_on_the_whole_walk(self):
+        codes = [ms for n in (1, 2, 3) for ms in all_decreasing_sets(n)]
+        codes += [reed_muller_set(4, r) for r in range(5)]
+        codes += [construct_pw(4, k).monomials for k in range(1, 16)]
+        codes += [construct_bec(4, k, 0.5).monomials for k in range(1, 16)]
+        passing = failing = 0
+        for ms in {ms.masks: ms for ms in codes}.values():
+            n = ms.n
+            rows = np.zeros((1, 0), dtype=np.uint8)
+            spans = np.ones(1, dtype=np.uint64)
+            for _ in range(n):
+                ok, bad = _check_level_against_oracle(ms, rows, spans)
+                passing, failing = passing + ok, failing + bad
+                rows, spans = _gl_extend(rows, spans, _outside_span(spans, n), n)
+            assert len(rows) == gl_order(n)
+        assert passing > 0 and failing > 0
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_level_kernel_matches_oracle_on_seeded_prefixes(self, n):
+        # n = 6 is the widest word (uint64) the truth tables allow
+        rng = random.Random(20 + n)
+        codes = [random_decreasing_set(n, rng) for _ in range(12)]
+        codes += [MonomialSet(n, frozenset({0, 1})), construct_pw(n, 1 << (n - 1)).monomials]
+        mats = brute_force_matrices(n, 48, rng.randrange(1 << 30))
+        full = np.array([a.row_masks for a in mats], dtype=np.uint8)
+        passing = failing = 0
+        for ms in codes:
+            for k in range(n):
+                ok, bad = _check_level_against_oracle(ms, full[:, :k], _naive_spans(full[:, :k]))
+                passing, failing = passing + ok, failing + bad
+        assert passing > 0 and failing > 0
+
     def test_matches_oracle_under_forced_profiles(self):
         rng = random.Random(8)
         codes = [ms for n in (1, 2, 3) for ms in all_decreasing_sets(n)]
@@ -214,12 +278,25 @@ class TestLevelSweep:
         assert _check_sweep_against_oracle(codes) > 100
 
     def test_matches_oracle_across_completion_blocks(self, monkeypatch):
-        # up to n=4 every last row fits one block of prefixes; blocks of 7
-        # make each block's prefix indices depend on its offset
+        # up to n=4 every last level fits one block of prefixes; blocks of 7
+        # make each block's prefix indices depend on its offset.  The codes
+        # below n=4's K=9 and K=13 test no member on the last row, so their
+        # last level is counted, not built
         monkeypatch.setattr(gf2, "_LAST_BLOCK", 7)
+        blocks = []
+
+        def spy(spans, n):
+            blocks.append(0)
+            for lo, keep in gf2._last_blocks(spans, n):
+                blocks[-1] += 1
+                yield lo, keep
+
+        monkeypatch.setattr(autgroup, "_last_blocks", spy)
         codes = all_decreasing_sets(3) + [reed_muller_set(4, r) for r in range(5)]
-        codes += [construct_pw(4, k).monomials for k in (4, 8, 12)]
+        codes += [construct_pw(4, k).monomials for k in (4, 8, 9, 10, 12, 13, 14)]
+        codes += [construct_bec(4, k, 0.5).monomials for k in (9, 10, 13, 14)]
         assert _check_sweep_against_oracle(codes) > 20
+        assert sum(b > 1 for b in blocks) > 20
 
     @pytest.mark.skipif(
         not os.environ.get("POLARAUT_EXTENDED"),
@@ -275,6 +352,15 @@ class TestVerification:
     def test_refuses_non_decreasing(self):
         with pytest.raises(ValueError):
             verify_blta_completeness(MonomialSet(3, frozenset({4})))
+
+    def test_near_full_n5_code(self):
+        # every monomial but x1x2x3x4 (30) and x0x1x2x3x4 (31): the member
+        # x0x1x2x3 keeps 302,400 level-3 prefixes, so the last level runs
+        # in many blocks
+        report = verify_blta_completeness(MonomialSet(5, frozenset(range(30))))
+        assert report.passed and report.counterexample is None
+        assert report.profile == (1, 4)
+        assert report.aut_count == report.blta_count == 322_560
 
     def test_profile_is_coarsest_exhaustively(self):
         # merging any two adjacent blocks makes the block group strictly

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polaraut import BitMatrix, enumerate_gl, extend_minor, gl_order, random_invertible
-from polaraut.gf2 import BitVec, _gl_complete, _gl_extend, _pat_lo
+from polaraut.gf2 import BitVec, _gl_complete, _gl_extend, _outside_span, _pat_lo
 from polaraut.monomial import evaluation_vector
 from polaraut.selfcheck import _pivot_minor, check_independence_repair, check_minor_extension
 
@@ -125,6 +125,16 @@ class TestMinorDet:
             m.minor_det([0, 3], [1, 2])
         with pytest.raises(ValueError):
             m.minor_det([0, 1], [2])
+        with pytest.raises(ValueError, match=r"^row index -1 out of range \[0, 3\)$"):
+            m.minor_det([0, -1], [1, 2])
+        with pytest.raises(ValueError, match=r"^duplicate column index 2$"):
+            m.minor_det([0, 1, 2], [2, 0, 2])
+        # numpy integers are exact too, at and beyond their own width
+        wide = BitMatrix.identity(70)
+        for dup in (np.uint8(9), np.int64(65)):
+            with pytest.raises(ValueError, match=rf"^duplicate column index {int(dup)}$"):
+                wide.minor_det([0, 1], [dup, dup])
+        assert wide.minor_det([np.uint8(9), np.int64(65)], [9, 65]) == 1
 
 
 class TestElementaryOps:
@@ -301,7 +311,7 @@ def _walk_table(n):
     rows = np.zeros((1, 0), dtype=np.uint8)
     spans = np.ones(1, dtype=np.uint64)
     for _ in range(n - 1):
-        rows, spans = _gl_extend(rows, spans, n)
+        rows, spans = _gl_extend(rows, spans, _outside_span(spans, n), n)
     return np.concatenate([full for _, full in _gl_complete(rows, spans, n)])
 
 

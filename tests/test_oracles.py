@@ -5,9 +5,10 @@ from pathlib import Path
 
 import polaraut
 
-# the batched support kernel, checked on its own against
-# is_affine_automorphism and codeword_level_automorphism
-PRIVATE_ALLOWED = {"_aut_alive"}
+# what the candidate-by-candidate support test `_aut_alive` reads, which
+# is checked on its own against is_affine_automorphism and
+# codeword_level_automorphism
+PRIVATE_ALLOWED = {"_by_row", "_form_lut", "_support"}
 
 
 def _polaraut_imports(path: Path) -> tuple[list[str], list[str]]:
