@@ -25,18 +25,19 @@ The sweep builds matrices one row at a time and prunes as it goes:
   the set is linear in that row: the rows that pass form a subspace.
   `affine._aut_level` decides all 2^n candidate rows of every prefix at
   once, from n words per member and prefix, and only the survivors are
-  built.  The last level is not built at all: its survivors are counted
-  from the mask, one block of prefixes at a time.
+  built.
 * Degree skip.  f o A is a product of deg f linear forms, so its support
   has degree <= deg f; when every monomial of degree <= r is in the set,
   no member of degree <= r can fail and none is tested.  The rule lives in
   `affine._members_to_test`, which `is_affine_automorphism` reads too.
-* Counted tail.  The rows of the last block are never constrained by
-  BLTA, since their block ends at column n - 1.  So once no member is
-  left to test and only such rows remain, every continuation of a
-  surviving prefix survives and shares the prefix's BLTA verdict: those
-  levels are counted, not built, and the first counterexample is the
-  least completion of the first surviving prefix outside BLTA.
+* One counted row.  The rows of the last block are never constrained by
+  BLTA, since their block ends at column n - 1.  The sweep stops building
+  at the counted row: the first row from which on no row meets a test or
+  a BLTA constraint, or row n - 1 if that row has a test.  Its survivors
+  are counted from its mask, one block of prefixes at a time, and each
+  stands for every completion of the free rows after it, which all
+  survive and share its BLTA verdict.  The first counterexample is the
+  first survivor outside BLTA, completed by the least free rows.
 """
 
 from __future__ import annotations
@@ -120,8 +121,10 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
     with the level's test (`affine._aut_level`) and builds only the
     survivors through `gf2._gl_extend`, the walk behind `enumerate_gl`.
     Both are prefix-major and vector-ascending, so every level stays in
-    table order.  The last row is counted from its mask, one block of
-    prefixes at a time.  See the module docstring for the pruning.
+    table order.  The counted row is not built: its mask is counted one
+    block of prefixes at a time (`gf2._last_blocks`, as `enumerate_gl`
+    completes its last row), times the completions of the rows after it.
+    See the module docstring for the pruning.
     """
     n = ms.n
     _check_enum_n(n)
@@ -130,40 +133,36 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
         levels[f.bit_length() - 1].append(f)
 
     last = max((k for k in range(n) if levels[k]), default=-1)
-    # rows from `depth` on meet neither a test nor a BLTA constraint
-    depth = max(last + 1, n - profile[-1])
+    # the counted row: rows after it meet neither a test nor a BLTA constraint
+    depth = min(max(last + 1, n - profile[-1]), n - 1)
+    tail = math.prod((1 << n) - (1 << k) for k in range(depth + 1, n))
 
     rows = np.zeros((1, 0), dtype=np.uint8)
     spans = np.ones(1, dtype=np.uint64)  # the empty prefix spans {0}
-    for k in range(min(depth, n - 1)):
+    for k in range(depth):
         keep = _outside_span(spans, n)
         if levels[k]:
             keep &= _aut_level(rows, ms, levels[k])
         rows, spans = _gl_extend(rows, spans, keep, n)
 
     outside = ~_blta_alive(rows, profile)
-    if depth < n:
-        first = None
-        idx = np.nonzero(outside)[0]
-        if len(idx):
-            # the least completion: the first continuation at every level
-            r, sp = rows[idx[:1]], spans[idx[:1]]
-            for _ in range(depth, n):
-                r, sp = _gl_extend(r, sp, _outside_span(sp, n), n)
-                r, sp = r[:1], sp[:1]
-            first = tuple(r[0].tolist())
-        return len(rows) * math.prod((1 << n) - (1 << k) for k in range(depth, n)), first
-
     count = 0
     first = None
     for lo, keep in _last_blocks(spans, n):
         hi = lo + len(keep)
-        keep &= _aut_level(rows[lo:hi], ms, levels[n - 1])
-        count += int(np.count_nonzero(keep))
+        if levels[depth]:
+            keep &= _aut_level(rows[lo:hi], ms, levels[depth])
+        count += int(np.count_nonzero(keep)) * tail
         if first is None and outside[lo:hi].any():
-            p, v = np.nonzero(keep & outside[lo:hi, None])
+            p, _ = np.nonzero(keep & outside[lo:hi, None])
             if len(p):
-                first = tuple(rows[lo + p[0]].tolist()) + (int(v[0]),)
+                # the first hit on its prefix, then the least free rows:
+                # each step extends the first row of the step before
+                r, sp, pick = rows[lo + p[:1]], spans[lo + p[:1]], keep[p[:1]]
+                for _ in range(depth, n):
+                    r, sp = _gl_extend(r, sp, pick, n)
+                    pick = _outside_span(sp[:1], n)
+                first = tuple(r[0].tolist())
     return count, first
 
 

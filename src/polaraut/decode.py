@@ -207,9 +207,11 @@ _Plan = tuple[tuple[int, int, int], ...]
 
 
 @functools.lru_cache(maxsize=32)
-def _sc_plan(mask: bytes) -> _Plan:
-    """Steps (op, lo, size) over the pruned tree of an information mask,
-    in decoding order.  Rate-0 nodes have none: the codeword starts at 0."""
+def _plan(spec: CodeSpec) -> _Plan:
+    """Steps (op, lo, size) over the pruned tree of the code's information
+    mask, in decoding order.  Rate-0 nodes have none: the codeword starts
+    at 0."""
+    mask = _info_mask(spec).tobytes()
     plan = []
 
     def walk(lo: int, size: int) -> None:
@@ -233,10 +235,6 @@ def _sc_plan(mask: bytes) -> _Plan:
 
     walk(0, len(mask))
     return tuple(plan)
-
-
-def _plan(spec: CodeSpec) -> _Plan:
-    return _sc_plan(_info_mask(spec).tobytes())
 
 
 # f and g steps run over slabs of whole rows holding at most this many

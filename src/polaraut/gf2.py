@@ -14,10 +14,11 @@ bool mask, row-major, and `_gl_extend` appends the rows a mask selects:
 `np.nonzero` lists them prefix-major, vector-ascending, which keeps every
 level in lexicographic order.  `enumerate_gl` keeps every continuation;
 the sweep first ANDs in its automorphism test, so only survivors are
-built.  The last row needs no spans, so `_last_blocks` hands out its
-masks a block of prefixes at a time.  `_xor_shift` moves spans with the
-masks of `_pat_lo`, which `monomial`'s transforms and `affine`'s tables
-share.
+built.  Neither needs the spans of the row it ends on, so `_last_blocks`
+hands out that row's masks a block of prefixes at a time: `enumerate_gl`
+completes its last row from them, and the sweep counts its counted row,
+which is not always the last.  `_xor_shift` moves spans with the masks of
+`_pat_lo`, which `monomial`'s transforms and `affine`'s tables share.
 """
 
 from __future__ import annotations
@@ -362,7 +363,7 @@ def _random_invertible(rng: random.Random, n: int) -> BitMatrix:
 
 # |GL(6,2)| is already 2e10 matrices; exhaustive enumeration stops at 5.
 _ENUM_MAX_N = 5
-_LAST_BLOCK = 1 << 12  # prefixes per block when the last row is completed
+_LAST_BLOCK = 1 << 12  # prefixes per block of `_last_blocks`
 
 
 def _check_enum_n(n: int) -> None:
@@ -385,8 +386,9 @@ def enumerate_gl(n: int) -> Iterator[BitMatrix]:
         rows, spans = _gl_extend(rows, spans, _outside_span(spans, n), n)
     # every walk row is a nonzero n-bit mask, so nothing needs checking
     make = BitMatrix._unchecked
-    for _, full in _gl_complete(rows, spans, n):
-        for masks in full.tolist():
+    for lo, outside in _last_blocks(spans, n):
+        parent, v = np.nonzero(outside)
+        for masks in _append_rows(rows, lo + parent, v).tolist():
             yield make(tuple(masks), n)
 
 
@@ -410,23 +412,12 @@ def _gl_extend(
 
 
 def _last_blocks(spans: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The last row needs no spans, so it is added to `_LAST_BLOCK`
-    prefixes at a time: (offset, `_outside_span` of the block) per block,
-    in table order."""
+    """The continuations of the row a walk ends on, `_LAST_BLOCK` prefixes
+    at a time, since that row needs no spans: (offset, `_outside_span` of
+    the block) per block, in table order.  `enumerate_gl` ends on the last
+    row, the sweep on its counted row, which may come earlier."""
     for lo in range(0, len(spans), _LAST_BLOCK):
         yield lo, _outside_span(spans[lo:lo + _LAST_BLOCK], n)
-
-
-def _gl_complete(
-    rows: np.ndarray, spans: np.ndarray, n: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every last-row continuation, one block of prefixes at a time:
-    (prefix index, grown rows), so the blocks concatenate to the whole
-    level in table order."""
-    for lo, outside in _last_blocks(spans, n):
-        parent, v = np.nonzero(outside)
-        parent += lo
-        yield parent, _append_rows(rows, parent, v)
 
 
 def _append_rows(rows: np.ndarray, parent: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -99,7 +99,9 @@ class MonomialSet:
             raise ValueError(f"negative variable count {self.n}")
         object.__setattr__(self, "masks", frozenset(self.masks))
         for m in self.masks:
-            if m < 0 or m >> self.n:
+            if m < 0:
+                raise ValueError(f"negative monomial mask {m}")
+            if m >> self.n:
                 raise ValueError(f"mask 0x{m:x} uses variables beyond x{self.n - 1}")
 
     def __contains__(self, mask: int) -> bool:

@@ -278,25 +278,49 @@ class TestLevelSweep:
         assert _check_sweep_against_oracle(codes) > 100
 
     def test_matches_oracle_across_completion_blocks(self, monkeypatch):
-        # up to n=4 every last level fits one block of prefixes; blocks of 7
-        # make each block's prefix indices depend on its offset.  The codes
-        # below n=4's K=9 and K=13 test no member on the last row, so their
-        # last level is counted, not built
-        monkeypatch.setattr(gf2, "_LAST_BLOCK", 7)
-        blocks = []
+        # up to n=4 every counted row fits one block of prefixes; blocks of 7
+        # make each block's prefix indices depend on its offset.  Blocks of
+        # one prefix are needed to put a counterexample past offset 0 with
+        # two free rows after the counted row: at n=4 that row is row 1, and
+        # the first prefix, row 0 = x0, lies inside BLTA(1, 3) (the Reed-
+        # Muller codes test no member, so none of their prefixes is pruned)
+        calls = []  # per sweep: n, counted row, blocks, level tests, hit offset
+        state = {"call": None, "lo": None}
 
-        def spy(spans, n):
-            blocks.append(0)
+        def blocks_spy(spans, n):
+            state["call"] = call = {"n": n, "depth": int(spans[0]).bit_count().bit_length() - 1,
+                                    "blocks": 0, "tested": False, "hit": None}
+            calls.append(call)
             for lo, keep in gf2._last_blocks(spans, n):
-                blocks[-1] += 1
+                call["blocks"] += 1
+                state["lo"] = lo
                 yield lo, keep
+            state["lo"] = None
 
-        monkeypatch.setattr(autgroup, "_last_blocks", spy)
+        def level_spy(rows, ms, masks):
+            if state["lo"] is not None:
+                state["call"]["tested"] = True
+            return _aut_level(rows, ms, masks)
+
+        def extend_spy(rows, spans, keep, n):
+            if state["lo"] is not None and state["call"]["hit"] is None:
+                state["call"]["hit"] = state["lo"]
+            return _gl_extend(rows, spans, keep, n)
+
+        monkeypatch.setattr(autgroup, "_last_blocks", blocks_spy)
+        monkeypatch.setattr(autgroup, "_aut_level", level_spy)
+        monkeypatch.setattr(autgroup, "_gl_extend", extend_spy)
         codes = all_decreasing_sets(3) + [reed_muller_set(4, r) for r in range(5)]
         codes += [construct_pw(4, k).monomials for k in (4, 8, 9, 10, 12, 13, 14)]
         codes += [construct_bec(4, k, 0.5).monomials for k in (9, 10, 13, 14)]
+        monkeypatch.setattr(gf2, "_LAST_BLOCK", 7)
         assert _check_sweep_against_oracle(codes) > 20
-        assert sum(b > 1 for b in blocks) > 20
+        monkeypatch.setattr(gf2, "_LAST_BLOCK", 1)
+        assert _check_sweep_against_oracle([reed_muller_set(4, r) for r in range(5)]) > 20
+        many = [c for c in calls if c["blocks"] > 1]
+        assert sum(c["tested"] for c in many) > 20
+        assert sum(not c["tested"] for c in many) > 20
+        assert any(c["hit"] and c["n"] - 1 - c["depth"] >= 2 for c in many)
 
     @pytest.mark.skipif(
         not os.environ.get("POLARAUT_EXTENDED"),

@@ -241,6 +241,12 @@ SIM = ["simulate", "--n", "3", "--K", "4", "--pw", "--snr", "1"]
 AWGN = ["simulate", "--n", "3", "--K", "4", "--pw", "--frames", "10"]
 
 
+# the whole error message, for the argv of the test below that pin one
+_REJECTION_MESSAGES = {
+    ("construct", "--n", "3", "--mmin", "-1"): "error: negative monomial mask -1\n",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "--n", "3", "--K", "99", "--pw"],
     ["construct", "--n", "3", "--K", "4", "--bec", "1.5"],
@@ -248,6 +254,7 @@ AWGN = ["simulate", "--n", "3", "--K", "4", "--pw", "--frames", "10"]
     ["construct", "--n", "40", "--K", "1", "--bec", "0.5"],
     ["construct", "--n", "40", "--mmin", "3"],
     ["construct", "--n", "-1", "--K", "0", "--pw"],
+    ["construct", "--n", "3", "--mmin", "-1"],
     SIM + ["--frames", "0"],
     SIM + ["--decoder", "ae", "--L", "0"],
     SIM + ["--decoder", "ae", "--L", "-1"],
@@ -301,6 +308,7 @@ def test_rejected_argument_exits_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
     if parsed:
         assert err.startswith("error: ") and err.count("\n") == 1
+    assert _REJECTION_MESSAGES.get(tuple(argv), "") in err
     for path in (a for a in argv if a.startswith(str(tmp_path))):
         assert path in err
 

@@ -295,6 +295,14 @@ def test_plan_has_no_f_over_rate0_left_children():
     assert [ops.count(op) for op in (decode._XOR, decode._REP, decode._RATE1)] == [356, 128, 174]
 
 
+def test_equal_specs_share_one_plan():
+    # the plan cache is keyed by the spec, so an equal spec built again
+    # finds the plan of the first
+    a, b = construct_pw(8, 100), construct_pw(8, 100)
+    assert a is not b and a == b
+    assert _plan(a) is _plan(b)
+
+
 def _dirty_workspace():
     work = getattr(decode._local, "work", None)
     if work is not None:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from polaraut import BitMatrix, enumerate_gl, extend_minor, gl_order, random_invertible
-from polaraut.gf2 import BitVec, _gl_complete, _gl_extend, _outside_span, _pat_lo
+from polaraut import gf2
+from polaraut.gf2 import BitVec, _append_rows, _gl_extend, _last_blocks, _outside_span, _pat_lo
 from polaraut.monomial import evaluation_vector
 from polaraut.selfcheck import _pivot_minor, check_independence_repair, check_minor_extension
 
@@ -312,7 +313,11 @@ def _walk_table(n):
     spans = np.ones(1, dtype=np.uint64)
     for _ in range(n - 1):
         rows, spans = _gl_extend(rows, spans, _outside_span(spans, n), n)
-    return np.concatenate([full for _, full in _gl_complete(rows, spans, n)])
+    full = []
+    for lo, outside in _last_blocks(spans, n):
+        parent, v = np.nonzero(outside)
+        full.append(_append_rows(rows, lo + parent, v))
+    return np.concatenate(full)
 
 
 def _all_invertible(table):
@@ -333,6 +338,14 @@ def _all_invertible(table):
 class TestGlTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_oracle(self, n):
+        masks = [m.row_masks for m in enumerate_gl(n)]
+        assert np.array_equal(np.array(masks, dtype=np.uint8), gl_table_oracle(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_oracle_across_last_row_blocks(self, monkeypatch, n):
+        # up to n=4 the last row's prefixes fit one block of 4096; blocks of
+        # 7 make the prefix index of every completed row depend on the offset
+        monkeypatch.setattr(gf2, "_LAST_BLOCK", 7)
         masks = [m.row_masks for m in enumerate_gl(n)]
         assert np.array_equal(np.array(masks, dtype=np.uint8), gl_table_oracle(n))
 
