@@ -26,8 +26,8 @@ from .monomial import (
     MonomialSet,
     _butterfly_int,
     _pack_bits,
+    _row_support_set,
     degree,
-    index_monomial,
     is_decreasing,
     minimal_generators,
 )
@@ -148,13 +148,11 @@ def _form_table(row: int, n: int) -> int:
     return tab
 
 
-def _map_tables(t: AffineMap) -> list[int]:
-    """Truth tables of the n output coordinates of t."""
-    full = (1 << (1 << t.n)) - 1
-    return [
-        _form_table(row, t.n) ^ (full if (t.b.bits >> m) & 1 else 0)
-        for m, row in enumerate(t.a.row_masks)
-    ]
+def _map_tables(rows: Sequence[int], b: int, n: int) -> list[int]:
+    """Truth tables of the n output coordinates of x -> a x + b, with a
+    given by its row masks and b by its bits."""
+    full = (1 << (1 << n)) - 1
+    return [_form_table(row, n) ^ (full if (b >> m) & 1 else 0) for m, row in enumerate(rows)]
 
 
 def _support(tabs, mask: int, n: int):
@@ -193,6 +191,14 @@ def _members_to_test(ms: MonomialSet) -> tuple[int, ...]:
     return tuple(sorted((f for f in ms.masks if degree(f) >= least), key=lambda m: (-degree(m), m)))
 
 
+def _preserves(rows: Sequence[int], b: int, ms: MonomialSet) -> bool:
+    """`is_affine_automorphism` on the row masks of a and the bits of b,
+    without the dimension check and warning, for callers that did both."""
+    tabs = _map_tables(rows, b, ms.n)
+    not_m = ~_by_row(ms)
+    return not any(_support(tabs, mask, ms.n) & not_m for mask in _members_to_test(ms))
+
+
 def transform_monomial_support(mask: int, t: AffineMap) -> MonomialSet:
     """Monomials appearing in the multilinear expansion of f o t.
 
@@ -202,8 +208,7 @@ def transform_monomial_support(mask: int, t: AffineMap) -> MonomialSet:
     n = t.n
     if mask < 0 or mask >> n:
         raise ValueError(f"mask 0x{mask:x} out of range for n={n}")
-    supp = _support(_map_tables(t), mask, n)
-    return MonomialSet(n, frozenset(index_monomial(r, n) for r in range(1 << n) if (supp >> r) & 1))
+    return _row_support_set(_support(_map_tables(t.a.row_masks, t.b.bits, n), mask, n), n)
 
 
 def substitution_coefficient(a: BitMatrix, rows: Sequence[int], cols: Sequence[int]) -> int:
@@ -230,9 +235,7 @@ def is_affine_automorphism(t: AffineMap, ms: MonomialSet) -> bool:
         raise ValueError("dimension mismatch")
     if not is_decreasing(ms):
         warnings.warn("monomial set is not decreasing", stacklevel=2)
-    tabs = _map_tables(t)
-    not_m = ~_by_row(ms)
-    return not any(_support(tabs, mask, ms.n) & not_m for mask in _members_to_test(ms))
+    return _preserves(t.a.row_masks, t.b.bits, ms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,8 +280,6 @@ def _aut_level(rows: np.ndarray, ms: MonomialSet, masks: Sequence[int]) -> np.nd
             w = 1 << j
             np.bitwise_xor(image[:w], s[j], out=image[w:2 * w])
         alive &= image == 0
-        if not alive.any():
-            break
     return alive.T
 
 

@@ -54,20 +54,24 @@ from .affine import (
     AffineMap,
     _aut_level,
     _blta_allowed,
+    _by_row,
+    _map_tables,
     _members_to_test,
+    _preserves,
+    _support,
     block_profile,
     blta_order,
     is_affine_automorphism,
     sample_blta,
     substitution_coefficient,
     swap_variables,
-    transform_monomial_support,
 )
 from .monomial import (
     MonomialSet,
     decreasing_closure,
     is_decreasing,
     leq,
+    monomial_index,
 )
 
 __all__ = [
@@ -315,11 +319,8 @@ def _witness_chain(a: BitMatrix, ms: MonomialSet, i: int, f: int):
                 "column addition did not restore independence",
                 **ctx, target_col=v, helper_col=helper,
             )
-            _require(
-                is_affine_automorphism(AffineMap.from_linear(work), ms),
-                "column addition left the automorphism group",
-                **ctx, op=op,
-            )
+            _require(_preserves(work.row_masks, 0, ms),
+                     "column addition left the automorphism group", **ctx, op=op)
         rows.append(s)
         cols.append(v)
         steps.append(WitnessStep(v, s, helper, op, tuple(rows), tuple(cols)))
@@ -327,12 +328,12 @@ def _witness_chain(a: BitMatrix, ms: MonomialSet, i: int, f: int):
     return steps, work, rows, cols
 
 
-def _swap_map(n: int, i: int, j: int) -> AffineMap:
-    """The permutation matrix exchanging x_i and x_j: f o P is the single
+def _swap_map(n: int, i: int, j: int) -> list[int]:
+    """Row masks of the matrix P exchanging x_i and x_j: f o P is the single
     monomial swap_variables(f, i, j), so P preserves a set iff the swap does."""
-    rows = list(BitMatrix.identity(n).row_masks)
+    rows = [1 << k for k in range(n)]
     rows[i], rows[j] = rows[j], rows[i]
-    return AffineMap.from_linear(BitMatrix(rows, n))
+    return rows
 
 
 def _check_entry(t: AffineMap, ms: MonomialSet, i: int, j: int) -> None:
@@ -406,16 +407,15 @@ def _adjacent_witness(a: BitMatrix, ms: MonomialSet, i: int) -> WitnessTrace:
             substitution_coefficient(work, rows, cols) == 1,
             "target coefficient vanishes", **ctx,
         )
-        image = transform_monomial_support(source, AffineMap.from_linear(work))
-        _require(target in image.masks, "target missing from the image support", **ctx)
-        _require(
-            image.masks <= ms.masks,
-            "image support escapes the set despite group membership", **ctx,
-        )
+        image = _support(_map_tables(work.row_masks, 0, n), source, n)  # by row index
+        _require((image >> monomial_index(target, n)) & 1,
+                 "target missing from the image support", **ctx)
+        _require(not image & ~_by_row(ms),
+                 "image support escapes the set despite group membership", **ctx)
         _require(target in ms.masks, "swapped monomial is not a member", **ctx)
         entries.append(MonomialWitness(f, case, target, source, tuple(steps)))
 
-    swap_ok = is_affine_automorphism(_swap_map(n, i, i + 1), ms)
+    swap_ok = _preserves(_swap_map(n, i, i + 1), 0, ms)
     _require(swap_ok, "per-monomial results contradict the set-level swap", i=i)
     return WitnessTrace(n, i, a.row_masks, tuple(entries), swap_ok)
 
@@ -453,19 +453,14 @@ def transposition_reduction_trace(
     """
     _check_entry(t, ms, i, j)
     work = t.a  # composing with the translation (I, b) removes b
-    _require(
-        is_affine_automorphism(AffineMap.from_linear(work), ms),
-        "linear part alone is not an automorphism",
-        matrix=list(work.row_masks),
-    )
+    _require(_preserves(work.row_masks, 0, ms),
+             "linear part alone is not an automorphism", matrix=list(work.row_masks))
     ops: list[dict] = []
 
     def apply(new: BitMatrix, op: dict) -> BitMatrix:
-        _require(
-            is_affine_automorphism(AffineMap.from_linear(new), ms),
-            "elementary operation left the automorphism group",
-            op=op, matrix=list(new.row_masks),
-        )
+        _require(_preserves(new.row_masks, 0, ms),
+                 "elementary operation left the automorphism group",
+                 op=op, matrix=list(new.row_masks))
         ops.append(op)
         return new
 
@@ -482,7 +477,7 @@ def transposition_reduction_trace(
 
     # adjacent swaps generate the symmetric group on [i, j], so (i, j)
     # itself must preserve the set; check it directly
-    swap_ok = is_affine_automorphism(_swap_map(ms.n, i, j), ms)
+    swap_ok = _preserves(_swap_map(ms.n, i, j), 0, ms)
     _require(swap_ok, "variable swap (i, j) does not preserve the set", i=i, j=j)
     return ReductionTrace(i, j, tuple(ops), work.row_masks, witnesses, swap_ok)
 

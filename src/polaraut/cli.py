@@ -330,11 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except FalsificationError as exc:
-        json.dump({"falsification_candidate": str(exc), "context": exc.context},
-                  sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

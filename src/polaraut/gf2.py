@@ -397,7 +397,8 @@ def _outside_span(spans: np.ndarray, n: int) -> np.ndarray:
     span of prefix p, so `np.nonzero` lists the continuations
     prefix-major and vector-ascending."""
     octets = spans.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1, bitorder="little")[:, :1 << n] == 0
+    used = octets[:, :max(1, (1 << n) // 8)]  # the bytes that hold the 2^n bits in use
+    return np.unpackbits(used, axis=1, count=1 << n, bitorder="little") == 0
 
 
 def _gl_extend(

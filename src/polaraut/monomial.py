@@ -231,11 +231,17 @@ def anf(v: BitVec) -> BitVec:
 
 def anf_support(v: BitVec) -> MonomialSet:
     """Monomials with nonzero coefficient in the ANF of v."""
-    c = anf(v)
-    n = (v.n - 1).bit_length()
-    return MonomialSet(
-        n, frozenset(index_monomial(r, n) for r in range(v.n) if (c.bits >> r) & 1)
-    )
+    return _row_support_set(anf(v).bits, (v.n - 1).bit_length())
+
+
+def _row_support_set(bits: int, n: int) -> MonomialSet:
+    """The monomials of a support packed by row index (bit r stands for
+    the monomial (2^n - 1) ^ r), read off its set bits only."""
+    masks = []
+    while bits:
+        masks.append(index_monomial((bits & -bits).bit_length() - 1, n))
+        bits &= bits - 1
+    return MonomialSet(n, frozenset(masks))
 
 
 def reed_muller_set(n: int, r: int) -> MonomialSet:

@@ -12,7 +12,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .gf2 import BitMatrix, BitVec, _random_invertible, _reduce, extend_minor
-from .affine import AffineMap, _map_tables, _support, substitution_coefficient
+from .affine import _map_tables, _support, substitution_coefficient
 from .monomial import anf, evaluation_vector, leq, monomial_index
 
 __all__ = [
@@ -61,7 +61,7 @@ def check_substitution_coefficient(n: int, matrices: Iterable[BitMatrix]) -> Che
     pairs = _index_sets(n)
     checked = failures = 0
     for a in matrices:
-        tabs = _map_tables(AffineMap.from_linear(a))
+        tabs = _map_tables(a.row_masks, 0, n)
         supports = {}
         for rows, cols, mask_rows, mask_cols in pairs:
             if mask_rows not in supports:

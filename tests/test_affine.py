@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,8 @@ class TestAffineMap:
             AffineMap(BitMatrix.from_rows([[1, 1], [1, 1]]), BitVec(2))
         with pytest.raises(ValueError):
             AffineMap(BitMatrix.identity(2), BitVec(3))
+        with pytest.raises(ValueError, match="^linear part must be square$"):
+            AffineMap(BitMatrix([1, 2], 3), BitVec(2))
 
     def test_compose_inverse(self):
         rng = random.Random(0)
@@ -135,7 +138,7 @@ class TestEvaluationConsistency:
     @staticmethod
     def check(t, n):
         perm = induced_permutation(t)
-        tabs = _map_tables(t)
+        tabs = _map_tables(t.a.row_masks, t.b.bits, n)
         full = (1 << n) - 1
         for mask in range(1 << n):
             ev = evaluation_vector_oracle(mask, n)
@@ -405,6 +408,21 @@ def test_invalid_profile_rejected(call, profile):
     }[call]
     with pytest.raises(ValueError, match="profile entries must be positive integers"):
         run()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AffineMap.identity(2).compose(AffineMap.identity(3)), "dimension mismatch"),
+    (lambda: is_affine_automorphism(AffineMap.identity(2), reed_muller_set(3, 1)),
+     "dimension mismatch"),
+    (lambda: compose_permutations([0, 1], [0, 1, 2]), "permutation length mismatch"),
+    (lambda: transform_monomial_support(8, AffineMap.identity(3)), "mask 0x8 out of range for n=3"),
+    (lambda: blta_membership(BitMatrix.identity(3), (1, 1)),
+     "profile (1, 1) does not match a 3x3 matrix"),
+], ids=["compose", "is_affine_automorphism", "compose_permutations",
+        "transform_monomial_support", "blta_membership"])
+def test_mismatched_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_swap_variables():

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from polaraut import autgroup, cli, gl_order
+from polaraut.autgroup import FalsificationError
 from polaraut.cli import main
-from polaraut import gl_order
 
 
 def run(capsys, *argv):
@@ -88,6 +89,18 @@ class TestVerifyTheorem:
         assert obj["pass"] is True and obj["aut_count"] == obj["blta_count"]
         assert outs[0] == outs[1]
 
+    def test_counterexample_exits_1(self, capsys, monkeypatch):
+        # a wrong profile for RM(1,3) (true profile (3,)) shrinks BLTA to the
+        # lower-triangular group, so the sweep finds automorphisms outside it
+        monkeypatch.setattr(autgroup, "block_profile", lambda ms: (1, 1, 1))
+        code, out, _ = run(capsys, "verify-theorem", "--n", "3", "--mmin", "4")
+        obj = json.loads(out)
+        assert code == 1
+        assert obj["pass"] is False
+        assert obj["aut_count"] == gl_order(3) and obj["blta_count"] == 8
+        rows = obj["counterexample"]
+        assert len(rows) == 3 and any(row >> (k + 1) for k, row in enumerate(rows))
+
     def test_refuses_n6(self, capsys):
         code, _, err = run(capsys, "verify-theorem", "--n", "6", "--K", "32", "--pw")
         assert code == 2
@@ -150,6 +163,23 @@ class TestWitness:
                            "--matrix-masks", "1,2,4", "--i", "0")
         assert code == 2
         assert "must be 1" in err
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_falsification_candidate_exits_1(self, capsys, monkeypatch, tmp_path, to_file):
+        def refuted(a, ms, i):
+            raise FalsificationError("rank bound violated", {"monomial": 3, "i": i})
+
+        monkeypatch.setattr(cli, "transposition_witness", refuted)
+        path = tmp_path / "evidence.json"
+        extra = ["--out", str(path)] if to_file else []
+        code, out, err = run(capsys, "witness", "--n", "3", "--mmin", "4",
+                             "--matrix-masks", "3,2,4", "--i", "0", *extra)
+        assert code == 1 and err == ""
+        if to_file:
+            assert out == ""
+            out = path.read_text()
+        assert json.loads(out) == {"falsification_candidate": "rank bound violated",
+                                   "context": {"monomial": 3, "i": 0}}
 
     def test_dimension_mismatch(self, capsys):
         code, _, err = run(capsys, "witness", "--n", "3", "--mmin", "4",
@@ -243,6 +273,10 @@ AWGN = ["simulate", "--n", "3", "--K", "4", "--pw", "--frames", "10"]
 
 # the whole error message, for the argv of the test below that pin one
 _REJECTION_MESSAGES = {
+    ("construct", "--K", "4", "--pw"): "error: need --code or --n with a construction\n",
+    ("construct", "--n", "3", "--pw"): "error: need --K with --pw or --bec\n",
+    ("witness", "--n", "3", "--mmin", "4", "--i", "0"):
+        "error: need --matrix FILE or --matrix-masks MASKS\n",
     ("construct", "--n", "3", "--mmin", "-1"): "error: negative monomial mask -1\n",
 }
 
@@ -255,6 +289,9 @@ _REJECTION_MESSAGES = {
     ["construct", "--n", "40", "--mmin", "3"],
     ["construct", "--n", "-1", "--K", "0", "--pw"],
     ["construct", "--n", "3", "--mmin", "-1"],
+    ["construct", "--K", "4", "--pw"],
+    ["construct", "--n", "3", "--pw"],
+    ["witness", "--n", "3", "--mmin", "4", "--i", "0"],
     SIM + ["--frames", "0"],
     SIM + ["--decoder", "ae", "--L", "0"],
     SIM + ["--decoder", "ae", "--L", "-1"],

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -463,6 +464,15 @@ def test_ae_rejects_non_integer_ensemble(perms, entry):
             ae_decode([1.0, -2.0], perms, spec)
         else:
             simulate_bler(spec, AwgnBpskChannel(3.0), 10, seed=0, decoder="ae", perms=perms)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BecChannel(1.0), "erasure probability 1.0 not in [0, 1)"),
+    (lambda: sc_decode([1.0, 1.0, 1.0], construct_pw(2, 2)), "expected 4 LLRs, got shape (3,)"),
+], ids=["bec-certain-erasure", "sc-llr-length"])
+def test_invalid_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,23 @@ class TestBitVec:
             BitVec(2, 0b100)
         with pytest.raises(IndexError):
             a[3]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: BitVec(-1), ValueError, "negative length -1"),
+    (lambda: BitMatrix([], -1), ValueError, "negative column count -1"),
+    (lambda: BitMatrix([1, 4], 2), ValueError, "row mask 0x4 does not fit in 2 columns"),
+    (lambda: BitMatrix.from_rows([[1, 0], [1]]), ValueError, "ragged rows"),
+    (lambda: F.row_mask(2), IndexError, "row 2 out of range"),
+    (lambda: F[0, 2], IndexError, "entry (0, 2) out of range"),
+    (lambda: F.mul_vec(BitVec(3)), ValueError, "dimension mismatch: 2 cols vs length 3"),
+    (lambda: random_invertible(0, 0), ValueError, "dimension must be positive, got 0"),
+    (lambda: gl_order(-1), ValueError, "negative dimension -1"),
+], ids=["bitvec-size", "bitmatrix-cols", "row-too-wide", "ragged", "row_mask", "getitem",
+        "mul_vec", "random_invertible", "gl_order"])
+def test_invalid_input_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestMatMul:

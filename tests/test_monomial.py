@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -171,6 +172,18 @@ class TestDecreasingSets:
     def test_minimal_generators_requires_decreasing(self):
         with pytest.raises(ValueError):
             minimal_generators(MonomialSet(2, frozenset({X1})))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MonomialSet(-1), "negative variable count -1"),
+    (lambda: MonomialSet(2, frozenset({4})), "mask 0x4 uses variables beyond x1"),
+    (lambda: CodeSpec(3, reed_muller_set(2, 1)), "monomial set has a different variable count"),
+    (lambda: CodeSpec.from_json({"n": 3, "K": 4, "construction": "rm"}),
+     "unknown construction 'rm'"),
+], ids=["negative-n", "mask-too-wide", "codespec-n", "unknown-construction"])
+def test_invalid_input_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestIndexBijection:
