@@ -142,17 +142,16 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
     tail = math.prod((1 << n) - (1 << k) for k in range(depth + 1, n))
 
     rows = np.zeros((1, 0), dtype=np.uint8)
-    spans = np.ones(1, dtype=np.uint64)  # the empty prefix spans {0}
     for k in range(depth):
-        keep = _outside_span(spans, n)
+        keep = _outside_span(rows, n)
         if levels[k]:
             keep &= _aut_level(rows, ms, levels[k])
-        rows, spans = _gl_extend(rows, spans, keep, n)
+        rows = _gl_extend(rows, keep)
 
     outside = ~_blta_alive(rows, profile)
     count = 0
     first = None
-    for lo, keep in _last_blocks(spans, n):
+    for lo, keep in _last_blocks(rows, n):
         hi = lo + len(keep)
         if levels[depth]:
             keep &= _aut_level(rows[lo:hi], ms, levels[depth])
@@ -162,10 +161,10 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
             if len(p):
                 # the first hit on its prefix, then the least free rows:
                 # each step extends the first row of the step before
-                r, sp, pick = rows[lo + p[:1]], spans[lo + p[:1]], keep[p[:1]]
+                r, pick = rows[lo + p[:1]], keep[p[:1]]
                 for _ in range(depth, n):
-                    r, sp = _gl_extend(r, sp, pick, n)
-                    pick = _outside_span(sp[:1], n)
+                    r = _gl_extend(r, pick)
+                    pick = _outside_span(r[:1], n)
                 first = tuple(r[0].tolist())
     return count, first
 

@@ -7,18 +7,17 @@ are immutable after construction and safe to share across workers.
 
 `enumerate_gl` and the level-pruned sweep in `autgroup` share one walk
 over GL(n,2), on numpy arrays of row masks, and neither keeps a table of
-the whole group.  A prefix of k independent rows carries its span as one
-word of 2^n bits (bit x set iff x is in the span); its continuations are
-the vectors outside the span.  `_outside_span` gives them as a (P, 2^n)
-bool mask, row-major, and `_gl_extend` appends the rows a mask selects:
-`np.nonzero` lists them prefix-major, vector-ascending, which keeps every
-level in lexicographic order.  `enumerate_gl` keeps every continuation;
-the sweep first ANDs in its automorphism test, so only survivors are
-built.  Neither needs the spans of the row it ends on, so `_last_blocks`
-hands out that row's masks a block of prefixes at a time: `enumerate_gl`
-completes its last row from them, and the sweep counts its counted row,
-which is not always the last.  `_xor_shift` moves spans with the masks of
-`_pat_lo`, which `monomial`'s transforms and `affine`'s tables share.
+the whole group.  The walk's only state is its rows: a prefix of k
+independent rows continues with the vectors outside their span, and
+each level derives its prefixes' spans from their rows.  `_outside_span`
+gives the continuations as a (P, 2^n) bool mask, row-major, and
+`_gl_extend` appends the rows a mask selects: `np.nonzero` lists them
+prefix-major, vector-ascending, which keeps every level in lexicographic
+order.  `enumerate_gl` keeps every continuation; the sweep first ANDs in
+its automorphism test, so only survivors are built.  The row a walk ends
+on is never built as one level: `_last_blocks` hands out its masks a
+block of prefixes at a time, `enumerate_gl` completes its last row from
+them, and the sweep counts its counted row, which is not always the last.
 """
 
 from __future__ import annotations
@@ -381,69 +380,54 @@ def enumerate_gl(n: int) -> Iterator[BitMatrix]:
     """
     _check_enum_n(n)
     rows = np.zeros((1, 0), dtype=np.uint8)
-    spans = np.ones(1, dtype=np.uint64)  # the empty prefix spans {0}
     for _ in range(n - 1):
-        rows, spans = _gl_extend(rows, spans, _outside_span(spans, n), n)
+        rows = _gl_extend(rows, _outside_span(rows, n))
     # every walk row is a nonzero n-bit mask, so nothing needs checking
     make = BitMatrix._unchecked
-    for lo, outside in _last_blocks(spans, n):
-        parent, v = np.nonzero(outside)
-        for masks in _append_rows(rows, lo + parent, v).tolist():
+    for lo, outside in _last_blocks(rows, n):
+        for masks in _gl_extend(rows[lo:lo + len(outside)], outside).tolist():
             yield make(tuple(masks), n)
 
 
-def _outside_span(spans: np.ndarray, n: int) -> np.ndarray:
+def _outside_span(rows: np.ndarray, n: int) -> np.ndarray:
     """(P, 2^n) bools: entry (p, v) is set iff vector v lies outside the
     span of prefix p, so `np.nonzero` lists the continuations
-    prefix-major and vector-ascending."""
-    octets = spans.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    used = octets[:, :max(1, (1 << n) // 8)]  # the bytes that hold the 2^n bits in use
-    return np.unpackbits(used, axis=1, count=1 << n, bitorder="little") == 0
+    prefix-major and vector-ascending.  The span is the XOR of every
+    subset of the prefix's rows, doubled up one row at a time, as flat
+    indices p * 2^n + x into the mask (one subset per row of `span`)."""
+    span = np.arange(len(rows))[None, :] << n
+    for row in rows.T:
+        span = np.vstack([span, span ^ row])
+    out = np.ones(len(rows) << n, dtype=bool)
+    out[span] = False
+    return out.reshape(len(rows), 1 << n)
 
 
-def _gl_extend(
-    rows: np.ndarray, spans: np.ndarray, keep: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The one-row continuations (p, v) with keep[p, v], with their spans.
-    keep must lie inside `_outside_span(spans, n)`."""
+def _gl_extend(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The one-row continuations (p, v) with keep[p, v]: prefix p with row
+    v appended.  keep must lie inside `_outside_span(rows, n)`."""
     parent, v = np.nonzero(keep)
-    grown = _append_rows(rows, parent, v)
-    span = spans[parent]
-    return grown, span | _xor_shift(span, v, n)
-
-
-def _last_blocks(spans: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The continuations of the row a walk ends on, `_LAST_BLOCK` prefixes
-    at a time, since that row needs no spans: (offset, `_outside_span` of
-    the block) per block, in table order.  `enumerate_gl` ends on the last
-    row, the sweep on its counted row, which may come earlier."""
-    for lo in range(0, len(spans), _LAST_BLOCK):
-        yield lo, _outside_span(spans[lo:lo + _LAST_BLOCK], n)
-
-
-def _append_rows(rows: np.ndarray, parent: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Prefix parent[i] with row v[i] appended, for every i."""
     grown = np.empty((len(v), rows.shape[1] + 1), dtype=np.uint8)
     grown[:, :-1] = rows[parent]
     grown[:, -1] = v
     return grown
 
 
-def _xor_shift(spans: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """The bit sets {x ^ v : x in span}: the bit permutation x -> x ^ v,
-    one masked swap of bit blocks per set bit of v."""
-    for b in range(n):
-        w = 1 << b
-        low = np.uint64(_pat_lo(n, b))
-        swapped = ((spans & low) << np.uint64(w)) | ((spans >> np.uint64(w)) & low)
-        spans = np.where(((v >> b) & 1) == 1, swapped, spans)
-    return spans
+def _last_blocks(rows: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The continuations of the row a walk ends on, `_LAST_BLOCK` prefixes
+    at a time, since the walk never holds that row's whole level: (offset,
+    `_outside_span` of the block) per block, in table order.
+    `enumerate_gl` ends on the last row, the sweep on its counted row,
+    which may come earlier."""
+    for lo in range(0, len(rows), _LAST_BLOCK):
+        yield lo, _outside_span(rows[lo:lo + _LAST_BLOCK], n)
 
 
 @functools.lru_cache(maxsize=None)
 def _pat_lo(n: int, k: int) -> int:
     """{p < 2^n : bit k of p is 0}, k < n: over codeword positions the
-    truth table of x_k, over vectors the low half of the swap on bit k."""
+    truth table of x_k, and the low half of each shift by 2^k in
+    `monomial._butterfly_int` and `affine._aut_level`."""
     t = (1 << (1 << k)) - 1  # the run p < 2^k, doubled up to 2^n bits
     for s in range(k + 1, n):
         t |= t << (1 << s)

@@ -49,12 +49,27 @@ def leibniz_det(rows: list[list[int]]) -> int:
     return total
 
 
-def span_rank(masks: list[int]) -> int:
-    """log2 of the number of distinct xor-combinations of the rows."""
+def span_set(masks: list[int]) -> set[int]:
+    """Every xor-combination of the rows."""
     span = {0}
     for m in masks:
         span |= {s ^ m for s in span}
-    return len(span).bit_length() - 1
+    return span
+
+
+def span_rank(masks: list[int]) -> int:
+    """log2 of the number of distinct xor-combinations of the rows."""
+    return len(span_set(masks)).bit_length() - 1
+
+
+def outside_span_oracle(rows: np.ndarray, n: int) -> np.ndarray:
+    """(P, 2^n) bools: entry (p, v) is set iff v is no xor-combination of
+    the rows of prefix p, vector by vector against the set of them."""
+    out = np.ones((len(rows), 1 << n), dtype=bool)
+    for p, prefix in enumerate(rows.tolist()):
+        for x in span_set(prefix):
+            out[p, x] = False
+    return out
 
 
 def gl_row_masks_oracle(n: int):

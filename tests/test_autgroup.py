@@ -30,6 +30,7 @@ from polaraut.affine import _aut_level, _form_lut, _members_to_test, _support
 from polaraut.autgroup import (
     FalsificationError,
     _blta_alive,
+    _check_entry,
     _require,
     _sweep,
     transposition_reduction_trace,
@@ -207,7 +208,7 @@ def _check_sweep_against_oracle(codes) -> int:
     return with_counterexample
 
 
-def _check_level_against_oracle(ms: MonomialSet, rows: np.ndarray, spans: np.ndarray) -> tuple[int, int]:
+def _check_level_against_oracle(ms: MonomialSet, rows: np.ndarray) -> tuple[int, int]:
     """The level kernel on the prefixes given, restricted to the vectors
     outside each prefix's span, against the candidate-by-candidate oracle
     on every continuation.  Every member whose top variable is the next
@@ -215,7 +216,7 @@ def _check_level_against_oracle(ms: MonomialSet, rows: np.ndarray, spans: np.nda
     (passing, failing) continuation counts."""
     n, k = ms.n, rows.shape[1]
     members = [f for f in sorted(ms.masks) if f.bit_length() - 1 == k]
-    outside = _outside_span(spans, n)
+    outside = _outside_span(rows, n)
     parent, v = np.nonzero(outside)
     grown = np.column_stack([rows[parent], v]).astype(np.uint8)
     expected = np.zeros_like(outside)
@@ -224,17 +225,6 @@ def _check_level_against_oracle(ms: MonomialSet, rows: np.ndarray, spans: np.nda
     assert got.shape == outside.shape
     assert np.array_equal(got & outside, expected), (sorted(ms.masks), k)
     return int(expected.sum()), int(outside.sum() - expected.sum())
-
-
-def _naive_spans(rows: np.ndarray) -> np.ndarray:
-    """Each prefix's span as a word, from the set of its xor-combinations."""
-    out = []
-    for prefix in rows.tolist():
-        span = {0}
-        for m in prefix:
-            span |= {s ^ m for s in span}
-        out.append(sum(1 << x for x in span))
-    return np.array(out, dtype=np.uint64)
 
 
 class TestLevelSweep:
@@ -247,11 +237,10 @@ class TestLevelSweep:
         for ms in {ms.masks: ms for ms in codes}.values():
             n = ms.n
             rows = np.zeros((1, 0), dtype=np.uint8)
-            spans = np.ones(1, dtype=np.uint64)
             for _ in range(n):
-                ok, bad = _check_level_against_oracle(ms, rows, spans)
+                ok, bad = _check_level_against_oracle(ms, rows)
                 passing, failing = passing + ok, failing + bad
-                rows, spans = _gl_extend(rows, spans, _outside_span(spans, n), n)
+                rows = _gl_extend(rows, _outside_span(rows, n))
             assert len(rows) == gl_order(n)
         assert passing > 0 and failing > 0
 
@@ -266,7 +255,7 @@ class TestLevelSweep:
         passing = failing = 0
         for ms in codes:
             for k in range(n):
-                ok, bad = _check_level_against_oracle(ms, full[:, :k], _naive_spans(full[:, :k]))
+                ok, bad = _check_level_against_oracle(ms, full[:, :k])
                 passing, failing = passing + ok, failing + bad
         assert passing > 0 and failing > 0
 
@@ -287,11 +276,11 @@ class TestLevelSweep:
         calls = []  # per sweep: n, counted row, blocks, level tests, hit offset
         state = {"call": None, "lo": None}
 
-        def blocks_spy(spans, n):
-            state["call"] = call = {"n": n, "depth": int(spans[0]).bit_count().bit_length() - 1,
+        def blocks_spy(rows, n):
+            state["call"] = call = {"n": n, "depth": rows.shape[1],
                                     "blocks": 0, "tested": False, "hit": None}
             calls.append(call)
-            for lo, keep in gf2._last_blocks(spans, n):
+            for lo, keep in gf2._last_blocks(rows, n):
                 call["blocks"] += 1
                 state["lo"] = lo
                 yield lo, keep
@@ -302,10 +291,10 @@ class TestLevelSweep:
                 state["call"]["tested"] = True
             return _aut_level(rows, ms, masks)
 
-        def extend_spy(rows, spans, keep, n):
+        def extend_spy(rows, keep):
             if state["lo"] is not None and state["call"]["hit"] is None:
                 state["call"]["hit"] = state["lo"]
-            return _gl_extend(rows, spans, keep, n)
+            return _gl_extend(rows, keep)
 
         monkeypatch.setattr(autgroup, "_last_blocks", blocks_spy)
         monkeypatch.setattr(autgroup, "_aut_level", level_spy)
@@ -583,15 +572,18 @@ class TestBatteries:
             assert ms.n == 5
 
     def test_witness_instance_properties(self):
-        rng = random.Random(8)
-        ms, a, i = random_witness_instance(4, rng)
-        assert a[i, i + 1] == 1
-        prof = block_profile(ms)
-        ends, start = [], 0
-        for s in prof:
-            ends.append((start, start + s))
-            start += s
-        assert any(lo <= i and i + 1 < hi for lo, hi in ends)
+        # Random(3)'s first set at n=2 is {1, x0}, profile (1, 1): no pair
+        # merges, so the instance comes from the redraw
+        assert block_profile(random_decreasing_set(2, random.Random(3))) == (1, 1)
+        for n, seed in ((4, 8), (2, 3)):
+            ms, a, i = random_witness_instance(n, random.Random(seed))
+            _check_entry(AffineMap.from_linear(a), ms, i, i + 1)
+            prof = block_profile(ms)
+            ends, start = [], 0
+            for s in prof:
+                ends.append((start, start + s))
+                start += s
+            assert any(lo <= i and i + 1 < hi for lo, hi in ends)
 
     def test_witness_instance_needs_two_variables(self):
         for n in (0, 1):

@@ -231,6 +231,19 @@ class TestSimulate:
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[6] == "ae"
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_failed_ensemble_check_exits_1(self, capsys, monkeypatch, tmp_path, to_file):
+        # a sampled map that fails the check stops the run before any frame
+        monkeypatch.setattr(cli, "is_affine_automorphism", lambda t, ms: False)
+        path = tmp_path / "bler.csv"
+        extra = ["--out", str(path)] if to_file else []
+        code, out, err = run(capsys, "simulate", "--n", "4", "--K", "8", "--pw",
+                             "--decoder", "ae", "--L", "2", "--frames", "10",
+                             "--snr", "1", *extra)
+        assert code == 1
+        assert err == "error: sampled map failed the automorphism check\n"
+        assert out == "" and not path.exists()
+
     def test_jobs_byte_identical(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", "--n", "4", "--K", "8", "--pw", "--frames", "3000",

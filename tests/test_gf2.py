@@ -8,11 +8,18 @@ import pytest
 
 from polaraut import BitMatrix, enumerate_gl, extend_minor, gl_order, random_invertible
 from polaraut import gf2
-from polaraut.gf2 import BitVec, _append_rows, _gl_extend, _last_blocks, _outside_span, _pat_lo
+from polaraut.gf2 import BitVec, _gl_extend, _last_blocks, _outside_span, _pat_lo
 from polaraut.monomial import evaluation_vector
 from polaraut.selfcheck import _pivot_minor, check_independence_repair, check_minor_extension
 
-from oracles import gl_table_oracle, leibniz_det, naive_mat_mul, span_rank
+from oracles import (
+    brute_force_matrices,
+    gl_table_oracle,
+    leibniz_det,
+    naive_mat_mul,
+    outside_span_oracle,
+    span_rank,
+)
 
 F = BitMatrix.from_rows([[1, 0], [1, 1]])
 
@@ -328,13 +335,9 @@ def _walk_table(n):
     """GL(n,2) from the walk itself: whole levels, then the concatenated
     last-row blocks."""
     rows = np.zeros((1, 0), dtype=np.uint8)
-    spans = np.ones(1, dtype=np.uint64)
     for _ in range(n - 1):
-        rows, spans = _gl_extend(rows, spans, _outside_span(spans, n), n)
-    full = []
-    for lo, outside in _last_blocks(spans, n):
-        parent, v = np.nonzero(outside)
-        full.append(_append_rows(rows, lo + parent, v))
+        rows = _gl_extend(rows, _outside_span(rows, n))
+    full = [_gl_extend(rows[lo:lo + len(outside)], outside) for lo, outside in _last_blocks(rows, n)]
     return np.concatenate(full)
 
 
@@ -396,13 +399,49 @@ class TestGlTable:
         assert np.array_equal(table, gl_table_oracle(5))
 
 
+class TestOutsideSpan:
+    """The walk's continuation mask, derived from the rows alone, against
+    the vector-by-vector set oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_oracle_on_every_prefix_of_the_walk(self, n):
+        rows = np.zeros((1, 0), dtype=np.uint8)
+        while True:
+            outside = _outside_span(rows, n)
+            assert np.array_equal(outside, outside_span_oracle(rows, n)), rows.shape[1]
+            if rows.shape[1] == n:
+                break
+            rows = _gl_extend(rows, outside)
+        assert len(rows) == gl_order(n) and not outside.any()
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_oracle_on_seeded_prefixes(self, n):
+        mats = brute_force_matrices(n, 48, 40 + n)
+        full = np.array([a.row_masks for a in mats], dtype=np.uint8)
+        for k in range(n + 1):
+            assert np.array_equal(_outside_span(full[:, :k], n), outside_span_oracle(full[:, :k], n)), k
+
+    def test_matches_oracle_on_blocks_past_offset_zero(self, monkeypatch):
+        # blocks of 7 put the row-derived spans at a block offset: the flat
+        # indices are local to each block
+        monkeypatch.setattr(gf2, "_LAST_BLOCK", 7)
+        rows = np.zeros((1, 0), dtype=np.uint8)
+        for _ in range(2):  # the 42 prefixes of GL(3,2)'s last row
+            rows = _gl_extend(rows, _outside_span(rows, 3))
+        offsets = []
+        for lo, outside in _last_blocks(rows, 3):
+            assert np.array_equal(outside, outside_span_oracle(rows[lo:lo + 7], 3)), lo
+            offsets.append(lo)
+        assert offsets == list(range(0, len(rows), 7)) and len(offsets) > 1
+
+
 def test_pat_lo_is_variable_table_and_swap_mask():
     # one mask serves the truth table of x_k over codeword positions and
-    # the low half of the swap on bit k in the GL walk
+    # the low half of the shifts by 2^k in the transforms and the level kernel
     for n in range(11):
         for k in range(n):
-            swap_low = sum(1 << x for x in range(1 << n) if not x & (1 << k))
-            assert _pat_lo(n, k) == evaluation_vector(1 << k, n).bits == swap_low
+            low = sum(1 << x for x in range(1 << n) if not x & (1 << k))
+            assert _pat_lo(n, k) == evaluation_vector(1 << k, n).bits == low
 
 
 def test_gl_order_formula():

@@ -364,8 +364,13 @@ class TestCodeSpecJson:
     def test_explicit_k_checked(self):
         obj = construct_explicit(2, [X0 | X1]).to_json()
         obj["K"] = 3
-        with pytest.raises(ValueError):
-            CodeSpec.from_json(obj)
+        # a set that is not decreasing has no generators, so every mask is
+        # listed, and their closure is larger than the set
+        odd = CodeSpec(2, MonomialSet(2, frozenset({0, X0, X0 | X1}))).to_json()
+        assert odd == {"n": 2, "K": 3, "construction": "explicit", "m_min_masks": [0, X0, X0 | X1]}
+        for bad in (obj, odd):
+            with pytest.raises(ValueError, match="^closure of m_min_masks has K=4, file says 3$"):
+                CodeSpec.from_json(bad)
 
     def test_row_indices(self):
         spec = construct_pw(3, 4)
