@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVec, _pat_lo, _random_invertible, gl_order
+from .gf2 import BitMatrix, BitVec, _bruhat_cell, _pat_lo, _random_invertible, gl_order
 from .monomial import (
     MonomialSet,
     _butterfly_int,
@@ -223,19 +223,47 @@ def substitution_coefficient(a: BitMatrix, rows: Sequence[int], cols: Sequence[i
     return a.minor_det(rows, cols)
 
 
+def _rename(mask: int, w: Sequence[int]) -> int:
+    """The monomial mask with each variable x_i replaced by x_w(i)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << w[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def is_affine_automorphism(t: AffineMap, ms: MonomialSet) -> bool:
     """Whether the induced permutation of t preserves the code of ms.
 
-    Tested on monomial supports: the code is spanned by the evaluation
-    vectors of ms and t acts linearly on functions, so preservation is
-    equivalent to transform_monomial_support(f, t) being a subset of ms
-    for every member f.
+    The code is spanned by the evaluation vectors of ms and t acts
+    linearly on functions, so preservation is equivalent to
+    transform_monomial_support(f, t) being a subset of ms for every
+    member f.  A non-decreasing set is tested so, on monomial supports
+    (`_preserves`).
+
+    A decreasing set is decided by one permutation of variables.  Write
+    C o T for the functions f o T with f in C, the span of ms.  A lower
+    triangular L sends x_i to x_i plus variables x_j with j < i, and a
+    translation sends x_i to x_i or x_i + 1, so f o L and f o (x + b)
+    expand into monomials below f, which lie in ms: C o L = C and C o
+    (x + b) = C.  With T x = A x + b, C o T = C o A.  By
+    `gf2._bruhat_cell`, A = L1 P_w L2 with L1, L2 lower triangular and
+    P_w the matrix with rows e_w(i), so C o A = ((C o L1) o P_w) o L2 =
+    (C o P_w) o L2, which is C iff C o P_w = C.  P_w sends x_i to
+    x_w(i), hence each member to one monomial, its renaming: t is an
+    automorphism iff every member renames into ms.  Renaming keeps the
+    degree, so the members `_members_to_test` skips rename into ms.
     """
     if t.n != ms.n:
         raise ValueError("dimension mismatch")
     if not is_decreasing(ms):
         warnings.warn("monomial set is not decreasing", stacklevel=2)
-    return _preserves(t.a.row_masks, t.b.bits, ms)
+        return _preserves(t.a.row_masks, t.b.bits, ms)
+    w = _bruhat_cell(t.a.row_masks)
+    if w == tuple(range(ms.n)):
+        return True
+    return all(_rename(f, w) in ms.masks for f in _members_to_test(ms))
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,7 +21,6 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from multiprocessing import Pool
 from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
@@ -590,6 +589,8 @@ def simulate_bler(
     ]
 
     if jobs > 1 and len(batches) > 1:
+        from multiprocessing import Pool  # only a pool pays for importing it
+
         with Pool(jobs) as pool:
             errors = sum(pool.map(_sim_batch, batches))
     else:

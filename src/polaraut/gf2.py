@@ -346,6 +346,29 @@ def _reduce(basis: list[int], v: int) -> int:
     return v
 
 
+def _bruhat_cell(rows: Sequence[int]) -> tuple[int, ...]:
+    """The permutation w of the Bruhat cell B w B holding the invertible
+    matrix with these row masks, B the invertible lower-triangular
+    matrices: w(i) is the leading bit of row i reduced against rows
+    0..i-1.
+
+    Proof.  Multiplying by L1 in B on the left replaces rows 0..r by
+    invertible combinations of themselves, and by L2 in B on the right
+    replaces columns c..n-1 by invertible combinations of themselves, so
+    neither changes the rank of any top-right block (rows 0..r, columns
+    c..n-1).  On the permutation matrix with rows e_w(i) that rank is
+    #{i <= r : w(i) >= c}, and these counts determine w, so a matrix
+    lies in at most one cell.  The reduced rows span what rows 0..r
+    span and have distinct leading bits (see `_reduce`); cut to columns
+    c..n-1, those leading at c or above stay independent and the others
+    vanish, so the block rank is #{i <= r : w(i) >= c} with w read as
+    above.  It also lies in that cell: the reduction is L1 A = R, with
+    L1 unit lower triangular, and R = P_w L2, where row w(i) of L2 is row
+    i of R, lower triangular with a 1 on the diagonal."""
+    basis: list[int] = []
+    return tuple(_reduce(basis, row).bit_length() - 1 for row in rows)
+
+
 def random_invertible(n: int, seed: int) -> BitMatrix:
     """Uniform invertible n x n matrix, deterministic per seed (rejection)."""
     if n < 1:

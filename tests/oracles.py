@@ -62,6 +62,18 @@ def span_rank(masks: list[int]) -> int:
     return len(span_set(masks)).bit_length() - 1
 
 
+def bruhat_cell_oracle(rows: list[int], n: int) -> tuple[int, ...]:
+    """The permutation w of the Bruhat cell B w B (B lower triangular)
+    of the invertible matrix with these row masks, read from the ranks of
+    its top-right blocks: the block of rows 0..i and columns c..n-1 has
+    rank #{k <= i : w(k) >= c}, so w(i) is the largest c at which adding
+    row i raises that rank."""
+    def rank(i: int, c: int) -> int:
+        return span_rank([row >> c for row in rows[:i + 1]])
+
+    return tuple(max(c for c in range(n) if rank(i, c) > rank(i - 1, c)) for i in range(n))
+
+
 def outside_span_oracle(rows: np.ndarray, n: int) -> np.ndarray:
     """(P, 2^n) bools: entry (p, v) is set iff v is no xor-combination of
     the rows of prefix p, vector by vector against the set of them."""

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 
@@ -27,8 +28,8 @@ from polaraut import (
     swap_variables,
     transform_monomial_support,
 )
-from polaraut.affine import _by_row, _map_tables, _members_to_test, _support
-from polaraut.gf2 import BitVec
+from polaraut.affine import _by_row, _map_tables, _members_to_test, _preserves, _support
+from polaraut.gf2 import BitVec, _bruhat_cell
 from polaraut.monomial import anf_support
 from polaraut.autgroup import random_decreasing_set
 from polaraut.selfcheck import check_substitution_coefficient
@@ -238,6 +239,63 @@ class TestIsAffineAutomorphism:
                 assert got == codeword_level_automorphism(perm, odd)
                 verdicts.add(got)
         assert verdicts == {True, False}
+
+    def test_matches_support_route_on_every_n3_map(self):
+        # every decreasing set, every linear part and every translation
+        verdicts = {True: 0, False: 0}
+        for ms in down_sets_oracle(3):
+            for a in enumerate_gl(3):
+                for b in range(8):
+                    got = is_affine_automorphism(AffineMap(a, BitVec(3, b)), ms)
+                    assert got == _preserves(a.row_masks, b, ms), (sorted(ms.masks), a, b)
+                    verdicts[got] += 1
+        assert min(verdicts.values()) > 1000
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_matches_support_route_on_seeded_maps(self, n):
+        # half BLTA maps of the set's profile, half uniform affine maps
+        rng = random.Random(30 + n)
+        verdicts, moved = set(), 0
+        for k in range(120):
+            ms = random_decreasing_set(n, rng)
+            t = sample_blta(block_profile(ms) if k % 2 else (n,), rng)
+            got = is_affine_automorphism(t, ms)
+            assert got == _preserves(t.a.row_masks, t.b.bits, ms), (sorted(ms.masks), t)
+            verdicts.add(got)
+            moved += got and _bruhat_cell(t.a.row_masks) != tuple(range(n))
+        assert verdicts == {True, False} and moved > 5
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_matches_support_route_on_a_split_profile(self, n):
+        # a code whose profile has blocks of several sizes, so the BLTA
+        # maps of its profile lie outside the identity cell, and maps of
+        # the profile with its first two blocks merged mostly fail
+        rng = random.Random(n)
+        ms = random_decreasing_set(n, rng)
+        prof = block_profile(ms)
+        assert len(prof) > 1 and max(prof) > 1
+        merged = (prof[0] + prof[1],) + prof[2:]
+        verdicts = []
+        for profile in (prof, merged):
+            for _ in range(6):
+                t = sample_blta(profile, rng)
+                assert _bruhat_cell(t.a.row_masks) != tuple(range(n))
+                got = is_affine_automorphism(t, ms)
+                assert got == _preserves(t.a.row_masks, t.b.bits, ms)
+                verdicts.append(got)
+        assert verdicts[:6] == [True] * 6 and False in verdicts[6:]
+
+    @pytest.mark.skipif(
+        not os.environ.get("POLARAUT_EXTENDED"),
+        reason="every n=4 map against the support route disabled (set POLARAUT_EXTENDED=1)",
+    )
+    def test_extended_n4_matches_support_route(self):
+        sets = down_sets_oracle(4)
+        assert len(sets) == 27
+        for a in enumerate_gl(4):
+            t = AffineMap.from_linear(a)
+            for ms in sets:
+                assert is_affine_automorphism(t, ms) == _preserves(a.row_masks, 0, ms), (sorted(ms.masks), a)
 
     def test_warns_on_non_decreasing(self):
         ms = MonomialSet(2, frozenset({2}))

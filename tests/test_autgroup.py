@@ -26,7 +26,7 @@ from polaraut import (
     verify_blta_completeness,
 )
 from polaraut import autgroup, gf2
-from polaraut.affine import _aut_level, _form_lut, _members_to_test, _support
+from polaraut.affine import _aut_level, _form_lut, _members_to_test, _preserves, _support
 from polaraut.autgroup import (
     FalsificationError,
     _blta_alive,
@@ -448,6 +448,23 @@ class TestWitness:
         for call in _entry_points(t, ms, 0):
             with pytest.raises(ValueError, match="not an automorphism"):
                 call()
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_precondition_not_automorphism_at_larger_n(self, n):
+        # uniform matrices with a 1 at (i, i+1), kept where the support
+        # test finds that they move the set
+        rng = random.Random(50 + n)
+        rejected = 0
+        while rejected < 4:
+            ms = random_decreasing_set(n, rng)
+            a = sample_blta((n,), rng).a
+            i = rng.randrange(n - 1)
+            if a[i, i + 1] != 1 or _preserves(a.row_masks, 0, ms):
+                continue
+            for call in _entry_points(AffineMap.from_linear(a), ms, i):
+                with pytest.raises(ValueError, match="not an automorphism"):
+                    call()
+            rejected += 1
 
     def test_precondition_not_decreasing(self):
         ms = MonomialSet(2, frozenset({2}))

@@ -1,5 +1,7 @@
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -7,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import polaraut
 from polaraut import (
     AffineMap,
     AwgnBpskChannel,
@@ -630,6 +633,15 @@ class TestSimulate:
         a = simulate_bler(spec, AwgnBpskChannel(2.0), 3000, seed=2, jobs=1)
         b = simulate_bler(spec, AwgnBpskChannel(2.0), 3000, seed=2, jobs=2)
         assert a == b
+
+    def test_import_leaves_multiprocessing_out(self):
+        # only simulate_bler with jobs > 1 starts a pool, so only it
+        # imports multiprocessing; a fresh interpreter shows what import costs
+        src = os.path.dirname(os.path.dirname(polaraut.__file__))
+        code = "import sys, polaraut, polaraut.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout == "False\n"
 
     def test_ae_beats_noise_floor_sanity(self, pw6):
         rng = random.Random(16)

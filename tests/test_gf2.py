@@ -8,11 +8,12 @@ import pytest
 
 from polaraut import BitMatrix, enumerate_gl, extend_minor, gl_order, random_invertible
 from polaraut import gf2
-from polaraut.gf2 import BitVec, _gl_extend, _last_blocks, _outside_span, _pat_lo
+from polaraut.gf2 import BitVec, _bruhat_cell, _gl_extend, _last_blocks, _outside_span, _pat_lo
 from polaraut.monomial import evaluation_vector
 from polaraut.selfcheck import _pivot_minor, check_independence_repair, check_minor_extension
 
 from oracles import (
+    bruhat_cell_oracle,
     brute_force_matrices,
     gl_table_oracle,
     leibniz_det,
@@ -433,6 +434,41 @@ class TestOutsideSpan:
             assert np.array_equal(outside, outside_span_oracle(rows[lo:lo + 7], 3)), lo
             offsets.append(lo)
         assert offsets == list(range(0, len(rows), 7)) and len(offsets) > 1
+
+
+def _random_unit_lower(rng, n):
+    return BitMatrix([(rng.getrandbits(i) if i else 0) | 1 << i for i in range(n)], n)
+
+
+class TestBruhatCell:
+    """The Bruhat cell read from one reduction, against the block-rank
+    oracle and against matrices built in a known cell."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_oracle_on_all_of_gl(self, n):
+        cells = set()
+        for m in enumerate_gl(n):
+            got = _bruhat_cell(m.row_masks)
+            assert got == bruhat_cell_oracle(list(m.row_masks), n), m
+            cells.add(got)
+        assert cells == set(itertools.permutations(range(n)))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_oracle_on_seeded_matrices(self, n):
+        for seed in range(60):
+            m = random_invertible(n, 1000 * n + seed)
+            assert _bruhat_cell(m.row_masks) == bruhat_cell_oracle(list(m.row_masks), n), m
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_reads_the_permutation_of_a_known_cell(self, n):
+        # L1 P_w L2 with L1, L2 unit lower triangular lies in the cell of w
+        rng = random.Random(40 + n)
+        for _ in range(40):
+            w = list(range(n))
+            rng.shuffle(w)
+            p = BitMatrix([1 << w[i] for i in range(n)], n)
+            a = _random_unit_lower(rng, n) @ p @ _random_unit_lower(rng, n)
+            assert _bruhat_cell(a.row_masks) == tuple(w)
 
 
 def test_pat_lo_is_variable_table_and_swap_mask():
