@@ -90,8 +90,29 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2) byte for byte, starting at `indent`.
+
+    With an indent json runs its pure-Python encoder, which is slow on the
+    long permutations of a large code; a nonempty list of plain ints (bools
+    are not) is written here with one join, and every other value is
+    json's own output.  Its line breaks can take the indent because JSON
+    strings escape every newline."""
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        if all(type(v) is int for v in obj):
+            items = map(str, obj)
+        else:
+            items = (_dumps(v, inner) for v in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        items = (json.dumps(k) + ": " + _dumps(v, inner) for k, v in obj.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+
+
 def _dump(obj: dict | list, out_path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out_path)
+    _emit(_dumps(obj) + "\n", out_path)
 
 
 def _code_report(spec: CodeSpec) -> dict:

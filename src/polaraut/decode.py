@@ -10,9 +10,12 @@ erasure.
 
 Internally everything is positions-major: codewords and LLR blocks are
 (N, frames) arrays, so that the encoder's XOR passes and the decoder's
-f/g steps work on contiguous row blocks.  The decoders work on batches;
-the public single-frame entry points wrap a batch of one, and the public
-encoding helpers keep frames-major (..., N) arrays.
+f/g steps work on contiguous row blocks.  The channel draws its noise
+frames-major, in the order a (frames, N) draw makes, but a few frames at
+a time, each slab written transposed into the decoder's block.  The
+decoders work on batches; the public single-frame entry points wrap a
+batch of one, and the public channel and encoding helpers keep
+frames-major (..., N) arrays.
 """
 
 from __future__ import annotations
@@ -65,9 +68,16 @@ class BecChannel:
         return self.erasure_prob
 
     def llrs(self, x: np.ndarray, rng: np.random.Generator, rate: float) -> np.ndarray:
+        """Frames-major float64 LLRs of the bits x, in a new array."""
+        return self._llrs_into(x, rng, rate, np.empty(x.shape))
+
+    def _llrs_into(self, x: np.ndarray, rng: np.random.Generator, rate: float,
+                   out: np.ndarray) -> np.ndarray:
+        """llrs(x, rng, rate) written into out, a C-contiguous float64
+        array of x's shape."""
         # (1 - 2x) * CERTAIN_LLR built in place as CERTAIN_LLR - 2x *
         # CERTAIN_LLR, which is exact for bits; the erasures are one draw
-        out = np.multiply(x, -2.0 * CERTAIN_LLR, dtype=np.float64)
+        np.multiply(x, -2.0 * CERTAIN_LLR, out=out, dtype=np.float64)
         out += CERTAIN_LLR
         np.copyto(out, 0.0, where=rng.random(x.shape) < self.erasure_prob)
         return out
@@ -102,17 +112,24 @@ class AwgnBpskChannel:
         return sigma
 
     def llrs(self, x: np.ndarray, rng: np.random.Generator, rate: float) -> np.ndarray:
+        """Frames-major float64 LLRs of the bits x, in a new array."""
+        return self._llrs_into(x, rng, rate, np.empty(x.shape))
+
+    def _llrs_into(self, x: np.ndarray, rng: np.random.Generator, rate: float,
+                   out: np.ndarray) -> np.ndarray:
+        """llrs(x, rng, rate) written into out, a C-contiguous float64
+        array of x's shape."""
         sigma = self.noise_sigma(rate)
         # 2 ((1 - 2x) + rng.normal(0, sigma)) / sigma^2 in place: normal(0, s)
         # is 0 + s * standard_normal, so the draws and every LLR are the same
-        y = rng.standard_normal(x.shape)
-        y *= sigma
+        rng.standard_normal(out=out)
+        out *= sigma
         symbols = np.multiply(x, -2.0, dtype=np.float64)
         symbols += 1.0
-        y += symbols
-        y *= 2.0
-        y /= sigma * sigma
-        return y
+        out += symbols
+        out *= 2.0
+        out /= sigma * sigma
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +148,13 @@ def _transform(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of a.T for a 2-D array, copied in slabs of 64
-    rows: a whole-array copy that reads a with a stride of one row per
-    element runs several times slower once the rows are a few kB long."""
-    out = np.empty(a.shape[::-1], dtype=a.dtype)
+def _transposed(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a.T for a 2-D array, copied into out (of a.T's shape) or into a new
+    C-contiguous array, in slabs of 64 rows: a whole-array copy that reads
+    a with a stride of one row per element runs several times slower once
+    the rows are a few kB long."""
+    if out is None:
+        out = np.empty(a.shape[::-1], dtype=a.dtype)
     for lo in range(0, len(a), 64):
         out[:, lo:lo + 64] = a[lo:lo + 64].T
     return out
@@ -381,7 +400,7 @@ _Decoded = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _ae_decoder(perms: np.ndarray, plan: _Plan) -> Callable[[np.ndarray], _Decoded]:
     """Ensemble decoder under an (L, N) permutation array.  It takes a
-    frames-major (B, N) block of LLRs: permute, decode, de-interleave,
+    positions-major (N, B) block of LLRs: permute, decode, de-interleave,
     keep the best-correlating candidate per frame, and returns
     (codewords (N, B), chosen (B,), scores (L, B)).  The de-interleave
     index is built once here, not once for every block it decodes (a
@@ -392,14 +411,19 @@ def _ae_decoder(perms: np.ndarray, plan: _Plan) -> Callable[[np.ndarray], _Decod
     inverse = (np.argsort(perms, axis=1).T * n_perm + np.arange(n_perm)).reshape(-1)
 
     def decode_block(llrs: np.ndarray) -> _Decoded:
-        batch = len(llrs)
+        batch = llrs.shape[1]
         # column l*B + b of the decoder input is frame b permuted by pi_l
-        x = _sc_batch(_transposed(llrs)[perms.T].reshape(n_pos, n_perm * batch), plan)
+        x = _sc_batch(llrs[perms.T].reshape(n_pos, n_perm * batch), plan)
         cand = np.take(x.reshape(n_pos * n_perm, batch), inverse, axis=0)
         # score frames-major: numpy sums a contiguous axis pairwise, and a
-        # sum over axis 0 would round differently
+        # sum over axis 0 would round differently.  Each score is the sum
+        # of one row, so scoring a member at a time gives the same floats
+        # with a (B, N) temporary in place of an (L, B, N) one
         frames = _transposed(cand.reshape(n_pos, n_perm * batch)).reshape(n_perm, batch, n_pos)
-        scores = correlation_score(frames, llrs)
+        received = _transposed(llrs)
+        scores = np.empty((n_perm, batch))
+        for member, cw in zip(scores, frames):
+            member[:] = correlation_score(cw, received)
         chosen = scores.argmax(axis=0)  # ties resolve to the lowest index
         best = cand.reshape(n_pos, n_perm, batch)[:, chosen, np.arange(batch)]
         return best, chosen, scores
@@ -438,7 +462,7 @@ def ae_decode(
     """
     llr = _llr_frame(llr, spec)
     perms = _perm_array(perms, spec.N)
-    best, chosen, scores = _ae_decoder(perms, _plan(spec))(llr[None, :])
+    best, chosen, scores = _ae_decoder(perms, _plan(spec))(llr[:, None])
     x = best[:, 0]
     scores = tuple(float(s) for s in scores[:, 0])
     return DecodeResult(extract_info(x, spec), x, scores, int(chosen[0]))
@@ -478,7 +502,6 @@ def sc_invariance_check(
     plan = _plan(spec)
     equal = 0
     for _, llrs in _frames(spec, channel, rng, trials, max(1, _BLOCK_LLRS // spec.N)):
-        llrs = _transposed(llrs)
         decoded_then_permuted = _sc_batch(llrs, plan)[perm]
         permuted_then_decoded = _sc_batch(llrs[perm], plan)
         equal += int((decoded_then_permuted == permuted_then_decoded).all(axis=0).sum())
@@ -521,26 +544,43 @@ _SIM_BATCH = 1024  # fixed so results never depend on the worker count
 # A batch, like the frames of an SC invariance check, is decoded in blocks
 # of frames whose decoder input (L permuted copies of each frame for the
 # ensemble) holds about this many LLRs, 8 MB of float64.  The block bounds
-# the channel's draw, which is made one block at a time, and the kernel's
-# workspace, which each thread retains up to this size; cache locality
-# comes from the kernel's row slabs (_TILE), so the block can stay wide and
-# spread each plan step's Python cost over many frames.  Frames decode
-# independently and the blocks draw their noise in frame order, so the
-# block size changes no output.
+# the one LLR buffer the channel writes for all of a batch's blocks, and
+# the kernel's workspace, which each thread retains up to this size; cache
+# locality comes from the kernel's row slabs and the channel's frame slabs
+# (both _TILE), so the block can stay wide and spread each plan step's
+# Python cost over many frames.  Frames decode independently and the slabs
+# draw their noise in frame order, so the block size changes no output.
 _BLOCK_LLRS = 1 << 20
 
 
 def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.random.Generator,
             count: int, step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """`count` random frames of spec as (sent codewords (N, b), frames-major
-    LLRs (b, N)) in blocks of b <= step.  The info bits are drawn at once;
-    the channel draws each block's noise where the previous block's ended,
-    so the blocks draw what one (count, N) draw would."""
-    u = rng.integers(0, 2, size=(count, spec.K), dtype=np.uint8)
-    sent = _encode(u, spec)
+    """`count` random frames of spec as (sent codewords (N, b), positions-major
+    LLRs (N, b)) in blocks of b <= step.  Every block's LLRs are written to
+    one buffer, so a block is valid only until the next one is yielded.
+
+    The info bits are drawn at once.  The channel computes the LLRs
+    frames-major in slabs of whole frames, each in a small scratch buffer
+    that is then written transposed into the block; each slab draws its
+    noise where the previous slab's ended, so the blocks draw what one
+    (count, N) draw would."""
+    n_pos = spec.N
+    sent = _encode(rng.integers(0, 2, size=(count, spec.K), dtype=np.uint8), spec)
+    step = min(step, count)
+    buf = np.empty(n_pos * step)
+    # frames in a slab: about _TILE LLRs, and at least 8 so that each row
+    # segment written into the block fills a 64-byte cache line
+    rows = max(_TILE // n_pos, 8)
+    scratch = np.empty((min(rows, step), n_pos))
     for start in range(0, count, step):
         block = sent[:, start:start + step]
-        yield block, channel.llrs(_transposed(block), rng, spec.rate)
+        bits = _transposed(block)
+        llrs = buf[:block.size].reshape(block.shape)
+        for lo in range(0, len(bits), rows):
+            slab = bits[lo:lo + rows]
+            out = channel._llrs_into(slab, rng, spec.rate, scratch[:len(slab)])
+            _transposed(out, llrs[:, lo:lo + rows])
+        yield block, llrs
 
 
 def _sim_batch(args) -> int:
@@ -551,7 +591,7 @@ def _sim_batch(args) -> int:
     ae = None if perms is None else _ae_decoder(perms, plan)
     errors = 0
     for sent, llrs in _frames(spec, channel, rng, count, step):
-        x = _sc_batch(_transposed(llrs), plan) if ae is None else ae(llrs)[0]
+        x = _sc_batch(llrs, plan) if ae is None else ae(llrs)[0]
         errors += int((x != sent).any(axis=0).sum())
     return errors
 

@@ -1,3 +1,4 @@
+import enum
 import json
 from pathlib import Path
 
@@ -361,6 +362,24 @@ def test_rejected_argument_exits_2(capsys, tmp_path, argv):
     assert _REJECTION_MESSAGES.get(tuple(argv), "") in err
     for path in (a for a in argv if a.startswith(str(tmp_path))):
         assert path in err
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+@pytest.mark.parametrize("obj", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [1], {"b": [[]]}],
+    [True, False], [1, True, 0], [0, -5, 10**30], [_Level.LOW, 2], (1, 2), [(3,), ()],
+    [1, 2.0], [1.5, float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324],
+    ["é", "a\nb", '"q"', "\\", "\u2028", "\x00\t", "\ud83d\ude00", ""],
+    {"ключ": [1, 2], "k\n": None, "": [None, "x"]},
+    {1: [2, 3], "a": {"b": [4]}}, {None: 1, 1.5: [True]},
+    {"a": [{"b": [1, 2]}, [3, [4, []]], {"c": {"d": [[5, 6], [-7]]}}]},
+    None, 3, True, "s", 2.5,
+], ids=lambda obj: repr(obj)[:30])
+def test_dumps_is_json_indent_2(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
 
 
 class TestSelftest:

@@ -127,6 +127,12 @@ class TestEncode:
                 t = decode._transposed(a)
                 assert t.flags.c_contiguous and t.dtype == a.dtype
                 assert t.shape == shape[::-1] and (t == a.T).all()
+                # into a column stripe of a wider array, as a slab of frames
+                # goes into an LLR block
+                wide = np.full((shape[1], shape[0] + 9), 7, dtype=a.dtype)
+                assert decode._transposed(a, wide[:, 4:4 + shape[0]]).base is wide
+                assert (wide[:, 4:4 + shape[0]] == a.T).all()
+                assert (wide[:, :4] == 7).all() and (wide[:, 4 + shape[0]:] == 7).all()
 
 
 class TestScDecode:
@@ -515,7 +521,8 @@ def test_ae_matches_oracle(name, spec, perms):
     llrs = _llr_blocks(spec, rng, 8)
     perm_arr = np.array(perms, dtype=np.intp)
     best_ref, chosen_ref, scores_ref = ae_oracle(llrs, perm_arr, _mask(spec))
-    best, chosen, scores = _ae_decoder(perm_arr, _plan(spec))(llrs)
+    # the decoder reads positions-major (N, B) blocks, as _frames yields them
+    best, chosen, scores = _ae_decoder(perm_arr, _plan(spec))(llrs.T.copy())
     assert (best.T == best_ref).all() and (chosen == chosen_ref).all()
     assert scores.T.tobytes() == scores_ref.tobytes()
     for f, llr in enumerate(llrs):
@@ -674,36 +681,89 @@ class TestSimulate:
         monkeypatch.setattr(decode, "_BLOCK_LLRS", 3000)  # 46 and 11 frames a block
         assert counts() == whole
 
-    @pytest.mark.parametrize("channel", [AwgnBpskChannel(2.0), BecChannel(0.4)], ids=["awgn", "bec"])
-    @pytest.mark.parametrize("decoder", ["sc", "ae"])
-    def test_block_draws_join_to_one_draw(self, monkeypatch, pw6, channel, decoder):
-        # the channel is called once per decode block, 70 frames (SC) or
-        # 17 (AE-4), neither of which divides the 1000-frame batch; joined
-        # in order, the blocks are the oracle's one draw over the batch,
-        # and the generator ends where that draw leaves it
-        perms = np.array(_blta_perms(pw6, 4, 23), dtype=np.intp) if decoder == "ae" else None
-        monkeypatch.setattr(decode, "_BLOCK_LLRS", 70 * pw6.N)
-        calls = []
-
-        class Recorder:
-            def llrs(self, x, rng, rate):
-                out = channel.llrs(x, rng, rate)
-                calls.append((x.copy(), out.copy(), rng))
-                return out
-
-        decode._sim_batch((pw6, Recorder(), perms, 31, 2, 1000))
-        rng = np.random.default_rng([31, 2])
-        u = rng.integers(0, 2, (1000, pw6.K), dtype=np.uint8)
+    @staticmethod
+    def _one_draw(pw6, channel, seed, batch_idx, count):
+        rng = np.random.default_rng([seed, batch_idx])
+        u = rng.integers(0, 2, (count, pw6.K), dtype=np.uint8)
         sent = (u @ kron_power(pw6.n)[list(pw6.row_indices())]) % 2
         if isinstance(channel, AwgnBpskChannel):
             ref = awgn_llrs_oracle(sent, rng, channel.ebn0_db, pw6.rate)
         else:
             ref = bec_llrs_oracle(sent, rng, channel.erasure_prob)
+        return sent, ref, rng
+
+    # _TILE = 16384 puts a whole block (at most 256 frames of N = 64) in one
+    # slab; 9 * 64 gives slabs of 9 frames, and 3 * 64 is rounded up to the
+    # 8 frames of one cache line per row segment.  Neither divides a block
+    @pytest.mark.parametrize("decoder,channel,tile,rows", [
+        pytest.param(dec, chan, tile, rows, id=f"{dec}-{chan_id}{tile_id}")
+        for dec in ("sc", "ae")
+        for chan_id, chan in (("awgn", AwgnBpskChannel(2.0)), ("bec", BecChannel(0.4)))
+        for tile, rows, tile_id in ((decode._TILE, 256, ""), (9 * 64, 9, "-tile9"), (3 * 64, 8, "-tile8"))
+    ])
+    def test_block_draws_join_to_one_draw(self, monkeypatch, pw6, decoder, channel, tile, rows):
+        # the decode blocks are 70 frames (SC) or 17 (AE-4), neither of
+        # which divides the 1000-frame batch, and the channel hook is
+        # called once per slab of each block; joined in order, the slabs
+        # are the oracle's one draw over the batch, and the generator ends
+        # where that draw leaves it
+        perms = np.array(_blta_perms(pw6, 4, 23), dtype=np.intp) if decoder == "ae" else None
+        monkeypatch.setattr(decode, "_BLOCK_LLRS", 70 * pw6.N)
+        monkeypatch.setattr(decode, "_TILE", tile)
+        calls = []
+
+        class Recorder:
+            def _llrs_into(self, x, rng, rate, out):
+                channel._llrs_into(x, rng, rate, out)
+                calls.append((x.copy(), out.copy(), rng))
+                return out
+
+        decode._sim_batch((pw6, Recorder(), perms, 31, 2, 1000))
+        sent, ref, rng = self._one_draw(pw6, channel, 31, 2, 1000)
         step = 70 if decoder == "sc" else 17
-        assert [len(x) for x, _, _ in calls] == [step] * (1000 // step) + [1000 % step]
+        blocks = [min(step, 1000 - start) for start in range(0, 1000, step)]
+        assert [len(x) for x, _, _ in calls] == [min(rows, b - lo) for b in blocks for lo in range(0, b, rows)]
         assert (np.vstack([x for x, _, _ in calls]) == sent).all()
         assert np.vstack([llrs for _, llrs, _ in calls]).tobytes() == ref.tobytes()
         assert calls[-1][2].bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("tile", [decode._TILE, 9 * 64, 3 * 64], ids=["whole", "tile9", "tile8"])
+    @pytest.mark.parametrize("channel", [AwgnBpskChannel(2.0), BecChannel(0.4)], ids=["awgn", "bec"])
+    def test_frames_yield_the_draw_positions_major(self, monkeypatch, pw6, channel, tile):
+        # each block is a contiguous (N, b) view of one reused buffer: the
+        # blocks, copied as they come and joined along the frames, are the
+        # transposed one draw
+        monkeypatch.setattr(decode, "_TILE", tile)
+        rng = np.random.default_rng([31, 2])
+        blocks = [(sent.copy(), llrs.copy(), llrs)
+                  for sent, llrs in decode._frames(pw6, channel, rng, 1000, 70)]
+        sent, ref, ref_rng = self._one_draw(pw6, channel, 31, 2, 1000)
+        assert [llrs.shape for _, llrs, _ in blocks] == [(pw6.N, 70)] * 14 + [(pw6.N, 20)]
+        assert all(view.flags.c_contiguous for _, _, view in blocks)
+        assert np.shares_memory(blocks[0][2], blocks[-1][2])
+        assert (np.hstack([x for x, _, _ in blocks]) == sent.T).all()
+        assert np.hstack([llrs for _, llrs, _ in blocks]).tobytes() == np.ascontiguousarray(ref.T).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_batch_memory_bounded_by_its_buffers(self, monkeypatch):
+        # one 1024-frame SC batch at N = 4096 decodes 4 blocks of 256
+        # frames; it may hold the kernel's workspace and one LLR block
+        # (8 MB of float64 each), the batch's codewords and info bits (4 and
+        # 2 MB of uint8) and 4 MB of slack for the decoded codewords of two
+        # blocks, the block's frames-major bits and the slab buffers.  A
+        # frames-major draw transposed into a fresh block adds another
+        # 8 MB or more
+        spec = construct_pw(12, 2048)
+        step = decode._BLOCK_LLRS // spec.N
+        bound = 8 * (2 * spec.N - 1) * step + spec.N * 1024 + spec.K * 1024 + (4 << 20)
+        monkeypatch.delattr(decode._local, "work", raising=False)
+        tracemalloc.start()
+        try:
+            decode._sim_batch((spec, AwgnBpskChannel(2.5), None, 1, 0, 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("tile", [1, 7, 100, decode._TILE])
     def test_tile_changes_no_count(self, monkeypatch, pw6, tile):
