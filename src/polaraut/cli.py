@@ -50,9 +50,9 @@ def _add_code_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mmin", metavar="MASKS", help="comma-separated generator monomial masks")
 
 
-# what a missing file, malformed JSON or a JSON value of the wrong shape
-# raises while a --code or --matrix file is read
-_READ_ERRORS = (OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError)
+# what a missing file, malformed or too deeply nested JSON, or a JSON value
+# of the wrong shape raises while a --code or --matrix file is read
+_READ_ERRORS = (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError, AttributeError)
 
 
 def _unreadable(path: str, exc: Exception) -> ValueError:

@@ -285,34 +285,39 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
 # with an "invalid" warning, which this does not silence (see the FOUND on
 # near-max LLRs in CHANGES.md)
 @np.errstate(over="ignore")
-def _sc_batch(llrs: np.ndarray, plan: _Plan, work: np.ndarray | None = None) -> np.ndarray:
+def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
     """SC-decode a positions-major (size, batch) LLR block along a plan;
     returns the (size, batch) codewords (their u-vectors are the
     transform of them) in a fresh array.
 
-    Every LLR the kernel computes goes to `work`, a (size - 1, batch)
-    buffer, this thread's workspace by default: a node of size s uses rows
-    [size - 2s, size - s), which hold nothing still needed whenever such a
-    node is written, as the nodes on the path to it are all larger."""
+    Every LLR the kernel computes goes to this thread's (size - 1, batch)
+    workspace, addressed by node size alone: node(s), the node of size s,
+    owns rows [s - 1, 2s - 1), so sizes ascend from row 0, and the root's
+    LLRs are the input.  Writing node(s) overwrites nothing still needed,
+    as the nodes on the path to it are all larger.
+
+    The re-decode of a rate-1 node of size s with an exact 0.0 LLR shares
+    the workspace.  It decodes a copy of k <= batch of the node's columns
+    in the first (s - 1) k entries of this thread's buffer.  If this call
+    runs in that buffer too, they lie inside rows [0, s - 1), which hold
+    only nodes smaller than s, and none of those is live at a leaf."""
     n_pos, batch = llrs.shape
-    if work is None:
-        work = _workspace(n_pos - 1, batch)
+    work = _workspace(n_pos - 1, batch)
+    node = {1 << i: work[(1 << i) - 1:(2 << i) - 1] for i in range(n_pos.bit_length() - 1)}
+    node[n_pos] = llrs
     x = np.zeros(llrs.shape, dtype=np.uint8)
     rows = max(1, _TILE // batch)  # rows in a slab
     scratch = np.empty((min(rows, n_pos // 2), batch))
-    # LLRs of the nodes on the path to the current one; after g a node's
-    # entry holds its right child's LLRs, as the node's own are spent
-    stack = [llrs]
     for op, lo, size in plan:
-        v = stack[-1]
+        # F, G and G0 read node(2 size) to write node(size); REP, RATE1 node(size)
+        v = node[2 * size] if op <= _G0 else node[size]
         if op == _F:
             # f = max(min(a, b), -max(a, b)): min(|a|, |b|) with the sign
             # of a * b, and no product.  This is sign(a) sign(b) min(|a|, |b|)
             # up to the sign of a zero, which no step reads: decisions test
             # < 0 and == 0, and a zero term in a sum or in g leaves the
             # other term as it is
-            a, b = v[:size], v[size:]
-            f = work[n_pos - 2 * size:n_pos - size]
+            a, b, f = v[:size], v[size:], node[size]
             for r in range(0, size, rows):
                 fs = f[r:r + rows]
                 t = scratch[:len(fs)]
@@ -320,30 +325,26 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan, work: np.ndarray | None = None) -> 
                 np.maximum(a[r:r + rows], b[r:r + rows], out=t)
                 np.negative(t, out=t)
                 np.maximum(fs, t, out=fs)
-            stack.append(f)
         elif op == _G:
             # g = b + (1 - 2u) a
-            stack.pop()
-            a, b, u = stack[-1][:size], stack[-1][size:], x[lo:lo + size]
-            g = work[n_pos - 2 * size:n_pos - size]
+            a, b, u, g = v[:size], v[size:], x[lo:lo + size], node[size]
             for r in range(0, size, rows):
                 gs = g[r:r + rows]
                 np.multiply(u[r:r + rows], 2.0, out=gs)
                 np.subtract(1.0, gs, out=gs)
                 gs *= a[r:r + rows]
                 gs += b[r:r + rows]
-            stack[-1] = g
         elif op == _G0:
             # g after a rate-0 left child, whose u is 0: b + a, exactly
             # what b + 1.0 * a gives; one pass, so nothing to tile
-            stack[-1] = np.add(v[size:], v[:size], out=work[n_pos - 2 * size:n_pos - size])
+            np.add(v[size:], v[:size], out=node[size])
         elif op == _XOR:
             x[lo:lo + size] ^= x[lo + size:lo + 2 * size]
         elif op == _REP:
-            # each partial sum of h rows goes where a node of size h would
+            # each partial sum of h rows goes to node(h)
             while len(v) > 1:
                 h = len(v) // 2
-                v = np.add(v[h:], v[:h], out=work[n_pos - 2 * h:n_pos - h])
+                v = np.add(v[h:], v[:h], out=node[h])
             np.less(v, 0, out=x[lo:lo + size])
         else:  # _RATE1
             np.less(v, 0, out=x[lo:lo + size])
@@ -351,9 +352,7 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan, work: np.ndarray | None = None) -> 
                 h = size // 2
                 halves = ((_F, 0, h), (_RATE1, 0, h), (_G, 0, h), (_RATE1, h, h), (_XOR, 0, h))
                 cols = np.flatnonzero((v == 0).any(axis=0))
-                # a buffer of its own: this call's workspace still holds
-                # the LLRs of the nodes above this one
-                x[lo:lo + size, cols] = _sc_batch(v[:, cols], halves, np.empty((size - 1, len(cols))))
+                x[lo:lo + size, cols] = _sc_batch(v[:, cols], halves)
     return x
 
 
@@ -501,7 +500,7 @@ def sc_invariance_check(
     rng = np.random.default_rng([seed, 0])
     plan = _plan(spec)
     equal = 0
-    for _, llrs in _frames(spec, channel, rng, trials, max(1, _BLOCK_LLRS // spec.N)):
+    for _, llrs in _frames(spec, channel, rng, trials, 1):
         decoded_then_permuted = _sc_batch(llrs, plan)[perm]
         permuted_then_decoded = _sc_batch(llrs[perm], plan)
         equal += int((decoded_then_permuted == permuted_then_decoded).all(axis=0).sum())
@@ -541,11 +540,11 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 
 _SIM_BATCH = 1024  # fixed so results never depend on the worker count
-# A batch, like the frames of an SC invariance check, is decoded in blocks
-# of frames whose decoder input (L permuted copies of each frame for the
-# ensemble) holds about this many LLRs, 8 MB of float64.  The block bounds
-# the one LLR buffer the channel writes for all of a batch's blocks, and
-# the kernel's workspace, which each thread retains up to this size; cache
+# _frames cuts a batch, like the frames of an SC invariance check, into
+# blocks of frames whose decoder input (L permuted copies of each frame for
+# the ensemble) holds about this many LLRs, 8 MB of float64.  The block
+# bounds the one LLR buffer the channel writes for all of a batch's blocks,
+# and the kernel's workspace, which each thread retains up to this size; cache
 # locality comes from the kernel's row slabs and the channel's frame slabs
 # (both _TILE), so the block can stay wide and spread each plan step's
 # Python cost over many frames.  Frames decode independently and the slabs
@@ -554,10 +553,12 @@ _BLOCK_LLRS = 1 << 20
 
 
 def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.random.Generator,
-            count: int, step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            count: int, members: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """`count` random frames of spec as (sent codewords (N, b), positions-major
-    LLRs (N, b)) in blocks of b <= step.  Every block's LLRs are written to
-    one buffer, so a block is valid only until the next one is yielded.
+    LLRs (N, b)) in blocks of the most frames b whose decoder input,
+    `members` copies of each, holds at most _BLOCK_LLRS LLRs (b >= 1).
+    Every block's LLRs are written to one buffer, so a block is valid
+    only until the next one is yielded.
 
     The info bits are drawn at once.  The channel computes the LLRs
     frames-major in slabs of whole frames, each in a small scratch buffer
@@ -566,7 +567,7 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
     (count, N) draw would."""
     n_pos = spec.N
     sent = _encode(rng.integers(0, 2, size=(count, spec.K), dtype=np.uint8), spec)
-    step = min(step, count)
+    step = min(max(1, _BLOCK_LLRS // (n_pos * members)), count)
     buf = np.empty(n_pos * step)
     # frames in a slab: about _TILE LLRs, and at least 8 so that each row
     # segment written into the block fills a 64-byte cache line
@@ -587,10 +588,9 @@ def _sim_batch(args) -> int:
     spec, channel, perms, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
     plan = _plan(spec)
-    step = max(1, _BLOCK_LLRS // (spec.N * (1 if perms is None else len(perms))))
     ae = None if perms is None else _ae_decoder(perms, plan)
     errors = 0
-    for sent, llrs in _frames(spec, channel, rng, count, step):
+    for sent, llrs in _frames(spec, channel, rng, count, 1 if perms is None else len(perms)):
         x = _sc_batch(llrs, plan) if ae is None else ae(llrs)[0]
         errors += int((x != sent).any(axis=0).sum())
     return errors
@@ -631,7 +631,7 @@ def simulate_bler(
     if jobs > 1 and len(batches) > 1:
         from multiprocessing import Pool  # only a pool pays for importing it
 
-        with Pool(jobs) as pool:
+        with Pool(min(jobs, len(batches))) as pool:
             errors = sum(pool.map(_sim_batch, batches))
     else:
         errors = sum(_sim_batch(b) for b in batches)

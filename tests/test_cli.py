@@ -342,11 +342,17 @@ _REJECTION_MESSAGES = {
     ["sample-perms", "--n", "3", "--mmin", "4", "--L", "2", "--out", "{tmp}/missing/x.json"],
     SIM + ["--frames", "10", "--out", "{tmp}"],
     ["selftest", "--out", "{tmp}/missing/x.txt"],
+    ["construct", "--code", "{tmp}/deep.json"],
+    ["construct", "--code", "{tmp}/deep_masks.json"],
+    ["witness", "--n", "3", "--mmin", "1", "--matrix", "{tmp}/deep.json", "--i", "0"],
 ])
 def test_rejected_argument_exits_2(capsys, tmp_path, argv):
     (tmp_path / "no_a.json").write_text('{"B": 1}')
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "cut.json").write_text('{"n": 3, "K": 2')
+    # nested deeper than the JSON decoder recurses: a RecursionError
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "deep_masks.json").write_text('{"n": 3, "m_min_masks": ' + "[" * 5000 + "]" * 5000 + "}")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     try:
         code = main(argv)

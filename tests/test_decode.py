@@ -333,17 +333,51 @@ def test_sc_kernel_workspace_reuse_matches_oracle(monkeypatch):
         x = _sc_batch(np.ascontiguousarray(llrs.T), _plan(spec))
         assert (x.T == sc_oracle(llrs, _mask(spec))[0]).all(), (spec.n, spec.K)
         assert not np.shares_memory(x, decode._local.work)
-    # a call above the retention cap decodes in a buffer of its own and
-    # leaves the retained one as it was
+    # a call above the retention cap decodes in a buffer of its own; the
+    # re-decode of a rate-1 node below the root (at most N/2 rows) runs in
+    # a prefix of the retained buffer, at most (N/2 - 1) * frames LLRs, and
+    # leaves the rest of it as it was
     monkeypatch.setattr(decode, "_BLOCK_LLRS", 4096)
     kept = decode._local.work
+    size = len(kept)
     spec = construct_bec(8, 100, 0.5)
     llrs = _llr_blocks(spec, rng, 12)
     assert (spec.N - 1) * len(llrs) > decode._BLOCK_LLRS
     _dirty_workspace()
     x = _sc_batch(np.ascontiguousarray(llrs.T), _plan(spec))
     assert (x.T == sc_oracle(llrs, _mask(spec))[0]).all()
-    assert decode._local.work is kept and np.isnan(kept).all()
+    assert decode._local.work is kept and len(kept) == size
+    assert not np.isnan(kept).all()  # a nested re-decode ran in it
+    assert np.isnan(kept[(spec.N // 2 - 1) * len(llrs):]).all()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sc_kernel_bec_matches_oracle(monkeypatch, n):
+    # erasures put exact 0.0 LLRs on rate-1 nodes, whose re-decode shares
+    # the workspace of the call that holds the node; each block decodes on
+    # a workspace left full of NaN.  The kernel calls itself through the
+    # module, so the recorder sees the nested calls alone
+    rng = np.random.default_rng(800 + n)
+    nested = []
+
+    def counted(llrs, plan):
+        nested.append(llrs.shape)
+        return _sc_batch(llrs, plan)
+
+    monkeypatch.setattr(decode, "_sc_batch", counted)
+    big = 1 << n
+    for k in sorted({1, big // 4, big // 2, 3 * big // 4, big - 1, big} - {0}):
+        for spec in (construct_pw(n, k), construct_bec(n, k, 0.5)):
+            for eps in (0.1, 0.5, 0.9):
+                llrs = BecChannel(eps).llrs(_codewords(spec, 24, rng), rng, spec.rate)
+                block = np.ascontiguousarray(llrs.T)
+                decode._workspace(spec.N - 1, len(llrs))
+                _dirty_workspace()
+                x = _sc_batch(block, _plan(spec)).T
+                assert (x == sc_oracle(llrs, _mask(spec))[0]).all(), (n, k, spec.construction, eps)
+                # the root's LLRs are the caller's: the kernel only reads them
+                assert block.tobytes() == np.ascontiguousarray(llrs.T).tobytes()
+    assert nested
 
 
 def test_sc_kernel_threads_match_serial():
@@ -641,6 +675,33 @@ class TestSimulate:
         b = simulate_bler(spec, AwgnBpskChannel(2.0), 3000, seed=2, jobs=2)
         assert a == b
 
+    @pytest.mark.parametrize("frames,jobs,workers", [(2048, 32, 2), (5000, 3, 3)])
+    def test_pool_no_larger_than_the_batches(self, monkeypatch, frames, jobs, workers):
+        # a recorder stands in for the pool and maps serially, so no
+        # process is started whatever the number of jobs
+        import multiprocessing
+
+        sizes = []
+
+        class Recorder:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return list(map(func, items))
+
+        spec = construct_pw(3, 4)
+        serial = simulate_bler(spec, AwgnBpskChannel(2.0), frames, seed=5)
+        monkeypatch.setattr(multiprocessing, "Pool", Recorder)
+        assert simulate_bler(spec, AwgnBpskChannel(2.0), frames, seed=5, jobs=jobs) == serial
+        assert sizes == [workers]
+
     def test_import_leaves_multiprocessing_out(self):
         # only simulate_bler with jobs > 1 starts a pool, so only it
         # imports multiprocessing; a fresh interpreter shows what import costs
@@ -733,10 +794,11 @@ class TestSimulate:
         # each block is a contiguous (N, b) view of one reused buffer: the
         # blocks, copied as they come and joined along the frames, are the
         # transposed one draw
+        monkeypatch.setattr(decode, "_BLOCK_LLRS", 70 * pw6.N)
         monkeypatch.setattr(decode, "_TILE", tile)
         rng = np.random.default_rng([31, 2])
         blocks = [(sent.copy(), llrs.copy(), llrs)
-                  for sent, llrs in decode._frames(pw6, channel, rng, 1000, 70)]
+                  for sent, llrs in decode._frames(pw6, channel, rng, 1000, 1)]
         sent, ref, ref_rng = self._one_draw(pw6, channel, 31, 2, 1000)
         assert [llrs.shape for _, llrs, _ in blocks] == [(pw6.N, 70)] * 14 + [(pw6.N, 20)]
         assert all(view.flags.c_contiguous for _, _, view in blocks)
