@@ -10,18 +10,20 @@ erasure.
 
 Internally everything is positions-major: codewords and LLR blocks are
 (N, frames) arrays, so that the encoder's XOR passes and the decoder's
-f/g steps work on contiguous row blocks.  The channel draws its noise
-frames-major, in the order a (frames, N) draw makes, but a few frames at
-a time, each slab written transposed into the decoder's block.  The
-decoders work on batches; the public single-frame entry points wrap a
-batch of one, and the public channel and encoding helpers keep
-frames-major (..., N) arrays.
+f/g steps work on contiguous row blocks.  The Monte Carlo frames call
+each channel's public `llrs` on a slab of whole frames at a time, so
+the noise is drawn frames-major in the order one (frames, N) draw makes,
+and write each slab transposed into the decoder's block.  The decoders
+work on batches; the public single-frame entry points wrap a batch of
+one, and the public channel and encoding helpers keep frames-major
+(..., N) arrays.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Sequence
@@ -68,15 +70,10 @@ class BecChannel:
         return self.erasure_prob
 
     def llrs(self, x: np.ndarray, rng: np.random.Generator, rate: float) -> np.ndarray:
-        """Frames-major float64 LLRs of the bits x, in a new array."""
-        return self._llrs_into(x, rng, rate, np.empty(x.shape))
-
-    def _llrs_into(self, x: np.ndarray, rng: np.random.Generator, rate: float,
-                   out: np.ndarray) -> np.ndarray:
-        """llrs(x, rng, rate) written into out, a C-contiguous float64
-        array of x's shape."""
+        """Float64 LLRs of the bits x, in a new C-contiguous array of x's shape."""
         # (1 - 2x) * CERTAIN_LLR built in place as CERTAIN_LLR - 2x *
         # CERTAIN_LLR, which is exact for bits; the erasures are one draw
+        out = np.empty(x.shape)
         np.multiply(x, -2.0 * CERTAIN_LLR, out=out, dtype=np.float64)
         out += CERTAIN_LLR
         np.copyto(out, 0.0, where=rng.random(x.shape) < self.erasure_prob)
@@ -112,16 +109,11 @@ class AwgnBpskChannel:
         return sigma
 
     def llrs(self, x: np.ndarray, rng: np.random.Generator, rate: float) -> np.ndarray:
-        """Frames-major float64 LLRs of the bits x, in a new array."""
-        return self._llrs_into(x, rng, rate, np.empty(x.shape))
-
-    def _llrs_into(self, x: np.ndarray, rng: np.random.Generator, rate: float,
-                   out: np.ndarray) -> np.ndarray:
-        """llrs(x, rng, rate) written into out, a C-contiguous float64
-        array of x's shape."""
+        """Float64 LLRs of the bits x, in a new C-contiguous array of x's shape."""
         sigma = self.noise_sigma(rate)
         # 2 ((1 - 2x) + rng.normal(0, sigma)) / sigma^2 in place: normal(0, s)
         # is 0 + s * standard_normal, so the draws and every LLR are the same
+        out = np.empty(x.shape)
         rng.standard_normal(out=out)
         out *= sigma
         symbols = np.multiply(x, -2.0, dtype=np.float64)
@@ -197,13 +189,20 @@ def polar_encode(u: Sequence[int] | np.ndarray, spec: CodeSpec) -> np.ndarray:
     return _transposed(x.reshape(spec.N, -1)).reshape(x.shape[1:] + (spec.N,))
 
 
+def _inverse(x: np.ndarray, spec: CodeSpec) -> np.ndarray:
+    """u (..., N) with u H = x, for words x (..., N) of spec's length N."""
+    if np.shape(x)[-1:] != (spec.N,):
+        raise ValueError(f"expected {spec.N} code bits, got shape {np.shape(x)}")
+    return polar_transform(x)
+
+
 def extract_info(codeword: np.ndarray, spec: CodeSpec) -> np.ndarray:
     """Info bits of a codeword (the transform is its own inverse)."""
-    return polar_transform(codeword)[..., _info_mask(spec)]
+    return _inverse(codeword, spec)[..., _info_mask(spec)]
 
 
 def is_codeword(x: np.ndarray, spec: CodeSpec) -> bool:
-    return not polar_transform(x)[..., ~_info_mask(spec)].any()
+    return not _inverse(x, spec)[..., ~_info_mask(spec)].any()
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +559,9 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
     Every block's LLRs are written to one buffer, so a block is valid
     only until the next one is yielded.
 
-    The info bits are drawn at once.  The channel computes the LLRs
-    frames-major in slabs of whole frames, each in a small scratch buffer
-    that is then written transposed into the block; each slab draws its
+    The info bits are drawn at once.  Each block calls the channel's
+    public `llrs` on a slab of whole frames at a time and writes the
+    frames-major result transposed into the block; each slab draws its
     noise where the previous slab's ended, so the blocks draw what one
     (count, N) draw would."""
     n_pos = spec.N
@@ -572,15 +571,12 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
     # frames in a slab: about _TILE LLRs, and at least 8 so that each row
     # segment written into the block fills a 64-byte cache line
     rows = max(_TILE // n_pos, 8)
-    scratch = np.empty((min(rows, step), n_pos))
     for start in range(0, count, step):
         block = sent[:, start:start + step]
         bits = _transposed(block)
         llrs = buf[:block.size].reshape(block.shape)
         for lo in range(0, len(bits), rows):
-            slab = bits[lo:lo + rows]
-            out = channel._llrs_into(slab, rng, spec.rate, scratch[:len(slab)])
-            _transposed(out, llrs[:, lo:lo + rows])
+            _transposed(channel.llrs(bits[lo:lo + rows], rng, spec.rate), llrs[:, lo:lo + rows])
         yield block, llrs
 
 
@@ -628,10 +624,13 @@ def simulate_bler(
         for idx, start in enumerate(range(0, num_frames, _SIM_BATCH))
     ]
 
-    if jobs > 1 and len(batches) > 1:
+    # no more workers than batches, nor than the CPUs this process may use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(batches), cpus)
+    if workers > 1:
         from multiprocessing import Pool  # only a pool pays for importing it
 
-        with Pool(min(jobs, len(batches))) as pool:
+        with Pool(workers) as pool:
             errors = sum(pool.map(_sim_batch, batches))
     else:
         errors = sum(_sim_batch(b) for b in batches)

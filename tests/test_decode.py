@@ -675,11 +675,26 @@ class TestSimulate:
         b = simulate_bler(spec, AwgnBpskChannel(2.0), 3000, seed=2, jobs=2)
         assert a == b
 
-    @pytest.mark.parametrize("frames,jobs,workers", [(2048, 32, 2), (5000, 3, 3)])
-    def test_pool_no_larger_than_the_batches(self, monkeypatch, frames, jobs, workers):
+    # the pool is min(jobs, batches, usable CPUs) workers, and no pool at
+    # all when that is 1; the last case has no affinity call and counts
+    # the machine's CPUs
+    @pytest.mark.parametrize("frames,jobs,cpus,affinity,workers", [
+        (2048, 32, 64, True, [2]),
+        (5000, 3, 64, True, [3]),
+        (5000, 10000, 3, True, [3]),
+        (5000, 8, 1, True, []),
+        (5000, 8, 4, False, [4]),
+    ], ids=["2048-32-2", "5000-3-3", "5000-10000-3", "5000-8-serial", "5000-8-4-cpu_count"])
+    def test_pool_no_larger_than_the_batches(self, monkeypatch, frames, jobs, cpus, affinity, workers):
         # a recorder stands in for the pool and maps serially, so no
-        # process is started whatever the number of jobs
+        # process is started whatever the number of jobs or CPUs
         import multiprocessing
+
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
         sizes = []
 
@@ -700,7 +715,7 @@ class TestSimulate:
         serial = simulate_bler(spec, AwgnBpskChannel(2.0), frames, seed=5)
         monkeypatch.setattr(multiprocessing, "Pool", Recorder)
         assert simulate_bler(spec, AwgnBpskChannel(2.0), frames, seed=5, jobs=jobs) == serial
-        assert sizes == [workers]
+        assert sizes == workers
 
     def test_import_leaves_multiprocessing_out(self):
         # only simulate_bler with jobs > 1 starts a pool, so only it
@@ -764,7 +779,7 @@ class TestSimulate:
     ])
     def test_block_draws_join_to_one_draw(self, monkeypatch, pw6, decoder, channel, tile, rows):
         # the decode blocks are 70 frames (SC) or 17 (AE-4), neither of
-        # which divides the 1000-frame batch, and the channel hook is
+        # which divides the 1000-frame batch, and the channel's llrs is
         # called once per slab of each block; joined in order, the slabs
         # are the oracle's one draw over the batch, and the generator ends
         # where that draw leaves it
@@ -774,8 +789,8 @@ class TestSimulate:
         calls = []
 
         class Recorder:
-            def _llrs_into(self, x, rng, rate, out):
-                channel._llrs_into(x, rng, rate, out)
+            def llrs(self, x, rng, rate):
+                out = channel.llrs(x, rng, rate)
                 calls.append((x.copy(), out.copy(), rng))
                 return out
 
@@ -917,6 +932,26 @@ class TestSimulate:
         assert (got.view(np.uint64) == ref.view(np.uint64)).all()
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
+    # a 0-d bit, a transposed (non-contiguous) block and bool bits: llrs
+    # returns a new C-contiguous float64 array of x's shape, equal bit for
+    # bit to the oracle's one draw in x's element order (the oracles take
+    # the bits flattened, since a 0-d array would come back a scalar)
+    @pytest.mark.parametrize("layout", ["0-d", "transposed", "bool"])
+    @pytest.mark.parametrize("channel", [AwgnBpskChannel(2.0), BecChannel(0.4)], ids=["awgn", "bec"])
+    def test_llrs_return_a_new_c_contiguous_array(self, channel, layout):
+        bits = np.random.default_rng(45).integers(0, 2, (64, 24), dtype=np.uint8)
+        x = {"0-d": bits[0, 0].reshape(()), "transposed": bits.T, "bool": bits.astype(np.bool_)}[layout]
+        got_rng, ref_rng = np.random.default_rng(46), np.random.default_rng(46)
+        got = channel.llrs(x, got_rng, 0.5)
+        if isinstance(channel, AwgnBpskChannel):
+            ref = awgn_llrs_oracle(x.reshape(-1), ref_rng, channel.ebn0_db, 0.5)
+        else:
+            ref = bec_llrs_oracle(x.reshape(-1), ref_rng, channel.erasure_prob)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == x.shape
+        assert got.flags.c_contiguous and not np.shares_memory(got, x)
+        assert got.tobytes() == ref.tobytes()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_awgn_extreme_but_usable_sigma(self):
         for db in (3000.0, -3000.0):  # sigma and 2 / sigma^2 are still finite
             assert 0.0 < AwgnBpskChannel(db).noise_sigma(0.5) < float("inf")
@@ -946,3 +981,13 @@ def test_extract_info_roundtrip():
     spec = construct_pw(5, 20)
     u = rng.integers(0, 2, spec.K, dtype=np.uint8)
     assert (extract_info(polar_encode(u, spec), spec) == u).all()
+
+
+# a word whose last axis is not N is refused by name, as polar_encode
+# refuses a wrong K, and not with numpy's IndexError of a boolean index
+@pytest.mark.parametrize("shape", [(4,), (16,), (2, 16)], ids=["half", "double", "double-batch"])
+@pytest.mark.parametrize("check", [extract_info, is_codeword], ids=["extract_info", "is_codeword"])
+def test_wrong_word_length_rejected(check, shape):
+    spec = construct_pw(3, 4)
+    with pytest.raises(ValueError, match=rf"expected 8 code bits, got shape \({shape[0]}"):
+        check(np.zeros(shape, dtype=np.uint8), spec)
