@@ -42,12 +42,13 @@ from .selfcheck import run_all
 
 
 def _add_code_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--code", metavar="FILE", help="code spec JSON file")
     p.add_argument("--n", type=int, help="log2 of the block length")
     p.add_argument("--K", type=int, help="code dimension")
-    p.add_argument("--pw", action="store_true", help="polarization-weight construction")
-    p.add_argument("--bec", type=float, metavar="EPS", help="BEC construction at erasure probability EPS")
-    p.add_argument("--mmin", metavar="MASKS", help="comma-separated generator monomial masks")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--code", metavar="FILE", help="code spec JSON file")
+    source.add_argument("--pw", action="store_true", help="polarization-weight construction")
+    source.add_argument("--bec", type=float, metavar="EPS", help="BEC construction at erasure probability EPS")
+    source.add_argument("--mmin", metavar="MASKS", help="comma-separated generator monomial masks")
 
 
 # what a missing file, malformed or too deeply nested JSON, or a JSON value

@@ -13,10 +13,14 @@ Internally everything is positions-major: codewords and LLR blocks are
 f/g steps work on contiguous row blocks.  The Monte Carlo frames call
 each channel's public `llrs` on a slab of whole frames at a time, so
 the noise is drawn frames-major in the order one (frames, N) draw makes,
-and write each slab transposed into the decoder's block.  The decoders
-work on batches; the public single-frame entry points wrap a batch of
-one, and the public channel and encoding helpers keep frames-major
-(..., N) arrays.
+and write each slab transposed into the decoder's block.  The ensemble
+decoder gathers one member's candidate at a time from the SC output,
+through the member's inverse permutation, and scores it frames-major
+through a transposed view; no array of all candidates is built.  The
+decoders work on batches; the public single-frame entry points wrap a
+batch of one, and the public channel and encoding helpers keep
+frames-major (..., N) arrays.  The encoding helpers take only entries
+equal to 0 or 1.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -152,10 +156,19 @@ def _transposed(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _bits(u: Sequence[int] | np.ndarray) -> np.ndarray:
+    """u as a uint8 array; ValueError unless every entry equals 0 or 1 (a
+    cast alone would turn 2 into a 0 bit, 0.5 into 0 and -1 into 255)."""
+    u = np.asarray(u)
+    if not ((u == 0) | (u == 1)).all():
+        raise ValueError("bits must be 0 or 1")
+    return u.astype(np.uint8, copy=False)
+
+
 def polar_transform(u: np.ndarray) -> np.ndarray:
     """Multiply bit rows by H = F^(x)n along the last axis (self-inverse);
     returns a new C-contiguous uint8 array."""
-    u = np.asarray(u, dtype=np.uint8)
+    u = _bits(u)
     n_pos = u.shape[-1] if u.ndim else 0
     if n_pos < 1 or n_pos & (n_pos - 1):
         raise ValueError(f"bit rows of shape {u.shape}: the length is not a power of two")
@@ -185,7 +198,7 @@ def _encode(u: np.ndarray, spec: CodeSpec) -> np.ndarray:
 
 def polar_encode(u: Sequence[int] | np.ndarray, spec: CodeSpec) -> np.ndarray:
     """Codewords (..., N) of (..., K) info bits."""
-    x = _encode(u, spec)
+    x = _encode(_bits(u), spec)
     return _transposed(x.reshape(spec.N, -1)).reshape(x.shape[1:] + (spec.N,))
 
 
@@ -393,40 +406,27 @@ def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult
     return DecodeResult(extract_info(x, spec), x, (correlation_score(x, llr),), 0)
 
 
-_Decoded = tuple[np.ndarray, np.ndarray, np.ndarray]
+def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray,
+              plan: _Plan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ensemble-decode a positions-major (N, B) block of LLRs under an
+    (L, N) permutation array and its inverses (argsort along axis 1).
+    Returns (codewords (N, B), chosen (B,), scores (L, B)).
 
-
-def _ae_decoder(perms: np.ndarray, plan: _Plan) -> Callable[[np.ndarray], _Decoded]:
-    """Ensemble decoder under an (L, N) permutation array.  It takes a
-    positions-major (N, B) block of LLRs: permute, decode, de-interleave,
-    keep the best-correlating candidate per frame, and returns
-    (codewords (N, B), chosen (B,), scores (L, B)).  The de-interleave
-    index is built once here, not once for every block it decodes (a
-    batch of 1024 frames at N = 4096 has 32 blocks)."""
+    Member l's candidate is x[inverses[l], l*B:(l+1)*B] of the decoder
+    output x, and it is scored through its transposed view: numpy sums a
+    contiguous axis pairwise, so the scores are summed frames-major, one
+    row per frame, in a (B, N) temporary per member."""
     n_perm, n_pos = perms.shape
-    # candidate l at position pi_l[j] is x[j, l*B + b]: gather the rows of
-    # the (N*L, B) view through the inverses
-    inverse = (np.argsort(perms, axis=1).T * n_perm + np.arange(n_perm)).reshape(-1)
-
-    def decode_block(llrs: np.ndarray) -> _Decoded:
-        batch = llrs.shape[1]
-        # column l*B + b of the decoder input is frame b permuted by pi_l
-        x = _sc_batch(llrs[perms.T].reshape(n_pos, n_perm * batch), plan)
-        cand = np.take(x.reshape(n_pos * n_perm, batch), inverse, axis=0)
-        # score frames-major: numpy sums a contiguous axis pairwise, and a
-        # sum over axis 0 would round differently.  Each score is the sum
-        # of one row, so scoring a member at a time gives the same floats
-        # with a (B, N) temporary in place of an (L, B, N) one
-        frames = _transposed(cand.reshape(n_pos, n_perm * batch)).reshape(n_perm, batch, n_pos)
-        received = _transposed(llrs)
-        scores = np.empty((n_perm, batch))
-        for member, cw in zip(scores, frames):
-            member[:] = correlation_score(cw, received)
-        chosen = scores.argmax(axis=0)  # ties resolve to the lowest index
-        best = cand.reshape(n_pos, n_perm, batch)[:, chosen, np.arange(batch)]
-        return best, chosen, scores
-
-    return decode_block
+    batch = llrs.shape[1]
+    # column l*B + b of the decoder input is frame b permuted by pi_l
+    x = _sc_batch(llrs[perms.T].reshape(n_pos, n_perm * batch), plan)
+    received = _transposed(llrs)
+    scores = np.empty((n_perm, batch))
+    for member, inv in enumerate(inverses):
+        scores[member] = correlation_score(x[inv, member * batch:(member + 1) * batch].T, received)
+    chosen = scores.argmax(axis=0)  # ties resolve to the lowest index
+    best = x[inverses[chosen].T, chosen * batch + np.arange(batch)]
+    return best, chosen, scores
 
 
 def _perm_array(perms: Sequence[Sequence[int]] | None, n_pos: int) -> np.ndarray:
@@ -460,7 +460,7 @@ def ae_decode(
     """
     llr = _llr_frame(llr, spec)
     perms = _perm_array(perms, spec.N)
-    best, chosen, scores = _ae_decoder(perms, _plan(spec))(llr[:, None])
+    best, chosen, scores = _ae_block(llr[:, None], perms, np.argsort(perms, axis=1), _plan(spec))
     x = best[:, 0]
     scores = tuple(float(s) for s in scores[:, 0])
     return DecodeResult(extract_info(x, spec), x, scores, int(chosen[0]))
@@ -584,10 +584,10 @@ def _sim_batch(args) -> int:
     spec, channel, perms, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
     plan = _plan(spec)
-    ae = None if perms is None else _ae_decoder(perms, plan)
+    inverses = None if perms is None else np.argsort(perms, axis=1)
     errors = 0
     for sent, llrs in _frames(spec, channel, rng, count, 1 if perms is None else len(perms)):
-        x = _sc_batch(llrs, plan) if ae is None else ae(llrs)[0]
+        x = _sc_batch(llrs, plan) if perms is None else _ae_block(llrs, perms, inverses, plan)[0]
         errors += int((x != sent).any(axis=0).sum())
     return errors
 

@@ -182,7 +182,7 @@ def check_anf_involution(n: int, rng: random.Random, samples: int) -> CheckResul
     for mask in range(1 << n):
         ev = evaluation_vector(mask, n)
         coeffs = anf(ev)
-        want = 1 << (((1 << n) - 1) ^ mask)  # row index of the monomial
+        want = 1 << monomial_index(mask, n)
         checked += 1
         failures += coeffs.bits != want
     return CheckResult(f"anf involution and support (n={n})", checked, failures)

@@ -32,7 +32,7 @@ from polaraut import (
 )
 from polaraut import decode
 from polaraut.affine import block_profile
-from polaraut.decode import _F, _G0, CERTAIN_LLR, _ae_decoder, _plan, _sc_batch, correlation_score
+from polaraut.decode import _F, _G0, CERTAIN_LLR, _ae_block, _plan, _sc_batch, correlation_score
 from polaraut.monomial import all_monomials, construct_bec
 
 from oracles import ae_oracle, awgn_llrs_oracle, bec_llrs_oracle, kron_power, sc_oracle
@@ -119,6 +119,28 @@ class TestEncode:
         for shape in ((), (0,), (6,), (3, 12)):
             with pytest.raises(ValueError, match="not a power of two"):
                 polar_transform(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("bad", [2, 0.5, -1])
+    @pytest.mark.parametrize("helper", ["polar_transform", "polar_encode", "extract_info", "is_codeword"])
+    def test_helpers_reject_non_bits(self, helper, bad):
+        # these were cast to uint8: 2 read as 0, 0.5 as 0 and -1 as 255
+        spec = construct_pw(3, 4)
+        word = np.zeros(spec.K if helper == "polar_encode" else spec.N, dtype=type(bad))
+        word[1] = bad
+        args = (word,) if helper == "polar_transform" else (word, spec)
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            getattr(polaraut, helper)(*args)
+
+    def test_helpers_accept_bools_and_float_bits(self):
+        spec = construct_pw(3, 4)
+        u = np.array([1, 0, 1, 1], dtype=np.uint8)
+        x = polar_encode(u, spec)
+        for given in (x.astype(bool), x.astype(np.float64)):
+            assert is_codeword(given, spec)
+            assert (extract_info(given, spec) == u).all()
+            assert (polar_transform(given) == polar_transform(x)).all()
+        assert (polar_encode(u.astype(bool), spec) == x).all()
+        assert (polar_encode(u.astype(np.float64), spec) == x).all()
 
     def test_transposed_is_a_contiguous_transpose(self):
         rng = np.random.default_rng(27)
@@ -556,7 +578,7 @@ def test_ae_matches_oracle(name, spec, perms):
     perm_arr = np.array(perms, dtype=np.intp)
     best_ref, chosen_ref, scores_ref = ae_oracle(llrs, perm_arr, _mask(spec))
     # the decoder reads positions-major (N, B) blocks, as _frames yields them
-    best, chosen, scores = _ae_decoder(perm_arr, _plan(spec))(llrs.T.copy())
+    best, chosen, scores = _ae_block(llrs.T.copy(), perm_arr, np.argsort(perm_arr, axis=1), _plan(spec))
     assert (best.T == best_ref).all() and (chosen == chosen_ref).all()
     assert scores.T.tobytes() == scores_ref.tobytes()
     for f, llr in enumerate(llrs):
@@ -567,6 +589,15 @@ def test_ae_matches_oracle(name, spec, perms):
         assert res.chosen == chosen_ref[f]
     if name == "repeated":  # equal scores: the lower copy wins
         assert (chosen_ref < len(perms) // 2).all()
+    if name.startswith("blta"):
+        # some frames have top-scoring members with different candidates,
+        # so the lowest-index rule picks the codeword, not just the index
+        cand = np.empty((len(perms),) + llrs.shape, dtype=np.uint8)
+        for member, pi in zip(cand, perm_arr):
+            member[:, pi] = sc_oracle(llrs[:, pi], _mask(spec))[0]
+        top = scores_ref == scores_ref.max(axis=1, keepdims=True)
+        assert any(len({cand[l, f].tobytes() for l in np.flatnonzero(top[f])}) > 1
+                   for f in range(len(llrs)))
 
 
 class TestScoring:
