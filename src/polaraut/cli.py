@@ -61,7 +61,11 @@ def _unreadable(path: str, exc: Exception) -> ValueError:
 
 
 def _resolve_code(args, parser: argparse.ArgumentParser) -> CodeSpec:
+    # the file, or the masks, give the whole code: a size flag beside them
+    # would be ignored, so it is rejected
     if args.code:
+        if args.n is not None or args.K is not None:
+            parser.error("--code takes no --n or --K")
         try:
             return CodeSpec.load(args.code)
         except _READ_ERRORS as exc:
@@ -69,6 +73,8 @@ def _resolve_code(args, parser: argparse.ArgumentParser) -> CodeSpec:
     if args.n is None:
         parser.error("need --code or --n with a construction")
     if args.mmin is not None:
+        if args.K is not None:
+            parser.error("--mmin takes no --K")
         masks = [int(m) for m in args.mmin.split(",") if m != ""]
         return construct_explicit(args.n, masks)
     if args.K is None:

@@ -541,21 +541,31 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 _SIM_BATCH = 1024  # fixed so results never depend on the worker count
 # _frames cuts a batch, like the frames of an SC invariance check, into
 # blocks of frames whose decoder input (L permuted copies of each frame for
-# the ensemble) holds about this many LLRs, 8 MB of float64.  The block
-# bounds the one LLR buffer the channel writes for all of a batch's blocks,
-# and the kernel's workspace, which each thread retains up to this size; cache
-# locality comes from the kernel's row slabs and the channel's frame slabs
-# (both _TILE), so the block can stay wide and spread each plan step's
-# Python cost over many frames.  Frames decode independently and the slabs
-# draw their noise in frame order, so the block size changes no output.
+# the ensemble) holds at most _BLOCK_LLRS LLRs, 8 MB of float64, and at
+# most _BLOCK_COLUMNS columns, a column being one copy of one frame.  The
+# LLR cap bounds the one LLR buffer the channel writes for all of a batch's
+# blocks, and the kernel's workspace, which each thread retains up to this
+# size; it sets the block at n >= 10.  Below that the column cap does: an
+# SC batch is at most 1024 columns, but an ensemble multiplies them by L.
+# One block of AE-8's 8192 columns at n <= 9 holds a 4 MB workspace and a
+# 4 MB permuted input, both larger than a 2 MB L2, and four blocks of 2048
+# columns decode within 3 % of its speed (blocks of 1024 are about 9 %
+# slower).  Cache locality comes from the kernel's row slabs and the
+# channel's frame slabs (both _TILE), so the block can stay wide and spread
+# each plan step's Python cost over many frames.  Frames decode
+# independently and the slabs draw their noise in frame order, so the
+# block size changes no output.
 _BLOCK_LLRS = 1 << 20
+_BLOCK_COLUMNS = 1 << 11
 
 
 def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.random.Generator,
             count: int, members: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """`count` random frames of spec as (sent codewords (N, b), positions-major
     LLRs (N, b)) in blocks of the most frames b whose decoder input,
-    `members` copies of each, holds at most _BLOCK_LLRS LLRs (b >= 1).
+    `members` copies of each, has at most min(_BLOCK_LLRS // N,
+    _BLOCK_COLUMNS) columns (b >= 1): the column cap keeps an ensemble's
+    blocks at n <= 9 from growing with `members` (see _BLOCK_COLUMNS).
     Every block's LLRs are written to one buffer, so a block is valid
     only until the next one is yielded.
 
@@ -566,7 +576,7 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
     (count, N) draw would."""
     n_pos = spec.N
     sent = _encode(rng.integers(0, 2, size=(count, spec.K), dtype=np.uint8), spec)
-    step = min(max(1, _BLOCK_LLRS // (n_pos * members)), count)
+    step = min(max(1, min(_BLOCK_LLRS // n_pos, _BLOCK_COLUMNS) // members), count)
     buf = np.empty(n_pos * step)
     # frames in a slab: about _TILE LLRs, and at least 8 so that each row
     # segment written into the block fills a 64-byte cache line

@@ -651,7 +651,8 @@ class TestInvariance:
         # with the plain recursive SC oracle
         spec = construct_pw(10, 512)
         trials, seed = 2500, 7
-        assert trials > 2 * (decode._BLOCK_LLRS // spec.N)  # three blocks or more
+        step = min(decode._BLOCK_LLRS // spec.N, decode._BLOCK_COLUMNS)
+        assert trials > 2 * step  # three blocks or more
         t = sample_blta(block_profile(spec.monomials), 3)
         perm = induced_permutation(t)
         rng = np.random.default_rng([seed, 0])
@@ -788,6 +789,49 @@ class TestSimulate:
         monkeypatch.setattr(decode, "_BLOCK_LLRS", 3000)  # 46 and 11 frames a block
         assert counts() == whole
 
+    @pytest.mark.parametrize("cap", [8, 100, 2048, 1 << 20])
+    def test_column_cap_changes_no_count(self, monkeypatch, cap):
+        # SC and AE-8 error counts and an SC invariance count are those of
+        # blocks cut by the LLR cap alone, and no decoder input is wider
+        # than the cap: at cap 8, AE-8 decodes one frame (8 columns) a block
+        specs = [construct_pw(6, 32), construct_pw(8, 128)]
+        runs = [
+            (spec, chan, dec, _blta_perms(spec, 8, 29) if dec == "ae" else None)
+            for spec in specs
+            for chan in (AwgnBpskChannel(2.0), BecChannel(0.4))
+            for dec in ("sc", "ae")
+        ]
+        t = sample_blta(block_profile(specs[0].monomials), 5)
+
+        def counts():
+            return [
+                simulate_bler(spec, chan, 400, seed=8, decoder=dec, perms=p).errors
+                for spec, chan, dec, p in runs
+            ] + [sc_invariance_check(t, specs[0], trials=300, seed=3).equal]
+
+        monkeypatch.setattr(decode, "_BLOCK_COLUMNS", 1 << 62)
+        whole = counts()
+        monkeypatch.setattr(decode, "_BLOCK_COLUMNS", cap)
+        calls = []
+        frames = decode._frames
+
+        def recorded(spec, channel, rng, count, members):
+            widths = []
+            calls.append((spec.N, count, members, widths))
+            for sent, llrs in frames(spec, channel, rng, count, members):
+                widths.append(llrs.shape[1])
+                yield sent, llrs
+
+        monkeypatch.setattr(decode, "_frames", recorded)
+        assert counts() == whole
+        assert {members for _, _, members, _ in calls} == {1, 8}
+        for n_pos, count, members, widths in calls:
+            columns = min(cap, decode._BLOCK_LLRS // n_pos)
+            assert sum(widths) == count and set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
+            # each block but the last is as wide as both caps allow
+            assert widths[0] * members <= columns
+            assert widths[0] == count or (widths[0] + 1) * members > columns
+
     @staticmethod
     def _one_draw(pw6, channel, seed, batch_idx, count):
         rng = np.random.default_rng([seed, batch_idx])
@@ -862,12 +906,35 @@ class TestSimulate:
         # frames-major draw transposed into a fresh block adds another
         # 8 MB or more
         spec = construct_pw(12, 2048)
-        step = decode._BLOCK_LLRS // spec.N
+        step = min(decode._BLOCK_LLRS // spec.N, decode._BLOCK_COLUMNS)
         bound = 8 * (2 * spec.N - 1) * step + spec.N * 1024 + spec.K * 1024 + (4 << 20)
         monkeypatch.delattr(decode._local, "work", raising=False)
         tracemalloc.start()
         try:
             decode._sim_batch((spec, AwgnBpskChannel(2.5), None, 1, 0, 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_ensemble_batch_memory_bounded_by_its_columns(self, monkeypatch):
+        # one 1024-frame AE-8 batch at N = 64 decodes 4 blocks of 256
+        # frames, 2048 columns each; it may hold the kernel's workspace and
+        # the permuted input, (N - 1) and N float64 LLRs a column, the
+        # block's decoded candidates (N uint8 a column) and 1 MB of slack
+        # for the LLR block, the batch's codewords and info bits, the
+        # member scores and their (frames, N) float64 terms.  One block of
+        # all 8192 columns peaks at 9.3 MB
+        spec = construct_pw(6, 32)
+        perms = np.array(_blta_perms(spec, 8, 29), dtype=np.intp)
+        columns = min(decode._BLOCK_LLRS // spec.N, decode._BLOCK_COLUMNS)
+        assert columns < len(perms) * 1024
+        bound = 8 * (2 * spec.N - 1) * columns + spec.N * columns + (1 << 20)
+        decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, 1, 0, 8))  # the plan is cached
+        monkeypatch.delattr(decode._local, "work", raising=False)
+        tracemalloc.start()
+        try:
+            decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, 1, 0, 1024))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
