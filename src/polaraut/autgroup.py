@@ -34,10 +34,10 @@ The sweep builds matrices one row at a time and prunes as it goes:
   BLTA, since their block ends at column n - 1.  The sweep stops building
   at the counted row: the first row from which on no row meets a test or
   a BLTA constraint, or row n - 1 if that row has a test.  Its survivors
-  are counted from its mask, one block of prefixes at a time, and each
-  stands for every completion of the free rows after it, which all
-  survive and share its BLTA verdict.  The first counterexample is the
-  first survivor outside BLTA, completed by the least free rows.
+  are counted one chunk of prefixes at a time (`gf2._walk` holds no level
+  whole), and each stands for every completion of the free rows after it,
+  which all survive and share its BLTA verdict.  The first counterexample
+  is the first survivor outside BLTA, completed by the least free rows.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, _check_enum_n, _gl_extend, _last_blocks, _outside_span
+from .gf2 import BitMatrix, _check_enum_n, _gl_extend, _outside_span, _walk
 from .affine import (
     AffineMap,
     _aut_level,
@@ -121,14 +121,10 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
     """Automorphism count of ms over GL(n,2), and its first automorphism
     outside BLTA(profile) in the lexicographic order of `enumerate_gl`.
 
-    Each level masks the continuations of every prefix (`gf2._outside_span`)
-    with the level's test (`affine._aut_level`) and builds only the
-    survivors through `gf2._gl_extend`, the walk behind `enumerate_gl`.
-    Both are prefix-major and vector-ascending, so every level stays in
-    table order.  The counted row is not built: its mask is counted one
-    block of prefixes at a time (`gf2._last_blocks`, as `enumerate_gl`
-    completes its last row), times the completions of the rows after it.
-    See the module docstring for the pruning.
+    `gf2._walk`, the walk behind `enumerate_gl`, runs up to the counted
+    row with each row's test (`affine._aut_level`), and its chunks of
+    that row are counted, times the completions of the rows after it, in
+    table order.  See the module docstring for the pruning.
     """
     n = ms.n
     _check_enum_n(n)
@@ -141,27 +137,19 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
     depth = min(max(last + 1, n - profile[-1]), n - 1)
     tail = math.prod((1 << n) - (1 << k) for k in range(depth + 1, n))
 
-    rows = np.zeros((1, 0), dtype=np.uint8)
-    for k in range(depth):
-        keep = _outside_span(rows, n)
-        if levels[k]:
-            keep &= _aut_level(rows, ms, levels[k])
-        rows = _gl_extend(rows, keep)
+    def test(rows: np.ndarray, k: int) -> np.ndarray | None:
+        return _aut_level(rows, ms, levels[k]) if levels[k] else None
 
-    outside = ~_blta_alive(rows, profile)
     count = 0
     first = None
-    for lo, keep in _last_blocks(rows, n):
-        hi = lo + len(keep)
-        if levels[depth]:
-            keep &= _aut_level(rows[lo:hi], ms, levels[depth])
+    for rows, keep in _walk(n, depth, test):
         count += int(np.count_nonzero(keep)) * tail
-        if first is None and outside[lo:hi].any():
-            p, _ = np.nonzero(keep & outside[lo:hi, None])
+        if first is None and (outside := ~_blta_alive(rows, profile)).any():
+            p, _ = np.nonzero(keep & outside[:, None])
             if len(p):
                 # the first hit on its prefix, then the least free rows:
                 # each step extends the first row of the step before
-                r, pick = rows[lo + p[:1]], keep[p[:1]]
+                r, pick = rows[p[:1]], keep[p[:1]]
                 for _ in range(depth, n):
                     r = _gl_extend(r, pick)
                     pick = _outside_span(r[:1], n)

@@ -241,6 +241,8 @@ def _csv_line(res, param: float) -> str:
 
 
 def cmd_simulate(args, parser) -> int:
+    if args.L is not None and args.decoder == "sc":
+        parser.error("--L takes --decoder ae")
     spec = _resolve_code(args, parser)
     if args.snr is not None:
         points = [AwgnBpskChannel(float(s)) for s in args.snr.split(",")]
@@ -253,7 +255,7 @@ def cmd_simulate(args, parser) -> int:
     if args.decoder == "ae":
         profile = block_profile(spec.monomials)
         rng = random.Random(args.seed)
-        maps = [sample_blta(profile, rng) for _ in range(args.L)]
+        maps = [sample_blta(profile, rng) for _ in range(args.L or 8)]
         for t in maps:
             if not is_affine_automorphism(t, spec.monomials):
                 print("error: sampled map failed the automorphism check", file=sys.stderr)
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo block error rate (CSV)")
     common(p)
     p.add_argument("--decoder", choices=["sc", "ae"], default="sc")
-    p.add_argument("--L", type=_positive_int, default=8, help="ensemble size for ae")
+    p.add_argument("--L", type=_positive_int, help="ensemble size for ae (default 8)")
     p.add_argument("--frames", type=int, default=10000)
     p.add_argument("--snr", metavar="DB[,DB...]", help="AWGN Eb/N0 sweep")
     p.add_argument("--epsilon", metavar="E[,E...]", help="BEC erasure sweep")

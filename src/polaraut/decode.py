@@ -488,7 +488,8 @@ def sc_invariance_check(
     channel: BecChannel | AwgnBpskChannel | None = None,
 ) -> InvarianceReport:
     """Fraction of noisy frames with SC(pi(L)) == pi(SC(L)) bit-exactly,
-    for the permutation induced by t (hard-decision codeword equality)."""
+    for the permutation induced by t (hard-decision codeword equality).
+    One SC call decodes each block of frames beside its permuted copies."""
     if t.n != spec.n:
         raise ValueError("dimension mismatch")
     if trials < 1:
@@ -499,10 +500,10 @@ def sc_invariance_check(
     rng = np.random.default_rng([seed, 0])
     plan = _plan(spec)
     equal = 0
-    for _, llrs in _frames(spec, channel, rng, trials, 1):
-        decoded_then_permuted = _sc_batch(llrs, plan)[perm]
-        permuted_then_decoded = _sc_batch(llrs[perm], plan)
-        equal += int((decoded_then_permuted == permuted_then_decoded).all(axis=0).sum())
+    for _, llrs in _frames(spec, channel, rng, trials, 2):
+        b = llrs.shape[1]
+        x = _sc_batch(np.hstack((llrs, llrs[perm])), plan)
+        equal += int((x[perm, :b] == x[:, b:]).all(axis=0).sum())
     return InvarianceReport(trials, equal)
 
 
@@ -623,6 +624,8 @@ def simulate_bler(
     if num_frames < 1:
         raise ValueError("need at least one frame")
     if decoder == "sc":
+        if perms is not None:
+            raise ValueError("the SC decoder takes no ensemble")
         perm_arr = None
     elif decoder == "ae":
         perm_arr = _perm_array(perms, spec.N)

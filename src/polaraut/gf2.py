@@ -6,18 +6,17 @@ everything from 2x2 kernels to 2^n-column generator matrices.  All values
 are immutable after construction and safe to share across workers.
 
 `enumerate_gl` and the level-pruned sweep in `autgroup` share one walk
-over GL(n,2), on numpy arrays of row masks, and neither keeps a table of
-the whole group.  The walk's only state is its rows: a prefix of k
-independent rows continues with the vectors outside their span, and
-each level derives its prefixes' spans from their rows.  `_outside_span`
-gives the continuations as a (P, 2^n) bool mask, row-major, and
-`_gl_extend` appends the rows a mask selects: `np.nonzero` lists them
-prefix-major, vector-ascending, which keeps every level in lexicographic
-order.  `enumerate_gl` keeps every continuation; the sweep first ANDs in
-its automorphism test, so only survivors are built.  The row a walk ends
-on is never built as one level: `_last_blocks` hands out its masks a
-block of prefixes at a time, `enumerate_gl` completes its last row from
-them, and the sweep counts its counted row, which is not always the last.
+over GL(n,2), `_walk`, on numpy arrays of row masks.  Its only state is
+its rows: a prefix of k independent rows continues with the vectors
+outside their span, which each chunk of prefixes derives from its rows.
+`_outside_span` gives the continuations as a (P, 2^n) bool mask,
+row-major, and `_gl_extend` appends the rows a mask selects: `np.nonzero`
+lists them prefix-major, vector-ascending, which keeps every level in
+lexicographic order.  The walk goes depth first, `_CHUNK` prefixes of a
+level at a time, so it never holds a whole level, let alone the group.
+`enumerate_gl` completes the last row of each chunk; the sweep ANDs in
+its automorphism test, so only survivors are built, and counts its
+counted row, which is not always the last.
 """
 
 from __future__ import annotations
@@ -385,7 +384,7 @@ def _random_invertible(rng: random.Random, n: int) -> BitMatrix:
 
 # |GL(6,2)| is already 2e10 matrices; exhaustive enumeration stops at 5.
 _ENUM_MAX_N = 5
-_LAST_BLOCK = 1 << 12  # prefixes per block of `_last_blocks`
+_CHUNK = 1 << 12  # prefixes per level that `_walk` works on at once
 
 
 def _check_enum_n(n: int) -> None:
@@ -402,13 +401,10 @@ def enumerate_gl(n: int) -> Iterator[BitMatrix]:
     n > 5 (|GL(5,2)| = 9,999,360 is the largest practical sweep).
     """
     _check_enum_n(n)
-    rows = np.zeros((1, 0), dtype=np.uint8)
-    for _ in range(n - 1):
-        rows = _gl_extend(rows, _outside_span(rows, n))
     # every walk row is a nonzero n-bit mask, so nothing needs checking
     make = BitMatrix._unchecked
-    for lo, outside in _last_blocks(rows, n):
-        for masks in _gl_extend(rows[lo:lo + len(outside)], outside).tolist():
+    for rows, outside in _walk(n, n - 1):
+        for masks in _gl_extend(rows, outside).tolist():
             yield make(tuple(masks), n)
 
 
@@ -436,14 +432,25 @@ def _gl_extend(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return grown
 
 
-def _last_blocks(rows: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The continuations of the row a walk ends on, `_LAST_BLOCK` prefixes
-    at a time, since the walk never holds that row's whole level: (offset,
-    `_outside_span` of the block) per block, in table order.
-    `enumerate_gl` ends on the last row, the sweep on its counted row,
-    which may come earlier."""
-    for lo in range(0, len(rows), _LAST_BLOCK):
-        yield lo, _outside_span(rows[lo:lo + _LAST_BLOCK], n)
+def _walk(n: int, depth: int, test=lambda rows, k: None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(prefix rows (P, depth), continuation mask (P, 2^n)) for each chunk
+    of at most `_CHUNK` prefixes of row `depth`, depth first, in table
+    order.  A mask that `test(rows, k)` returns for a chunk of k-row
+    prefixes is ANDed into their continuations, so the prefixes it drops
+    are never built."""
+    def level(rows: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for lo in range(0, len(rows), _CHUNK):
+            chunk = rows[lo:lo + _CHUNK]
+            keep = _outside_span(chunk, n)
+            if (passed := test(chunk, k)) is not None:
+                keep &= passed
+            if k == depth:
+                yield chunk, keep
+            else:
+                grown = _gl_extend(chunk, keep)
+                del keep, passed  # neither is held while the rows below are walked
+                yield from level(grown, k + 1)
+    return level(np.zeros((1, 0), dtype=np.uint8), 0)
 
 
 @functools.lru_cache(maxsize=None)

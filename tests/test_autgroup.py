@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from polaraut.autgroup import (
 )
 from polaraut.cli import main as cli_main
 from polaraut.gf2 import _gl_extend, _outside_span
-from polaraut.monomial import all_monomials, degree, monomial_index
+from polaraut.monomial import all_monomials, construct_explicit, degree, monomial_index
 
 from oracles import (
     _aut_alive,
@@ -267,49 +268,64 @@ class TestLevelSweep:
         assert _check_sweep_against_oracle(codes) > 100
 
     def test_matches_oracle_across_completion_blocks(self, monkeypatch):
-        # up to n=4 every counted row fits one block of prefixes; blocks of 7
-        # make each block's prefix indices depend on its offset.  Blocks of
-        # one prefix are needed to put a counterexample past offset 0 with
-        # two free rows after the counted row: at n=4 that row is row 1, and
-        # the first prefix, row 0 = x0, lies inside BLTA(1, 3) (the Reed-
-        # Muller codes test no member, so none of their prefixes is pruned)
-        calls = []  # per sweep: n, counted row, blocks, level tests, hit offset
-        state = {"call": None, "lo": None}
+        # up to n=4 every level fits one chunk of 4096 prefixes; chunks of 7
+        # split the larger levels, and chunks of one split every level, so
+        # each chunk's prefix indices are local to it.  Chunks of one prefix
+        # are needed to put a counterexample past the first chunk with two
+        # free rows after the counted row: at n=4 that row is row 1, and the
+        # first prefix, row 0 = x0, lies inside BLTA(1, 3) (the Reed-Muller
+        # codes test no member, so none of their prefixes is pruned)
+        calls = []  # per sweep: n, counted row, its chunks, rows tested, chunk of the hit
+        state = {"call": None}
 
-        def blocks_spy(rows, n):
-            state["call"] = call = {"n": n, "depth": rows.shape[1],
-                                    "blocks": 0, "tested": False, "hit": None}
+        def walk_spy(n, depth, test):
+            state["call"] = call = {"n": n, "depth": depth, "chunks": 0, "tested": [], "hit": None}
             calls.append(call)
-            for lo, keep in gf2._last_blocks(rows, n):
-                call["blocks"] += 1
-                state["lo"] = lo
-                yield lo, keep
-            state["lo"] = None
+            for rows, keep in gf2._walk(n, depth, test):
+                call["chunks"] += 1
+                yield rows, keep
 
         def level_spy(rows, ms, masks):
-            if state["lo"] is not None:
-                state["call"]["tested"] = True
+            state["call"]["tested"].append(rows.shape[1])
             return _aut_level(rows, ms, masks)
 
-        def extend_spy(rows, keep):
-            if state["lo"] is not None and state["call"]["hit"] is None:
-                state["call"]["hit"] = state["lo"]
+        def extend_spy(rows, keep):  # the sweep extends rows only to complete its hit
+            if state["call"]["hit"] is None:
+                state["call"]["hit"] = state["call"]["chunks"]
             return _gl_extend(rows, keep)
 
-        monkeypatch.setattr(autgroup, "_last_blocks", blocks_spy)
+        monkeypatch.setattr(autgroup, "_walk", walk_spy)
         monkeypatch.setattr(autgroup, "_aut_level", level_spy)
         monkeypatch.setattr(autgroup, "_gl_extend", extend_spy)
         codes = all_decreasing_sets(3) + [reed_muller_set(4, r) for r in range(5)]
         codes += [construct_pw(4, k).monomials for k in (4, 8, 9, 10, 12, 13, 14)]
         codes += [construct_bec(4, k, 0.5).monomials for k in (9, 10, 13, 14)]
-        monkeypatch.setattr(gf2, "_LAST_BLOCK", 7)
+        monkeypatch.setattr(gf2, "_CHUNK", 7)
         assert _check_sweep_against_oracle(codes) > 20
-        monkeypatch.setattr(gf2, "_LAST_BLOCK", 1)
+        monkeypatch.setattr(gf2, "_CHUNK", 1)
         assert _check_sweep_against_oracle([reed_muller_set(4, r) for r in range(5)]) > 20
-        many = [c for c in calls if c["blocks"] > 1]
-        assert sum(c["tested"] for c in many) > 20
+        many = [c for c in calls if c["chunks"] > 1]
+        # a row tested twice in one sweep was tested in a chunk past its first
+        assert sum(len(c["tested"]) > len(set(c["tested"])) for c in many) > 20
         assert sum(not c["tested"] for c in many) > 20
-        assert any(c["hit"] and c["n"] - 1 - c["depth"] >= 2 for c in many)
+        assert any(c["hit"] and c["hit"] > 1 and c["n"] - 1 - c["depth"] >= 2 for c in many)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # the heaviest n=5 sweep, all monomials but x1x2x3x4 and x0x1x2x3x4,
+        # tests its last row on 302 400 prefixes.  Built a whole level at a
+        # time it peaked at 7.5 MB traced; in chunks the largest arrays are
+        # the level kernel's (2^n, _CHUNK) words, 1 MB, and the sweep stays
+        # within four of them
+        ms = construct_explicit(5, [29]).monomials
+        bound = 4 * (1 << ms.n) * gf2._CHUNK * 8
+        tracemalloc.start()
+        try:
+            report = verify_blta_completeness(ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.aut_count == 322560
+        assert peak < bound, (peak, bound)
 
     @pytest.mark.skipif(
         not os.environ.get("POLARAUT_EXTENDED"),

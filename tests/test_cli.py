@@ -294,6 +294,8 @@ _REJECTION_MESSAGES = {
     ("construct", "--n", "3", "--mmin", "-1"): "error: negative monomial mask -1\n",
     ("construct", "--n", "3", "--K", "99", "--mmin", "3"): "error: --mmin takes no --K\n",
     ("construct", "--code", "{tmp}/code.json", "--n", "5", "--K", "7"): "error: --code takes no --n or --K\n",
+    (*SIM, "--decoder", "sc", "--L", "3"): "error: --L takes --decoder ae\n",
+    (*SIM, "--L", "8"): "error: --L takes --decoder ae\n",
 }
 
 
@@ -354,6 +356,8 @@ _REJECTION_MESSAGES = {
     ["construct", "--code", "{tmp}/code.json", "--n", "5", "--K", "7"],
     ["profile", "--code", "{tmp}/code.json", "--K", "4"],
     ["simulate", "--code", "{tmp}/code.json", "--n", "3", "--snr", "1"],
+    SIM + ["--decoder", "sc", "--L", "3"],
+    SIM + ["--L", "8"],
 ])
 def test_rejected_argument_exits_2(capsys, tmp_path, argv):
     (tmp_path / "code.json").write_text('{"n": 3, "m_min_masks": [3]}')

@@ -646,7 +646,8 @@ class TestInvariance:
 
     @pytest.mark.parametrize("channel", [AwgnBpskChannel(1.0), BecChannel(0.4)], ids=["awgn", "bec"])
     def test_blocks_match_oracle_on_the_whole_stream(self, channel):
-        # the check decodes its frames in blocks of at most 1024 at N = 1024;
+        # the check decodes its frames in blocks of at most 512 at N = 1024,
+        # each beside its 512 permuted copies as 1024 decoder columns;
         # the reference draws the same stream in one piece and decodes it
         # with the plain recursive SC oracle
         spec = construct_pw(10, 512)
@@ -793,7 +794,9 @@ class TestSimulate:
     def test_column_cap_changes_no_count(self, monkeypatch, cap):
         # SC and AE-8 error counts and an SC invariance count are those of
         # blocks cut by the LLR cap alone, and no decoder input is wider
-        # than the cap: at cap 8, AE-8 decodes one frame (8 columns) a block
+        # than the cap: at cap 8, AE-8 decodes one frame (8 columns) a block,
+        # and the invariance check, which decodes each frame beside its
+        # permuted copy (2 members), four frames a block
         specs = [construct_pw(6, 32), construct_pw(8, 128)]
         runs = [
             (spec, chan, dec, _blta_perms(spec, 8, 29) if dec == "ae" else None)
@@ -824,7 +827,7 @@ class TestSimulate:
 
         monkeypatch.setattr(decode, "_frames", recorded)
         assert counts() == whole
-        assert {members for _, _, members, _ in calls} == {1, 8}
+        assert {members for _, _, members, _ in calls} == {1, 2, 8}
         for n_pos, count, members, widths in calls:
             columns = min(cap, decode._BLOCK_LLRS // n_pos)
             assert sum(widths) == count and set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
@@ -996,6 +999,9 @@ class TestSimulate:
             simulate_bler(spec, BecChannel(0.1), 10, seed=0, decoder="ae", perms=[])
         with pytest.raises(ValueError):
             simulate_bler(spec, BecChannel(0.1), 10, seed=0, decoder="bogus")
+        # an ensemble beside the SC decoder would be ignored
+        with pytest.raises(ValueError, match="SC decoder takes no ensemble"):
+            simulate_bler(spec, BecChannel(0.1), 10, seed=0, decoder="sc", perms=[[0, 1, 2, 3, 4, 5, 6, 7]])
 
     @pytest.mark.parametrize("db, rate", [
         (float("nan"), 0.5), (float("inf"), 0.5), (float("-inf"), 0.5),

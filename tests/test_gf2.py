@@ -8,7 +8,7 @@ import pytest
 
 from polaraut import BitMatrix, enumerate_gl, extend_minor, gl_order, random_invertible
 from polaraut import gf2
-from polaraut.gf2 import BitVec, _bruhat_cell, _gl_extend, _last_blocks, _outside_span, _pat_lo
+from polaraut.gf2 import BitVec, _bruhat_cell, _gl_extend, _outside_span, _pat_lo, _walk
 from polaraut.monomial import evaluation_vector
 from polaraut.selfcheck import _pivot_minor, check_independence_repair, check_minor_extension
 
@@ -333,13 +333,9 @@ class TestEnumerateGl:
 
 
 def _walk_table(n):
-    """GL(n,2) from the walk itself: whole levels, then the concatenated
-    last-row blocks."""
-    rows = np.zeros((1, 0), dtype=np.uint8)
-    for _ in range(n - 1):
-        rows = _gl_extend(rows, _outside_span(rows, n))
-    full = [_gl_extend(rows[lo:lo + len(outside)], outside) for lo, outside in _last_blocks(rows, n)]
-    return np.concatenate(full)
+    """GL(n,2) from the walk itself: the last row of each of its chunks,
+    concatenated."""
+    return np.concatenate([_gl_extend(rows, outside) for rows, outside in _walk(n, n - 1)])
 
 
 def _all_invertible(table):
@@ -365,11 +361,13 @@ class TestGlTable:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_oracle_across_last_row_blocks(self, monkeypatch, n):
-        # up to n=4 the last row's prefixes fit one block of 4096; blocks of
-        # 7 make the prefix index of every completed row depend on the offset
-        monkeypatch.setattr(gf2, "_LAST_BLOCK", 7)
-        masks = [m.row_masks for m in enumerate_gl(n)]
-        assert np.array_equal(np.array(masks, dtype=np.uint8), gl_table_oracle(n))
+        # up to n=4 every level fits one chunk of 4096 prefixes; chunks of 7,
+        # and of 1, split every level with more prefixes than that, so the
+        # prefix index of every completed row is local to its chunk
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(gf2, "_CHUNK", chunk)
+            masks = [m.row_masks for m in enumerate_gl(n)]
+            assert np.array_equal(np.array(masks, dtype=np.uint8), gl_table_oracle(n)), chunk
 
     def test_n5_is_gl_in_lexicographic_order(self):
         # strictly increasing keys make the rows distinct and sorted; with
@@ -423,17 +421,21 @@ class TestOutsideSpan:
             assert np.array_equal(_outside_span(full[:, :k], n), outside_span_oracle(full[:, :k], n)), k
 
     def test_matches_oracle_on_blocks_past_offset_zero(self, monkeypatch):
-        # blocks of 7 put the row-derived spans at a block offset: the flat
-        # indices are local to each block
-        monkeypatch.setattr(gf2, "_LAST_BLOCK", 7)
+        # chunks of 5 split both the 7 prefixes of row 1 and the 42 of row 2
+        # of GL(3,2): each chunk's row-derived spans are indexed locally, and
+        # the chunks of a level, in walk order, are that level in table order
+        monkeypatch.setattr(gf2, "_CHUNK", 5)
         rows = np.zeros((1, 0), dtype=np.uint8)
-        for _ in range(2):  # the 42 prefixes of GL(3,2)'s last row
+        counts = []
+        for depth in (0, 1, 2):
+            chunks = list(_walk(3, depth))
+            for part, outside in chunks:
+                assert len(part) <= 5
+                assert np.array_equal(outside, outside_span_oracle(part, 3)), depth
+            assert np.array_equal(np.concatenate([part for part, _ in chunks]), rows)
+            counts.append(len(chunks))
             rows = _gl_extend(rows, _outside_span(rows, 3))
-        offsets = []
-        for lo, outside in _last_blocks(rows, 3):
-            assert np.array_equal(outside, outside_span_oracle(rows[lo:lo + 7], 3)), lo
-            offsets.append(lo)
-        assert offsets == list(range(0, len(rows), 7)) and len(offsets) > 1
+        assert counts[0] == 1 and counts[1] == 2 and counts[2] > 8
 
 
 def _random_unit_lower(rng, n):
