@@ -299,9 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, code=True):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (results are independent of this)")
+    # each subcommand takes only the flags it reads, so that a flag it
+    # would ignore exits 2
+    def common(p, code=True, seed=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
         if code:
             _add_code_args(p)
@@ -332,14 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("sample-perms", help="sample ensemble permutations with screening report")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--L", type=_positive_int, default=8, help="ensemble size")
     p.add_argument("--lta-only", action="store_true", help="sample from the lower-triangular subgroup")
     p.add_argument("--trials", type=_positive_int, default=50, help="SC-invariance screening frames")
     p.set_defaults(func=cmd_sample_perms)
 
     p = sub.add_parser("simulate", help="Monte Carlo block error rate (CSV)")
-    common(p)
+    common(p, seed=True)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (results are independent of this)")
     p.add_argument("--decoder", choices=["sc", "ae"], default="sc")
     p.add_argument("--L", type=_positive_int, help="ensemble size for ae (default 8)")
     p.add_argument("--frames", type=int, default=10000)
@@ -348,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("selftest", help="run the algebraic property suites")
-    common(p, code=False)
+    common(p, code=False, seed=True)
     p.add_argument("--full", action="store_true", help="10^4 randomized instances per suite")
     p.set_defaults(func=cmd_selftest)
 

@@ -14,12 +14,13 @@ f/g steps work on contiguous row blocks.  The Monte Carlo frames call
 each channel's public `llrs` on a slab of whole frames at a time, so
 the noise is drawn frames-major in the order one (frames, N) draw makes,
 and write each slab transposed into the decoder's block.  The ensemble
-decoder gathers one member's candidate at a time from the SC output,
-through the member's inverse permutation, and scores it frames-major
-through a transposed view; no array of all candidates is built.  The
-decoders work on batches; the public single-frame entry points wrap a
-batch of one, and the public channel and encoding helpers keep
-frames-major (..., N) arrays.  The encoding helpers take only entries
+decoder runs SC once per right LTA coset of its members, which decode
+alike, gathers one member's candidate at a time from the SC output,
+through the member's inverse permutation, and scores it frames-major in
+slabs of frames; no array of all candidates is built.  The decoders work
+on batches; the public single-frame entry points wrap a batch of one,
+and the public channel and encoding helpers keep frames-major (..., N)
+arrays.  The encoding helpers take only entries
 equal to 0 or 1.
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
@@ -297,10 +299,12 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
 # with an "invalid" warning, which this does not silence (see the FOUND on
 # near-max LLRs in CHANGES.md)
 @np.errstate(over="ignore")
-def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
+def _sc_batch(llrs: np.ndarray, plan: _Plan, zeros: np.ndarray | None = None) -> np.ndarray:
     """SC-decode a positions-major (size, batch) LLR block along a plan;
     returns the (size, batch) codewords (their u-vectors are the
-    transform of them) in a fresh array.
+    transform of them) in a fresh array.  Given a (batch,) boolean array
+    `zeros`, also sets its entry for each column in which a repetition or
+    rate-1 decision reads an LLR of exactly 0.0.
 
     Every LLR the kernel computes goes to this thread's (size - 1, batch)
     workspace, addressed by node size alone: node(s), the node of size s,
@@ -358,13 +362,18 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan) -> np.ndarray:
                 h = len(v) // 2
                 v = np.add(v[h:], v[:h], out=node[h])
             np.less(v, 0, out=x[lo:lo + size])
+            if zeros is not None:
+                zeros |= v[0] == 0
         else:  # _RATE1
             np.less(v, 0, out=x[lo:lo + size])
-            if size > 1 and not v.all():
-                h = size // 2
-                halves = ((_F, 0, h), (_RATE1, 0, h), (_G, 0, h), (_RATE1, h, h), (_XOR, 0, h))
+            if (size > 1 or zeros is not None) and not v.all():
                 cols = np.flatnonzero((v == 0).any(axis=0))
-                x[lo:lo + size, cols] = _sc_batch(v[:, cols], halves)
+                if zeros is not None:
+                    zeros[cols] = True
+                if size > 1:
+                    h = size // 2
+                    halves = ((_F, 0, h), (_RATE1, 0, h), (_G, 0, h), (_RATE1, h, h), (_XOR, 0, h))
+                    x[lo:lo + size, cols] = _sc_batch(v[:, cols], halves)
     return x
 
 
@@ -406,27 +415,113 @@ def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult
     return DecodeResult(extract_info(x, spec), x, (correlation_score(x, llr),), 0)
 
 
-def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray,
-              plan: _Plan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
+              reps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ensemble-decode a positions-major (N, B) block of LLRs under an
-    (L, N) permutation array and its inverses (argsort along axis 1).
-    Returns (codewords (N, B), chosen (B,), scores (L, B)).
+    (L, N) permutation array and its inverses (argsort along axis 1),
+    running SC only for the members that are their own representative in
+    `reps` (by default every member is: the full ensemble).  Returns
+    (codewords (N, B), chosen (B,), scores (L, B)).
 
-    Member l's candidate is x[inverses[l], l*B:(l+1)*B] of the decoder
-    output x, and it is scored through its transposed view: numpy sums a
-    contiguous axis pairwise, so the scores are summed frames-major, one
-    row per frame, in a (B, N) temporary per member."""
+    Member l decodes frame b permuted by pi_l, llrs[perms[l], b], and its
+    candidate is the decoder's output through inverses[l].  Candidates
+    are scored frames-major, one row per frame, in slabs of frames: numpy
+    sums a contiguous axis pairwise, so no score depends on the slab.
+
+    Sharing.  reps[t] = r (with reps[r] = r) claims that sigma = pi_r^-1 o
+    pi_t, the permutation inverses[r][perms[t]], is induced by a lower-
+    triangular affine (LTA) map and the code is decreasing.  Member t's
+    input is then member r's permuted by sigma, and every f, g, G0 and
+    repetition sum of t's decoding is, under sigma, the same float
+    operation on the same operands as one of r's, up to operand order and
+    a sign flip: f is min/max, which is symmetric; g's two forms are exact
+    negations; sums commute.  So t's candidate is r's, the same array,
+    and its score is the same float; t takes both from r.  Two cases break
+    the argument.  Frames in them are flagged, and each flagged frame is
+    decoded again under every member that is not its own representative,
+    in chunks of frames no wider than the first decode (or of one frame):
+    - A decision that reads an exact 0.0 gives bit 0 in both members,
+      where the sign flip calls for complementary bits.  The kernel flags
+      these columns.
+    - A NaN, which only opposite infinities make, decides bit 0 whatever
+      its sign.  No sum of at most N LLRs below DBL_MAX / 2^(n+1) in
+      magnitude overflows, so every frame of a block whose LLRs reach
+      that bound, or hold a NaN, is flagged."""
     n_perm, n_pos = perms.shape
     batch = llrs.shape[1]
-    # column l*B + b of the decoder input is frame b permuted by pi_l
-    x = _sc_batch(llrs[perms.T].reshape(n_pos, n_perm * batch), plan)
-    received = _transposed(llrs)
+    members = np.arange(n_perm)
+    reps = members if reps is None else reps
+    own = reps == members
+    decoded = np.flatnonzero(own)
+    zeros = None if own.all() else np.zeros(len(decoded) * batch, dtype=bool)
+    # column s*B + b of the decoder input is frame b permuted by pi_decoded[s]
+    x = _sc_batch(llrs[perms[decoded].T].reshape(n_pos, -1), plan, zeros)
+    bound = math.ldexp(sys.float_info.max, -n_pos.bit_length())
+    if zeros is not None and not -bound < llrs.min() <= llrs.max() < bound:
+        zeros[:] = True
     scores = np.empty((n_perm, batch))
-    for member, inv in enumerate(inverses):
-        scores[member] = correlation_score(x[inv, member * batch:(member + 1) * batch].T, received)
-    chosen = scores.argmax(axis=0)  # ties resolve to the lowest index
-    best = x[inverses[chosen].T, chosen * batch + np.arange(batch)]
+    # frames in a slab: a wider slab transposes faster, a narrower one
+    # holds less.  On perfbench's sim-long (n = 12, a 2-core VM), 8-frame
+    # slabs ran AE-8 about 3 % slower than 16-frame ones, and 32-frame
+    # slabs raised its peak RSS by about 0.5 MB
+    rows = max(_TILE // n_pos, 16)
+    for lo in range(0, batch, rows):
+        hi = min(lo + rows, batch)
+        received = _transposed(llrs[:, lo:hi])
+        for s, member in enumerate(decoded):
+            scores[member, lo:hi] = correlation_score(x[inverses[member], s * batch + lo:s * batch + hi].T,
+                                                      received)
+    scores = scores[reps]
+    chosen = scores.argmax(axis=0)  # ties resolve to the lowest index, a representative
+    best = x[inverses[chosen].T, np.searchsorted(decoded, reps[chosen]) * batch + np.arange(batch)]
+    if zeros is not None and zeros.any():
+        flagged = np.flatnonzero(zeros.reshape(-1, batch).any(axis=0))
+        others = np.flatnonzero(~own)
+        step = max(1, x.shape[1] // len(others))
+        for lo in range(0, len(flagged), step):
+            f = flagged[lo:lo + step]
+            # the lowest-index best of the others is the frame's best when
+            # it beats every representative
+            sub_best, _, sub_scores = _ae_block(llrs[:, f], perms[others], inverses[others], plan)
+            scores[others[:, None], f] = sub_scores
+            chosen[f] = scores[:, f].argmax(axis=0)
+            mine = ~own[chosen[f]]
+            best[:, f[mine]] = sub_best[:, mine]
     return best, chosen, scores
+
+
+def _coset_reps(perms: np.ndarray, inverses: np.ndarray, spec: CodeSpec) -> np.ndarray:
+    """The representative of each ensemble member for _ae_block: the
+    lowest-index member r with A_r^-1 A_t lower triangular, read from the
+    (L, N) permutations and their inverses alone.  A member whose
+    permutation no affine map induces, and every member when the code is
+    not decreasing, is its own.
+
+    Position i holds the point ~i, so member l's point map is T_l(x) =
+    ~pi_l(~x), with T_l(0) = b_l and column c of A_l T_l(e_c) ^ b_l.  The
+    columns give all N images by doubling; a member is affine when they
+    match.  For affine members, sigma = pi_r^-1 o pi_t induces T_r^-1 o
+    T_t, whose linear part A_r^-1 A_t is read at 0 and the e_c in the
+    same way: it is lower triangular when column c has no bit below c.
+    Cost O(L N + L^2 n)."""
+    n_perm, n_pos = perms.shape
+    members = np.arange(n_perm)
+    if not spec.is_decreasing():
+        return members
+    full = n_pos - 1
+    units = 1 << np.arange(spec.n)
+    maps = full ^ perms[:, ::-1]  # position ~x is full - x
+    cols = maps[:, units] ^ maps[:, :1]
+    images = maps[:, :1].copy()
+    for c in range(spec.n):
+        images = np.hstack((images, images ^ cols[:, c:c + 1]))
+    affine = (images == maps).all(axis=1)
+    # [r, t, j]: T_r^-1 T_t at 0 and the unit points, from inverses[r][perms[t]]
+    points = full ^ np.concatenate(([0], units))
+    pair = full ^ inverses[:, perms[:, points]]
+    lower = ((pair[..., 1:] ^ pair[..., :1]) & (units - 1) == 0).all(axis=-1)
+    share = lower & affine[:, None] & affine
+    return np.where(affine, share.argmax(axis=0), members)
 
 
 def _perm_array(perms: Sequence[Sequence[int]] | None, n_pos: int) -> np.ndarray:
@@ -541,34 +636,39 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 _SIM_BATCH = 1024  # fixed so results never depend on the worker count
 # _frames cuts a batch, like the frames of an SC invariance check, into
-# blocks of frames whose decoder input (L permuted copies of each frame for
-# the ensemble) holds at most _BLOCK_LLRS LLRs, 8 MB of float64, and at
-# most _BLOCK_COLUMNS columns, a column being one copy of one frame.  The
-# LLR cap bounds the one LLR buffer the channel writes for all of a batch's
-# blocks, and the kernel's workspace, which each thread retains up to this
-# size; it sets the block at n >= 10.  Below that the column cap does: an
-# SC batch is at most 1024 columns, but an ensemble multiplies them by L.
-# One block of AE-8's 8192 columns at n <= 9 holds a 4 MB workspace and a
-# 4 MB permuted input, both larger than a 2 MB L2, and four blocks of 2048
-# columns decode within 3 % of its speed (blocks of 1024 are about 9 %
-# slower).  Cache locality comes from the kernel's row slabs and the
-# channel's frame slabs (both _TILE), so the block can stay wide and spread
-# each plan step's Python cost over many frames.  Frames decode
-# independently and the slabs draw their noise in frame order, so the
-# block size changes no output.
+# blocks of frames that take at most _BLOCK_COLUMNS decoder columns, a
+# column being one copy of one frame, and hold at most _BLOCK_LLRS LLRs,
+# 8 MB of float64, in the block's copies of its frames.  SC decodes the
+# channel's block in place: one column and one copy a frame.  The ensemble
+# decodes k permuted copies, one per LTA coset it decodes (_ae_block), and
+# keeps the channel's block beside them: k columns and k + 1 copies a
+# frame.  Counting the channel's copy keeps a single-coset ensemble, such
+# as AE-8 on PW(12,2048), at 128 frames a block, where a cap on the one
+# decoded copy alone would allow 256 and hold twice the channel block,
+# permuted input and workspace.  The LLR cap bounds the one LLR
+# buffer the channel writes for all of a batch's blocks, and the kernel's
+# workspace, which each thread retains up to this size; it sets the block
+# at n >= 10.  Below that the column cap does: an SC batch is at most 1024
+# columns, but an ensemble multiplies them by k.  One block of AE-8's 8192
+# columns at n <= 9 holds a 4 MB workspace and a 4 MB permuted input, both
+# larger than a 2 MB L2, and four blocks of 2048 columns decode within 3 %
+# of its speed (blocks of 1024 are about 9 % slower).  Cache locality comes
+# from the kernel's row slabs and the channel's frame slabs (both _TILE),
+# so the block can stay wide and spread each plan step's Python cost over
+# many frames.  Frames decode independently and the slabs draw their noise
+# in frame order, so the block size changes no output.
 _BLOCK_LLRS = 1 << 20
 _BLOCK_COLUMNS = 1 << 11
 
 
 def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.random.Generator,
-            count: int, members: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            count: int, columns: int, copies: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """`count` random frames of spec as (sent codewords (N, b), positions-major
-    LLRs (N, b)) in blocks of the most frames b whose decoder input,
-    `members` copies of each, has at most min(_BLOCK_LLRS // N,
-    _BLOCK_COLUMNS) columns (b >= 1): the column cap keeps an ensemble's
-    blocks at n <= 9 from growing with `members` (see _BLOCK_COLUMNS).
-    Every block's LLRs are written to one buffer, so a block is valid
-    only until the next one is yielded.
+    LLRs (N, b)) in blocks of the most frames b (b >= 1) that take at most
+    _BLOCK_COLUMNS decoder columns, `columns` a frame, and hold at most
+    _BLOCK_LLRS LLRs, `copies` (default `columns`) copies of N a frame
+    (see _BLOCK_COLUMNS).  Every block's LLRs are written to one buffer,
+    so a block is valid only until the next one is yielded.
 
     The info bits are drawn at once.  Each block calls the channel's
     public `llrs` on a slab of whole frames at a time and writes the
@@ -577,7 +677,8 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
     (count, N) draw would."""
     n_pos = spec.N
     sent = _encode(rng.integers(0, 2, size=(count, spec.K), dtype=np.uint8), spec)
-    step = min(max(1, min(_BLOCK_LLRS // n_pos, _BLOCK_COLUMNS) // members), count)
+    copies = columns if copies is None else copies
+    step = min(max(1, min(_BLOCK_LLRS // (n_pos * copies), _BLOCK_COLUMNS // columns)), count)
     buf = np.empty(n_pos * step)
     # frames in a slab: about _TILE LLRs, and at least 8 so that each row
     # segment written into the block fills a 64-byte cache line
@@ -592,13 +693,18 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
 
 
 def _sim_batch(args) -> int:
-    spec, channel, perms, seed, batch_idx, count = args
+    spec, channel, perms, reps, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
     plan = _plan(spec)
-    inverses = None if perms is None else np.argsort(perms, axis=1)
+    if perms is None:
+        columns = copies = 1  # SC decodes the channel's block in place
+    else:
+        inverses = np.argsort(perms, axis=1)
+        columns = int((reps == np.arange(len(reps))).sum())
+        copies = columns + 1
     errors = 0
-    for sent, llrs in _frames(spec, channel, rng, count, 1 if perms is None else len(perms)):
-        x = _sc_batch(llrs, plan) if perms is None else _ae_block(llrs, perms, inverses, plan)[0]
+    for sent, llrs in _frames(spec, channel, rng, count, columns, copies):
+        x = _sc_batch(llrs, plan) if perms is None else _ae_block(llrs, perms, inverses, plan, reps)[0]
         errors += int((x != sent).any(axis=0).sum())
     return errors
 
@@ -632,8 +738,10 @@ def simulate_bler(
     else:
         raise ValueError(f"unknown decoder {decoder!r}")
 
+    # classified once, here, so that every worker decodes the same members
+    reps = None if perm_arr is None else _coset_reps(perm_arr, np.argsort(perm_arr, axis=1), spec)
     batches = [
-        (spec, channel, perm_arr, seed, idx, min(_SIM_BATCH, num_frames - start))
+        (spec, channel, perm_arr, reps, seed, idx, min(_SIM_BATCH, num_frames - start))
         for idx, start in enumerate(range(0, num_frames, _SIM_BATCH))
     ]
 

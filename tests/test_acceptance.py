@@ -228,8 +228,11 @@ def test_criterion_7_ensemble_gain(pw6):
 def test_criterion_8_determinism_across_jobs(tmp_path):
     sim = ["simulate", "--n", "6", "--K", "32", "--pw", "--decoder", "ae", "--L", "4",
            "--frames", "4000", "--snr", "3.5", "--seed", "9"]
-    ver = ["verify-theorem", "--n", "4", "--K", "8", "--pw"]
-    for name, args in (("sim", sim), ("ver", ver)):
+    # BEC AE-8 at n=8: 3 LTA cosets, whose members disagree where a decision
+    # reads an erasure, so those frames decode every member
+    bec = ["simulate", "--n", "8", "--K", "128", "--pw", "--decoder", "ae", "--L", "8",
+           "--frames", "2048", "--epsilon", "0.4", "--seed", "9"]
+    for name, args in (("sim", sim), ("bec", bec)):
         outs = []
         for jobs in ("1", "2"):
             path = tmp_path / f"{name}-{jobs}"
@@ -237,4 +240,4 @@ def test_criterion_8_determinism_across_jobs(tmp_path):
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1], f"{name} output changed with --jobs"
-    report(8, "byte-identical outputs for --jobs 1 vs 2 (simulate, verify-theorem)")
+    report(8, "byte-identical outputs for --jobs 1 vs 2 (simulate AE on AWGN and BEC)")

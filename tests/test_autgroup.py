@@ -187,12 +187,15 @@ class TestEnumeration:
                 assert alive.sum() == blta_order(prof)
 
     def test_jobs_do_not_change_result(self, capsys):
+        # only simulate reads --jobs; PW(10,512) has BLTA = LTA, so its AE-8
+        # ensemble is one coset and each of the two batches decodes one member
         outs = []
-        for jobs in ("1", "2"):  # RM(1,4): the closure of x3
-            assert cli_main(["verify-theorem", "--n", "4", "--mmin", "8", "--jobs", jobs]) == 0
+        for jobs in ("1", "2"):
+            assert cli_main(["simulate", "--n", "10", "--K", "512", "--pw", "--decoder", "ae",
+                             "--frames", "2048", "--snr", "2.0", "--seed", "4", "--jobs", jobs]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
-        assert '"aut_count": 20160' in outs[0]
+        assert outs[0].endswith(",2,ae,8,4\n")
 
 
 def _check_sweep_against_oracle(codes) -> int:

@@ -31,7 +31,7 @@ from polaraut import (
     wilson_interval,
 )
 from polaraut import decode
-from polaraut.affine import block_profile
+from polaraut.affine import block_profile, blta_membership
 from polaraut.decode import _F, _G0, CERTAIN_LLR, _ae_block, _plan, _sc_batch, correlation_score
 from polaraut.monomial import all_monomials, construct_bec
 
@@ -600,6 +600,119 @@ def test_ae_matches_oracle(name, spec, perms):
                    for f in range(len(llrs)))
 
 
+def _coset_ensemble(spec, rng, bases=4):
+    """8 maps: `bases` draws from the code's BLTA group (LTA for a code
+    that is not decreasing), and others that are one of them times an LTA
+    map on the right, so that right LTA cosets hold two members or more,
+    in shuffled order."""
+    lta = (1,) * spec.n
+    profile = block_profile(spec.monomials) if spec.is_decreasing() else lta
+    maps = [sample_blta(profile, rng) for _ in range(bases)]
+    maps += [maps[i % bases].compose(sample_blta(lta, rng)) for i in range(8 - bases)]
+    rng.shuffle(maps)
+    return maps
+
+
+def _shared_blocks(spec, rng):
+    """(name, frames-major LLRs): AWGN, AWGN with exact zeros in 5 % of the
+    LLRs, BEC at 0.4, and noisy +-1.5e308 LLRs, whose sums overflow."""
+    frames = 24
+    awgn, bec = AwgnBpskChannel(1.0), BecChannel(0.4)
+    zeros = awgn.llrs(_codewords(spec, frames, rng), rng, spec.rate)
+    zeros[rng.random(zeros.shape) < 0.05] = 0.0
+    near_max = (1.0 - 2.0 * _codewords(spec, frames, rng)) * 1.5e308
+    near_max[rng.random(near_max.shape) < 0.2] *= -1.0
+    return [("awgn", awgn.llrs(_codewords(spec, frames, rng), rng, spec.rate)), ("zeros", zeros),
+            ("bec", bec.llrs(_codewords(spec, frames, rng), rng, spec.rate)), ("near-max", near_max)]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
+    # decoding one member per right LTA coset and copying its candidate and
+    # score gives the full ensemble's codewords, choices and score bytes,
+    # on PW and BEC-constructed codes at three rates; the exact zeros of
+    # the zero-injected and BEC blocks take the flagged re-decode, and the
+    # near-max blocks decode every member
+    full = decode._ae_block
+    redecodes = []
+
+    def counted(llrs, perms, inverses, plan, reps=None):
+        redecodes.append(len(llrs[0]))
+        return full(llrs, perms, inverses, plan, reps)
+
+    monkeypatch.setattr(decode, "_ae_block", counted)
+    rng = np.random.default_rng(700 + n)
+    r = random.Random(700 + n)
+    shared = zero_redecodes = 0
+    for k in (1 << n) // 4, (1 << n) // 2, 3 * (1 << n) // 4:
+        for spec in construct_pw(n, k), construct_bec(n, k, 0.5):
+            perms = np.array([induced_permutation(t) for t in _coset_ensemble(spec, r)], dtype=np.intp)
+            inverses = np.argsort(perms, axis=1)
+            reps = decode._coset_reps(perms, inverses, spec)
+            shared += len(set(reps.tolist())) < len(perms)
+            for name, llrs in _shared_blocks(spec, rng):
+                block = np.ascontiguousarray(llrs.T)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want = full(block, perms, inverses, _plan(spec))
+                    redecodes.clear()
+                    got = decode._ae_block(block, perms, inverses, _plan(spec), reps)
+                case = (k, spec.code_id(), name)
+                # the call itself, then one per chunk of flagged frames
+                if name == "near-max" and len(set(reps.tolist())) < len(perms):
+                    assert sum(redecodes[1:]) == len(block[0]), case
+                zero_redecodes += name in ("zeros", "bec") and len(redecodes) > 1
+                assert (got[0] == want[0]).all() and (got[1] == want[1]).all(), case
+                assert got[2].tobytes() == want[2].tobytes(), case
+    assert shared >= 3  # every decreasing code shares
+    assert zero_redecodes  # decisions on exact zeros flagged some frames
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_coset_reps_match_blta_membership(n):
+    # each member's representative is the lowest-index r with A_r^-1 A_t
+    # lower triangular, on maps drawn from all of GL(n, 2)
+    spec = construct_pw(n, 1 << (n - 1))
+    r = random.Random(800 + n)
+    lta, gl = (1,) * n, (n,)
+    for _ in range(150):
+        maps = [sample_blta(gl, r) for _ in range(3)]
+        maps += [maps[r.randrange(3)].compose(sample_blta(lta, r)) for _ in range(3)]
+        maps.append(sample_blta(gl, r))
+        r.shuffle(maps)
+        perms = np.array([induced_permutation(t) for t in maps], dtype=np.intp)
+        reps = decode._coset_reps(perms, np.argsort(perms, axis=1), spec)
+        assert reps.tolist() == [next(q for q, m in enumerate(maps) if blta_membership(m.inverse().compose(t), lta))
+                                 for t in maps]
+
+
+def test_coset_reps_share_only_affine_members_of_decreasing_codes():
+    n = 5
+    spec = construct_pw(n, 16)
+    r = random.Random(810)
+    base = sample_blta((n,), r)
+    maps = [base] + [base.compose(sample_blta((1,) * n, r)) for _ in range(3)]
+    perms = np.array([induced_permutation(t) for t in maps], dtype=np.intp)
+    assert decode._coset_reps(perms, np.argsort(perms, axis=1), spec).tolist() == [0, 0, 0, 0]
+    # member 2 agrees with its affine map at 0 and at every unit point, so
+    # it reads back the same columns, but two other positions are swapped
+    full = spec.N - 1
+    read = {full} | {full ^ (1 << c) for c in range(n)}
+    i, j = [pos for pos in range(spec.N) if pos not in read][:2]
+    bent = perms.copy()
+    bent[2, [i, j]] = bent[2, [j, i]]
+    assert decode._coset_reps(bent, np.argsort(bent, axis=1), spec).tolist() == [0, 0, 2, 0]
+    # no affine map induces a random permutation, not even beside a copy
+    # of itself: nothing is shared
+    rng = np.random.default_rng(811)
+    scrambled = np.array([rng.permutation(spec.N) for _ in range(5)] + [perms[0], perms[1]])
+    scrambled[1] = scrambled[0]
+    assert decode._coset_reps(scrambled, np.argsort(scrambled, axis=1), spec).tolist() == [0, 1, 2, 3, 4, 5, 5]
+    # off the decreasing codes LTA need not commute with SC: no sharing there
+    code = CodeSpec(n, polaraut.MonomialSet(n, [0, 1, 2, 4, 8, 24]))
+    assert not code.is_decreasing()
+    assert decode._coset_reps(perms, np.argsort(perms, axis=1), code).tolist() == [0, 1, 2, 3]
+
+
 class TestScoring:
     def test_permutation_consistency(self):
         rng = np.random.default_rng(12)
@@ -794,9 +907,12 @@ class TestSimulate:
     def test_column_cap_changes_no_count(self, monkeypatch, cap):
         # SC and AE-8 error counts and an SC invariance count are those of
         # blocks cut by the LLR cap alone, and no decoder input is wider
-        # than the cap: at cap 8, AE-8 decodes one frame (8 columns) a block,
-        # and the invariance check, which decodes each frame beside its
-        # permuted copy (2 members), four frames a block
+        # than the cap: at cap 8, AE-8 on PW(6,32), whose 8 members fall in
+        # 6 LTA cosets, decodes one frame (6 columns) a block, and on
+        # PW(8,128), 3 cosets, two frames; the invariance check, which
+        # decodes each frame beside its permuted copy (2 members), four
+        # frames a block.  Each AE block also holds the channel's LLRs, so
+        # the LLR cap counts one copy more than the columns
         specs = [construct_pw(6, 32), construct_pw(8, 128)]
         runs = [
             (spec, chan, dec, _blta_perms(spec, 8, 29) if dec == "ae" else None)
@@ -804,6 +920,9 @@ class TestSimulate:
             for chan in (AwgnBpskChannel(2.0), BecChannel(0.4))
             for dec in ("sc", "ae")
         ]
+        cosets = [len(set(decode._coset_reps(np.array(p), np.argsort(p, axis=1), spec).tolist()))
+                  for spec, _, dec, p in runs if dec == "ae"]
+        assert sorted(set(cosets)) == [3, 6]
         t = sample_blta(block_profile(specs[0].monomials), 5)
 
         def counts():
@@ -818,22 +937,23 @@ class TestSimulate:
         calls = []
         frames = decode._frames
 
-        def recorded(spec, channel, rng, count, members):
+        def recorded(spec, channel, rng, count, columns, copies=None):
             widths = []
-            calls.append((spec.N, count, members, widths))
-            for sent, llrs in frames(spec, channel, rng, count, members):
+            calls.append((spec.N, count, columns, copies or columns, widths))
+            for sent, llrs in frames(spec, channel, rng, count, columns, copies):
                 widths.append(llrs.shape[1])
                 yield sent, llrs
 
         monkeypatch.setattr(decode, "_frames", recorded)
         assert counts() == whole
-        assert {members for _, _, members, _ in calls} == {1, 2, 8}
-        for n_pos, count, members, widths in calls:
-            columns = min(cap, decode._BLOCK_LLRS // n_pos)
+        assert {(columns, copies) for _, _, columns, copies, _ in calls} == (
+            {(1, 1), (2, 2)} | {(k, k + 1) for k in cosets})
+        for n_pos, count, columns, copies, widths in calls:
             assert sum(widths) == count and set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
             # each block but the last is as wide as both caps allow
-            assert widths[0] * members <= columns
-            assert widths[0] == count or (widths[0] + 1) * members > columns
+            assert widths[0] * columns <= cap and widths[0] * copies * n_pos <= decode._BLOCK_LLRS
+            assert (widths[0] == count or (widths[0] + 1) * columns > cap
+                    or (widths[0] + 1) * copies * n_pos > decode._BLOCK_LLRS)
 
     @staticmethod
     def _one_draw(pw6, channel, seed, batch_idx, count):
@@ -856,12 +976,14 @@ class TestSimulate:
         for tile, rows, tile_id in ((decode._TILE, 256, ""), (9 * 64, 9, "-tile9"), (3 * 64, 8, "-tile8"))
     ])
     def test_block_draws_join_to_one_draw(self, monkeypatch, pw6, decoder, channel, tile, rows):
-        # the decode blocks are 70 frames (SC) or 17 (AE-4), neither of
-        # which divides the 1000-frame batch, and the channel's llrs is
-        # called once per slab of each block; joined in order, the slabs
-        # are the oracle's one draw over the batch, and the generator ends
-        # where that draw leaves it
+        # the decode blocks are 70 frames (SC) or 14 (AE-4, whose 4 members
+        # are 4 LTA cosets: the block holds the channel's LLRs and 4 copies),
+        # neither of which divides the 1000-frame batch, and the channel's
+        # llrs is called once per slab of each block; joined in order, the
+        # slabs are the oracle's one draw over the batch, and the generator
+        # ends where that draw leaves it
         perms = np.array(_blta_perms(pw6, 4, 23), dtype=np.intp) if decoder == "ae" else None
+        reps = None if perms is None else decode._coset_reps(perms, np.argsort(perms, axis=1), pw6)
         monkeypatch.setattr(decode, "_BLOCK_LLRS", 70 * pw6.N)
         monkeypatch.setattr(decode, "_TILE", tile)
         calls = []
@@ -872,9 +994,9 @@ class TestSimulate:
                 calls.append((x.copy(), out.copy(), rng))
                 return out
 
-        decode._sim_batch((pw6, Recorder(), perms, 31, 2, 1000))
+        decode._sim_batch((pw6, Recorder(), perms, reps, 31, 2, 1000))
         sent, ref, rng = self._one_draw(pw6, channel, 31, 2, 1000)
-        step = 70 if decoder == "sc" else 17
+        step = 70 if decoder == "sc" else 14
         blocks = [min(step, 1000 - start) for start in range(0, 1000, step)]
         assert [len(x) for x, _, _ in calls] == [min(rows, b - lo) for b in blocks for lo in range(0, b, rows)]
         assert (np.vstack([x for x, _, _ in calls]) == sent).all()
@@ -914,30 +1036,33 @@ class TestSimulate:
         monkeypatch.delattr(decode._local, "work", raising=False)
         tracemalloc.start()
         try:
-            decode._sim_batch((spec, AwgnBpskChannel(2.5), None, 1, 0, 1024))
+            decode._sim_batch((spec, AwgnBpskChannel(2.5), None, None, 1, 0, 1024))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < bound
 
     def test_ensemble_batch_memory_bounded_by_its_columns(self, monkeypatch):
-        # one 1024-frame AE-8 batch at N = 64 decodes 4 blocks of 256
-        # frames, 2048 columns each; it may hold the kernel's workspace and
-        # the permuted input, (N - 1) and N float64 LLRs a column, the
-        # block's decoded candidates (N uint8 a column) and 1 MB of slack
-        # for the LLR block, the batch's codewords and info bits, the
-        # member scores and their (frames, N) float64 terms.  One block of
-        # all 8192 columns peaks at 9.3 MB
+        # one 1024-frame AE-8 batch at N = 64, whose 8 members fall in 6
+        # LTA cosets, decodes 3 blocks of 341 frames, 2046 columns each,
+        # and a last one; it may hold the kernel's workspace and the
+        # permuted input, (N - 1) and N float64 LLRs a column, the block's
+        # decoded candidates (N uint8 a column) and 1 MB of slack for the
+        # LLR block, the batch's codewords and info bits, the member scores
+        # and their (frames, N) float64 terms.  One block of all 8192
+        # columns peaks at 9.3 MB
         spec = construct_pw(6, 32)
         perms = np.array(_blta_perms(spec, 8, 29), dtype=np.intp)
+        reps = decode._coset_reps(perms, np.argsort(perms, axis=1), spec)
+        assert len(set(reps.tolist())) == 6
         columns = min(decode._BLOCK_LLRS // spec.N, decode._BLOCK_COLUMNS)
         assert columns < len(perms) * 1024
         bound = 8 * (2 * spec.N - 1) * columns + spec.N * columns + (1 << 20)
-        decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, 1, 0, 8))  # the plan is cached
+        decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, reps, 1, 0, 8))  # the plan is cached
         monkeypatch.delattr(decode._local, "work", raising=False)
         tracemalloc.start()
         try:
-            decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, 1, 0, 1024))
+            decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, reps, 1, 0, 1024))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
