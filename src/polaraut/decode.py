@@ -17,11 +17,13 @@ and write each slab transposed into the decoder's block.  The ensemble
 decoder runs SC once per right LTA coset of its members, which decode
 alike, gathers one member's candidate at a time from the SC output,
 through the member's inverse permutation, and scores it frames-major in
-slabs of frames; no array of all candidates is built.  The decoders work
-on batches; the public single-frame entry points wrap a batch of one,
-and the public channel and encoding helpers keep frames-major (..., N)
-arrays.  The encoding helpers take only entries
-equal to 0 or 1.
+slabs of frames; no array of all candidates is built.  An ensemble whose
+members are all LTA maps shares the identity's coset, so the Monte Carlo
+loop decodes it as SC on the channel's block, and decodes again under
+every member only the frames in which that argument fails.  The decoders
+work on batches; the public single-frame entry points wrap a batch of
+one, and the public channel and encoding helpers keep frames-major
+(..., N) arrays.  The encoding helpers take only entries equal to 0 or 1.
 """
 
 from __future__ import annotations
@@ -294,6 +296,17 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
     return buf[:need].reshape(rows, cols)
 
 
+def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """g = b + (1 - 2u) a into out, in three passes: a with its sign bit
+    flipped where the bit u is 1 is (1 - 2u) a exactly, for every a but a
+    NaN, whose sign no decision reads (both tests, < 0 and == 0, are false
+    on a NaN of either sign)."""
+    bits = out.view(np.uint64)
+    np.left_shift(u, 63, out=bits, dtype=np.uint64)
+    np.bitwise_xor(bits, a.view(np.uint64), out=bits)
+    out += b
+
+
 # g and repetition sums of LLRs near the float maximum overflow: same-sign
 # terms give +-inf, which decides by its sign; opposite infinities give NaN
 # with an "invalid" warning, which this does not silence (see the FOUND on
@@ -342,14 +355,9 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan, zeros: np.ndarray | None = None) ->
                 np.negative(t, out=t)
                 np.maximum(fs, t, out=fs)
         elif op == _G:
-            # g = b + (1 - 2u) a
             a, b, u, g = v[:size], v[size:], x[lo:lo + size], node[size]
             for r in range(0, size, rows):
-                gs = g[r:r + rows]
-                np.multiply(u[r:r + rows], 2.0, out=gs)
-                np.subtract(1.0, gs, out=gs)
-                gs *= a[r:r + rows]
-                gs += b[r:r + rows]
+                _g(a[r:r + rows], b[r:r + rows], u[r:r + rows], g[r:r + rows])
         elif op == _G0:
             # g after a rate-0 left child, whose u is 0: b + a, exactly
             # what b + 1.0 * a gives; one pass, so nothing to tile
@@ -415,6 +423,15 @@ def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult
     return DecodeResult(extract_info(x, spec), x, (correlation_score(x, llr),), 0)
 
 
+def _near_max(llrs: np.ndarray) -> bool:
+    """Whether a positions-major (N, B) LLR block holds a NaN or an LLR of
+    magnitude DBL_MAX / 2^(n+1) or more.  No sum of at most N LLRs below
+    that bound overflows, so no decision of a block it does not flag reads
+    a NaN, which only opposite infinities make."""
+    bound = math.ldexp(sys.float_info.max, -len(llrs).bit_length())
+    return not -bound < llrs.min() <= llrs.max() < bound
+
+
 def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
               reps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ensemble-decode a positions-major (N, B) block of LLRs under an
@@ -444,9 +461,12 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
       where the sign flip calls for complementary bits.  The kernel flags
       these columns.
     - A NaN, which only opposite infinities make, decides bit 0 whatever
-      its sign.  No sum of at most N LLRs below DBL_MAX / 2^(n+1) in
-      magnitude overflows, so every frame of a block whose LLRs reach
-      that bound, or hold a NaN, is flagged."""
+      its sign.  Every frame of a block that _near_max flags is flagged.
+
+    A score is correlation_score's sum (1 - 2 x_i) llr_i over one
+    frames-major row, with each term built as llr_i with its sign bit
+    flipped where x_i = 1: for every LLR but a NaN that is the product
+    exactly, so the score bytes are the same."""
     n_perm, n_pos = perms.shape
     batch = llrs.shape[1]
     members = np.arange(n_perm)
@@ -456,8 +476,7 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
     zeros = None if own.all() else np.zeros(len(decoded) * batch, dtype=bool)
     # column s*B + b of the decoder input is frame b permuted by pi_decoded[s]
     x = _sc_batch(llrs[perms[decoded].T].reshape(n_pos, -1), plan, zeros)
-    bound = math.ldexp(sys.float_info.max, -n_pos.bit_length())
-    if zeros is not None and not -bound < llrs.min() <= llrs.max() < bound:
+    if zeros is not None and _near_max(llrs):
         zeros[:] = True
     scores = np.empty((n_perm, batch))
     # frames in a slab: a wider slab transposes faster, a narrower one
@@ -465,12 +484,16 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
     # slabs ran AE-8 about 3 % slower than 16-frame ones, and 32-frame
     # slabs raised its peak RSS by about 0.5 MB
     rows = max(_TILE // n_pos, 16)
+    terms = np.empty((min(rows, batch), n_pos))
     for lo in range(0, batch, rows):
         hi = min(lo + rows, batch)
-        received = _transposed(llrs[:, lo:hi])
+        received = _transposed(llrs[:, lo:hi]).view(np.uint64)
+        t = terms[:hi - lo]
+        bits = t.view(np.uint64)
         for s, member in enumerate(decoded):
-            scores[member, lo:hi] = correlation_score(x[inverses[member], s * batch + lo:s * batch + hi].T,
-                                                      received)
+            np.left_shift(x[inverses[member], s * batch + lo:s * batch + hi].T, 63, out=bits, dtype=np.uint64)
+            bits ^= received
+            scores[member, lo:hi] = t.sum(axis=-1)
     scores = scores[reps]
     chosen = scores.argmax(axis=0)  # ties resolve to the lowest index, a representative
     best = x[inverses[chosen].T, np.searchsorted(decoded, reps[chosen]) * batch + np.arange(batch)]
@@ -490,12 +513,48 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
     return best, chosen, scores
 
 
-def _coset_reps(perms: np.ndarray, inverses: np.ndarray, spec: CodeSpec) -> np.ndarray:
+def _lta_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan) -> np.ndarray:
+    """The codewords (N, B) that _ae_block decodes from a positions-major
+    (N, B) block of LLRs under an (L, N) ensemble of a decreasing code
+    whose every member is induced by an affine map with a lower-triangular
+    linear part, from one SC pass over the block itself.
+
+    Proof.  The identity is an LTA map, so with r = identity, A_r^-1 A_t =
+    A_t is lower triangular for every member t: all members lie in the
+    identity's right LTA coset.  _ae_block's sharing argument then holds
+    with r = identity, whose input is the block as it is and whose
+    candidate is SC's codeword: member t's input is the block permuted by
+    pi_t, every float operation of its decoding is, under pi_t, one of
+    SC's on the same operands up to operand order and a sign flip, so its
+    candidate is SC's codeword and its score is the same float for every
+    member.  Whichever member wins, the codeword is SC's.  The argument
+    fails on the frames _ae_block flags: those in which a decision of
+    this SC pass reads an exact 0.0, which the kernel flags, and every
+    frame of a block that _near_max flags.  Each flagged frame is decoded
+    again under the full ensemble, in chunks of at most B decoder columns
+    (or one frame), so every codeword is the full ensemble's.  No
+    permuted copy, score or winner gather is built for the others."""
+    batch = llrs.shape[1]
+    zeros = np.zeros(batch, dtype=bool)
+    x = _sc_batch(llrs, plan, zeros)
+    if _near_max(llrs):
+        zeros[:] = True
+    flagged = np.flatnonzero(zeros)
+    step = max(1, batch // len(perms))
+    for lo in range(0, len(flagged), step):
+        f = flagged[lo:lo + step]
+        x[:, f] = _ae_block(llrs[:, f], perms, inverses, plan)[0]
+    return x
+
+
+def _coset_reps(perms: np.ndarray, inverses: np.ndarray, spec: CodeSpec) -> np.ndarray | None:
     """The representative of each ensemble member for _ae_block: the
     lowest-index member r with A_r^-1 A_t lower triangular, read from the
     (L, N) permutations and their inverses alone.  A member whose
     permutation no affine map induces, and every member when the code is
-    not decreasing, is its own.
+    not decreasing, is its own.  None when the code is decreasing and
+    every member is induced by an affine map whose linear part is lower
+    triangular: the identity then represents them all (_lta_block).
 
     Position i holds the point ~i, so member l's point map is T_l(x) =
     ~pi_l(~x), with T_l(0) = b_l and column c of A_l T_l(e_c) ^ b_l.  The
@@ -516,6 +575,8 @@ def _coset_reps(perms: np.ndarray, inverses: np.ndarray, spec: CodeSpec) -> np.n
     for c in range(spec.n):
         images = np.hstack((images, images ^ cols[:, c:c + 1]))
     affine = (images == maps).all(axis=1)
+    if affine.all() and not (cols & (units - 1)).any():
+        return None
     # [r, t, j]: T_r^-1 T_t at 0 and the unit points, from inverses[r][perms[t]]
     points = full ^ np.concatenate(([0], units))
     pair = full ^ inverses[:, perms[:, points]]
@@ -639,24 +700,25 @@ _SIM_BATCH = 1024  # fixed so results never depend on the worker count
 # blocks of frames that take at most _BLOCK_COLUMNS decoder columns, a
 # column being one copy of one frame, and hold at most _BLOCK_LLRS LLRs,
 # 8 MB of float64, in the block's copies of its frames.  SC decodes the
-# channel's block in place: one column and one copy a frame.  The ensemble
-# decodes k permuted copies, one per LTA coset it decodes (_ae_block), and
-# keeps the channel's block beside them: k columns and k + 1 copies a
-# frame.  Counting the channel's copy keeps a single-coset ensemble, such
-# as AE-8 on PW(12,2048), at 128 frames a block, where a cap on the one
-# decoded copy alone would allow 256 and hold twice the channel block,
-# permuted input and workspace.  The LLR cap bounds the one LLR
-# buffer the channel writes for all of a batch's blocks, and the kernel's
-# workspace, which each thread retains up to this size; it sets the block
-# at n >= 10.  Below that the column cap does: an SC batch is at most 1024
-# columns, but an ensemble multiplies them by k.  One block of AE-8's 8192
-# columns at n <= 9 holds a 4 MB workspace and a 4 MB permuted input, both
-# larger than a 2 MB L2, and four blocks of 2048 columns decode within 3 %
-# of its speed (blocks of 1024 are about 9 % slower).  Cache locality comes
-# from the kernel's row slabs and the channel's frame slabs (both _TILE),
-# so the block can stay wide and spread each plan step's Python cost over
-# many frames.  Frames decode independently and the slabs draw their noise
-# in frame order, so the block size changes no output.
+# channel's block in place: one column and one copy a frame.  So does an
+# ensemble whose members are all LTA maps (_lta_block), such as AE-8 on
+# PW(12,2048) at 256 frames a block; its flagged frames decode again in
+# chunks of at most the block's columns.  Any other ensemble decodes k
+# permuted copies, one per LTA coset it decodes (_ae_block), and keeps the
+# channel's block beside them: k columns and k + 1 copies a frame, so that
+# the channel block, permuted input and workspace stay within the cap.
+# The LLR cap bounds the one LLR buffer the channel writes for all of a
+# batch's blocks, and the kernel's workspace, which each thread retains up
+# to this size; it sets the block at n >= 10.  Below that the column cap
+# does: an SC batch is at most 1024 columns, but an ensemble multiplies
+# them by k.  One block of AE-8's 8192 columns at n <= 9 holds a 4 MB
+# workspace and a 4 MB permuted input, both larger than a 2 MB L2, and
+# four blocks of 2048 columns decode within 3 % of its speed (blocks of
+# 1024 are about 9 % slower).  Cache locality comes from the kernel's row
+# slabs and the channel's frame slabs (both _TILE), so the block can stay
+# wide and spread each plan step's Python cost over many frames.  Frames
+# decode independently and the slabs draw their noise in frame order, so
+# the block size changes no output.
 _BLOCK_LLRS = 1 << 20
 _BLOCK_COLUMNS = 1 << 11
 
@@ -696,15 +758,21 @@ def _sim_batch(args) -> int:
     spec, channel, perms, reps, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
     plan = _plan(spec)
-    if perms is None:
-        columns = copies = 1  # SC decodes the channel's block in place
-    else:
+    if perms is not None:
         inverses = np.argsort(perms, axis=1)
+    if reps is None:
+        columns = copies = 1  # SC, and _lta_block, decode the channel's block in place
+    else:
         columns = int((reps == np.arange(len(reps))).sum())
         copies = columns + 1
     errors = 0
     for sent, llrs in _frames(spec, channel, rng, count, columns, copies):
-        x = _sc_batch(llrs, plan) if perms is None else _ae_block(llrs, perms, inverses, plan, reps)[0]
+        if perms is None:
+            x = _sc_batch(llrs, plan)
+        elif reps is None:
+            x = _lta_block(llrs, perms, inverses, plan)
+        else:
+            x = _ae_block(llrs, perms, inverses, plan, reps)[0]
         errors += int((x != sent).any(axis=0).sum())
     return errors
 

@@ -188,7 +188,7 @@ class TestEnumeration:
 
     def test_jobs_do_not_change_result(self, capsys):
         # only simulate reads --jobs; PW(10,512) has BLTA = LTA, so its AE-8
-        # ensemble is one coset and each of the two batches decodes one member
+        # ensemble is all LTA and each of the two batches decodes as SC
         outs = []
         for jobs in ("1", "2"):
             assert cli_main(["simulate", "--n", "10", "--K", "512", "--pw", "--decoder", "ae",

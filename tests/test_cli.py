@@ -250,8 +250,9 @@ class TestSimulate:
     def test_golden_bytes(self, capsys):
         # tests/data/simulate_golden.csv holds each command's output, after
         # a "# argv" line, as written by commit 51882c5, before the pruned
-        # f steps and the in-place channel; the last two by commit c31bee3,
-        # before the ensemble decoded each LTA coset once
+        # f steps and the in-place channel; the next two by commit c31bee3,
+        # before the ensemble decoded each LTA coset once; the last by commit
+        # e66e40f, before an all-LTA ensemble decoded as one SC pass
         golden = (Path(__file__).parent / "data" / "simulate_golden.csv").read_text()
         blocks = []
         for argv in GOLDEN_SIMULATE:
@@ -275,12 +276,17 @@ GOLDEN_SIMULATE = [
     ["simulate", *PW6, "--decoder", "ae", "--L", "8", "--epsilon", "0.4", "--frames", "4000", "--seed", "6"],
     ["simulate", *PW8, "--decoder", "sc", "--snr", "2.5", "--frames", "2000", "--seed", "7"],
     ["simulate", *PW8, "--decoder", "ae", "--L", "8", "--snr", "2.5", "--frames", "2000", "--seed", "7"],
-    # PW(10,512) has BLTA = LTA, so its AE-8 ensemble is one LTA coset
+    # PW(10,512) has BLTA = LTA, so its AE-8 ensemble is all LTA and decodes
+    # as SC
     ["simulate", "--n", "10", "--K", "512", "--pw", "--decoder", "ae", "--L", "8", "--snr", "2.0,2.5",
      "--frames", "2000", "--seed", "8"],
     # PW(8,128)'s AE-8 ensemble spans 3 cosets, whose members disagree on
     # frames where a decision reads an erasure's exact 0.0
     ["simulate", *PW8, "--decoder", "ae", "--L", "8", "--epsilon", "0.35,0.4", "--frames", "3000", "--seed", "9"],
+    # PW(10,512)'s all-LTA ensemble on BEC: the frames whose decisions read
+    # an erasure's exact 0.0 are decoded again under every member
+    ["simulate", "--n", "10", "--K", "512", "--pw", "--decoder", "ae", "--L", "8", "--frames", "2048",
+     "--epsilon", "0.35,0.4", "--seed", "3"],
 ]
 SIM = ["simulate", "--n", "3", "--K", "4", "--pw", "--snr", "1"]
 AWGN = ["simulate", "--n", "3", "--K", "4", "--pw", "--frames", "10"]

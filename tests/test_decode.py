@@ -649,6 +649,8 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
             perms = np.array([induced_permutation(t) for t in _coset_ensemble(spec, r)], dtype=np.intp)
             inverses = np.argsort(perms, axis=1)
             reps = decode._coset_reps(perms, inverses, spec)
+            if reps is None:  # every member is LTA, so each shares member 0's coset
+                reps = np.zeros(len(perms), dtype=np.intp)
             shared += len(set(reps.tolist())) < len(perms)
             for name, llrs in _shared_blocks(spec, rng):
                 block = np.ascontiguousarray(llrs.T)
@@ -711,6 +713,189 @@ def test_coset_reps_share_only_affine_members_of_decreasing_codes():
     code = CodeSpec(n, polaraut.MonomialSet(n, [0, 1, 2, 4, 8, 24]))
     assert not code.is_decreasing()
     assert decode._coset_reps(perms, np.argsort(perms, axis=1), code).tolist() == [0, 1, 2, 3]
+
+
+def _lta_perms(spec, count, rng):
+    lta = (1,) * spec.n
+    return np.array([induced_permutation(sample_blta(lta, rng)) for _ in range(count)], dtype=np.intp)
+
+
+def _not_lta(n, rng):
+    """A map of GL(n, 2) whose linear part is not lower triangular."""
+    while True:
+        t = sample_blta((n,), rng)
+        if not blta_membership(t, (1,) * n):
+            return t
+
+
+def test_coset_reps_none_only_for_all_lta_ensembles_of_decreasing_codes():
+    # None (decode as one SC pass) needs a decreasing code and every member
+    # affine with a lower-triangular linear part
+    n = 5
+    spec = construct_pw(n, 16)
+    code = CodeSpec(n, polaraut.MonomialSet(n, [0, 1, 2, 4, 8, 24]))
+    assert spec.is_decreasing() and not code.is_decreasing()
+    r = random.Random(820)
+
+    def reps(p, on=spec):
+        return decode._coset_reps(p, np.argsort(p, axis=1), on)
+
+    perms = _lta_perms(spec, 4, r)
+    assert reps(perms) is None and reps(perms[:1]) is None
+    # off the decreasing codes, even one LTA member is its own representative
+    assert reps(perms, code).tolist() == [0, 1, 2, 3] and reps(perms[:1], code).tolist() == [0]
+    # one member whose linear part is not lower triangular shares no coset
+    # with the others, nor with the identity
+    mixed = perms.copy()
+    mixed[2] = induced_permutation(_not_lta(n, r))
+    assert reps(mixed).tolist() == [0, 0, 2, 0] and reps(mixed[2:3]).tolist() == [0]
+    # one member that no affine map induces, though it reads back the
+    # columns of an LTA map
+    full = spec.N - 1
+    read = {full} | {full ^ (1 << c) for c in range(n)}
+    i, j = [pos for pos in range(spec.N) if pos not in read][:2]
+    bent = perms.copy()
+    bent[1, [i, j]] = bent[1, [j, i]]
+    assert reps(bent).tolist() == [0, 1, 0, 0]
+    # on random mixes, None exactly when every member is LTA
+    for trial in range(60):
+        maps = [sample_blta((1,) * n, r) if r.random() < 0.9 else _not_lta(n, r) for _ in range(1 + trial % 8)]
+        lta = all(blta_membership(t, (1,) * n) for t in maps)
+        assert (reps(np.array([induced_permutation(t) for t in maps], dtype=np.intp)) is None) == lta
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
+    # an all-LTA ensemble of a PW code decodes as one SC pass over the
+    # block, plus a full-ensemble re-decode of each flagged frame: its
+    # codewords are the full ensemble's and the oracle's, at three rates
+    # (rate 1/2 alone at n > 10, where the oracle is slow), on AWGN, AWGN with exact zeros, BEC and near-max LLRs (against the
+    # full ensemble alone: the oracle's f and g round overflowing sums
+    # otherwise).  The re-decode goes in chunks of at most the block's
+    # columns; the near-max blocks re-decode every frame
+    full = decode._ae_block
+    chunks = []
+
+    def counted(llrs, perms, inverses, plan, reps=None):
+        chunks.append(llrs.shape[1])
+        return full(llrs, perms, inverses, plan, reps)
+
+    monkeypatch.setattr(decode, "_ae_block", counted)
+    rng = np.random.default_rng(900 + n)
+    r = random.Random(900 + n)
+    zero_redecodes = sc_differs = 0
+    big = 1 << n
+    for k in (big // 4, big // 2, 3 * big // 4) if n <= 10 else (big // 2,):
+        spec = construct_pw(n, k)
+        perms = _lta_perms(spec, 8, r)
+        inverses = np.argsort(perms, axis=1)
+        assert decode._coset_reps(perms, inverses, spec) is None
+        for name, llrs in _shared_blocks(spec, rng):
+            block = np.ascontiguousarray(llrs.T)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = full(block, perms, inverses, _plan(spec))[0]
+                ref = ae_oracle(llrs, perms, _mask(spec))[0]
+                chunks.clear()
+                got = decode._lta_block(block, perms, inverses, _plan(spec))
+                sc = _sc_batch(block, _plan(spec))
+            case = (k, name)
+            assert (got == want).all() and (name == "near-max" or (got.T == ref).all()), case
+            assert all(c <= len(llrs) // len(perms) for c in chunks), case
+            if name == "near-max":
+                assert sum(chunks) == len(llrs), case
+            zero_redecodes += sum(chunks) if name in ("zeros", "bec") else 0
+            sc_differs += (sc != want).any(axis=0).sum()
+    assert zero_redecodes  # decisions on exact zeros flagged some frames
+    # where SC alone is not the full ensemble; at n = 3 no frame of these
+    # blocks tells them apart
+    assert sc_differs or n == 3
+
+
+def test_lta_path_counts_equal_oracle(monkeypatch):
+    # simulate_bler's codeword errors are the full ensemble's (the oracle's)
+    # on BEC and AWGN for an all-LTA ensemble of PW(6,32), which decodes as
+    # SC plus the flagged re-decode, in blocks sized as SC's; the same maps
+    # on a code that is not decreasing, and PW(6,32)'s ensemble with one map
+    # that is not LTA, which do not
+    sizes = []
+    frames_of = decode._frames
+
+    def recorded(spec, channel, rng, count, columns, copies=None):
+        sizes.append((columns, copies))
+        return frames_of(spec, channel, rng, count, columns, copies)
+
+    monkeypatch.setattr(decode, "_frames", recorded)
+    n = 6
+    pw = construct_pw(n, 32)
+    code = CodeSpec(n, polaraut.MonomialSet(n, [0, 1, 2, 4, 8, 16, 32, 24, 40, 48, 7, 56, 3]))
+    assert not code.is_decreasing()
+    r = random.Random(830)
+    lta = _lta_perms(pw, 8, r)
+    mixed = lta.copy()
+    mixed[5] = induced_permutation(_not_lta(n, r))
+    frames, seed = 300, 11
+    for spec, perms, sharing in ((pw, lta, True), (code, lta, False), (pw, mixed, False)):
+        assert (decode._coset_reps(perms, np.argsort(perms, axis=1), spec) is None) == sharing
+        generator = kron_power(n)[list(spec.row_indices())]
+        for channel in AwgnBpskChannel(1.5), BecChannel(0.45):
+            sizes.clear()
+            res = simulate_bler(spec, channel, frames, seed=seed, decoder="ae", perms=perms)
+            assert (sizes == [(1, 1)]) == sharing
+            rng = np.random.default_rng([seed, 0])
+            sent = (rng.integers(0, 2, (frames, spec.K), dtype=np.uint8) @ generator) % 2
+            if isinstance(channel, AwgnBpskChannel):
+                llrs = awgn_llrs_oracle(sent, rng, channel.ebn0_db, spec.rate)
+            else:
+                llrs = bec_llrs_oracle(sent, rng, channel.erasure_prob)
+            best = ae_oracle(llrs, perms, _mask(spec))[0]
+            assert res.errors == int((best != sent).any(axis=1).sum()), (spec.code_id(), channel)
+
+
+_G_LLRS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.5, 1.5e308, -1.5e308,
+                    sys.float_info.max, -sys.float_info.max, np.inf, -np.inf, np.nan])
+
+
+def test_g_matches_the_four_pass_form():
+    # the sign-bit g is byte-equal to b + (1 - 2u) a formed by a multiply,
+    # on +-0, subnormals, +-inf and sums that overflow; a NaN (an input, or
+    # inf - inf) may differ only in its sign, which no decision reads
+    a, b = (col.ravel() for col in np.meshgrid(_G_LLRS, _G_LLRS))
+    for bit in 0, 1:
+        u = np.full(len(a), bit, dtype=np.uint8)
+        want, got = np.empty(len(a)), np.empty(len(a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(u, 2.0, out=want)
+            np.subtract(1.0, want, out=want)
+            want *= a
+            want += b
+            decode._g(a, b, u, got)
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all() and nan.any()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert ((got < 0) == (want < 0)).all() and ((got == 0) == (want == 0)).all()
+
+
+def test_ae_scores_are_correlation_scores_on_special_llrs():
+    # the ensemble's sign-bit score terms give correlation_score's bytes for
+    # each member's candidate, on LLRs with +-0, subnormals, +-inf and sums
+    # that overflow, and NaN exactly where it does
+    spec = construct_pw(5, 16)
+    perms = np.array(_blta_perms(spec, 4, 30), dtype=np.intp)
+    inverses = np.argsort(perms, axis=1)
+    rng = np.random.default_rng(31)
+    llrs = rng.normal(size=(spec.N, 300))
+    special = rng.random(llrs.shape) < 0.05
+    llrs[special] = rng.choice(_G_LLRS[:-1], size=special.sum())
+    llrs[rng.random(llrs.shape) < 0.002] = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, scores = _ae_block(llrs, perms, inverses, _plan(spec))
+        for member, (pi, inv) in enumerate(zip(perms, inverses)):
+            cand = _sc_batch(llrs[pi], _plan(spec))[inv]
+            want = correlation_score(cand.T, llrs.T)
+            nan = np.isnan(want)
+            assert (np.isnan(scores[member]) == nan).all() and 0 < nan.sum() < len(want)
+            assert scores[member][~nan].tobytes() == want[~nan].tobytes()
+            assert np.isinf(want).any()
 
 
 class TestScoring:
@@ -1092,7 +1277,7 @@ class TestSimulate:
     @pytest.mark.parametrize("decoder", ["sc", "ae"])
     def test_counts_equal_oracle_info_bit_errors(self, spec, channel, decoder):
         # 1100 frames: one full batch of 1024 and a partial one; at n=10
-        # AE-8 decodes them in blocks of 128 frames and a partial block
+        # AE-8, whose members are all LTA, decodes each batch in one block
         frames, seed = 1100, 25
         perms = _blta_perms(spec, 8, 26) if decoder == "ae" else None
         res = simulate_bler(spec, channel, frames, seed=seed, decoder=decoder, perms=perms)
