@@ -14,16 +14,16 @@ f/g steps work on contiguous row blocks.  The Monte Carlo frames call
 each channel's public `llrs` on a slab of whole frames at a time, so
 the noise is drawn frames-major in the order one (frames, N) draw makes,
 and write each slab transposed into the decoder's block.  The ensemble
-decoder runs SC once per right LTA coset of its members, which decode
-alike, gathers one member's candidate at a time from the SC output,
+decoder gathers one member's candidate at a time from the SC output,
 through the member's inverse permutation, and scores it frames-major in
-slabs of frames; no array of all candidates is built.  An ensemble whose
-members are all LTA maps shares the identity's coset, so the Monte Carlo
-loop decodes it as SC on the channel's block, and decodes again under
-every member only the frames in which that argument fails.  The decoders
-work on batches; the public single-frame entry points wrap a batch of
-one, and the public channel and encoding helpers keep frames-major
-(..., N) arrays.  The encoding helpers take only entries equal to 0 or 1.
+slabs of frames; no array of all candidates is built.  The Monte Carlo
+loop runs SC once per right LTA coset of the members, which decode
+alike (as SC on the channel's block when every member is LTA), and
+decodes again under the other members only the frames in which that
+argument fails.  The decoders work on batches; the public single-frame
+entry points wrap a batch of one, and the public channel and encoding
+helpers keep frames-major (..., N) arrays.  The encoding helpers take
+only entries equal to 0 or 1.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from .affine import AffineMap, induced_permutation
+from .gf2 import _reduce
 from .monomial import CodeSpec
 
 __all__ = [
@@ -433,51 +434,30 @@ def _near_max(llrs: np.ndarray) -> bool:
 
 
 def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
-              reps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              zeros: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ensemble-decode a positions-major (N, B) block of LLRs under an
     (L, N) permutation array and its inverses (argsort along axis 1),
-    running SC only for the members that are their own representative in
-    `reps` (by default every member is: the full ensemble).  Returns
-    (codewords (N, B), chosen (B,), scores (L, B)).
+    running SC for every member.  Returns (codewords (N, B), chosen (B,),
+    scores (L, B)); the winner of a frame is its lowest-index member of
+    highest score (numpy's argmax, so a NaN score wins).  Given a (B,)
+    boolean array `zeros`, also sets its entry for each frame in which a
+    decision of some member reads an LLR of exactly 0.0.
 
     Member l decodes frame b permuted by pi_l, llrs[perms[l], b], and its
     candidate is the decoder's output through inverses[l].  Candidates
     are scored frames-major, one row per frame, in slabs of frames: numpy
-    sums a contiguous axis pairwise, so no score depends on the slab.
-
-    Sharing.  reps[t] = r (with reps[r] = r) claims that sigma = pi_r^-1 o
-    pi_t, the permutation inverses[r][perms[t]], is induced by a lower-
-    triangular affine (LTA) map and the code is decreasing.  Member t's
-    input is then member r's permuted by sigma, and every f, g, G0 and
-    repetition sum of t's decoding is, under sigma, the same float
-    operation on the same operands as one of r's, up to operand order and
-    a sign flip: f is min/max, which is symmetric; g's two forms are exact
-    negations; sums commute.  So t's candidate is r's, the same array,
-    and its score is the same float; t takes both from r.  Two cases break
-    the argument.  Frames in them are flagged, and each flagged frame is
-    decoded again under every member that is not its own representative,
-    in chunks of frames no wider than the first decode (or of one frame):
-    - A decision that reads an exact 0.0 gives bit 0 in both members,
-      where the sign flip calls for complementary bits.  The kernel flags
-      these columns.
-    - A NaN, which only opposite infinities make, decides bit 0 whatever
-      its sign.  Every frame of a block that _near_max flags is flagged.
-
-    A score is correlation_score's sum (1 - 2 x_i) llr_i over one
+    sums a contiguous axis pairwise, so no score depends on the slab.  A
+    score is correlation_score's sum (1 - 2 x_i) llr_i over one
     frames-major row, with each term built as llr_i with its sign bit
     flipped where x_i = 1: for every LLR but a NaN that is the product
     exactly, so the score bytes are the same."""
     n_perm, n_pos = perms.shape
     batch = llrs.shape[1]
-    members = np.arange(n_perm)
-    reps = members if reps is None else reps
-    own = reps == members
-    decoded = np.flatnonzero(own)
-    zeros = None if own.all() else np.zeros(len(decoded) * batch, dtype=bool)
-    # column s*B + b of the decoder input is frame b permuted by pi_decoded[s]
-    x = _sc_batch(llrs[perms[decoded].T].reshape(n_pos, -1), plan, zeros)
-    if zeros is not None and _near_max(llrs):
-        zeros[:] = True
+    columns = None if zeros is None else np.zeros(n_perm * batch, dtype=bool)
+    # column l*B + b of the decoder input is frame b permuted by pi_l
+    x = _sc_batch(llrs[perms.T].reshape(n_pos, -1), plan, columns)
+    if zeros is not None:
+        zeros |= columns.reshape(n_perm, batch).any(axis=0)
     scores = np.empty((n_perm, batch))
     # frames in a slab: a wider slab transposes faster, a narrower one
     # holds less.  On perfbench's sim-long (n = 12, a 2-core VM), 8-frame
@@ -490,86 +470,104 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
         received = _transposed(llrs[:, lo:hi]).view(np.uint64)
         t = terms[:hi - lo]
         bits = t.view(np.uint64)
-        for s, member in enumerate(decoded):
-            np.left_shift(x[inverses[member], s * batch + lo:s * batch + hi].T, 63, out=bits, dtype=np.uint64)
+        for s, inv in enumerate(inverses):
+            np.left_shift(x[inv, s * batch + lo:s * batch + hi].T, 63, out=bits, dtype=np.uint64)
             bits ^= received
-            scores[member, lo:hi] = t.sum(axis=-1)
-    scores = scores[reps]
-    chosen = scores.argmax(axis=0)  # ties resolve to the lowest index, a representative
-    best = x[inverses[chosen].T, np.searchsorted(decoded, reps[chosen]) * batch + np.arange(batch)]
-    if zeros is not None and zeros.any():
-        flagged = np.flatnonzero(zeros.reshape(-1, batch).any(axis=0))
-        others = np.flatnonzero(~own)
-        step = max(1, x.shape[1] // len(others))
-        for lo in range(0, len(flagged), step):
-            f = flagged[lo:lo + step]
-            # the lowest-index best of the others is the frame's best when
-            # it beats every representative
-            sub_best, _, sub_scores = _ae_block(llrs[:, f], perms[others], inverses[others], plan)
-            scores[others[:, None], f] = sub_scores
-            chosen[f] = scores[:, f].argmax(axis=0)
-            mine = ~own[chosen[f]]
-            best[:, f[mine]] = sub_best[:, mine]
+            scores[s, lo:hi] = t.sum(axis=-1)
+    chosen = scores.argmax(axis=0)
+    best = x[inverses[chosen].T, chosen * batch + np.arange(batch)]
     return best, chosen, scores
 
 
-def _lta_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan) -> np.ndarray:
+def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
+                  decoded: np.ndarray | None) -> np.ndarray:
     """The codewords (N, B) that _ae_block decodes from a positions-major
-    (N, B) block of LLRs under an (L, N) ensemble of a decreasing code
-    whose every member is induced by an affine map with a lower-triangular
-    linear part, from one SC pass over the block itself.
+    (N, B) block of LLRs under an (L, N) ensemble and its inverses, from
+    one SC decode per right LTA coset of the members (see _coset_reps).
+    `decoded` marks the lowest-index member of each coset, and _ae_block
+    decodes those; None, for a decreasing code whose every member is
+    induced by an affine map with a lower-triangular linear part, decodes
+    the block itself by SC, in place.
 
-    Proof.  The identity is an LTA map, so with r = identity, A_r^-1 A_t =
-    A_t is lower triangular for every member t: all members lie in the
-    identity's right LTA coset.  _ae_block's sharing argument then holds
-    with r = identity, whose input is the block as it is and whose
-    candidate is SC's codeword: member t's input is the block permuted by
-    pi_t, every float operation of its decoding is, under pi_t, one of
-    SC's on the same operands up to operand order and a sign flip, so its
-    candidate is SC's codeword and its score is the same float for every
-    member.  Whichever member wins, the codeword is SC's.  The argument
-    fails on the frames _ae_block flags: those in which a decision of
-    this SC pass reads an exact 0.0, which the kernel flags, and every
-    frame of a block that _near_max flags.  Each flagged frame is decoded
-    again under the full ensemble, in chunks of at most B decoder columns
-    (or one frame), so every codeword is the full ensemble's.  No
-    permuted copy, score or winner gather is built for the others."""
+    Proof.  Say member t is induced by T_t(x) = A_t x + b_t and shares the
+    coset of member r: A_r^-1 A_t is lower triangular, and the code is
+    decreasing.  Then sigma = pi_r^-1 o pi_t is induced by the lower-
+    triangular affine (LTA) map T_r^-1 o T_t, and t's input is r's
+    permuted by sigma.  Every f, g, G0 and repetition sum of t's decoding
+    is, under sigma, the same float operation on the same operands as one
+    of r's, up to operand order and a sign flip: f is min/max, which is
+    symmetric; g's two forms are exact negations; sums commute.  So t's
+    candidate is r's, the same array, and its score is the same float.
+    As r is the lowest index of its coset, the lowest-index member of
+    highest score among all L is a decoded one, and it is the one the
+    decoded members choose.  With None, r is the identity, an LTA map
+    whose input is the block and whose candidate is SC's codeword: every
+    member's candidate is SC's, whichever of them wins.
+
+    Two cases break the argument.  Frames in them are flagged, decoded
+    again under every member not decoded, in chunks of frames no wider
+    than the first decode's columns (or of one frame), and given the
+    candidate of the argmax of all L scores:
+    - A decision that reads an exact 0.0 gives bit 0 in both members,
+      where the sign flip calls for complementary bits.  The kernel flags
+      these frames.
+    - A NaN, which only opposite infinities make, decides bit 0 whatever
+      its sign.  Every frame of a block that _near_max flags is flagged."""
     batch = llrs.shape[1]
+    if decoded is not None and decoded.all():
+        return _ae_block(llrs, perms, inverses, plan)[0]
     zeros = np.zeros(batch, dtype=bool)
-    x = _sc_batch(llrs, plan, zeros)
+    if decoded is None:
+        decoded, columns = np.zeros(len(perms), dtype=bool), batch
+        x, scores = _sc_batch(llrs, plan, zeros), np.empty((0, batch))
+    else:
+        columns = int(decoded.sum()) * batch
+        x, _, scores = _ae_block(llrs, perms[decoded], inverses[decoded], plan, zeros)
     if _near_max(llrs):
         zeros[:] = True
     flagged = np.flatnonzero(zeros)
-    step = max(1, batch // len(perms))
+    others = ~decoded
+    if decoded.any():  # the members to decode again; all of them with None
+        perms, inverses = perms[others], inverses[others]
+    step = max(1, columns // len(perms))
     for lo in range(0, len(flagged), step):
         f = flagged[lo:lo + step]
-        x[:, f] = _ae_block(llrs[:, f], perms, inverses, plan)[0]
+        best, _, rest = _ae_block(llrs[:, f], perms, inverses, plan)
+        every = np.empty((len(decoded), len(f)))
+        every[decoded], every[others] = scores[:, f], rest
+        take = others[every.argmax(axis=0)]
+        x[:, f[take]] = best[:, take]
     return x
 
 
-def _coset_reps(perms: np.ndarray, inverses: np.ndarray, spec: CodeSpec) -> np.ndarray | None:
-    """The representative of each ensemble member for _ae_block: the
-    lowest-index member r with A_r^-1 A_t lower triangular, read from the
-    (L, N) permutations and their inverses alone.  A member whose
-    permutation no affine map induces, and every member when the code is
-    not decreasing, is its own.  None when the code is decreasing and
-    every member is induced by an affine map whose linear part is lower
-    triangular: the identity then represents them all (_lta_block).
+def _coset_reps(perms: np.ndarray, spec: CodeSpec) -> np.ndarray | None:
+    """The members _shared_block decodes, as an (L,) boolean mask: the
+    lowest-index member of each right LTA coset, read from the (L, N)
+    permutations alone.  A member whose permutation no affine map induces,
+    and every member when the code is not decreasing, is decoded.  None
+    when the code is decreasing and every member is induced by an affine
+    map whose linear part is lower triangular: the identity's coset then
+    holds them all, and SC decodes it.
 
     Position i holds the point ~i, so member l's point map is T_l(x) =
     ~pi_l(~x), with T_l(0) = b_l and column c of A_l T_l(e_c) ^ b_l.  The
     columns give all N images by doubling; a member is affine when they
-    match.  For affine members, sigma = pi_r^-1 o pi_t induces T_r^-1 o
-    T_t, whose linear part A_r^-1 A_t is read at 0 and the e_c in the
-    same way: it is lower triangular when column c has no bit below c.
-    Cost O(L N + L^2 n)."""
+    match.  Lower triangular means column c has no bit below c.
+
+    Key.  Affine members share a coset when A_t = A_r B with B lower
+    triangular.  Column c of A_r B is column c of A_r plus a combination
+    of A_r's later columns, so, as B is invertible, this holds exactly
+    when A_t and A_r have the same spans V_c = span(col_c, ..., col_(n-1))
+    for every c.  Each member is keyed by its columns reduced with
+    gf2._reduce from the last one: the reduced column c is the one element
+    of col_c + V_(c+1), which is V_c minus V_(c+1), that lacks the leading
+    bits of V_(c+1), so the key depends on the spans alone, and the spans
+    are the spans of the key's columns.  Cost O(L N + L n^2)."""
     n_perm, n_pos = perms.shape
-    members = np.arange(n_perm)
     if not spec.is_decreasing():
-        return members
-    full = n_pos - 1
+        return np.ones(n_perm, dtype=bool)
     units = 1 << np.arange(spec.n)
-    maps = full ^ perms[:, ::-1]  # position ~x is full - x
+    maps = (n_pos - 1) ^ perms[:, ::-1]  # position ~x is N - 1 - x
     cols = maps[:, units] ^ maps[:, :1]
     images = maps[:, :1].copy()
     for c in range(spec.n):
@@ -577,12 +575,13 @@ def _coset_reps(perms: np.ndarray, inverses: np.ndarray, spec: CodeSpec) -> np.n
     affine = (images == maps).all(axis=1)
     if affine.all() and not (cols & (units - 1)).any():
         return None
-    # [r, t, j]: T_r^-1 T_t at 0 and the unit points, from inverses[r][perms[t]]
-    points = full ^ np.concatenate(([0], units))
-    pair = full ^ inverses[:, perms[:, points]]
-    lower = ((pair[..., 1:] ^ pair[..., :1]) & (units - 1) == 0).all(axis=-1)
-    share = lower & affine[:, None] & affine
-    return np.where(affine, share.argmax(axis=0), members)
+    decoded = ~affine
+    first = {}
+    for t in np.flatnonzero(affine).tolist():
+        basis: list[int] = []
+        key = tuple(_reduce(basis, col) for col in reversed(cols[t].tolist()))
+        decoded[t] = first.setdefault(key, t) == t
+    return decoded
 
 
 def _perm_array(perms: Sequence[Sequence[int]] | None, n_pos: int) -> np.ndarray:
@@ -701,12 +700,12 @@ _SIM_BATCH = 1024  # fixed so results never depend on the worker count
 # column being one copy of one frame, and hold at most _BLOCK_LLRS LLRs,
 # 8 MB of float64, in the block's copies of its frames.  SC decodes the
 # channel's block in place: one column and one copy a frame.  So does an
-# ensemble whose members are all LTA maps (_lta_block), such as AE-8 on
-# PW(12,2048) at 256 frames a block; its flagged frames decode again in
-# chunks of at most the block's columns.  Any other ensemble decodes k
-# permuted copies, one per LTA coset it decodes (_ae_block), and keeps the
-# channel's block beside them: k columns and k + 1 copies a frame, so that
-# the channel block, permuted input and workspace stay within the cap.
+# ensemble whose members are all LTA maps, such as AE-8 on PW(12,2048) at
+# 256 frames a block.  Any other ensemble decodes k permuted copies, one
+# per LTA coset, and keeps the channel's block beside them: k columns and
+# k + 1 copies a frame, so that the channel block, permuted input and
+# workspace stay within the cap.  Either way the flagged frames decode
+# again in chunks of at most the block's columns (_shared_block).
 # The LLR cap bounds the one LLR buffer the channel writes for all of a
 # batch's blocks, and the kernel's workspace, which each thread retains up
 # to this size; it sets the block at n >= 10.  Below that the column cap
@@ -755,24 +754,22 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
 
 
 def _sim_batch(args) -> int:
-    spec, channel, perms, reps, seed, batch_idx, count = args
+    spec, channel, perms, decoded, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
     plan = _plan(spec)
     if perms is not None:
         inverses = np.argsort(perms, axis=1)
-    if reps is None:
-        columns = copies = 1  # SC, and _lta_block, decode the channel's block in place
+    if decoded is None:
+        columns = copies = 1  # SC, and an ensemble decoded as SC, decode the channel's block in place
     else:
-        columns = int((reps == np.arange(len(reps))).sum())
+        columns = int(decoded.sum())
         copies = columns + 1
     errors = 0
     for sent, llrs in _frames(spec, channel, rng, count, columns, copies):
         if perms is None:
             x = _sc_batch(llrs, plan)
-        elif reps is None:
-            x = _lta_block(llrs, perms, inverses, plan)
         else:
-            x = _ae_block(llrs, perms, inverses, plan, reps)[0]
+            x = _shared_block(llrs, perms, inverses, plan, decoded)
         errors += int((x != sent).any(axis=0).sum())
     return errors
 
@@ -807,9 +804,9 @@ def simulate_bler(
         raise ValueError(f"unknown decoder {decoder!r}")
 
     # classified once, here, so that every worker decodes the same members
-    reps = None if perm_arr is None else _coset_reps(perm_arr, np.argsort(perm_arr, axis=1), spec)
+    decoded = None if perm_arr is None else _coset_reps(perm_arr, spec)
     batches = [
-        (spec, channel, perm_arr, reps, seed, idx, min(_SIM_BATCH, num_frames - start))
+        (spec, channel, perm_arr, decoded, seed, idx, min(_SIM_BATCH, num_frames - start))
         for idx, start in enumerate(range(0, num_frames, _SIM_BATCH))
     ]
 

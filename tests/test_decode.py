@@ -626,95 +626,6 @@ def _shared_blocks(spec, rng):
             ("bec", bec.llrs(_codewords(spec, frames, rng), rng, spec.rate)), ("near-max", near_max)]
 
 
-@pytest.mark.parametrize("n", range(3, 11))
-def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
-    # decoding one member per right LTA coset and copying its candidate and
-    # score gives the full ensemble's codewords, choices and score bytes,
-    # on PW and BEC-constructed codes at three rates; the exact zeros of
-    # the zero-injected and BEC blocks take the flagged re-decode, and the
-    # near-max blocks decode every member
-    full = decode._ae_block
-    redecodes = []
-
-    def counted(llrs, perms, inverses, plan, reps=None):
-        redecodes.append(len(llrs[0]))
-        return full(llrs, perms, inverses, plan, reps)
-
-    monkeypatch.setattr(decode, "_ae_block", counted)
-    rng = np.random.default_rng(700 + n)
-    r = random.Random(700 + n)
-    shared = zero_redecodes = 0
-    for k in (1 << n) // 4, (1 << n) // 2, 3 * (1 << n) // 4:
-        for spec in construct_pw(n, k), construct_bec(n, k, 0.5):
-            perms = np.array([induced_permutation(t) for t in _coset_ensemble(spec, r)], dtype=np.intp)
-            inverses = np.argsort(perms, axis=1)
-            reps = decode._coset_reps(perms, inverses, spec)
-            if reps is None:  # every member is LTA, so each shares member 0's coset
-                reps = np.zeros(len(perms), dtype=np.intp)
-            shared += len(set(reps.tolist())) < len(perms)
-            for name, llrs in _shared_blocks(spec, rng):
-                block = np.ascontiguousarray(llrs.T)
-                with np.errstate(invalid="ignore", over="ignore"):
-                    want = full(block, perms, inverses, _plan(spec))
-                    redecodes.clear()
-                    got = decode._ae_block(block, perms, inverses, _plan(spec), reps)
-                case = (k, spec.code_id(), name)
-                # the call itself, then one per chunk of flagged frames
-                if name == "near-max" and len(set(reps.tolist())) < len(perms):
-                    assert sum(redecodes[1:]) == len(block[0]), case
-                zero_redecodes += name in ("zeros", "bec") and len(redecodes) > 1
-                assert (got[0] == want[0]).all() and (got[1] == want[1]).all(), case
-                assert got[2].tobytes() == want[2].tobytes(), case
-    assert shared >= 3  # every decreasing code shares
-    assert zero_redecodes  # decisions on exact zeros flagged some frames
-
-
-@pytest.mark.parametrize("n", [3, 4, 6])
-def test_coset_reps_match_blta_membership(n):
-    # each member's representative is the lowest-index r with A_r^-1 A_t
-    # lower triangular, on maps drawn from all of GL(n, 2)
-    spec = construct_pw(n, 1 << (n - 1))
-    r = random.Random(800 + n)
-    lta, gl = (1,) * n, (n,)
-    for _ in range(150):
-        maps = [sample_blta(gl, r) for _ in range(3)]
-        maps += [maps[r.randrange(3)].compose(sample_blta(lta, r)) for _ in range(3)]
-        maps.append(sample_blta(gl, r))
-        r.shuffle(maps)
-        perms = np.array([induced_permutation(t) for t in maps], dtype=np.intp)
-        reps = decode._coset_reps(perms, np.argsort(perms, axis=1), spec)
-        assert reps.tolist() == [next(q for q, m in enumerate(maps) if blta_membership(m.inverse().compose(t), lta))
-                                 for t in maps]
-
-
-def test_coset_reps_share_only_affine_members_of_decreasing_codes():
-    n = 5
-    spec = construct_pw(n, 16)
-    r = random.Random(810)
-    base = sample_blta((n,), r)
-    maps = [base] + [base.compose(sample_blta((1,) * n, r)) for _ in range(3)]
-    perms = np.array([induced_permutation(t) for t in maps], dtype=np.intp)
-    assert decode._coset_reps(perms, np.argsort(perms, axis=1), spec).tolist() == [0, 0, 0, 0]
-    # member 2 agrees with its affine map at 0 and at every unit point, so
-    # it reads back the same columns, but two other positions are swapped
-    full = spec.N - 1
-    read = {full} | {full ^ (1 << c) for c in range(n)}
-    i, j = [pos for pos in range(spec.N) if pos not in read][:2]
-    bent = perms.copy()
-    bent[2, [i, j]] = bent[2, [j, i]]
-    assert decode._coset_reps(bent, np.argsort(bent, axis=1), spec).tolist() == [0, 0, 2, 0]
-    # no affine map induces a random permutation, not even beside a copy
-    # of itself: nothing is shared
-    rng = np.random.default_rng(811)
-    scrambled = np.array([rng.permutation(spec.N) for _ in range(5)] + [perms[0], perms[1]])
-    scrambled[1] = scrambled[0]
-    assert decode._coset_reps(scrambled, np.argsort(scrambled, axis=1), spec).tolist() == [0, 1, 2, 3, 4, 5, 5]
-    # off the decreasing codes LTA need not commute with SC: no sharing there
-    code = CodeSpec(n, polaraut.MonomialSet(n, [0, 1, 2, 4, 8, 24]))
-    assert not code.is_decreasing()
-    assert decode._coset_reps(perms, np.argsort(perms, axis=1), code).tolist() == [0, 1, 2, 3]
-
-
 def _lta_perms(spec, count, rng):
     lta = (1,) * spec.n
     return np.array([induced_permutation(sample_blta(lta, rng)) for _ in range(count)], dtype=np.intp)
@@ -728,87 +639,151 @@ def _not_lta(n, rng):
             return t
 
 
-def test_coset_reps_none_only_for_all_lta_ensembles_of_decreasing_codes():
-    # None (decode as one SC pass) needs a decreasing code and every member
-    # affine with a lower-triangular linear part
-    n = 5
-    spec = construct_pw(n, 16)
-    code = CodeSpec(n, polaraut.MonomialSet(n, [0, 1, 2, 4, 8, 24]))
-    assert spec.is_decreasing() and not code.is_decreasing()
-    r = random.Random(820)
-
-    def reps(p, on=spec):
-        return decode._coset_reps(p, np.argsort(p, axis=1), on)
-
-    perms = _lta_perms(spec, 4, r)
-    assert reps(perms) is None and reps(perms[:1]) is None
-    # off the decreasing codes, even one LTA member is its own representative
-    assert reps(perms, code).tolist() == [0, 1, 2, 3] and reps(perms[:1], code).tolist() == [0]
-    # one member whose linear part is not lower triangular shares no coset
-    # with the others, nor with the identity
-    mixed = perms.copy()
-    mixed[2] = induced_permutation(_not_lta(n, r))
-    assert reps(mixed).tolist() == [0, 0, 2, 0] and reps(mixed[2:3]).tolist() == [0]
-    # one member that no affine map induces, though it reads back the
-    # columns of an LTA map
-    full = spec.N - 1
-    read = {full} | {full ^ (1 << c) for c in range(n)}
-    i, j = [pos for pos in range(spec.N) if pos not in read][:2]
-    bent = perms.copy()
-    bent[1, [i, j]] = bent[1, [j, i]]
-    assert reps(bent).tolist() == [0, 1, 0, 0]
-    # on random mixes, None exactly when every member is LTA
-    for trial in range(60):
-        maps = [sample_blta((1,) * n, r) if r.random() < 0.9 else _not_lta(n, r) for _ in range(1 + trial % 8)]
-        lta = all(blta_membership(t, (1,) * n) for t in maps)
-        assert (reps(np.array([induced_permutation(t) for t in maps], dtype=np.intp)) is None) == lta
-
-
 @pytest.mark.parametrize("n", range(3, 13))
-def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
-    # an all-LTA ensemble of a PW code decodes as one SC pass over the
-    # block, plus a full-ensemble re-decode of each flagged frame: its
-    # codewords are the full ensemble's and the oracle's, at three rates
-    # (rate 1/2 alone at n > 10, where the oracle is slow), on AWGN, AWGN with exact zeros, BEC and near-max LLRs (against the
-    # full ensemble alone: the oracle's f and g round overflowing sums
-    # otherwise).  The re-decode goes in chunks of at most the block's
-    # columns; the near-max blocks re-decode every frame
+def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
+    # one SC decode per right LTA coset gives the full ensemble's codewords
+    # and the oracle's, for all-LTA ensembles, which decode as SC in place,
+    # and for ensembles whose cosets hold several members, on AWGN, AWGN
+    # with exact zeros, BEC and near-max LLRs (against the full ensemble
+    # alone: the oracle's f and g round overflowing sums otherwise).  The
+    # codes are PW and BEC-constructed at three rates (PW at rate 1/2 alone
+    # at n > 10, where the oracle is slow), and a Reed-Muller code, whose
+    # BLTA group is GL(n, 2), for ensembles of several cosets at every n
+    # (from n = 10 on the others all have BLTA = LTA).  The exact zeros take the
+    # flagged re-decode, in chunks of at most the first decode's columns;
+    # the near-max blocks re-decode every frame
     full = decode._ae_block
-    chunks = []
+    calls = []
 
-    def counted(llrs, perms, inverses, plan, reps=None):
-        chunks.append(llrs.shape[1])
-        return full(llrs, perms, inverses, plan, reps)
+    def counted(llrs, perms, inverses, plan, zeros=None):
+        calls.append((len(perms), llrs.shape[1]))
+        return full(llrs, perms, inverses, plan, zeros)
 
     monkeypatch.setattr(decode, "_ae_block", counted)
-    rng = np.random.default_rng(900 + n)
-    r = random.Random(900 + n)
-    zero_redecodes = sc_differs = 0
+    rng = np.random.default_rng(700 + n)
+    r = random.Random(700 + n)
     big = 1 << n
-    for k in (big // 4, big // 2, 3 * big // 4) if n <= 10 else (big // 2,):
-        spec = construct_pw(n, k)
-        perms = _lta_perms(spec, 8, r)
+    if n <= 10:
+        codes = [code for k in (big // 4, big // 2, 3 * big // 4)
+                 for code in (construct_pw(n, k), construct_bec(n, k, 0.5))]
+    else:
+        codes = [construct_pw(n, big // 2)]
+    cases = [(spec, _lta_perms(spec, 8, r)) for spec in codes]
+    cases += [(spec, np.array([induced_permutation(t) for t in _coset_ensemble(spec, r)], dtype=np.intp))
+              for spec in codes + [CodeSpec(n, reed_muller_set(n, (n - 1) // 2))]
+              if block_profile(spec.monomials) != (1,) * n]
+    shared = lta = zero_redecodes = sc_differs = 0
+    for spec, perms in cases:
         inverses = np.argsort(perms, axis=1)
-        assert decode._coset_reps(perms, inverses, spec) is None
+        decoded = decode._coset_reps(perms, spec)
+        lta += decoded is None
+        shared += decoded is not None and not decoded.all()
+        # the first decode's columns a frame, and its call
+        width, first = (1, []) if decoded is None else (decoded.sum(), [(decoded.sum(), 24)])
         for name, llrs in _shared_blocks(spec, rng):
             block = np.ascontiguousarray(llrs.T)
             with np.errstate(invalid="ignore", over="ignore"):
                 want = full(block, perms, inverses, _plan(spec))[0]
-                ref = ae_oracle(llrs, perms, _mask(spec))[0]
-                chunks.clear()
-                got = decode._lta_block(block, perms, inverses, _plan(spec))
+                ref = None if name == "near-max" else ae_oracle(llrs, perms, _mask(spec))[0]
+                calls.clear()
+                got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
                 sc = _sc_batch(block, _plan(spec))
-            case = (k, name)
-            assert (got == want).all() and (name == "near-max" or (got.T == ref).all()), case
-            assert all(c <= len(llrs) // len(perms) for c in chunks), case
-            if name == "near-max":
-                assert sum(chunks) == len(llrs), case
-            zero_redecodes += sum(chunks) if name in ("zeros", "bec") else 0
-            sc_differs += (sc != want).any(axis=0).sum()
+            case = (spec.code_id(), None if decoded is None else decoded.tolist(), name)
+            assert (got == want).all() and (ref is None or (got.T == ref).all()), case
+            assert calls[:len(first)] == first, case
+            redecodes = calls[len(first):]
+            assert all(members * frames <= width * len(llrs) for members, frames in redecodes), case
+            if name == "near-max" and (decoded is None or not decoded.all()):
+                assert sum(frames for _, frames in redecodes) == len(llrs), case
+            zero_redecodes += name in ("zeros", "bec") and bool(redecodes)
+            sc_differs += decoded is None and (sc != want).any()
+    assert lta and shared
     assert zero_redecodes  # decisions on exact zeros flagged some frames
     # where SC alone is not the full ensemble; at n = 3 no frame of these
     # blocks tells them apart
     assert sc_differs or n == 3
+
+
+def _first_of_coset(maps):
+    """Whether each map is the lowest-index one of its right LTA coset."""
+    lta = (1,) * maps[0].n
+    return [next(q for q, m in enumerate(maps) if blta_membership(m.inverse().compose(t), lta)) == i
+            for i, t in enumerate(maps)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_coset_reps_match_blta_membership(n):
+    # the decoded members are the lowest-index member of each right LTA
+    # coset (A_r^-1 A_t lower triangular), on maps drawn from all of
+    # GL(n, 2); None, to decode as SC, exactly when every member is LTA
+    spec = construct_pw(n, 1 << (n - 1))
+    r = random.Random(800 + n)
+    lta, gl = (1,) * n, (n,)
+    for trial in range(150):
+        if trial % 3:
+            maps = [sample_blta(gl, r) for _ in range(3)]
+            maps += [maps[r.randrange(3)].compose(sample_blta(lta, r)) for _ in range(3)]
+            maps.append(sample_blta(gl, r))
+            r.shuffle(maps)
+        else:  # mostly LTA maps, often all of them
+            maps = [sample_blta(lta, r) if r.random() < 0.9 else _not_lta(n, r) for _ in range(1 + trial % 8)]
+        decoded = decode._coset_reps(np.array([induced_permutation(t) for t in maps], dtype=np.intp), spec)
+        if all(blta_membership(t, lta) for t in maps):
+            assert decoded is None
+        else:
+            assert decoded.tolist() == _first_of_coset(maps)
+
+
+def test_coset_reps_share_only_affine_members_of_decreasing_codes():
+    n = 5
+    spec = construct_pw(n, 16)
+    code = CodeSpec(n, polaraut.MonomialSet(n, [0, 1, 2, 4, 8, 24]))
+    assert spec.is_decreasing() and not code.is_decreasing()
+    r = random.Random(810)
+    base = sample_blta((n,), r)
+    maps = [base] + [base.compose(sample_blta((1,) * n, r)) for _ in range(3)]
+    perms = np.array([induced_permutation(t) for t in maps], dtype=np.intp)
+    assert decode._coset_reps(perms, spec).tolist() == [True, False, False, False]
+    # member 2 agrees with its affine map at 0 and at every unit point, so
+    # it reads back the same columns, but two other positions are swapped;
+    # likewise member 1 of an all-LTA ensemble, which then is not SC
+    full = spec.N - 1
+    read = {full} | {full ^ (1 << c) for c in range(n)}
+    i, j = [pos for pos in range(spec.N) if pos not in read][:2]
+    bent = perms.copy()
+    bent[2, [i, j]] = bent[2, [j, i]]
+    assert decode._coset_reps(bent, spec).tolist() == [True, False, True, False]
+    lta = _lta_perms(spec, 4, r)
+    assert decode._coset_reps(lta, spec) is None and decode._coset_reps(lta[:1], spec) is None
+    lta[1, [i, j]] = lta[1, [j, i]]
+    assert decode._coset_reps(lta, spec).tolist() == [True, True, False, False]
+    # no affine map induces a random permutation, not even beside a copy
+    # of itself: nothing is shared
+    rng = np.random.default_rng(811)
+    scrambled = np.array([rng.permutation(spec.N) for _ in range(5)] + [perms[0], perms[1]])
+    scrambled[1] = scrambled[0]
+    assert decode._coset_reps(scrambled, spec).tolist() == [True] * 6 + [False]
+    # off the decreasing codes LTA need not commute with SC: every member
+    # is decoded, even one LTA map alone
+    assert decode._coset_reps(perms, code).all()
+    assert decode._coset_reps(lta[:1], code).tolist() == [True]
+
+
+def test_coset_reps_memory_is_per_member():
+    # classifying 1500 members holds arrays of one row per member, not one
+    # entry per pair of members: an (L, L, n + 1) index array alone is
+    # 126 MB at L = 1500.  PW(6,32)'s BLTA group has 9 right LTA cosets
+    spec = construct_pw(6, 32)
+    perms = np.array(_blta_perms(spec, 1500, 840), dtype=np.intp)
+    spec.is_decreasing()  # cached, so its work is not traced
+    tracemalloc.start()
+    try:
+        decoded = decode._coset_reps(perms, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert decoded.sum() == 9
 
 
 def test_lta_path_counts_equal_oracle(monkeypatch):
@@ -835,7 +810,7 @@ def test_lta_path_counts_equal_oracle(monkeypatch):
     mixed[5] = induced_permutation(_not_lta(n, r))
     frames, seed = 300, 11
     for spec, perms, sharing in ((pw, lta, True), (code, lta, False), (pw, mixed, False)):
-        assert (decode._coset_reps(perms, np.argsort(perms, axis=1), spec) is None) == sharing
+        assert (decode._coset_reps(perms, spec) is None) == sharing
         generator = kron_power(n)[list(spec.row_indices())]
         for channel in AwgnBpskChannel(1.5), BecChannel(0.45):
             sizes.clear()
@@ -1105,8 +1080,7 @@ class TestSimulate:
             for chan in (AwgnBpskChannel(2.0), BecChannel(0.4))
             for dec in ("sc", "ae")
         ]
-        cosets = [len(set(decode._coset_reps(np.array(p), np.argsort(p, axis=1), spec).tolist()))
-                  for spec, _, dec, p in runs if dec == "ae"]
+        cosets = [int(decode._coset_reps(np.array(p), spec).sum()) for spec, _, dec, p in runs if dec == "ae"]
         assert sorted(set(cosets)) == [3, 6]
         t = sample_blta(block_profile(specs[0].monomials), 5)
 
@@ -1168,7 +1142,7 @@ class TestSimulate:
         # slabs are the oracle's one draw over the batch, and the generator
         # ends where that draw leaves it
         perms = np.array(_blta_perms(pw6, 4, 23), dtype=np.intp) if decoder == "ae" else None
-        reps = None if perms is None else decode._coset_reps(perms, np.argsort(perms, axis=1), pw6)
+        decoded = None if perms is None else decode._coset_reps(perms, pw6)
         monkeypatch.setattr(decode, "_BLOCK_LLRS", 70 * pw6.N)
         monkeypatch.setattr(decode, "_TILE", tile)
         calls = []
@@ -1179,7 +1153,7 @@ class TestSimulate:
                 calls.append((x.copy(), out.copy(), rng))
                 return out
 
-        decode._sim_batch((pw6, Recorder(), perms, reps, 31, 2, 1000))
+        decode._sim_batch((pw6, Recorder(), perms, decoded, 31, 2, 1000))
         sent, ref, rng = self._one_draw(pw6, channel, 31, 2, 1000)
         step = 70 if decoder == "sc" else 14
         blocks = [min(step, 1000 - start) for start in range(0, 1000, step)]
@@ -1238,16 +1212,16 @@ class TestSimulate:
         # columns peaks at 9.3 MB
         spec = construct_pw(6, 32)
         perms = np.array(_blta_perms(spec, 8, 29), dtype=np.intp)
-        reps = decode._coset_reps(perms, np.argsort(perms, axis=1), spec)
-        assert len(set(reps.tolist())) == 6
+        decoded = decode._coset_reps(perms, spec)
+        assert decoded.sum() == 6
         columns = min(decode._BLOCK_LLRS // spec.N, decode._BLOCK_COLUMNS)
         assert columns < len(perms) * 1024
         bound = 8 * (2 * spec.N - 1) * columns + spec.N * columns + (1 << 20)
-        decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, reps, 1, 0, 8))  # the plan is cached
+        decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, decoded, 1, 0, 8))  # the plan is cached
         monkeypatch.delattr(decode._local, "work", raising=False)
         tracemalloc.start()
         try:
-            decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, reps, 1, 0, 1024))
+            decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, decoded, 1, 0, 1024))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
