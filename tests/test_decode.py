@@ -642,16 +642,16 @@ def _not_lta(n, rng):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
     # one SC decode per right LTA coset gives the full ensemble's codewords
-    # and the oracle's, for all-LTA ensembles, which decode as SC in place,
-    # and for ensembles whose cosets hold several members, on AWGN, AWGN
-    # with exact zeros, BEC and near-max LLRs (against the full ensemble
-    # alone: the oracle's f and g round overflowing sums otherwise).  The
-    # codes are PW and BEC-constructed at three rates (PW at rate 1/2 alone
-    # at n > 10, where the oracle is slow), and a Reed-Muller code, whose
-    # BLTA group is GL(n, 2), for ensembles of several cosets at every n
-    # (from n = 10 on the others all have BLTA = LTA).  The exact zeros take the
-    # flagged re-decode, in chunks of at most the first decode's columns;
-    # the near-max blocks re-decode every frame
+    # and the oracle's, for ensembles whose cosets hold several members, on
+    # AWGN, AWGN with exact zeros, BEC and near-max LLRs (against the full
+    # ensemble alone: the oracle's f and g round overflowing sums
+    # otherwise).  The codes are PW and BEC-constructed at three rates (PW
+    # at rate 1/2 alone at n > 10, where the oracle is slow), and a
+    # Reed-Muller code, whose BLTA group is GL(n, 2), for ensembles of
+    # several cosets at every n (from n = 10 on the others all have BLTA =
+    # LTA).  The exact zeros take the flagged re-decode, in chunks of at
+    # most the first decode's columns; the near-max blocks re-decode every
+    # frame
     full = decode._ae_block
     calls = []
 
@@ -668,15 +668,13 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
                  for code in (construct_pw(n, k), construct_bec(n, k, 0.5))]
     else:
         codes = [construct_pw(n, big // 2)]
-    cases = [(spec, _lta_perms(spec, 8, r)) for spec in codes]
-    cases += [(spec, np.array([induced_permutation(t) for t in _coset_ensemble(spec, r)], dtype=np.intp))
-              for spec in codes + [CodeSpec(n, reed_muller_set(n, (n - 1) // 2))]
-              if block_profile(spec.monomials) != (1,) * n]
-    shared = lta = zero_redecodes = sc_differs = 0
+    cases = [(spec, np.array([induced_permutation(t) for t in _coset_ensemble(spec, r)], dtype=np.intp))
+             for spec in codes + [CodeSpec(n, reed_muller_set(n, (n - 1) // 2))]
+             if block_profile(spec.monomials) != (1,) * n]
+    shared = zero_redecodes = 0
     for spec, perms in cases:
         inverses = np.argsort(perms, axis=1)
         decoded = decode._coset_reps(perms, spec)
-        lta += decoded is None
         shared += decoded is not None and not decoded.all()
         # the first decode's columns a frame, and its call
         width, first = (1, []) if decoded is None else (decoded.sum(), [(decoded.sum(), 24)])
@@ -687,7 +685,6 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
                 ref = None if name == "near-max" else ae_oracle(llrs, perms, _mask(spec))[0]
                 calls.clear()
                 got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
-                sc = _sc_batch(block, _plan(spec))
             case = (spec.code_id(), None if decoded is None else decoded.tolist(), name)
             assert (got == want).all() and (ref is None or (got.T == ref).all()), case
             assert calls[:len(first)] == first, case
@@ -696,8 +693,52 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
             if name == "near-max" and (decoded is None or not decoded.all()):
                 assert sum(frames for _, frames in redecodes) == len(llrs), case
             zero_redecodes += name in ("zeros", "bec") and bool(redecodes)
-            sc_differs += decoded is None and (sc != want).any()
-    assert lta and shared
+    assert shared
+    assert zero_redecodes  # decisions on exact zeros flagged some frames
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
+    # an all-LTA ensemble of a PW code decodes as one SC pass over the
+    # block, plus a full-ensemble re-decode of each flagged frame: its
+    # codewords are the full ensemble's and the oracle's, at three rates
+    # (rate 1/2 alone at n > 10, where the oracle is slow), on AWGN, AWGN
+    # with exact zeros, BEC and near-max LLRs (against the full ensemble
+    # alone: the oracle's f and g round overflowing sums otherwise).  The
+    # re-decode goes in chunks of at most the block's columns over the
+    # ensemble's size; the near-max blocks re-decode every frame
+    full = decode._ae_block
+    chunks = []
+
+    def counted(llrs, perms, inverses, plan, zeros=None):
+        chunks.append(llrs.shape[1])
+        return full(llrs, perms, inverses, plan, zeros)
+
+    monkeypatch.setattr(decode, "_ae_block", counted)
+    rng = np.random.default_rng(900 + n)
+    r = random.Random(900 + n)
+    zero_redecodes = sc_differs = 0
+    big = 1 << n
+    for k in (big // 4, big // 2, 3 * big // 4) if n <= 10 else (big // 2,):
+        spec = construct_pw(n, k)
+        perms = _lta_perms(spec, 8, r)
+        inverses = np.argsort(perms, axis=1)
+        assert decode._coset_reps(perms, spec) is None
+        for name, llrs in _shared_blocks(spec, rng):
+            block = np.ascontiguousarray(llrs.T)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = full(block, perms, inverses, _plan(spec))[0]
+                ref = ae_oracle(llrs, perms, _mask(spec))[0]
+                chunks.clear()
+                got = decode._shared_block(block, perms, inverses, _plan(spec), None)
+                sc = _sc_batch(block, _plan(spec))
+            case = (k, name)
+            assert (got == want).all() and (name == "near-max" or (got.T == ref).all()), case
+            assert all(c <= len(llrs) // len(perms) for c in chunks), case
+            if name == "near-max":
+                assert sum(chunks) == len(llrs), case
+            zero_redecodes += sum(chunks) if name in ("zeros", "bec") else 0
+            sc_differs += (sc != want).any(axis=0).sum()
     assert zero_redecodes  # decisions on exact zeros flagged some frames
     # where SC alone is not the full ensemble; at n = 3 no frame of these
     # blocks tells them apart
