@@ -315,14 +315,6 @@ def _witness_chain(a: BitMatrix, ms: MonomialSet, i: int, f: int):
     return steps, work, rows, cols
 
 
-def _swap_map(n: int, i: int, j: int) -> list[int]:
-    """Row masks of the matrix P exchanging x_i and x_j: f o P is the single
-    monomial swap_variables(f, i, j), so P preserves a set iff the swap does."""
-    rows = [1 << k for k in range(n)]
-    rows[i], rows[j] = rows[j], rows[i]
-    return rows
-
-
 def _check_entry(t: AffineMap, ms: MonomialSet, i: int, j: int) -> None:
     """Both witness entry points' preconditions: ms is decreasing and t is
     an automorphism of it with a 1 at (i, j), 0 <= i < j < n."""
@@ -402,7 +394,8 @@ def _adjacent_witness(a: BitMatrix, ms: MonomialSet, i: int) -> WitnessTrace:
         _require(target in ms.masks, "swapped monomial is not a member", **ctx)
         entries.append(MonomialWitness(f, case, target, source, tuple(steps)))
 
-    swap_ok = _preserves(_swap_map(n, i, i + 1), 0, ms)
+    # the swap renames each monomial, so it preserves ms iff it maps ms into ms
+    swap_ok = all(swap_variables(f, i, i + 1) in ms.masks for f in ms.masks)
     _require(swap_ok, "per-monomial results contradict the set-level swap", i=i)
     return WitnessTrace(n, i, a.row_masks, tuple(entries), swap_ok)
 
@@ -464,7 +457,7 @@ def transposition_reduction_trace(
 
     # adjacent swaps generate the symmetric group on [i, j], so (i, j)
     # itself must preserve the set; check it directly
-    swap_ok = _preserves(_swap_map(ms.n, i, j), 0, ms)
+    swap_ok = all(swap_variables(f, i, j) in ms.masks for f in ms.masks)
     _require(swap_ok, "variable swap (i, j) does not preserve the set", i=i, j=j)
     return ReductionTrace(i, j, tuple(ops), work.row_masks, witnesses, swap_ok)
 

@@ -20,10 +20,11 @@ slabs of frames; no array of all candidates is built.  The Monte Carlo
 loop runs SC once per right LTA coset of the members, which decode
 alike (as SC on the channel's block when every member is LTA), and
 decodes again under the other members only the frames in which that
-argument fails.  The decoders work on batches; the public single-frame
-entry points wrap a batch of one, and the public channel and encoding
-helpers keep frames-major (..., N) arrays.  The encoding helpers take
-only entries equal to 0 or 1.
+argument fails: those in which the SC kernel saw a decision read an LLR
+with no sign, an exact 0.0 or a NaN.  The decoders work on batches; the
+public single-frame entry points wrap a batch of one, and the public
+channel and encoding helpers keep frames-major (..., N) arrays.  The
+encoding helpers take only entries equal to 0 or 1.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
@@ -310,15 +310,15 @@ def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
 
 # g and repetition sums of LLRs near the float maximum overflow: same-sign
 # terms give +-inf, which decides by its sign; opposite infinities give NaN
-# with an "invalid" warning, which this does not silence (see the FOUND on
-# near-max LLRs in CHANGES.md)
+# with an "invalid" warning, which this does not silence, and a NaN decides
+# as bit 0 (see the FOUND on noisy near-max LLRs in CHANGES.md)
 @np.errstate(over="ignore")
-def _sc_batch(llrs: np.ndarray, plan: _Plan, zeros: np.ndarray | None = None) -> np.ndarray:
+def _sc_batch(llrs: np.ndarray, plan: _Plan, undecided: np.ndarray | None = None) -> np.ndarray:
     """SC-decode a positions-major (size, batch) LLR block along a plan;
     returns the (size, batch) codewords (their u-vectors are the
     transform of them) in a fresh array.  Given a (batch,) boolean array
-    `zeros`, also sets its entry for each column in which a repetition or
-    rate-1 decision reads an LLR of exactly 0.0.
+    `undecided`, also sets its entry for each column in which a repetition
+    or rate-1 decision reads an LLR with no sign: an exact 0.0 or a NaN.
 
     Every LLR the kernel computes goes to this thread's (size - 1, batch)
     workspace, addressed by node size alone: node(s), the node of size s,
@@ -371,14 +371,16 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan, zeros: np.ndarray | None = None) ->
                 h = len(v) // 2
                 v = np.add(v[h:], v[:h], out=node[h])
             np.less(v, 0, out=x[lo:lo + size])
-            if zeros is not None:
-                zeros |= v[0] == 0
+            if undecided is not None:
+                undecided |= ~(np.abs(v[0]) > 0)  # 0.0 or NaN
         else:  # _RATE1
             np.less(v, 0, out=x[lo:lo + size])
-            if (size > 1 or zeros is not None) and not v.all():
+            if undecided is not None and math.isnan(v.max()):  # max propagates a NaN
+                undecided |= np.isnan(v).any(axis=0)
+            if (size > 1 or undecided is not None) and not v.all():
                 cols = np.flatnonzero((v == 0).any(axis=0))
-                if zeros is not None:
-                    zeros[cols] = True
+                if undecided is not None:
+                    undecided[cols] = True
                 if size > 1:
                     h = size // 2
                     halves = ((_F, 0, h), (_RATE1, 0, h), (_G, 0, h), (_RATE1, h, h), (_XOR, 0, h))
@@ -394,12 +396,14 @@ class DecodeResult:
     chosen: int
 
 
+@np.errstate(over="ignore")
 def correlation_score(codeword: np.ndarray, llr: np.ndarray) -> float | np.ndarray:
     """sum (1 - 2 x_i) llr_i over the last axis; the ML metric for BPSK and
     permutation consistent up to rounding: score(pi(x), pi(llr)) equals
     score(x, llr) in exact arithmetic, but the permuted terms are summed in
     another order, so the floats can differ in the last bits.  A single
-    frame gives a float, leading axes give an array of scores."""
+    frame gives a float, leading axes give an array of scores.  A sum that
+    overflows is +-inf, as in the SC kernel."""
     terms = np.empty(np.broadcast_shapes(np.shape(codeword), np.shape(llr)))
     np.multiply(codeword, 2.0, out=terms)
     np.subtract(1.0, terms, out=terms)
@@ -424,24 +428,16 @@ def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult
     return DecodeResult(extract_info(x, spec), x, (correlation_score(x, llr),), 0)
 
 
-def _near_max(llrs: np.ndarray) -> bool:
-    """Whether a positions-major (N, B) LLR block holds a NaN or an LLR of
-    magnitude DBL_MAX / 2^(n+1) or more.  No sum of at most N LLRs below
-    that bound overflows, so no decision of a block it does not flag reads
-    a NaN, which only opposite infinities make."""
-    bound = math.ldexp(sys.float_info.max, -len(llrs).bit_length())
-    return not -bound < llrs.min() <= llrs.max() < bound
-
-
+@np.errstate(over="ignore")  # an overflowing score is +-inf, as in correlation_score
 def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
-              zeros: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              undecided: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ensemble-decode a positions-major (N, B) block of LLRs under an
     (L, N) permutation array and its inverses (argsort along axis 1),
     running SC for every member.  Returns (codewords (N, B), chosen (B,),
     scores (L, B)); the winner of a frame is its lowest-index member of
     highest score (numpy's argmax, so a NaN score wins).  Given a (B,)
-    boolean array `zeros`, also sets its entry for each frame in which a
-    decision of some member reads an LLR of exactly 0.0.
+    boolean array `undecided`, also sets its entry for each frame in which
+    a decision of some member reads an exact 0.0 or a NaN (_sc_batch).
 
     Member l decodes frame b permuted by pi_l, llrs[perms[l], b], and its
     candidate is the decoder's output through inverses[l].  Candidates
@@ -453,11 +449,11 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
     exactly, so the score bytes are the same."""
     n_perm, n_pos = perms.shape
     batch = llrs.shape[1]
-    columns = None if zeros is None else np.zeros(n_perm * batch, dtype=bool)
+    columns = None if undecided is None else np.zeros(n_perm * batch, dtype=bool)
     # column l*B + b of the decoder input is frame b permuted by pi_l
     x = _sc_batch(llrs[perms.T].reshape(n_pos, -1), plan, columns)
-    if zeros is not None:
-        zeros |= columns.reshape(n_perm, batch).any(axis=0)
+    if undecided is not None:
+        undecided |= columns.reshape(n_perm, batch).any(axis=0)
     scores = np.empty((n_perm, batch))
     # frames in a slab: a wider slab transposes faster, a narrower one
     # holds less.  On perfbench's sim-long (n = 12, a 2-core VM), 8-frame
@@ -504,28 +500,26 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
     whose input is the block and whose candidate is SC's codeword: every
     member's candidate is SC's, whichever of them wins.
 
-    Two cases break the argument.  Frames in them are flagged, decoded
-    again under every member not decoded, in chunks of frames no wider
-    than the first decode's columns (or of one frame), and given the
-    candidate of the argmax of all L scores:
-    - A decision that reads an exact 0.0 gives bit 0 in both members,
-      where the sign flip calls for complementary bits.  The kernel flags
-      these frames.
-    - A NaN, which only opposite infinities make, decides bit 0 whatever
-      its sign.  Every frame of a block that _near_max flags is flagged."""
+    One case breaks the argument: a decision that reads an LLR with no
+    sign, an exact 0.0 or a NaN (which only opposite infinities make),
+    gives bit 0 in both members, where the sign flip calls for
+    complementary bits.  The kernel flags the frames of such decisions in
+    the decoded members; a member makes one exactly where its coset's
+    decoded member does.  Each flagged frame is decoded again under every
+    member not decoded, in chunks of frames no wider than the first
+    decode's columns (or of one frame), and given the candidate of the
+    argmax of all L scores."""
     batch = llrs.shape[1]
     if decoded is not None and decoded.all():
         return _ae_block(llrs, perms, inverses, plan)[0]
-    zeros = np.zeros(batch, dtype=bool)
+    undecided = np.zeros(batch, dtype=bool)
     if decoded is None:
         decoded, columns = np.zeros(len(perms), dtype=bool), batch
-        x, scores = _sc_batch(llrs, plan, zeros), np.empty((0, batch))
+        x, scores = _sc_batch(llrs, plan, undecided), np.empty((0, batch))
     else:
         columns = int(decoded.sum()) * batch
-        x, _, scores = _ae_block(llrs, perms[decoded], inverses[decoded], plan, zeros)
-    if _near_max(llrs):
-        zeros[:] = True
-    flagged = np.flatnonzero(zeros)
+        x, _, scores = _ae_block(llrs, perms[decoded], inverses[decoded], plan, undecided)
+    flagged = np.flatnonzero(undecided)
     others = ~decoded
     if decoded.any():  # the members to decode again; all of them with None
         perms, inverses = perms[others], inverses[others]
@@ -584,9 +578,11 @@ def _coset_reps(perms: np.ndarray, spec: CodeSpec) -> np.ndarray | None:
     return decoded
 
 
-def _perm_array(perms: Sequence[Sequence[int]] | None, n_pos: int) -> np.ndarray:
-    """The ensemble as an (L, N) index array; ValueError unless it is
-    nonempty and each entry is an integer permutation of range(N) (one sort)."""
+def _perm_array(perms: Sequence[Sequence[int]] | None, n_pos: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ensemble as an (L, N) index array and its inverses (argsort
+    along axis 1); ValueError unless it is nonempty and each entry is an
+    integer permutation of range(N): each row read in its argsort order
+    is then range(N)."""
     not_perms = ValueError(f"every ensemble entry must be a permutation of range({n_pos})")
     try:
         arr = np.array([] if perms is None else list(perms))
@@ -594,10 +590,12 @@ def _perm_array(perms: Sequence[Sequence[int]] | None, n_pos: int) -> np.ndarray
         raise not_perms from None
     if len(arr) == 0:
         raise ValueError("empty permutation ensemble")
-    if (not np.issubdtype(arr.dtype, np.integer) or arr.ndim != 2 or arr.shape[1] != n_pos
-            or (np.sort(arr, axis=1) != np.arange(n_pos)).any()):
+    if not np.issubdtype(arr.dtype, np.integer) or arr.ndim != 2 or arr.shape[1] != n_pos:
         raise not_perms
-    return arr.astype(np.intp, copy=False)
+    inverses = np.argsort(arr, axis=1)
+    if (np.take_along_axis(arr, inverses, axis=1) != np.arange(n_pos)).any():
+        raise not_perms
+    return arr.astype(np.intp, copy=False), inverses
 
 
 def ae_decode(
@@ -614,8 +612,7 @@ def ae_decode(
     should be induced by an automorphism of the code (not verified here).
     """
     llr = _llr_frame(llr, spec)
-    perms = _perm_array(perms, spec.N)
-    best, chosen, scores = _ae_block(llr[:, None], perms, np.argsort(perms, axis=1), _plan(spec))
+    best, chosen, scores = _ae_block(llr[:, None], *_perm_array(perms, spec.N), _plan(spec))
     x = best[:, 0]
     scores = tuple(float(s) for s in scores[:, 0])
     return DecodeResult(extract_info(x, spec), x, scores, int(chosen[0]))
@@ -754,11 +751,9 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
 
 
 def _sim_batch(args) -> int:
-    spec, channel, perms, decoded, seed, batch_idx, count = args
+    spec, channel, perms, inverses, decoded, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
     plan = _plan(spec)
-    if perms is not None:
-        inverses = np.argsort(perms, axis=1)
     if decoded is None:
         columns = copies = 1  # SC, and an ensemble decoded as SC, decode the channel's block in place
     else:
@@ -797,16 +792,16 @@ def simulate_bler(
     if decoder == "sc":
         if perms is not None:
             raise ValueError("the SC decoder takes no ensemble")
-        perm_arr = None
+        perm_arr = inverses = None
     elif decoder == "ae":
-        perm_arr = _perm_array(perms, spec.N)
+        perm_arr, inverses = _perm_array(perms, spec.N)
     else:
         raise ValueError(f"unknown decoder {decoder!r}")
 
     # classified once, here, so that every worker decodes the same members
     decoded = None if perm_arr is None else _coset_reps(perm_arr, spec)
     batches = [
-        (spec, channel, perm_arr, decoded, seed, idx, min(_SIM_BATCH, num_frames - start))
+        (spec, channel, perm_arr, inverses, decoded, seed, idx, min(_SIM_BATCH, num_frames - start))
         for idx, start in enumerate(range(0, num_frames, _SIM_BATCH))
     ]
 

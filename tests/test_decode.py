@@ -292,6 +292,36 @@ def test_sc_kernel_near_float_max_llrs():
             assert (x == sent).all(), (n, k)
 
 
+def test_sc_kernel_flags_decisions_without_a_sign():
+    # the flag marks exactly the columns in which a repetition or rate-1
+    # decision reads an exact 0.0 or a NaN: a repetition sum that cancels,
+    # or meets opposite infinities; a +-0.0 or a NaN in a rate-1 node.  An
+    # infinity has a sign and decides by it
+    big = 1.5e308
+    cases = [
+        (construct_pw(2, 1), decode._REP,  # the sum (c + a) + (d + b)
+         [[1.0, 2.0, -3.0, 4.0], [big, -big, big, -big], [1.0, -1.0, 2.0, -2.0], [big, big, big, 1.0]],
+         [False, True, True, False]),
+        (construct_pw(2, 4), decode._RATE1,
+         [[1.0, -2.0, 3.0, -4.0], [1.0, np.nan, 3.0, 4.0], [1.0, 2.0, -0.0, 4.0], [big, -big, np.inf, -np.inf]],
+         [False, True, True, False]),
+    ]
+    for spec, op, columns, want in cases:
+        assert _plan(spec) == ((op, 0, 4),)
+        undecided = np.zeros(len(columns), dtype=bool)
+        with np.errstate(invalid="ignore"):
+            _sc_batch(np.array(columns).T, _plan(spec), undecided)
+        assert undecided.tolist() == want, op
+
+
+def test_scores_overflow_to_inf_without_a_warning():
+    # the score sums follow the kernel's overflow rule: +-inf, and no
+    # warning for the suite to turn into an error
+    spec = construct_pw(1, 1)
+    assert sc_decode([1.5e308, 1.5e308], spec).scores == (np.inf,)
+    assert ae_decode([1.5e308, 1.5e308], [[0, 1], [1, 0]], spec).scores == (np.inf, np.inf)
+
+
 @pytest.mark.parametrize("tile", [1, 7, 100])
 @pytest.mark.parametrize("n", [3, 6, 9])
 def test_tiled_sc_kernel_matches_oracle(monkeypatch, n, tile):
@@ -639,6 +669,19 @@ def _not_lta(n, rng):
             return t
 
 
+def _flagged(block, perms, plan, decoded):
+    """The frames _shared_block decodes again: those in which a decision of
+    a member `decoded` marks (of SC on the block, with None) reads an exact
+    0.0 or a NaN; none when every member is decoded."""
+    undecided = np.zeros(block.shape[1], dtype=bool)
+    if decoded is None:
+        _sc_batch(block, plan, undecided)
+    elif not decoded.all():
+        for pi in perms[decoded]:
+            _sc_batch(block[pi], plan, undecided)
+    return np.flatnonzero(undecided)
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
     # one SC decode per right LTA coset gives the full ensemble's codewords
@@ -649,15 +692,15 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
     # at rate 1/2 alone at n > 10, where the oracle is slow), and a
     # Reed-Muller code, whose BLTA group is GL(n, 2), for ensembles of
     # several cosets at every n (from n = 10 on the others all have BLTA =
-    # LTA).  The exact zeros take the flagged re-decode, in chunks of at
-    # most the first decode's columns; the near-max blocks re-decode every
-    # frame
+    # LTA).  The frames re-decoded are exactly those the kernel flags, in
+    # chunks of at most the first decode's columns; exact zeros and the
+    # near-max blocks' opposite infinities flag some
     full = decode._ae_block
     calls = []
 
-    def counted(llrs, perms, inverses, plan, zeros=None):
-        calls.append((len(perms), llrs.shape[1]))
-        return full(llrs, perms, inverses, plan, zeros)
+    def counted(llrs, perms, inverses, plan, undecided=None):
+        calls.append((len(perms), llrs))
+        return full(llrs, perms, inverses, plan, undecided)
 
     monkeypatch.setattr(decode, "_ae_block", counted)
     rng = np.random.default_rng(700 + n)
@@ -671,7 +714,7 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
     cases = [(spec, np.array([induced_permutation(t) for t in _coset_ensemble(spec, r)], dtype=np.intp))
              for spec in codes + [CodeSpec(n, reed_muller_set(n, (n - 1) // 2))]
              if block_profile(spec.monomials) != (1,) * n]
-    shared = zero_redecodes = 0
+    shared = zero_redecodes = near_max_redecodes = 0
     for spec, perms in cases:
         inverses = np.argsort(perms, axis=1)
         decoded = decode._coset_reps(perms, spec)
@@ -685,16 +728,19 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
                 ref = None if name == "near-max" else ae_oracle(llrs, perms, _mask(spec))[0]
                 calls.clear()
                 got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
+                flagged = _flagged(block, perms, _plan(spec), decoded)
             case = (spec.code_id(), None if decoded is None else decoded.tolist(), name)
             assert (got == want).all() and (ref is None or (got.T == ref).all()), case
-            assert calls[:len(first)] == first, case
+            assert [(members, f.shape[1]) for members, f in calls[:len(first)]] == first, case
             redecodes = calls[len(first):]
-            assert all(members * frames <= width * len(llrs) for members, frames in redecodes), case
-            if name == "near-max" and (decoded is None or not decoded.all()):
-                assert sum(frames for _, frames in redecodes) == len(llrs), case
+            assert all(members * f.shape[1] <= width * len(llrs) for members, f in redecodes), case
+            again = np.hstack([f for _, f in redecodes] or [block[:, :0]])
+            assert again.tobytes() == block[:, flagged].tobytes(), case
             zero_redecodes += name in ("zeros", "bec") and bool(redecodes)
+            near_max_redecodes += name == "near-max" and bool(redecodes)
     assert shared
     assert zero_redecodes  # decisions on exact zeros flagged some frames
+    assert near_max_redecodes  # and so did decisions on opposite infinities
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -705,19 +751,19 @@ def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
     # (rate 1/2 alone at n > 10, where the oracle is slow), on AWGN, AWGN
     # with exact zeros, BEC and near-max LLRs (against the full ensemble
     # alone: the oracle's f and g round overflowing sums otherwise).  The
-    # re-decode goes in chunks of at most the block's columns over the
-    # ensemble's size; the near-max blocks re-decode every frame
+    # frames re-decoded are exactly those the kernel flags, in chunks of at
+    # most the block's columns over the ensemble's size
     full = decode._ae_block
     chunks = []
 
-    def counted(llrs, perms, inverses, plan, zeros=None):
-        chunks.append(llrs.shape[1])
-        return full(llrs, perms, inverses, plan, zeros)
+    def counted(llrs, perms, inverses, plan, undecided=None):
+        chunks.append(llrs)
+        return full(llrs, perms, inverses, plan, undecided)
 
     monkeypatch.setattr(decode, "_ae_block", counted)
     rng = np.random.default_rng(900 + n)
     r = random.Random(900 + n)
-    zero_redecodes = sc_differs = 0
+    zero_redecodes = near_max_redecodes = sc_differs = 0
     big = 1 << n
     for k in (big // 4, big // 2, 3 * big // 4) if n <= 10 else (big // 2,):
         spec = construct_pw(n, k)
@@ -732,17 +778,65 @@ def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
                 chunks.clear()
                 got = decode._shared_block(block, perms, inverses, _plan(spec), None)
                 sc = _sc_batch(block, _plan(spec))
+                flagged = _flagged(block, perms, _plan(spec), None)
             case = (k, name)
             assert (got == want).all() and (name == "near-max" or (got.T == ref).all()), case
-            assert all(c <= len(llrs) // len(perms) for c in chunks), case
-            if name == "near-max":
-                assert sum(chunks) == len(llrs), case
-            zero_redecodes += sum(chunks) if name in ("zeros", "bec") else 0
+            assert all(c.shape[1] <= len(llrs) // len(perms) for c in chunks), case
+            again = np.hstack(chunks or [block[:, :0]])
+            assert again.tobytes() == block[:, flagged].tobytes(), case
+            zero_redecodes += len(flagged) if name in ("zeros", "bec") else 0
+            near_max_redecodes += len(flagged) if name == "near-max" else 0
             sc_differs += (sc != want).any(axis=0).sum()
     assert zero_redecodes  # decisions on exact zeros flagged some frames
+    assert near_max_redecodes  # and so did decisions on opposite infinities
     # where SC alone is not the full ensemble; at n = 3 no frame of these
     # blocks tells them apart
     assert sc_differs or n == 3
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_noiseless_near_max_blocks_decode_once(monkeypatch, n):
+    # noiseless +-1.5e308 LLRs: every sum overflows to +-inf of its true
+    # sign, so no decision reads an exact 0.0 or a NaN and no frame decodes
+    # again, under all-LTA ensembles (SC in place, no _ae_block call) and
+    # one of several cosets (the first _ae_block call alone, whose scores
+    # overflow to inf without the warning the suite turns into an error)
+    full = decode._ae_block
+    calls = []
+
+    def counted(llrs, perms, inverses, plan, undecided=None):
+        calls.append(len(perms))
+        return full(llrs, perms, inverses, plan, undecided)
+
+    monkeypatch.setattr(decode, "_ae_block", counted)
+    rng = np.random.default_rng(1100 + n)
+    r = random.Random(1100 + n)
+    pw, rm = construct_pw(n, 1 << (n - 1)), CodeSpec(n, reed_muller_set(n, (n - 1) // 2))
+    several = np.array([induced_permutation(t) for t in _coset_ensemble(rm, r)], dtype=np.intp)
+    for spec, perms in (pw, _lta_perms(pw, 8, r)), (rm, _lta_perms(rm, 8, r)), (rm, several):
+        sent = np.ascontiguousarray(_codewords(spec, 64, rng).T)
+        block = (1.0 - 2.0 * sent) * 1.5e308
+        decoded = decode._coset_reps(perms, spec)
+        assert (decoded is None) == (perms is not several)
+        assert decoded is None or 1 < decoded.sum() < len(perms)
+        calls.clear()
+        got = decode._shared_block(block, perms, np.argsort(perms, axis=1), _plan(spec), decoded)
+        assert (got == sent).all(), spec.code_id()
+        assert calls == ([] if decoded is None else [decoded.sum()]), spec.code_id()
+        assert not len(_flagged(block, perms, _plan(spec), decoded)), spec.code_id()
+
+
+@pytest.mark.parametrize("n, k, shared", [(6, 32, True), (10, 512, False)])
+def test_ensemble_at_overflowing_snr_warns_nothing(n, k, shared):
+    # at 3075 dB the LLRs are about +-6.3e307, all of the right sign: SC's
+    # sums and the scores overflow to +-inf, without the warning the suite
+    # turns into an error.  PW(6,32)'s ensemble spans several cosets, so its
+    # members are scored; PW(10,512)'s is all LTA, so it decodes as SC
+    spec = construct_pw(n, k)
+    perms = _blta_perms(spec, 8, 40)
+    decoded = decode._coset_reps(np.array(perms, dtype=np.intp), spec)
+    assert (decoded is not None and not decoded.all()) == shared
+    assert simulate_bler(spec, AwgnBpskChannel(3075.0), 256, seed=1, decoder="ae", perms=perms).errors == 0
 
 
 def _first_of_coset(maps):
@@ -1194,7 +1288,8 @@ class TestSimulate:
                 calls.append((x.copy(), out.copy(), rng))
                 return out
 
-        decode._sim_batch((pw6, Recorder(), perms, decoded, 31, 2, 1000))
+        inverses = None if perms is None else np.argsort(perms, axis=1)
+        decode._sim_batch((pw6, Recorder(), perms, inverses, decoded, 31, 2, 1000))
         sent, ref, rng = self._one_draw(pw6, channel, 31, 2, 1000)
         step = 70 if decoder == "sc" else 14
         blocks = [min(step, 1000 - start) for start in range(0, 1000, step)]
@@ -1236,7 +1331,7 @@ class TestSimulate:
         monkeypatch.delattr(decode._local, "work", raising=False)
         tracemalloc.start()
         try:
-            decode._sim_batch((spec, AwgnBpskChannel(2.5), None, None, 1, 0, 1024))
+            decode._sim_batch((spec, AwgnBpskChannel(2.5), None, None, None, 1, 0, 1024))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1253,16 +1348,17 @@ class TestSimulate:
         # columns peaks at 9.3 MB
         spec = construct_pw(6, 32)
         perms = np.array(_blta_perms(spec, 8, 29), dtype=np.intp)
+        inverses = np.argsort(perms, axis=1)
         decoded = decode._coset_reps(perms, spec)
         assert decoded.sum() == 6
         columns = min(decode._BLOCK_LLRS // spec.N, decode._BLOCK_COLUMNS)
         assert columns < len(perms) * 1024
         bound = 8 * (2 * spec.N - 1) * columns + spec.N * columns + (1 << 20)
-        decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, decoded, 1, 0, 8))  # the plan is cached
+        decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, inverses, decoded, 1, 0, 8))  # the plan is cached
         monkeypatch.delattr(decode._local, "work", raising=False)
         tracemalloc.start()
         try:
-            decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, decoded, 1, 0, 1024))
+            decode._sim_batch((spec, AwgnBpskChannel(3.5), perms, inverses, decoded, 1, 0, 1024))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
