@@ -18,13 +18,14 @@ decoder gathers one member's candidate at a time from the SC output,
 through the member's inverse permutation, and scores it frames-major in
 slabs of frames; no array of all candidates is built.  The Monte Carlo
 loop runs SC once per right LTA coset of the members, which decode
-alike (as SC on the channel's block when every member is LTA), and
-decodes again under the other members only the frames in which that
-argument fails: those in which the SC kernel saw a decision read an LLR
-with no sign, an exact 0.0 or a NaN.  The decoders work on batches; the
-public single-frame entry points wrap a batch of one, and the public
-channel and encoding helpers keep frames-major (..., N) arrays.  The
-encoding helpers take only entries equal to 0 or 1.
+alike, and decodes again under the other members only the frames in
+which that argument fails: those in which the SC kernel saw a decision
+read an LLR with no sign, an exact 0.0 or a NaN.  Plain SC is the empty
+ensemble; with no coset but the identity's, SC decodes the channel's
+block in place.  The decoders work on batches; the public single-frame
+entry points wrap a batch of one, and the public channel and encoding
+helpers keep frames-major (..., N) arrays.  The encoding helpers take
+only entries equal to 0 or 1.
 """
 
 from __future__ import annotations
@@ -476,14 +477,14 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
 
 
 def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
-                  decoded: np.ndarray | None) -> np.ndarray:
+                  decoded: np.ndarray) -> np.ndarray:
     """The codewords (N, B) that _ae_block decodes from a positions-major
     (N, B) block of LLRs under an (L, N) ensemble and its inverses, from
     one SC decode per right LTA coset of the members (see _coset_reps).
     `decoded` marks the lowest-index member of each coset, and _ae_block
-    decodes those; None, for a decreasing code whose every member is
-    induced by an affine map with a lower-triangular linear part, decodes
-    the block itself by SC, in place.
+    decodes those; with none marked, as for SC, the empty ensemble, or a
+    decreasing code whose every member is induced by an affine map with a
+    lower-triangular linear part, SC decodes the block itself, in place.
 
     Proof.  Say member t is induced by T_t(x) = A_t x + b_t and shares the
     coset of member r: A_r^-1 A_t is lower triangular, and the code is
@@ -496,9 +497,9 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
     candidate is r's, the same array, and its score is the same float.
     As r is the lowest index of its coset, the lowest-index member of
     highest score among all L is a decoded one, and it is the one the
-    decoded members choose.  With None, r is the identity, an LTA map
-    whose input is the block and whose candidate is SC's codeword: every
-    member's candidate is SC's, whichever of them wins.
+    decoded members choose.  With no member marked, r is the identity, an
+    LTA map whose input is the block and whose candidate is SC's codeword:
+    every member's candidate is SC's, whichever of them wins.
 
     One case breaks the argument: a decision that reads an LLR with no
     sign, an exact 0.0 or a NaN (which only opposite infinities make),
@@ -508,22 +509,21 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
     decoded member does.  Each flagged frame is decoded again under every
     member not decoded, in chunks of frames no wider than the first
     decode's columns (or of one frame), and given the candidate of the
-    argmax of all L scores."""
+    argmax of all L scores.  When no member is left to decode again, as
+    in SC, the kernel is asked for no flags."""
     batch = llrs.shape[1]
-    if decoded is not None and decoded.all():
-        return _ae_block(llrs, perms, inverses, plan)[0]
-    undecided = np.zeros(batch, dtype=bool)
-    if decoded is None:
-        decoded, columns = np.zeros(len(perms), dtype=bool), batch
-        x, scores = _sc_batch(llrs, plan, undecided), np.empty((0, batch))
-    else:
-        columns = int(decoded.sum()) * batch
+    k = int(decoded.sum())
+    undecided = np.zeros(batch, dtype=bool) if k < len(decoded) else None
+    if k:
         x, _, scores = _ae_block(llrs, perms[decoded], inverses[decoded], plan, undecided)
+    else:
+        x, scores = _sc_batch(llrs, plan, undecided), np.empty((0, batch))
+    if undecided is None:  # every member is decoded, if any
+        return x
     flagged = np.flatnonzero(undecided)
     others = ~decoded
-    if decoded.any():  # the members to decode again; all of them with None
-        perms, inverses = perms[others], inverses[others]
-    step = max(1, columns // len(perms))
+    perms, inverses = perms[others], inverses[others]
+    step = max(1, max(k, 1) * batch // len(perms))
     for lo in range(0, len(flagged), step):
         f = flagged[lo:lo + step]
         best, _, rest = _ae_block(llrs[:, f], perms, inverses, plan)
@@ -534,14 +534,15 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
     return x
 
 
-def _coset_reps(perms: np.ndarray, spec: CodeSpec) -> np.ndarray | None:
+def _coset_reps(perms: np.ndarray, spec: CodeSpec) -> np.ndarray:
     """The members _shared_block decodes, as an (L,) boolean mask: the
     lowest-index member of each right LTA coset, read from the (L, N)
     permutations alone.  A member whose permutation no affine map induces,
-    and every member when the code is not decreasing, is decoded.  None
-    when the code is decreasing and every member is induced by an affine
-    map whose linear part is lower triangular: the identity's coset then
-    holds them all, and SC decodes it.
+    and every member when the code is not decreasing, is decoded.  No
+    member is marked when the code is decreasing and every member is
+    induced by an affine map whose linear part is lower triangular: the
+    identity's coset then holds them all, and SC decodes it.  The empty
+    ensemble, plain SC, marks none.
 
     Position i holds the point ~i, so member l's point map is T_l(x) =
     ~pi_l(~x), with T_l(0) = b_l and column c of A_l T_l(e_c) ^ b_l.  The
@@ -558,7 +559,7 @@ def _coset_reps(perms: np.ndarray, spec: CodeSpec) -> np.ndarray | None:
     bits of V_(c+1), so the key depends on the spans alone, and the spans
     are the spans of the key's columns.  Cost O(L N + L n^2)."""
     n_perm, n_pos = perms.shape
-    if not spec.is_decreasing():
+    if not (n_perm and spec.is_decreasing()):  # none to share
         return np.ones(n_perm, dtype=bool)
     units = 1 << np.arange(spec.n)
     maps = (n_pos - 1) ^ perms[:, ::-1]  # position ~x is N - 1 - x
@@ -567,9 +568,9 @@ def _coset_reps(perms: np.ndarray, spec: CodeSpec) -> np.ndarray | None:
     for c in range(spec.n):
         images = np.hstack((images, images ^ cols[:, c:c + 1]))
     affine = (images == maps).all(axis=1)
-    if affine.all() and not (cols & (units - 1)).any():
-        return None
     decoded = ~affine
+    if affine.all() and not (cols & (units - 1)).any():
+        return decoded
     first = {}
     for t in np.flatnonzero(affine).tolist():
         basis: list[int] = []
@@ -646,6 +647,8 @@ def sc_invariance_check(
         raise ValueError("dimension mismatch")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if not spec.K:  # SC decodes every frame, and its permuted copy, to the zero word
+        return InvarianceReport(trials, trials)
     if channel is None:
         channel = AwgnBpskChannel(1.0)
     perm = np.array(induced_permutation(t), dtype=np.intp)
@@ -681,7 +684,10 @@ class SimulationResult:
 
 
 def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """95% (by default) Wilson score interval for k successes in n trials."""
+    """95% (by default) Wilson score interval for k successes in n trials;
+    ValueError unless 0 <= k <= n."""
+    if not 0 <= k <= n:
+        raise ValueError(f"{k} successes in {n} trials: need 0 <= k <= n")
     if n == 0:
         return 0.0, 1.0
     p = k / n
@@ -695,14 +701,14 @@ _SIM_BATCH = 1024  # fixed so results never depend on the worker count
 # _frames cuts a batch, like the frames of an SC invariance check, into
 # blocks of frames that take at most _BLOCK_COLUMNS decoder columns, a
 # column being one copy of one frame, and hold at most _BLOCK_LLRS LLRs,
-# 8 MB of float64, in the block's copies of its frames.  SC decodes the
-# channel's block in place: one column and one copy a frame.  So does an
-# ensemble whose members are all LTA maps, such as AE-8 on PW(12,2048) at
-# 256 frames a block.  Any other ensemble decodes k permuted copies, one
-# per LTA coset, and keeps the channel's block beside them: k columns and
-# k + 1 copies a frame, so that the channel block, permuted input and
-# workspace stay within the cap.  Either way the flagged frames decode
-# again in chunks of at most the block's columns (_shared_block).
+# 8 MB of float64, in the block's copies of its frames.  An ensemble
+# decodes k permuted copies, one per LTA coset it decodes, and keeps the
+# channel's block beside them: k columns and k + 1 copies a frame, so that
+# the channel block, permuted input and workspace stay within the cap.
+# With k = 0 (SC, the empty ensemble, or all-LTA members, as in AE-8 on
+# PW(12,2048) at 256 frames a block), SC decodes the channel's block in
+# place: one column and one copy a frame.  Either way the flagged frames
+# decode again in chunks of at most the block's columns (_shared_block).
 # The LLR cap bounds the one LLR buffer the channel writes for all of a
 # batch's blocks, and the kernel's workspace, which each thread retains up
 # to this size; it sets the block at n >= 10.  Below that the column cap
@@ -754,17 +760,10 @@ def _sim_batch(args) -> int:
     spec, channel, perms, inverses, decoded, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
     plan = _plan(spec)
-    if decoded is None:
-        columns = copies = 1  # SC, and an ensemble decoded as SC, decode the channel's block in place
-    else:
-        columns = int(decoded.sum())
-        copies = columns + 1
+    k = int(decoded.sum())  # with k = 0, SC decodes the channel's block in place
     errors = 0
-    for sent, llrs in _frames(spec, channel, rng, count, columns, copies):
-        if perms is None:
-            x = _sc_batch(llrs, plan)
-        else:
-            x = _shared_block(llrs, perms, inverses, plan, decoded)
+    for sent, llrs in _frames(spec, channel, rng, count, max(k, 1), k + 1):
+        x = _shared_block(llrs, perms, inverses, plan, decoded)
         errors += int((x != sent).any(axis=0).sum())
     return errors
 
@@ -792,14 +791,14 @@ def simulate_bler(
     if decoder == "sc":
         if perms is not None:
             raise ValueError("the SC decoder takes no ensemble")
-        perm_arr = inverses = None
+        perm_arr = inverses = np.empty((0, spec.N), dtype=np.intp)  # the empty ensemble
     elif decoder == "ae":
         perm_arr, inverses = _perm_array(perms, spec.N)
     else:
         raise ValueError(f"unknown decoder {decoder!r}")
 
     # classified once, here, so that every worker decodes the same members
-    decoded = None if perm_arr is None else _coset_reps(perm_arr, spec)
+    decoded = _coset_reps(perm_arr, spec)
     batches = [
         (spec, channel, perm_arr, inverses, decoded, seed, idx, min(_SIM_BATCH, num_frames - start))
         for idx, start in enumerate(range(0, num_frames, _SIM_BATCH))
@@ -820,6 +819,6 @@ def simulate_bler(
         errors=errors,
         channel_param=channel.param_value,
         decoder=decoder,
-        ensemble_size=1 if perm_arr is None else len(perm_arr),
+        ensemble_size=len(perm_arr) or 1,
         seed=seed,
     )

@@ -201,6 +201,16 @@ class TestSamplePerms:
         assert obj["profile"] == [1, 1, 1, 1]
         assert all(e["sc_invariant_fraction"] == 1.0 for e in obj["perms"])
 
+    def test_rate0_code_all_invariant(self, capsys):
+        # with no information row SC decodes every frame and its permuted
+        # copy to the zero word, so the screen needs no noise sigma, which
+        # AWGN lacks at rate 0
+        code, out, err = run(capsys, "sample-perms", "--n", "3", "--mmin", "", "--L", "2", "--trials", "4")
+        assert code == 0 and err == ""
+        obj = json.loads(out)
+        assert len(obj["perms"]) == 2
+        assert all(e["is_automorphism"] and e["sc_invariant_fraction"] == 1.0 for e in obj["perms"])
+
 
 class TestSimulate:
     def test_csv_shape(self, capsys):
@@ -341,7 +351,8 @@ _REJECTION_MESSAGES = {
     AWGN + ["--snr", "nan"],
     AWGN + ["--snr", "inf"],
     ["simulate", "--n", "3", "--mmin=", "--snr", "1"],
-    ["sample-perms", "--n", "3", "--mmin="],
+    # the K = 0 code screens without a draw and fails only on its --out
+    ["sample-perms", "--n", "3", "--mmin=", "--out", "{tmp}/missing/x.json"],
     ["verify-theorem", "--battery", "n4"],
     ["construct", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}/missing/x.json"],
     ["construct", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}"],

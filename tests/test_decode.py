@@ -671,13 +671,12 @@ def _not_lta(n, rng):
 
 def _flagged(block, perms, plan, decoded):
     """The frames _shared_block decodes again: those in which a decision of
-    a member `decoded` marks (of SC on the block, with None) reads an exact
-    0.0 or a NaN; none when every member is decoded."""
+    a member `decoded` marks (of SC on the block, with none marked) reads
+    an exact 0.0 or a NaN; none when every member is decoded, as in the
+    empty ensemble."""
     undecided = np.zeros(block.shape[1], dtype=bool)
-    if decoded is None:
-        _sc_batch(block, plan, undecided)
-    elif not decoded.all():
-        for pi in perms[decoded]:
+    if not decoded.all():  # some member is left to decode again
+        for pi in perms[decoded] if decoded.any() else [slice(None)]:
             _sc_batch(block[pi], plan, undecided)
     return np.flatnonzero(undecided)
 
@@ -694,7 +693,10 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
     # several cosets at every n (from n = 10 on the others all have BLTA =
     # LTA).  The frames re-decoded are exactly those the kernel flags, in
     # chunks of at most the first decode's columns; exact zeros and the
-    # near-max blocks' opposite infinities flag some
+    # near-max blocks' opposite infinities flag some.  Two more ensembles
+    # leave no member to decode again: the empty one, plain SC, whose
+    # codewords are SC's on the block, and the Reed-Muller ensemble's
+    # first member of each coset, all decoded, the full ensemble's
     full = decode._ae_block
     calls = []
 
@@ -714,23 +716,32 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
     cases = [(spec, np.array([induced_permutation(t) for t in _coset_ensemble(spec, r)], dtype=np.intp))
              for spec in codes + [CodeSpec(n, reed_muller_set(n, (n - 1) // 2))]
              if block_profile(spec.monomials) != (1,) * n]
+    rm, several = cases[-1]
+    reps = several[decode._coset_reps(several, rm)]
+    assert len(reps) > 1 and decode._coset_reps(reps, rm).all()
+    cases += [(codes[0], several[:0]), (rm, reps)]
     shared = zero_redecodes = near_max_redecodes = 0
     for spec, perms in cases:
         inverses = np.argsort(perms, axis=1)
         decoded = decode._coset_reps(perms, spec)
-        shared += decoded is not None and not decoded.all()
+        shared += decoded.any() and not decoded.all()
         # the first decode's columns a frame, and its call
-        width, first = (1, []) if decoded is None else (decoded.sum(), [(decoded.sum(), 24)])
+        width, first = (1, []) if not decoded.any() else (decoded.sum(), [(decoded.sum(), 24)])
         for name, llrs in _shared_blocks(spec, rng):
             block = np.ascontiguousarray(llrs.T)
             with np.errstate(invalid="ignore", over="ignore"):
-                want = full(block, perms, inverses, _plan(spec))[0]
-                ref = None if name == "near-max" else ae_oracle(llrs, perms, _mask(spec))[0]
+                if len(perms):
+                    want = full(block, perms, inverses, _plan(spec))[0]
+                    ref = None if name == "near-max" else ae_oracle(llrs, perms, _mask(spec))[0]
+                else:
+                    want = _sc_batch(block, _plan(spec))
+                    ref = None if name == "near-max" else sc_oracle(llrs, _mask(spec))[0]
                 calls.clear()
                 got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
                 flagged = _flagged(block, perms, _plan(spec), decoded)
-            case = (spec.code_id(), None if decoded is None else decoded.tolist(), name)
-            assert (got == want).all() and (ref is None or (got.T == ref).all()), case
+            case = (spec.code_id(), decoded.tolist(), name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), case
+            assert ref is None or (got.T == ref).all(), case
             assert [(members, f.shape[1]) for members, f in calls[:len(first)]] == first, case
             redecodes = calls[len(first):]
             assert all(members * f.shape[1] <= width * len(llrs) for members, f in redecodes), case
@@ -769,16 +780,17 @@ def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
         spec = construct_pw(n, k)
         perms = _lta_perms(spec, 8, r)
         inverses = np.argsort(perms, axis=1)
-        assert decode._coset_reps(perms, spec) is None
+        decoded = decode._coset_reps(perms, spec)
+        assert decoded.tolist() == [False] * len(perms)
         for name, llrs in _shared_blocks(spec, rng):
             block = np.ascontiguousarray(llrs.T)
             with np.errstate(invalid="ignore", over="ignore"):
                 want = full(block, perms, inverses, _plan(spec))[0]
                 ref = ae_oracle(llrs, perms, _mask(spec))[0]
                 chunks.clear()
-                got = decode._shared_block(block, perms, inverses, _plan(spec), None)
+                got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
                 sc = _sc_batch(block, _plan(spec))
-                flagged = _flagged(block, perms, _plan(spec), None)
+                flagged = _flagged(block, perms, _plan(spec), decoded)
             case = (k, name)
             assert (got == want).all() and (name == "near-max" or (got.T == ref).all()), case
             assert all(c.shape[1] <= len(llrs) // len(perms) for c in chunks), case
@@ -817,12 +829,12 @@ def test_noiseless_near_max_blocks_decode_once(monkeypatch, n):
         sent = np.ascontiguousarray(_codewords(spec, 64, rng).T)
         block = (1.0 - 2.0 * sent) * 1.5e308
         decoded = decode._coset_reps(perms, spec)
-        assert (decoded is None) == (perms is not several)
-        assert decoded is None or 1 < decoded.sum() < len(perms)
+        assert (not decoded.any()) == (perms is not several)
+        assert not decoded.any() or 1 < decoded.sum() < len(perms)
         calls.clear()
         got = decode._shared_block(block, perms, np.argsort(perms, axis=1), _plan(spec), decoded)
         assert (got == sent).all(), spec.code_id()
-        assert calls == ([] if decoded is None else [decoded.sum()]), spec.code_id()
+        assert calls == ([] if not decoded.any() else [decoded.sum()]), spec.code_id()
         assert not len(_flagged(block, perms, _plan(spec), decoded)), spec.code_id()
 
 
@@ -835,8 +847,57 @@ def test_ensemble_at_overflowing_snr_warns_nothing(n, k, shared):
     spec = construct_pw(n, k)
     perms = _blta_perms(spec, 8, 40)
     decoded = decode._coset_reps(np.array(perms, dtype=np.intp), spec)
-    assert (decoded is not None and not decoded.all()) == shared
+    assert (decoded.any() and not decoded.all()) == shared
     assert simulate_bler(spec, AwgnBpskChannel(3075.0), 256, seed=1, decoder="ae", perms=perms).errors == 0
+
+
+@pytest.mark.parametrize("n", [4, 6, 10])
+def test_flags_and_first_pass_only_where_a_member_needs_them(monkeypatch, n):
+    # one path for four ensembles of a Reed-Muller code, on a BEC block
+    # whose erasures flag frames: the kernel gets a flag array only when
+    # some member is left to decode again (not for SC, the empty ensemble,
+    # nor when every member is decoded), and _ae_block makes a first pass
+    # only when some member is marked (not for SC nor for an all-LTA
+    # ensemble, which SC decodes in place).  simulate_bler's SC decodes
+    # the same way
+    events = []
+    kernel, full = decode._sc_batch, decode._ae_block
+
+    def spy_kernel(llrs, plan, undecided=None):
+        events.append(("sc", undecided is not None))
+        return kernel(llrs, plan, undecided)
+
+    def spy_ensemble(llrs, perms, inverses, plan, undecided=None):
+        events.append(("ae", len(perms), undecided is not None))
+        return full(llrs, perms, inverses, plan, undecided)
+
+    rng = np.random.default_rng(1200 + n)
+    r = random.Random(1200 + n)
+    spec = CodeSpec(n, reed_muller_set(n, (n - 1) // 2))
+    mixed = np.array([induced_permutation(t) for t in _coset_ensemble(spec, r)], dtype=np.intp)
+    reps = mixed[decode._coset_reps(mixed, spec)]
+    block = np.ascontiguousarray(BecChannel(0.4).llrs(_codewords(spec, 64, rng), rng, spec.rate).T)
+    monkeypatch.setattr(decode, "_sc_batch", spy_kernel)
+    monkeypatch.setattr(decode, "_ae_block", spy_ensemble)
+    for name, perms in ("empty", mixed[:0]), ("lta", _lta_perms(spec, 8, r)), ("mixed", mixed), ("reps", reps):
+        decoded = decode._coset_reps(perms, spec)
+        k = int(decoded.sum())
+        events.clear()
+        decode._shared_block(block, perms, np.argsort(perms, axis=1), _plan(spec), decoded)
+        # the first call is the first pass: SC on the block, or _ae_block
+        # on the marked members
+        if name in ("empty", "lta"):
+            assert k == 0 and events[0] == ("sc", name == "lta"), name
+        else:
+            assert 0 < k and events[0] == ("ae", k, name == "mixed"), name
+            assert (k == len(perms)) == (name == "reps"), name
+        if name in ("empty", "reps"):  # no member to decode again: no flag, no re-decode
+            assert not any(e[-1] for e in events) and sum(e[0] == "ae" for e in events) == (k > 0), name
+        else:  # the block's erasures flag frames, which decode again
+            assert any(e == ("ae", len(perms) - k, False) for e in events), name
+    events.clear()
+    simulate_bler(spec, BecChannel(0.4), 300, seed=1)
+    assert events and all(e == ("sc", False) for e in events)
 
 
 def _first_of_coset(maps):
@@ -850,7 +911,8 @@ def _first_of_coset(maps):
 def test_coset_reps_match_blta_membership(n):
     # the decoded members are the lowest-index member of each right LTA
     # coset (A_r^-1 A_t lower triangular), on maps drawn from all of
-    # GL(n, 2); None, to decode as SC, exactly when every member is LTA
+    # GL(n, 2); none marked, to decode as SC, exactly when every member is
+    # LTA
     spec = construct_pw(n, 1 << (n - 1))
     r = random.Random(800 + n)
     lta, gl = (1,) * n, (n,)
@@ -864,7 +926,7 @@ def test_coset_reps_match_blta_membership(n):
             maps = [sample_blta(lta, r) if r.random() < 0.9 else _not_lta(n, r) for _ in range(1 + trial % 8)]
         decoded = decode._coset_reps(np.array([induced_permutation(t) for t in maps], dtype=np.intp), spec)
         if all(blta_membership(t, lta) for t in maps):
-            assert decoded is None
+            assert decoded.tolist() == [False] * len(maps)
         else:
             assert decoded.tolist() == _first_of_coset(maps)
 
@@ -889,7 +951,8 @@ def test_coset_reps_share_only_affine_members_of_decreasing_codes():
     bent[2, [i, j]] = bent[2, [j, i]]
     assert decode._coset_reps(bent, spec).tolist() == [True, False, True, False]
     lta = _lta_perms(spec, 4, r)
-    assert decode._coset_reps(lta, spec) is None and decode._coset_reps(lta[:1], spec) is None
+    assert decode._coset_reps(lta, spec).tolist() == [False] * 4
+    assert decode._coset_reps(lta[:1], spec).tolist() == [False]
     lta[1, [i, j]] = lta[1, [j, i]]
     assert decode._coset_reps(lta, spec).tolist() == [True, True, False, False]
     # no affine map induces a random permutation, not even beside a copy
@@ -902,6 +965,8 @@ def test_coset_reps_share_only_affine_members_of_decreasing_codes():
     # is decoded, even one LTA map alone
     assert decode._coset_reps(perms, code).all()
     assert decode._coset_reps(lta[:1], code).tolist() == [True]
+    # the empty ensemble, plain SC, marks no member, on either code
+    assert decode._coset_reps(lta[:0], spec).shape == decode._coset_reps(lta[:0], code).shape == (0,)
 
 
 def test_coset_reps_memory_is_per_member():
@@ -945,7 +1010,7 @@ def test_lta_path_counts_equal_oracle(monkeypatch):
     mixed[5] = induced_permutation(_not_lta(n, r))
     frames, seed = 300, 11
     for spec, perms, sharing in ((pw, lta, True), (code, lta, False), (pw, mixed, False)):
-        assert (decode._coset_reps(perms, spec) is None) == sharing
+        assert (not decode._coset_reps(perms, spec).any()) == sharing
         generator = kron_power(n)[list(spec.row_indices())]
         for channel in AwgnBpskChannel(1.5), BecChannel(0.45):
             sizes.clear()
@@ -1276,8 +1341,8 @@ class TestSimulate:
         # llrs is called once per slab of each block; joined in order, the
         # slabs are the oracle's one draw over the batch, and the generator
         # ends where that draw leaves it
-        perms = np.array(_blta_perms(pw6, 4, 23), dtype=np.intp) if decoder == "ae" else None
-        decoded = None if perms is None else decode._coset_reps(perms, pw6)
+        perms = np.array(_blta_perms(pw6, 4, 23) if decoder == "ae" else np.empty((0, pw6.N)), dtype=np.intp)
+        decoded = decode._coset_reps(perms, pw6)
         monkeypatch.setattr(decode, "_BLOCK_LLRS", 70 * pw6.N)
         monkeypatch.setattr(decode, "_TILE", tile)
         calls = []
@@ -1288,7 +1353,7 @@ class TestSimulate:
                 calls.append((x.copy(), out.copy(), rng))
                 return out
 
-        inverses = None if perms is None else np.argsort(perms, axis=1)
+        inverses = np.argsort(perms, axis=1)
         decode._sim_batch((pw6, Recorder(), perms, inverses, decoded, 31, 2, 1000))
         sent, ref, rng = self._one_draw(pw6, channel, 31, 2, 1000)
         step = 70 if decoder == "sc" else 14
@@ -1328,10 +1393,11 @@ class TestSimulate:
         spec = construct_pw(12, 2048)
         step = min(decode._BLOCK_LLRS // spec.N, decode._BLOCK_COLUMNS)
         bound = 8 * (2 * spec.N - 1) * step + spec.N * 1024 + spec.K * 1024 + (4 << 20)
+        empty = np.empty((0, spec.N), dtype=np.intp)  # SC is the empty ensemble
         monkeypatch.delattr(decode._local, "work", raising=False)
         tracemalloc.start()
         try:
-            decode._sim_batch((spec, AwgnBpskChannel(2.5), None, None, None, 1, 0, 1024))
+            decode._sim_batch((spec, AwgnBpskChannel(2.5), empty, empty, np.zeros(0, dtype=bool), 1, 0, 1024))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1482,11 +1548,20 @@ class TestSimulate:
             assert 0.0 < AwgnBpskChannel(db).noise_sigma(0.5) < float("inf")
 
     def test_rate0_code(self):
+        # AWGN has no noise sigma at rate 0, so simulate_bler refuses it; an
+        # SC invariance check needs none: with no information row SC decodes
+        # every frame and its permuted copy to the zero word, so every trial
+        # is equal, under the default channel or any other, and nothing is
+        # drawn
         spec = construct_explicit(3, [])
         with pytest.raises(ValueError, match="noise sigma"):
             simulate_bler(spec, AwgnBpskChannel(1.0), 10, seed=0)
-        with pytest.raises(ValueError, match="noise sigma"):
-            sc_invariance_check(AffineMap.identity(3), spec, trials=5)
+        for t in AffineMap.identity(3), sample_blta((3,), random.Random(7)):
+            for channel in None, AwgnBpskChannel(1.0), BecChannel(0.5):
+                report = sc_invariance_check(t, spec, trials=5, channel=channel)
+                assert (report.trials, report.equal, report.fraction) == (5, 5, 1.0)
+        with pytest.raises(ValueError, match="at least one trial"):
+            sc_invariance_check(AffineMap.identity(3), spec, trials=0)
         assert simulate_bler(spec, BecChannel(0.5), 10, seed=0).errors == 0
 
 
@@ -1499,6 +1574,12 @@ class TestWilson:
 
     def test_empty(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
+
+    # no count outside 0 <= k <= n has an interval; the error names both
+    @pytest.mark.parametrize("k, n", [(5, 3), (-1, 10), (3, 0), (-1, 0), (1, -1)])
+    def test_impossible_counts_rejected(self, k, n):
+        with pytest.raises(ValueError, match=rf"^{k} successes in {n} trials"):
+            wilson_interval(k, n)
 
 
 def test_extract_info_roundtrip():
