@@ -19,6 +19,7 @@ from polaraut import (
     gl_order,
     induced_permutation,
     is_affine_automorphism,
+    is_decreasing,
     random_decreasing_set,
     random_witness_instance,
     reed_muller_set,
@@ -318,16 +319,19 @@ class TestLevelSweep:
         # tests its last row on 302 400 prefixes.  Built a whole level at a
         # time it peaked at 7.5 MB traced; in chunks the largest arrays are
         # the level kernel's (2^n, _CHUNK) words, 1 MB, and the sweep stays
-        # within four of them
+        # within four of them.  `verify_blta_completeness` sweeps its dual,
+        # {1, x0}, so the walk is run on the code side directly
         ms = construct_explicit(5, [29]).monomials
         bound = 4 * (1 << ms.n) * gf2._CHUNK * 8
         tracemalloc.start()
         try:
-            report = verify_blta_completeness(ms)
+            count, first = _sweep(ms, block_profile(ms))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        report = verify_blta_completeness(ms)
         assert report.passed and report.aut_count == 322560
+        assert (count, first) == (report.aut_count, report.counterexample)
         assert peak < bound, (peak, bound)
 
     @pytest.mark.skipif(
@@ -360,6 +364,69 @@ class TestLevelSweep:
                 assert not np.any(_support(tabs, f, n) & higher)
 
 
+def _dual(ms: MonomialSet) -> MonomialSet:
+    """The complements of the non-members: the monomial set of the dual code."""
+    full = (1 << ms.n) - 1
+    return MonomialSet(ms.n, frozenset(full ^ m for m in range(1 << ms.n) if m not in ms))
+
+
+def _check_dual(ms: MonomialSet, profile) -> tuple[int, tuple[int, ...] | None]:
+    """The dual is decreasing, has ms's profile, and sweeps as ms does under
+    the profile given; returns the code side's sweep."""
+    dual = _dual(ms)
+    assert is_decreasing(dual), sorted(ms.masks)
+    assert block_profile(dual) == block_profile(ms), sorted(ms.masks)
+    got = _sweep(ms, profile)
+    assert _sweep(dual, profile) == got, (sorted(ms.masks), profile)
+    return got
+
+
+class TestDualSide:
+    def test_dual_sweeps_as_the_code_on_every_down_set(self):
+        # under the true profile the verdict is read from whichever side
+        # the sweep picks, so it must equal the code side's sweep
+        duals = 0
+        for n in range(1, 6):
+            for ms in down_sets_oracle(n):
+                profile = block_profile(ms)
+                got = _check_dual(ms, profile)
+                report = verify_blta_completeness(ms)
+                assert (report.aut_count, report.counterexample) == got, sorted(ms.masks)
+                side = autgroup._cheaper_side(ms)
+                assert side in (ms, _dual(ms))
+                duals += side != ms
+        assert duals == 64  # of the 164 down-sets at n <= 5
+
+    def test_dual_sweeps_as_the_code_under_the_finest_profile(self):
+        # the profile (1,)*n puts every off-diagonal automorphism outside
+        # BLTA, so both sides must also agree on the first counterexample
+        hits = sum(_check_dual(ms, (1,) * n)[1] is not None
+                   for n in range(1, 5) for ms in down_sets_oracle(n))
+        assert hits == 41  # of the 45 down-sets at n <= 4
+
+    @pytest.mark.skipif(
+        not os.environ.get("POLARAUT_EXTENDED"),
+        reason="n=5 forced-profile dual sweeps disabled (set POLARAUT_EXTENDED=1)",
+    )
+    def test_extended_n5_dual_sweeps_as_the_code_under_the_finest_profile(self):
+        hits = sum(_check_dual(ms, (1,) * 5)[1] is not None for ms in down_sets_oracle(5))
+        assert hits == 117  # of the 119 down-sets at n = 5
+
+    def test_chosen_side(self):
+        # all monomials but x1x2x3x4 and x0x1x2x3x4 (`--mmin 29`) tests x0x1x2x3
+        # on row 3; its dual {1, x0} tests nothing
+        near_full = construct_explicit(5, [29]).monomials
+        assert near_full == MonomialSet(5, frozenset(range(30)))
+        assert autgroup._cheaper_side(near_full) == MonomialSet(5, frozenset({0, 1}))
+        # perfbench's rand5-0: fewer members to test on the dual, but deeper
+        rand5 = random_decreasing_set(5, random.Random(1))
+        assert autgroup._cheaper_side(rand5) == rand5
+        # RM(1,5) and its dual RM(3,5) test no member: a tie keeps the code
+        rm = reed_muller_set(5, 1)
+        assert _dual(rm) == reed_muller_set(5, 3)
+        assert autgroup._cheaper_side(rm) == rm
+
+
 class TestVerification:
     def test_n3_battery(self):
         for ms in all_decreasing_sets(3):
@@ -388,11 +455,14 @@ class TestVerification:
     def test_near_full_n5_code(self):
         # every monomial but x1x2x3x4 (30) and x0x1x2x3x4 (31): the member
         # x0x1x2x3 keeps 302,400 level-3 prefixes, so the last level runs
-        # in many blocks
-        report = verify_blta_completeness(MonomialSet(5, frozenset(range(30))))
+        # in many blocks.  The verdict comes from the dual, {1, x0}, so the
+        # code side is swept directly and must agree with it
+        ms = MonomialSet(5, frozenset(range(30)))
+        report = verify_blta_completeness(ms)
         assert report.passed and report.counterexample is None
         assert report.profile == (1, 4)
         assert report.aut_count == report.blta_count == 322_560
+        assert _sweep(ms, block_profile(ms)) == (report.aut_count, report.counterexample)
 
     def test_profile_is_coarsest_exhaustively(self):
         # merging any two adjacent blocks makes the block group strictly

@@ -317,76 +317,89 @@ _REJECTION_MESSAGES = {
 
 
 @pytest.mark.parametrize("argv", [
-    ["construct", "--n", "3", "--K", "99", "--pw"],
-    ["construct", "--n", "3", "--K", "4", "--bec", "1.5"],
-    ["construct", "--n", "40", "--K", "1", "--pw"],
-    ["construct", "--n", "40", "--K", "1", "--bec", "0.5"],
-    ["construct", "--n", "40", "--mmin", "3"],
-    ["construct", "--n", "-1", "--K", "0", "--pw"],
-    ["construct", "--n", "3", "--mmin", "-1"],
-    ["construct", "--K", "4", "--pw"],
-    ["construct", "--n", "3", "--pw"],
-    ["witness", "--n", "3", "--mmin", "4", "--i", "0"],
-    SIM + ["--frames", "0"],
-    SIM + ["--decoder", "ae", "--L", "0"],
-    SIM + ["--decoder", "ae", "--L", "-1"],
-    SIM + ["--decoder", "sc", "--L", "-5"],
-    SIM + ["--jobs", "0"],
-    SIM + ["--jobs", "-3"],
-    ["witness", "--n", "3", "--mmin", "4", "--matrix-masks", "1,1,4", "--i", "0"],
-    ["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "1,2,4", "--i", "0"],
-    ["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "1,2,4", "--i", "0", "--j", "3"],
-    ["profile", "--code", "{tmp}/missing.json"],
-    ["profile", "--code", "{tmp}/list.json"],
-    ["profile", "--code", "{tmp}/cut.json"],
-    ["witness", "--n", "4", "--mmin", "8", "--matrix", "{tmp}/missing.json", "--i", "0"],
-    ["witness", "--n", "4", "--mmin", "8", "--matrix", "{tmp}/no_a.json", "--i", "0"],
-    ["witness", "--n", "4", "--mmin", "8", "--matrix", "{tmp}/list.json", "--i", "0"],
-    ["sample-perms", "--n", "3", "--mmin", "4", "--L", "0"],
-    ["sample-perms", "--n", "3", "--mmin", "4", "--L", "-2"],
-    ["sample-perms", "--n", "3", "--mmin", "4", "--trials", "0"],
-    AWGN + ["--snr=-inf"],
-    AWGN + ["--snr=-4000"],
-    AWGN + ["--snr=4000"],
-    AWGN + ["--snr", "nan"],
-    AWGN + ["--snr", "inf"],
-    ["simulate", "--n", "3", "--mmin=", "--snr", "1"],
+    pytest.param(["construct", "--n", "3", "--K", "99", "--pw"], id="argv0"),
+    pytest.param(["construct", "--n", "3", "--K", "4", "--bec", "1.5"], id="argv1"),
+    pytest.param(["construct", "--n", "40", "--K", "1", "--pw"], id="argv2"),
+    pytest.param(["construct", "--n", "40", "--K", "1", "--bec", "0.5"], id="argv3"),
+    pytest.param(["construct", "--n", "40", "--mmin", "3"], id="argv4"),
+    pytest.param(["construct", "--n", "-1", "--K", "0", "--pw"], id="argv5"),
+    pytest.param(["construct", "--n", "3", "--mmin", "-1"], id="argv6"),
+    pytest.param(["construct", "--K", "4", "--pw"], id="argv7"),
+    pytest.param(["construct", "--n", "3", "--pw"], id="argv8"),
+    pytest.param(["witness", "--n", "3", "--mmin", "4", "--i", "0"], id="argv9"),
+    pytest.param(SIM + ["--frames", "0"], id="argv10"),
+    pytest.param(SIM + ["--decoder", "ae", "--L", "0"], id="argv11"),
+    pytest.param(SIM + ["--decoder", "ae", "--L", "-1"], id="argv12"),
+    pytest.param(SIM + ["--decoder", "sc", "--L", "-5"], id="argv13"),
+    pytest.param(SIM + ["--jobs", "0"], id="argv14"),
+    pytest.param(SIM + ["--jobs", "-3"], id="argv15"),
+    pytest.param(["witness", "--n", "3", "--mmin", "4", "--matrix-masks", "1,1,4", "--i", "0"],
+                 id="argv16"),
+    pytest.param(["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "1,2,4", "--i", "0"],
+                 id="argv17"),
+    pytest.param(["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "1,2,4", "--i", "0", "--j", "3"],
+                 id="argv18"),
+    pytest.param(["profile", "--code", "{tmp}/missing.json"], id="argv19"),
+    pytest.param(["profile", "--code", "{tmp}/list.json"], id="argv20"),
+    pytest.param(["profile", "--code", "{tmp}/cut.json"], id="argv21"),
+    pytest.param(["witness", "--n", "4", "--mmin", "8", "--matrix", "{tmp}/missing.json", "--i", "0"],
+                 id="argv22"),
+    pytest.param(["witness", "--n", "4", "--mmin", "8", "--matrix", "{tmp}/no_a.json", "--i", "0"],
+                 id="argv23"),
+    pytest.param(["witness", "--n", "4", "--mmin", "8", "--matrix", "{tmp}/list.json", "--i", "0"],
+                 id="argv24"),
+    pytest.param(["sample-perms", "--n", "3", "--mmin", "4", "--L", "0"], id="argv25"),
+    pytest.param(["sample-perms", "--n", "3", "--mmin", "4", "--L", "-2"], id="argv26"),
+    pytest.param(["sample-perms", "--n", "3", "--mmin", "4", "--trials", "0"], id="argv27"),
+    pytest.param(AWGN + ["--snr=-inf"], id="argv28"),
+    pytest.param(AWGN + ["--snr=-4000"], id="argv29"),
+    pytest.param(AWGN + ["--snr=4000"], id="argv30"),
+    pytest.param(AWGN + ["--snr", "nan"], id="argv31"),
+    pytest.param(AWGN + ["--snr", "inf"], id="argv32"),
+    pytest.param(["simulate", "--n", "3", "--mmin=", "--snr", "1"], id="argv33"),
     # the K = 0 code screens without a draw and fails only on its --out
-    ["sample-perms", "--n", "3", "--mmin=", "--out", "{tmp}/missing/x.json"],
-    ["verify-theorem", "--battery", "n4"],
-    ["construct", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}/missing/x.json"],
-    ["construct", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}"],
-    ["profile", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}/missing/x.json"],
-    ["verify-theorem", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}"],
-    ["enumerate-aut", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}/missing/x.json"],
-    ["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "8,2,4,1", "--i", "0", "--j", "3",
-     "--out", "{tmp}"],
-    ["sample-perms", "--n", "3", "--mmin", "4", "--L", "2", "--out", "{tmp}/missing/x.json"],
-    SIM + ["--frames", "10", "--out", "{tmp}"],
-    ["selftest", "--out", "{tmp}/missing/x.txt"],
-    ["construct", "--code", "{tmp}/deep.json"],
-    ["construct", "--code", "{tmp}/deep_masks.json"],
-    ["witness", "--n", "3", "--mmin", "1", "--matrix", "{tmp}/deep.json", "--i", "0"],
-    ["construct", "--n", "3", "--K", "4", "--pw", "--mmin", "1,,2"],
-    ["construct", "--n", "3", "--K", "4", "--pw", "--bec", "0.5"],
-    ["construct", "--code", "{tmp}/code.json", "--pw"],
-    ["construct", "--n", "3", "--K", "99", "--mmin", "3"],
-    ["construct", "--code", "{tmp}/code.json", "--n", "5", "--K", "7"],
-    ["profile", "--code", "{tmp}/code.json", "--K", "4"],
-    ["simulate", "--code", "{tmp}/code.json", "--n", "3", "--snr", "1"],
-    SIM + ["--decoder", "sc", "--L", "3"],
-    SIM + ["--L", "8"],
+    pytest.param(["sample-perms", "--n", "3", "--mmin=", "--out", "{tmp}/missing/x.json"],
+                 id="argv34"),
+    pytest.param(["verify-theorem", "--battery", "n4"], id="argv35"),
+    pytest.param(["construct", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}/missing/x.json"],
+                 id="argv36"),
+    pytest.param(["construct", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}"], id="argv37"),
+    pytest.param(["profile", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}/missing/x.json"],
+                 id="argv38"),
+    pytest.param(["verify-theorem", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}"], id="argv39"),
+    pytest.param(["enumerate-aut", "--n", "3", "--K", "4", "--pw", "--out", "{tmp}/missing/x.json"],
+                 id="argv40"),
+    pytest.param(["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "8,2,4,1", "--i", "0", "--j", "3",
+                  "--out", "{tmp}"], id="argv41"),
+    pytest.param(["sample-perms", "--n", "3", "--mmin", "4", "--L", "2", "--out", "{tmp}/missing/x.json"],
+                 id="argv42"),
+    pytest.param(SIM + ["--frames", "10", "--out", "{tmp}"], id="argv43"),
+    pytest.param(["selftest", "--out", "{tmp}/missing/x.txt"], id="argv44"),
+    pytest.param(["construct", "--code", "{tmp}/deep.json"], id="argv45"),
+    pytest.param(["construct", "--code", "{tmp}/deep_masks.json"], id="argv46"),
+    pytest.param(["witness", "--n", "3", "--mmin", "1", "--matrix", "{tmp}/deep.json", "--i", "0"],
+                 id="argv47"),
+    pytest.param(["construct", "--n", "3", "--K", "4", "--pw", "--mmin", "1,,2"], id="argv48"),
+    pytest.param(["construct", "--n", "3", "--K", "4", "--pw", "--bec", "0.5"], id="argv49"),
+    pytest.param(["construct", "--code", "{tmp}/code.json", "--pw"], id="argv50"),
+    pytest.param(["construct", "--n", "3", "--K", "99", "--mmin", "3"], id="argv51"),
+    pytest.param(["construct", "--code", "{tmp}/code.json", "--n", "5", "--K", "7"], id="argv52"),
+    pytest.param(["profile", "--code", "{tmp}/code.json", "--K", "4"], id="argv53"),
+    pytest.param(["simulate", "--code", "{tmp}/code.json", "--n", "3", "--snr", "1"], id="argv54"),
+    pytest.param(SIM + ["--decoder", "sc", "--L", "3"], id="argv55"),
+    pytest.param(SIM + ["--L", "8"], id="argv56"),
     # --jobs only where it is read (simulate), --seed only in simulate,
     # sample-perms and selftest
-    ["construct", "--n", "3", "--K", "4", "--pw", "--jobs", "5"],
-    ["construct", "--n", "3", "--K", "4", "--pw", "--seed", "9"],
-    ["profile", "--n", "3", "--K", "4", "--pw", "--seed", "1"],
-    ["verify-theorem", "--n", "4", "--mmin", "8", "--jobs", "2"],
-    ["verify-theorem", "--battery", "n3", "--seed", "2"],
-    ["enumerate-aut", "--n", "3", "--mmin", "4", "--jobs", "2"],
-    ["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "8,2,4,1", "--i", "0", "--seed", "3"],
-    ["sample-perms", "--n", "3", "--mmin", "4", "--jobs", "7"],
-    ["selftest", "--jobs", "2"],
+    pytest.param(["construct", "--n", "3", "--K", "4", "--pw", "--jobs", "5"], id="argv57"),
+    pytest.param(["construct", "--n", "3", "--K", "4", "--pw", "--seed", "9"], id="argv58"),
+    pytest.param(["profile", "--n", "3", "--K", "4", "--pw", "--seed", "1"], id="argv59"),
+    pytest.param(["verify-theorem", "--n", "4", "--mmin", "8", "--jobs", "2"], id="argv60"),
+    pytest.param(["verify-theorem", "--battery", "n3", "--seed", "2"], id="argv61"),
+    pytest.param(["enumerate-aut", "--n", "3", "--mmin", "4", "--jobs", "2"], id="argv62"),
+    pytest.param(["witness", "--n", "4", "--mmin", "8", "--matrix-masks", "8,2,4,1", "--i", "0", "--seed", "3"],
+                 id="argv63"),
+    pytest.param(["sample-perms", "--n", "3", "--mmin", "4", "--jobs", "7"], id="argv64"),
+    pytest.param(["selftest", "--jobs", "2"], id="argv65"),
 ])
 def test_rejected_argument_exits_2(capsys, tmp_path, argv):
     (tmp_path / "code.json").write_text('{"n": 3, "m_min_masks": [3]}')
