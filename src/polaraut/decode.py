@@ -17,21 +17,26 @@ and write each slab transposed into the decoder's block.  The ensemble
 decoder gathers one member's candidate at a time from the SC output,
 through the member's inverse permutation, and scores it frames-major in
 slabs of frames; no array of all candidates is built.  The Monte Carlo
-loop runs SC once per right LTA coset of the members, which decode
-alike, and decodes again under the other members only the frames in
-which that argument fails: those in which the SC kernel saw a decision
-read an LLR with no sign, an exact 0.0 or a NaN.  Plain SC is the empty
-ensemble; with no coset but the identity's, SC decodes the channel's
-block in place.  The decoders work on batches; the public single-frame
-entry points wrap a batch of one, and the public channel and encoding
-helpers keep frames-major (..., N) arrays.  The encoding helpers take
-only entries equal to 0 or 1.
+loop runs SC once per right H-coset of the members, which decode alike:
+H is the lower-triangular affine (LTA) group widened by GL on each block
+of the code's BLTA profile whose nodes min-sum SC decodes symmetrically
+(_absorption), so one decode serves a class of LTA cosets.  It decodes
+again under the other members only the frames in which that argument
+fails: those in which the SC kernel saw a decision read an LLR with no
+sign, an exact 0.0 or a NaN, or an absorbed sum whose sign another order
+of its additions could change.  Plain SC is the empty ensemble; with no
+coset but the identity's, SC decodes the channel's block in place.  The
+decoders work on batches; the public single-frame entry points wrap a
+batch of one, and the public channel and encoding helpers keep
+frames-major (..., N) arrays.  The encoding helpers take only entries
+equal to 0 or 1.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -39,7 +44,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .affine import AffineMap, induced_permutation
+from .affine import AffineMap, _blocks, block_profile, induced_permutation
 from .gf2 import _reduce
 from .monomial import CodeSpec
 
@@ -273,6 +278,51 @@ def _plan(spec: CodeSpec) -> _Plan:
     return tuple(plan)
 
 
+def _absorbed(mask: np.ndarray, size: int, low: int) -> bool:
+    """Whether every node of this size of an information mask is rate-0,
+    rate-1, repetition, single parity check, or a repetition or single
+    parity check interleaved over the `low` classes of the low bits
+    (positions with equal bits below log2(low)): the nodes on which
+    min-sum SC is symmetric under a permutation that keeps each class."""
+    i = np.arange(size)
+    kinds = np.array([i < 0, i >= 0, i == size - 1, i >= 1, i >= size - low, i >= low])
+    return bool((mask.reshape(-1, 1, size) == kinds).all(axis=2).any(axis=1).all())
+
+
+@functools.lru_cache(maxsize=32)
+def _absorption(spec: CodeSpec) -> tuple[tuple[int, ...], dict[tuple[int, int, int], int]]:
+    """(profile, sums): the block profile of H, the group whose right
+    cosets decode alike (_shared_block), and the steps of _plan(spec)
+    whose decisions must certify sums, each with the size of the node
+    whose input it sums.
+
+    A block x_a..x_c of the code's BLTA profile, two variables or more, is
+    absorbed when _absorbed holds for its nodes, of size S = 2^(c+1), with
+    2^a classes; H is BLTA of the profile split into single variables
+    except at the absorbed blocks.  So H = LTA when no block is absorbed,
+    as for a code whose profile is all 1s, or one that is not decreasing.
+    A repetition step of size S or more gets the largest such S: it sums
+    the input of node(S) in a tree log2(S) deep.  The rate-1 step that ends
+    an interleaved repetition node, the node's last 2^a positions, gets S:
+    it decides the class sums, each over S / 2^a inputs."""
+    sums: dict[tuple[int, int, int], int] = {}
+    if not spec.is_decreasing():
+        return (1,) * spec.n, sums
+    mask = _info_mask(spec)
+    profile = []
+    for a, s in _blocks(block_profile(spec.monomials)):
+        size, low = 2 << (a + s - 1), 1 << a
+        if s == 1 or not _absorbed(mask, size, low):
+            profile += [1] * s
+            continue
+        profile.append(s)
+        for step in _plan(spec):
+            op, lo, width = step
+            if op == _REP and width >= size or op == _RATE1 and width == low > 1 and lo % size == size - low:
+                sums[step] = size
+    return tuple(profile), sums
+
+
 # f and g steps run over slabs of whole rows holding at most this many
 # LLRs (128 kB of float64), so that each slab goes through all of its
 # passes while it is in cache; a step no larger than one slab is one slab
@@ -309,17 +359,73 @@ def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     out += b
 
 
+def _sum_bound(terms: np.ndarray, depth: int) -> np.ndarray:
+    """A bound b, one per column (or per column and class, for terms of
+    shape (rows, classes, batch)), such that a sum s of the terms computed
+    by any tree of additions `depth` deep with |s| > b has the sign of the
+    exact sum, and so does every other such sum of the same terms.
+
+    Proof.  Let T be the exact sum of |terms| and u = 2^-53.  Each addition
+    rounds its result by a factor within 1 +- u (exactly, where the result
+    is subnormal), so a sum `depth` additions deep is within g T of the
+    exact sum, g = depth u / (1 - depth u) (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., sec. 4.2).  If |s| > 2 g T, the exact
+    sum is nonzero with s's sign and exceeds g T in magnitude, so every
+    other such sum has its sign too.  b is the float sum T' of |terms|
+    times k = 2^(ceil(log2 depth) - 50) >= 4 depth 2^-52, at least twice
+    2 g T, as T' >= T (1 - 2^-20) for up to 2^33 rows; the power
+    of two k makes the product exact unless it is subnormal, where it
+    loses at most 2^-1075, less than the margin once T' >= 2^-1024, and
+    below that every partial sum is subnormal and exact.  No sum of the
+    terms overflows when T' < 2^1020; otherwise b is inf, and the test
+    fails, as it does for a NaN or an infinite term (T' is then inf or
+    NaN)."""
+    total = np.abs(terms).sum(axis=0)
+    bound = total * 2.0 ** ((depth - 1).bit_length() - 50)
+    bound[~(total < 2.0 ** 1020)] = np.inf
+    return bound
+
+
+def _flag(undecided: np.ndarray, s: np.ndarray, bound: float | np.ndarray = 0.0,
+          terms: np.ndarray | None = None) -> bool:
+    """Mark in `undecided` each column of s (one row, or rows of positions)
+    with an entry whose sign a decision cannot trust, ~(|s| > bound):
+    with bound 0 an exact 0.0 or a NaN; with a _sum_bound of the `terms`
+    summed into s (along axis 0), a sum that another order of the same
+    additions could give another sign, unless all its terms have one sign
+    (none 0.0, none NaN), which every order keeps, overflow included.
+    Returns whether no column was marked."""
+    mag = np.abs(s)
+    if terms is None:  # one bound for all: min propagates a NaN
+        if mag.min() > bound:
+            return True
+        ok = mag > bound
+    else:
+        ok = mag > bound
+        if ok.all():
+            return True
+        ok |= (terms > 0).all(axis=0) | (terms < 0).all(axis=0)
+    undecided |= ~ok.reshape(-1, len(undecided)).all(axis=0)
+    return False
+
+
 # g and repetition sums of LLRs near the float maximum overflow: same-sign
 # terms give +-inf, which decides by its sign; opposite infinities give NaN
 # with an "invalid" warning, which this does not silence, and a NaN decides
 # as bit 0 (see the FOUND on noisy near-max LLRs in CHANGES.md)
 @np.errstate(over="ignore")
-def _sc_batch(llrs: np.ndarray, plan: _Plan, undecided: np.ndarray | None = None) -> np.ndarray:
+def _sc_batch(llrs: np.ndarray, plan: _Plan, undecided: np.ndarray | None = None,
+              sums: dict[tuple[int, int, int], int] | None = None) -> np.ndarray:
     """SC-decode a positions-major (size, batch) LLR block along a plan;
     returns the (size, batch) codewords (their u-vectors are the
     transform of them) in a fresh array.  Given a (batch,) boolean array
     `undecided`, also sets its entry for each column in which a repetition
-    or rate-1 decision reads an LLR with no sign: an exact 0.0 or a NaN.
+    or rate-1 decision reads an LLR with no sign, an exact 0.0 or a NaN.
+    Given also `sums` (_absorption), a repetition or rate-1 step that maps
+    to a node size S sets it, in place of that test, for each column whose
+    decision reads a sum of the input of node(S) that _flag cannot
+    certify: over all of node(S) for a repetition step, over each class
+    of the low bits for the rate-1 end of an interleaved repetition node.
 
     Every LLR the kernel computes goes to this thread's (size - 1, batch)
     workspace, addressed by node size alone: node(s), the node of size s,
@@ -339,7 +445,9 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan, undecided: np.ndarray | None = None
     x = np.zeros(llrs.shape, dtype=np.uint8)
     rows = max(1, _TILE // batch)  # rows in a slab
     scratch = np.empty((min(rows, n_pos // 2), batch))
-    for op, lo, size in plan:
+    certify = sums if undecided is not None and sums else {}
+    for step in plan:
+        op, lo, size = step
         # F, G and G0 read node(2 size) to write node(size); REP, RATE1 node(size)
         v = node[2 * size] if op <= _G0 else node[size]
         if op == _F:
@@ -368,21 +476,27 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan, undecided: np.ndarray | None = None
             x[lo:lo + size] ^= x[lo + size:lo + 2 * size]
         elif op == _REP:
             # each partial sum of h rows goes to node(h)
+            absorbed, terms, bound = certify.get(step, 0), None, 0.0
             while len(v) > 1:
+                if len(v) == absorbed:  # node(S)'s input: the absorbed sum's terms
+                    terms, bound = v, _sum_bound(v, absorbed.bit_length() - 1)
                 h = len(v) // 2
                 v = np.add(v[h:], v[:h], out=node[h])
             np.less(v, 0, out=x[lo:lo + size])
             if undecided is not None:
-                undecided |= ~(np.abs(v[0]) > 0)  # 0.0 or NaN
+                _flag(undecided, v[0], bound, terms)
         else:  # _RATE1
             np.less(v, 0, out=x[lo:lo + size])
-            if undecided is not None and math.isnan(v.max()):  # max propagates a NaN
-                undecided |= np.isnan(v).any(axis=0)
-            if (size > 1 or undecided is not None) and not v.all():
+            if undecided is None:
+                signed = size == 1 or v.all()
+            elif step in certify:  # the class sums of an interleaved repetition node
+                terms = node[certify[step]].reshape(-1, size, batch)
+                signed = _flag(undecided, v, _sum_bound(terms, len(terms).bit_length() - 1), terms)
+            else:
+                signed = _flag(undecided, v)
+            if size > 1 and not signed:
                 cols = np.flatnonzero((v == 0).any(axis=0))
-                if undecided is not None:
-                    undecided[cols] = True
-                if size > 1:
+                if len(cols):
                     h = size // 2
                     halves = ((_F, 0, h), (_RATE1, 0, h), (_G, 0, h), (_RATE1, h, h), (_XOR, 0, h))
                     x[lo:lo + size, cols] = _sc_batch(v[:, cols], halves)
@@ -431,14 +545,16 @@ def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult
 
 @np.errstate(over="ignore")  # an overflowing score is +-inf, as in correlation_score
 def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
-              undecided: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              undecided: np.ndarray | None = None,
+              sums: dict[tuple[int, int, int], int] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ensemble-decode a positions-major (N, B) block of LLRs under an
     (L, N) permutation array and its inverses (argsort along axis 1),
     running SC for every member.  Returns (codewords (N, B), chosen (B,),
     scores (L, B)); the winner of a frame is its lowest-index member of
     highest score (numpy's argmax, so a NaN score wins).  Given a (B,)
     boolean array `undecided`, also sets its entry for each frame in which
-    a decision of some member reads an exact 0.0 or a NaN (_sc_batch).
+    a decision of some member reads an exact 0.0 or a NaN, or a sum that
+    `sums` names and _sum_bound cannot certify (_sc_batch).
 
     Member l decodes frame b permuted by pi_l, llrs[perms[l], b], and its
     candidate is the decoder's output through inverses[l].  Candidates
@@ -452,7 +568,7 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
     batch = llrs.shape[1]
     columns = None if undecided is None else np.zeros(n_perm * batch, dtype=bool)
     # column l*B + b of the decoder input is frame b permuted by pi_l
-    x = _sc_batch(llrs[perms.T].reshape(n_pos, -1), plan, columns)
+    x = _sc_batch(llrs[perms.T].reshape(n_pos, -1), plan, columns, sums)
     if undecided is not None:
         undecided |= columns.reshape(n_perm, batch).any(axis=0)
     scores = np.empty((n_perm, batch))
@@ -477,47 +593,91 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
 
 
 def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
-                  decoded: np.ndarray) -> np.ndarray:
+                  decoded: np.ndarray, sums: dict[tuple[int, int, int], int]) -> np.ndarray:
     """The codewords (N, B) that _ae_block decodes from a positions-major
     (N, B) block of LLRs under an (L, N) ensemble and its inverses, from
-    one SC decode per right LTA coset of the members (see _coset_reps).
-    `decoded` marks the lowest-index member of each coset, and _ae_block
-    decodes those; with none marked, as for SC, the empty ensemble, or a
-    decreasing code whose every member is induced by an affine map with a
-    lower-triangular linear part, SC decodes the block itself, in place.
+    one SC decode per right H-coset of the members, H and `sums` being
+    _absorption(spec) of the plan's code (see _coset_reps).  `decoded`
+    marks the lowest-index member of each coset, and _ae_block decodes
+    those; with none marked, as for SC, the empty ensemble, or a
+    decreasing code whose every member is induced by an affine map in H,
+    SC decodes the block itself, in place.
 
     Proof.  Say member t is induced by T_t(x) = A_t x + b_t and shares the
-    coset of member r: A_r^-1 A_t is lower triangular, and the code is
-    decreasing.  Then sigma = pi_r^-1 o pi_t is induced by the lower-
-    triangular affine (LTA) map T_r^-1 o T_t, and t's input is r's
-    permuted by sigma.  Every f, g, G0 and repetition sum of t's decoding
-    is, under sigma, the same float operation on the same operands as one
-    of r's, up to operand order and a sign flip: f is min/max, which is
-    symmetric; g's two forms are exact negations; sums commute.  So t's
-    candidate is r's, the same array, and its score is the same float.
-    As r is the lowest index of its coset, the lowest-index member of
-    highest score among all L is a decoded one, and it is the one the
-    decoded members choose.  With no member marked, r is the identity, an
-    LTA map whose input is the block and whose candidate is SC's codeword:
-    every member's candidate is SC's, whichever of them wins.
+    coset of member r: h = T_r^-1 o T_t is in H, and the code is
+    decreasing.  t's input is r's permuted by h's permutation.  Write
+    h = l o G, where G is linear and block diagonal, a GL(s) on each
+    absorbed block x_a..x_c and 1 elsewhere, and l = h o G^-1 is lower-
+    triangular affine (LTA): the linear part A_r^-1 A_t of h is block
+    lower triangular with G's blocks on its diagonal and 1s off the
+    absorbed blocks, so A_r^-1 A_t G^-1 is lower triangular.  Let r' be
+    the member T_r o l, which no one decodes: r' is r after the LTA step
+    below, and t is r' after the G step.  Each step's exceptions are
+    conditions on the values a decision reads up to sign and order (an
+    exact 0.0 or NaN; a sum that an order of its additions could give
+    another sign; terms that do not share one sign), which the LTA step
+    keeps, so r's flags cover both steps.
 
-    One case breaks the argument: a decision that reads an LLR with no
-    sign, an exact 0.0 or a NaN (which only opposite infinities make),
-    gives bit 0 in both members, where the sign flip calls for
-    complementary bits.  The kernel flags the frames of such decisions in
-    the decoded members; a member makes one exactly where its coset's
-    decoded member does.  Each flagged frame is decoded again under every
-    member not decoded, in chunks of frames no wider than the first
-    decode's columns (or of one frame), and given the candidate of the
-    argmax of all L scores.  When no member is left to decode again, as
-    in SC, the kernel is asked for no flags."""
+    The LTA step.  Under an LTA map, every f, g, G0 and repetition sum of
+    one decoding is the same float operation on the same operands as one
+    of the other's, up to operand order and a sign flip: f is min/max,
+    which is symmetric; g's two forms are exact negations; sums commute.
+    So both give the same candidate, the same array, except where a
+    decision reads an LLR with no sign, an exact 0.0 or a NaN (which
+    only opposite infinities make): it gives bit 0 in both, where the
+    sign flip calls for complementary bits.
+
+    The G step, for one absorbed block x_a..x_c, whose nodes have size
+    S = 2^(c+1).  G permutes the positions of each node of size S alike,
+    keeping the 2^a classes of the low bits, and moves no higher bit.
+    f, g, G0 and XOR steps above node(S) pair rows that differ in a
+    higher bit, elementwise, and g reads the left child's codeword: if
+    each node of size S decodes to its permuted codeword, they commute
+    with G exactly.  Each node of size S is one of _absorbed's kinds:
+      - rate-0 and rate-1: all zeros, and the sign of each LLR.
+      - repetition: the sign of the sum of the node's S inputs, in a tree
+        log2(S) deep whose leaves G permutes.  Another order may round
+        the sum to the other sign; _sum_bound certifies it.
+      - interleaved repetition: G0 steps sum each class, in a tree
+        log2(S) - a deep, and a rate-1 step decides each class sum; the
+        same bound, per class.
+      - single parity check, alone or interleaved (per class, where the
+        sum of two f values at the bottom is a G0 step and a rate-1 step
+        decides it): min-sum SC is Wagner decoding (take the signs; if
+        their parity is odd, flip the least reliable bit), which is
+        symmetric, whenever no decision in the node reads 0.0 or NaN.
+        By induction over the node's halves: with f exact on magnitudes
+        and signs, the left half decodes the f values by Wagner, each g
+        of an unflipped pair adds two terms of one sign, and the flipped
+        pair's g is the difference of its two magnitudes, which decides
+        the flip for the smaller.  So a tie for the least reliable bit
+        under odd parity, or two zeros, makes some g or the bottom sum an
+        exact 0.0, and no decision reads one exactly when the input has
+        no NaN and either a unique least magnitude or no zero and even
+        parity, a condition every permutation keeps.  Ties therefore need
+        no flag of their own.  (Wagner is a proof device: no SPC step
+        enters the kernel.)
+    So t's candidate is r's, the same array, and its score is the same
+    float, unless r's decoding reads an LLR with no sign, or an absorbed
+    sum that _sum_bound cannot certify; _sc_batch flags those frames in
+    the decoded members.  As r is the lowest index of its coset, the
+    lowest-index member of highest score among all L is a decoded one,
+    and it is the one the decoded members choose.  With no member marked,
+    r is the identity, whose input is the block and whose candidate is
+    SC's codeword: every member's candidate is SC's, whichever wins.
+
+    Each flagged frame is decoded again under every member not decoded,
+    in chunks of frames no wider than the first decode's columns (or of
+    one frame), and given the candidate of the argmax of all L scores.
+    When no member is left to decode again, as in SC, the kernel is asked
+    for no flags."""
     batch = llrs.shape[1]
     k = int(decoded.sum())
     undecided = np.zeros(batch, dtype=bool) if k < len(decoded) else None
     if k:
-        x, _, scores = _ae_block(llrs, perms[decoded], inverses[decoded], plan, undecided)
+        x, _, scores = _ae_block(llrs, perms[decoded], inverses[decoded], plan, undecided, sums)
     else:
-        x, scores = _sc_batch(llrs, plan, undecided), np.empty((0, batch))
+        x, scores = _sc_batch(llrs, plan, undecided, sums), np.empty((0, batch))
     if undecided is None:  # every member is decoded, if any
         return x
     flagged = np.flatnonzero(undecided)
@@ -534,30 +694,41 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
     return x
 
 
+def _span_key(basis: list[int]) -> tuple[int, ...]:
+    """The reduced echelon form of a basis kept by gf2._reduce: one vector
+    per leading bit, none holding another's leading bit, ascending; equal
+    spans give equal keys."""
+    rows = list(basis)
+    for i, v in enumerate(rows):  # clear v's leading bit from the rows before it
+        for j in range(i):
+            rows[j] = min(rows[j], rows[j] ^ v)
+    return tuple(sorted(rows))
+
+
 def _coset_reps(perms: np.ndarray, spec: CodeSpec) -> np.ndarray:
     """The members _shared_block decodes, as an (L,) boolean mask: the
-    lowest-index member of each right LTA coset, read from the (L, N)
-    permutations alone.  A member whose permutation no affine map induces,
-    and every member when the code is not decreasing, is decoded.  No
-    member is marked when the code is decreasing and every member is
-    induced by an affine map whose linear part is lower triangular: the
+    lowest-index member of each right H-coset, H from _absorption(spec),
+    read from the (L, N) permutations alone.  A member whose permutation
+    no affine map induces, and every member when the code is not
+    decreasing, is decoded.  No member is marked when the code is
+    decreasing and every member is induced by an affine map in H: the
     identity's coset then holds them all, and SC decodes it.  The empty
     ensemble, plain SC, marks none.
 
     Position i holds the point ~i, so member l's point map is T_l(x) =
     ~pi_l(~x), with T_l(0) = b_l and column c of A_l T_l(e_c) ^ b_l.  The
     columns give all N images by doubling; a member is affine when they
-    match.  Lower triangular means column c has no bit below c.
+    match.  The linear part is in H when column c has no bit below the
+    first row of c's block of H's profile.
 
-    Key.  Affine members share a coset when A_t = A_r B with B lower
-    triangular.  Column c of A_r B is column c of A_r plus a combination
-    of A_r's later columns, so, as B is invertible, this holds exactly
-    when A_t and A_r have the same spans V_c = span(col_c, ..., col_(n-1))
-    for every c.  Each member is keyed by its columns reduced with
-    gf2._reduce from the last one: the reduced column c is the one element
-    of col_c + V_(c+1), which is V_c minus V_(c+1), that lacks the leading
-    bits of V_(c+1), so the key depends on the spans alone, and the spans
-    are the spans of the key's columns.  Cost O(L N + L n^2)."""
+    Key.  Affine members share a coset when A_t = A_r B with B in H's
+    linear part, block lower triangular.  Column c of A_r B is a
+    combination of A_r's columns from the start of c's block on, with an
+    invertible diagonal block, so this holds exactly when A_t and A_r have
+    the same spans V_a = span(col_a, ..., col_(n-1)) at every block start
+    a.  Each member is keyed by the reduced echelon form (_span_key) of
+    V_a at each block start, reducing its columns with gf2._reduce from
+    the last one.  Cost O(L N + L n^3)."""
     n_perm, n_pos = perms.shape
     if not (n_perm and spec.is_decreasing()):  # none to share
         return np.ones(n_perm, dtype=bool)
@@ -569,13 +740,18 @@ def _coset_reps(perms: np.ndarray, spec: CodeSpec) -> np.ndarray:
         images = np.hstack((images, images ^ cols[:, c:c + 1]))
     affine = (images == maps).all(axis=1)
     decoded = ~affine
-    if affine.all() and not (cols & (units - 1)).any():
+    starts = {a for a, _ in _blocks(_absorption(spec)[0])}
+    below = np.array([(1 << max(a for a in starts if a <= c)) - 1 for c in range(spec.n)])
+    if affine.all() and not (cols & below).any():
         return decoded
     first = {}
     for t in np.flatnonzero(affine).tolist():
-        basis: list[int] = []
-        key = tuple(_reduce(basis, col) for col in reversed(cols[t].tolist()))
-        decoded[t] = first.setdefault(key, t) == t
+        row, basis, key = cols[t].tolist(), [], []
+        for c in reversed(range(spec.n)):
+            _reduce(basis, row[c])
+            if c in starts:
+                key.append(_span_key(basis))
+        decoded[t] = first.setdefault(tuple(key), t) == t
     return decoded
 
 
@@ -674,6 +850,10 @@ class SimulationResult:
     decoder: str
     ensemble_size: int
     seed: int
+    # first-pass SC decodes a frame: 1 for SC and when every member shares
+    # the identity's coset, else the members _coset_reps marks (one per
+    # class); a diagnostic, not written to the CSV
+    decodes_per_frame: int = 1
 
     @property
     def bler(self) -> float:
@@ -702,10 +882,10 @@ _SIM_BATCH = 1024  # fixed so results never depend on the worker count
 # blocks of frames that take at most _BLOCK_COLUMNS decoder columns, a
 # column being one copy of one frame, and hold at most _BLOCK_LLRS LLRs,
 # 8 MB of float64, in the block's copies of its frames.  An ensemble
-# decodes k permuted copies, one per LTA coset it decodes, and keeps the
+# decodes k permuted copies, one per class it decodes, and keeps the
 # channel's block beside them: k columns and k + 1 copies a frame, so that
 # the channel block, permuted input and workspace stay within the cap.
-# With k = 0 (SC, the empty ensemble, or all-LTA members, as in AE-8 on
+# With k = 0 (SC, the empty ensemble, or members all in H, as in AE-8 on
 # PW(12,2048) at 256 frames a block), SC decodes the channel's block in
 # place: one column and one copy a frame.  Either way the flagged frames
 # decode again in chunks of at most the block's columns (_shared_block).
@@ -759,11 +939,11 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
 def _sim_batch(args) -> int:
     spec, channel, perms, inverses, decoded, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
-    plan = _plan(spec)
+    plan, sums = _plan(spec), _absorption(spec)[1]
     k = int(decoded.sum())  # with k = 0, SC decodes the channel's block in place
     errors = 0
     for sent, llrs in _frames(spec, channel, rng, count, max(k, 1), k + 1):
-        x = _shared_block(llrs, perms, inverses, plan, decoded)
+        x = _shared_block(llrs, perms, inverses, plan, decoded, sums)
         errors += int((x != sent).any(axis=0).sum())
     return errors
 
@@ -785,9 +965,13 @@ def simulate_bler(
     the sent one.  SC and automorphism-ensemble decoding return codewords
     only, so this equals an info-bit mismatch; an ensemble entry that is
     not an automorphism of the code can make the two counts differ.
+    ValueError unless num_frames and jobs are integers (not bools) of at
+    least 1.
     """
-    if num_frames < 1:
-        raise ValueError("need at least one frame")
+    for name, value in ("num_frames", num_frames), ("jobs", jobs):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    num_frames, jobs = int(num_frames), int(jobs)
     if decoder == "sc":
         if perms is not None:
             raise ValueError("the SC decoder takes no ensemble")
@@ -821,4 +1005,5 @@ def simulate_bler(
         decoder=decoder,
         ensemble_size=len(perm_arr) or 1,
         seed=seed,
+        decodes_per_frame=max(int(decoded.sum()), 1),
     )

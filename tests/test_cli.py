@@ -261,8 +261,10 @@ class TestSimulate:
         # tests/data/simulate_golden.csv holds each command's output, after
         # a "# argv" line, as written by commit 51882c5, before the pruned
         # f steps and the in-place channel; the next two by commit c31bee3,
-        # before the ensemble decoded each LTA coset once; the last by commit
-        # e66e40f, before an all-LTA ensemble decoded as one SC pass
+        # before the ensemble decoded each LTA coset once; the next by commit
+        # e66e40f, before an all-LTA ensemble decoded as one SC pass;
+        # the last three by commit d84e7c3, before the ensemble decoded once
+        # per class of LTA cosets that SC cannot tell apart
         golden = (Path(__file__).parent / "data" / "simulate_golden.csv").read_text()
         blocks = []
         for argv in GOLDEN_SIMULATE:
@@ -297,6 +299,14 @@ GOLDEN_SIMULATE = [
     # an erasure's exact 0.0 are decoded again under every member
     ["simulate", "--n", "10", "--K", "512", "--pw", "--decoder", "ae", "--L", "8", "--frames", "2048",
      "--epsilon", "0.35,0.4", "--seed", "3"],
+    # PW(6,32)'s AE-8 ensembles fall in 3 classes of right LTA cosets that
+    # SC cannot tell apart: on BEC, whose erasures flag frames, and at low
+    # SNR, where repetition sums in the absorbed nodes come close to 0
+    ["simulate", *PW6, "--decoder", "ae", "--L", "8", "--epsilon", "0.3,0.4", "--frames", "3000", "--seed", "10"],
+    ["simulate", *PW6, "--decoder", "ae", "--L", "8", "--snr", "0,1", "--frames", "3000", "--seed", "11"],
+    # RM(2,6), whose BLTA group is GL(6, 2) and whose H is LTA: 8 cosets
+    ["simulate", "--n", "6", "--mmin", "48", "--decoder", "ae", "--L", "8", "--snr", "2.0", "--frames", "2000",
+     "--seed", "12"],
 ]
 SIM = ["simulate", "--n", "3", "--K", "4", "--pw", "--snr", "1"]
 AWGN = ["simulate", "--n", "3", "--K", "4", "--pw", "--frames", "10"]

@@ -35,7 +35,7 @@ from polaraut.affine import block_profile, blta_membership
 from polaraut.decode import _F, _G0, CERTAIN_LLR, _ae_block, _plan, _sc_batch, correlation_score
 from polaraut.monomial import all_monomials, construct_bec
 
-from oracles import ae_oracle, awgn_llrs_oracle, bec_llrs_oracle, kron_power, sc_oracle
+from oracles import ae_oracle, awgn_llrs_oracle, bec_llrs_oracle, down_sets_oracle, kron_power, sc_oracle
 
 
 def noiseless_llrs(codeword):
@@ -630,15 +630,15 @@ def test_ae_matches_oracle(name, spec, perms):
                    for f in range(len(llrs)))
 
 
-def _coset_ensemble(spec, rng, bases=4):
+def _coset_ensemble(spec, rng, bases=4, right=None):
     """8 maps: `bases` draws from the code's BLTA group (LTA for a code
-    that is not decreasing), and others that are one of them times an LTA
-    map on the right, so that right LTA cosets hold two members or more,
-    in shuffled order."""
+    that is not decreasing), and others that are one of them times a map
+    of BLTA(right) on the right (by default LTA), so that right cosets of
+    that group hold two members or more, in shuffled order."""
     lta = (1,) * spec.n
     profile = block_profile(spec.monomials) if spec.is_decreasing() else lta
     maps = [sample_blta(profile, rng) for _ in range(bases)]
-    maps += [maps[i % bases].compose(sample_blta(lta, rng)) for i in range(8 - bases)]
+    maps += [maps[i % bases].compose(sample_blta(right or lta, rng)) for i in range(8 - bases)]
     rng.shuffle(maps)
     return maps
 
@@ -669,16 +669,21 @@ def _not_lta(n, rng):
             return t
 
 
-def _flagged(block, perms, plan, decoded):
+def _flagged(block, perms, spec, decoded):
     """The frames _shared_block decodes again: those in which a decision of
     a member `decoded` marks (of SC on the block, with none marked) reads
-    an exact 0.0 or a NaN; none when every member is decoded, as in the
-    empty ensemble."""
+    an exact 0.0 or a NaN, or an absorbed sum that the bound cannot
+    certify; none when every member is decoded, as in the empty
+    ensemble."""
     undecided = np.zeros(block.shape[1], dtype=bool)
     if not decoded.all():  # some member is left to decode again
         for pi in perms[decoded] if decoded.any() else [slice(None)]:
-            _sc_batch(block[pi], plan, undecided)
+            _sc_batch(block[pi], _plan(spec), undecided, _sums(spec))
     return np.flatnonzero(undecided)
+
+
+def _sums(spec):
+    return decode._absorption(spec)[1]
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -700,9 +705,9 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
     full = decode._ae_block
     calls = []
 
-    def counted(llrs, perms, inverses, plan, undecided=None):
+    def counted(llrs, perms, inverses, plan, undecided=None, sums=None):
         calls.append((len(perms), llrs))
-        return full(llrs, perms, inverses, plan, undecided)
+        return full(llrs, perms, inverses, plan, undecided, sums)
 
     monkeypatch.setattr(decode, "_ae_block", counted)
     rng = np.random.default_rng(700 + n)
@@ -737,8 +742,8 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
                     want = _sc_batch(block, _plan(spec))
                     ref = None if name == "near-max" else sc_oracle(llrs, _mask(spec))[0]
                 calls.clear()
-                got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
-                flagged = _flagged(block, perms, _plan(spec), decoded)
+                got = decode._shared_block(block, perms, inverses, _plan(spec), decoded, _sums(spec))
+                flagged = _flagged(block, perms, spec, decoded)
             case = (spec.code_id(), decoded.tolist(), name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), case
             assert ref is None or (got.T == ref).all(), case
@@ -767,9 +772,9 @@ def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
     full = decode._ae_block
     chunks = []
 
-    def counted(llrs, perms, inverses, plan, undecided=None):
+    def counted(llrs, perms, inverses, plan, undecided=None, sums=None):
         chunks.append(llrs)
-        return full(llrs, perms, inverses, plan, undecided)
+        return full(llrs, perms, inverses, plan, undecided, sums)
 
     monkeypatch.setattr(decode, "_ae_block", counted)
     rng = np.random.default_rng(900 + n)
@@ -788,9 +793,9 @@ def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
                 want = full(block, perms, inverses, _plan(spec))[0]
                 ref = ae_oracle(llrs, perms, _mask(spec))[0]
                 chunks.clear()
-                got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
+                got = decode._shared_block(block, perms, inverses, _plan(spec), decoded, _sums(spec))
                 sc = _sc_batch(block, _plan(spec))
-                flagged = _flagged(block, perms, _plan(spec), decoded)
+                flagged = _flagged(block, perms, spec, decoded)
             case = (k, name)
             assert (got == want).all() and (name == "near-max" or (got.T == ref).all()), case
             assert all(c.shape[1] <= len(llrs) // len(perms) for c in chunks), case
@@ -816,9 +821,9 @@ def test_noiseless_near_max_blocks_decode_once(monkeypatch, n):
     full = decode._ae_block
     calls = []
 
-    def counted(llrs, perms, inverses, plan, undecided=None):
+    def counted(llrs, perms, inverses, plan, undecided=None, sums=None):
         calls.append(len(perms))
-        return full(llrs, perms, inverses, plan, undecided)
+        return full(llrs, perms, inverses, plan, undecided, sums)
 
     monkeypatch.setattr(decode, "_ae_block", counted)
     rng = np.random.default_rng(1100 + n)
@@ -832,10 +837,10 @@ def test_noiseless_near_max_blocks_decode_once(monkeypatch, n):
         assert (not decoded.any()) == (perms is not several)
         assert not decoded.any() or 1 < decoded.sum() < len(perms)
         calls.clear()
-        got = decode._shared_block(block, perms, np.argsort(perms, axis=1), _plan(spec), decoded)
+        got = decode._shared_block(block, perms, np.argsort(perms, axis=1), _plan(spec), decoded, _sums(spec))
         assert (got == sent).all(), spec.code_id()
         assert calls == ([] if not decoded.any() else [decoded.sum()]), spec.code_id()
-        assert not len(_flagged(block, perms, _plan(spec), decoded)), spec.code_id()
+        assert not len(_flagged(block, perms, spec, decoded)), spec.code_id()
 
 
 @pytest.mark.parametrize("n, k, shared", [(6, 32, True), (10, 512, False)])
@@ -863,13 +868,13 @@ def test_flags_and_first_pass_only_where_a_member_needs_them(monkeypatch, n):
     events = []
     kernel, full = decode._sc_batch, decode._ae_block
 
-    def spy_kernel(llrs, plan, undecided=None):
+    def spy_kernel(llrs, plan, undecided=None, sums=None):
         events.append(("sc", undecided is not None))
-        return kernel(llrs, plan, undecided)
+        return kernel(llrs, plan, undecided, sums)
 
-    def spy_ensemble(llrs, perms, inverses, plan, undecided=None):
+    def spy_ensemble(llrs, perms, inverses, plan, undecided=None, sums=None):
         events.append(("ae", len(perms), undecided is not None))
-        return full(llrs, perms, inverses, plan, undecided)
+        return full(llrs, perms, inverses, plan, undecided, sums)
 
     rng = np.random.default_rng(1200 + n)
     r = random.Random(1200 + n)
@@ -883,7 +888,7 @@ def test_flags_and_first_pass_only_where_a_member_needs_them(monkeypatch, n):
         decoded = decode._coset_reps(perms, spec)
         k = int(decoded.sum())
         events.clear()
-        decode._shared_block(block, perms, np.argsort(perms, axis=1), _plan(spec), decoded)
+        decode._shared_block(block, perms, np.argsort(perms, axis=1), _plan(spec), decoded, _sums(spec))
         # the first call is the first pass: SC on the block, or _ae_block
         # on the marked members
         if name in ("empty", "lta"):
@@ -900,35 +905,159 @@ def test_flags_and_first_pass_only_where_a_member_needs_them(monkeypatch, n):
     assert events and all(e == ("sc", False) for e in events)
 
 
-def _first_of_coset(maps):
-    """Whether each map is the lowest-index one of its right LTA coset."""
-    lta = (1,) * maps[0].n
-    return [next(q for q, m in enumerate(maps) if blta_membership(m.inverse().compose(t), lta)) == i
+def _first_of_coset(maps, profile):
+    """Whether each map is the lowest-index one of its right coset of
+    BLTA(profile), by membership of A_r^-1 A_t over every pair."""
+    return [next(q for q, m in enumerate(maps) if blta_membership(m.inverse().compose(t), profile)) == i
             for i, t in enumerate(maps)]
 
 
-@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("n", range(3, 9))
 def test_coset_reps_match_blta_membership(n):
-    # the decoded members are the lowest-index member of each right LTA
-    # coset (A_r^-1 A_t lower triangular), on maps drawn from all of
-    # GL(n, 2); none marked, to decode as SC, exactly when every member is
-    # LTA
-    spec = construct_pw(n, 1 << (n - 1))
+    # the decoded members are the lowest-index member of each right
+    # H-coset (A_r^-1 A_t in BLTA of H's profile), on maps drawn from all
+    # of GL(n, 2), some of them times H or LTA maps on the right; none
+    # marked, to decode as SC, exactly when every member is in H.  The
+    # codes are PW, BEC and Reed-Muller codes; H is LTA for some and
+    # absorbs a block for others: GL(n) for RM(n-1, n), a single parity
+    # check code, and a block of PW(3,2), PW(4,8), PW(5,8), PW(6,32) and
+    # BEC(7,64)
+    big = 1 << n
+    codes = [construct_pw(n, big // 4), construct_pw(n, big // 2), construct_pw(n, 3 * big // 4),
+             construct_bec(n, big // 2, 0.5), CodeSpec(n, reed_muller_set(n, (n - 1) // 2)),
+             CodeSpec(n, reed_muller_set(n, n - 1))]
     r = random.Random(800 + n)
     lta, gl = (1,) * n, (n,)
-    for trial in range(150):
-        if trial % 3:
-            maps = [sample_blta(gl, r) for _ in range(3)]
-            maps += [maps[r.randrange(3)].compose(sample_blta(lta, r)) for _ in range(3)]
-            maps.append(sample_blta(gl, r))
-            r.shuffle(maps)
-        else:  # mostly LTA maps, often all of them
-            maps = [sample_blta(lta, r) if r.random() < 0.9 else _not_lta(n, r) for _ in range(1 + trial % 8)]
-        decoded = decode._coset_reps(np.array([induced_permutation(t) for t in maps], dtype=np.intp), spec)
-        if all(blta_membership(t, lta) for t in maps):
-            assert decoded.tolist() == [False] * len(maps)
-        else:
-            assert decoded.tolist() == _first_of_coset(maps)
+    profiles = set()
+    for spec in codes:
+        h = decode._absorption(spec)[0]
+        profiles.add(h)
+        for trial in range(30):
+            if trial % 3:
+                maps = [sample_blta(gl, r) for _ in range(3)]
+                maps += [maps[r.randrange(3)].compose(sample_blta(h if trial % 2 else lta, r)) for _ in range(3)]
+                maps.append(sample_blta(gl, r))
+                r.shuffle(maps)
+            else:  # mostly maps of H, often all of them
+                maps = [sample_blta(h, r) if r.random() < 0.9 else _not_lta(n, r) for _ in range(1 + trial % 8)]
+            decoded = decode._coset_reps(np.array([induced_permutation(t) for t in maps], dtype=np.intp), spec)
+            if all(blta_membership(t, h) for t in maps):
+                assert decoded.tolist() == [False] * len(maps), spec.code_id()
+            else:
+                assert decoded.tolist() == _first_of_coset(maps, h), spec.code_id()
+    assert lta in profiles and (n,) in profiles and len(profiles) == 2 + (n in (3, 4, 5, 6, 7))
+
+
+def test_absorbed_blocks_of_the_benchmark_codes():
+    # PW(6,32), profile (1, 2, 2, 1): the nodes of size 8 are 0, REP8,
+    # 00000011, 00111111, SPC8 and 1, so {x1, x2} is absorbed; {x3, x4} is
+    # not (its nodes of size 32 include others).  PW(12,2048) has BLTA =
+    # LTA, and so H = LTA
+    pw6, pw12 = construct_pw(6, 32), construct_pw(12, 2048)
+    assert block_profile(pw6.monomials) == (1, 2, 2, 1)
+    profile, sums = decode._absorption(pw6)
+    assert profile == (1, 2, 1, 1, 1)
+    nodes = {bytes(node) for node in _mask(pw6).reshape(-1, 8)}
+    assert nodes == {bytes(b) for b in ([0] * 8, [0] * 7 + [1], [0] * 6 + [1] * 2, [0] * 2 + [1] * 6,
+                                         [0] + [1] * 7, [1] * 8)}
+    # the repetition steps of size 8 or more and the rate-1 ends of the
+    # interleaved repetition nodes certify their sums over node(8)
+    plan = _plan(pw6)
+    assert set(sums) == (
+        {step for step in plan if step[0] == decode._REP and step[2] >= 8}
+        | {(decode._RATE1, lo + 6, 2) for lo in range(0, 64, 8) if bytes(_mask(pw6)[lo:lo + 8]) == bytes([0] * 6 + [1] * 2)})
+    assert set(sums.values()) == {8}
+    assert decode._absorption(pw12) == ((1,) * 12, {})
+
+
+def _class_blocks(spec, rng, frames=24):
+    """_shared_blocks, and two more: small-integer LLRs, whose min-sum ties
+    make members of one class disagree, and 256 frames of sums that
+    cancel, of terms so far apart in magnitude (+-2^53, at which the
+    float spacing is 2, and +-1, +-0.5, +-3) that the order of the
+    additions decides the rounding, and so the sign."""
+    ints = rng.integers(-3, 4, size=(frames, spec.N)).astype(np.float64)
+    big = 2.0 ** 53
+    cancel = rng.choice([big, -big, big, -big, 1.0, -1.0, 0.5, 3.0, -3.0], size=(256, spec.N))
+    return _shared_blocks(spec, rng) + [("ints", ints), ("cancel", cancel)]
+
+
+def _check_class_sharing(spec, rng, r, seen):
+    """On an ensemble whose right H-cosets hold members of several right
+    LTA cosets, _shared_block under _coset_reps' classes gives _ae_block's
+    codeword bytes on every block of _class_blocks; `seen` counts, per
+    block name, the frames in which some member's candidate (by SC on its
+    own input) differs from its class's, which must all be flagged, and
+    the frames flagged."""
+    h = decode._absorption(spec)[0]
+    maps = _coset_ensemble(spec, r, 3, h)
+    perms = np.array([induced_permutation(t) for t in maps], dtype=np.intp)
+    # the lowest-index member of each class, by brute force, or the
+    # identity (-1) when every member is in H
+    first = [next(q for q, m in enumerate(maps) if blta_membership(m.inverse().compose(t), h)) for t in maps]
+    if all(blta_membership(t, h) for t in maps):
+        first = [-1] * len(maps)
+    inverses = np.argsort(perms, axis=1)
+    decoded = decode._coset_reps(perms, spec)
+    plan = _plan(spec)
+    for name, llrs in _class_blocks(spec, rng):
+        block = np.ascontiguousarray(llrs.T)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = decode._ae_block(block, perms, inverses, plan)[0]
+            got = decode._shared_block(block, perms, inverses, plan, decoded, _sums(spec))
+            flagged = _flagged(block, perms, spec, decoded)
+            # each member's candidate, through its inverse permutation
+            cand = np.array([_sc_batch(np.ascontiguousarray(block[pi]), plan)[inv] for pi, inv in zip(perms, inverses)]
+                            + [_sc_batch(block, plan)])
+        case = (spec.code_id(), decoded.tolist(), name)
+        assert got.tobytes() == want.tobytes(), case
+        assert decoded.tolist() == [q == t for t, q in enumerate(first)], case
+        differs = (cand[:-1] != cand[first]).any(axis=1).any(axis=0)
+        # a member of a class decodes otherwise only in a flagged frame
+        assert not (differs & ~np.isin(np.arange(block.shape[1]), flagged)).any(), case
+        counts = seen.setdefault(name, [0, 0])
+        counts[0] += int(differs.sum())
+        counts[1] += len(flagged)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_class_shared_block_matches_full_ensemble(n):
+    # one SC decode per right H-coset gives the full ensemble's codeword
+    # bytes on AWGN, AWGN with exact zeros, small-integer LLRs, cancelling
+    # sums, BEC and near-max LLRs, for PW and BEC-constructed codes at
+    # three rates and Reed-Muller codes: RM(0, n) and RM(n-1, n), whose H
+    # is GL(n) (a repetition and a single parity check code), and
+    # RM((n-1)/2, n), whose H is LTA.  Members of one class do disagree,
+    # on ties, on cancelling sums and on near-max LLRs, but only in the
+    # frames the kernel flags
+    rng = np.random.default_rng(1300 + n)
+    r = random.Random(1300 + n)
+    big = 1 << n
+    codes = [code for k in (big // 4, big // 2, 3 * big // 4)
+             for code in (construct_pw(n, k), construct_bec(n, k, 0.5))]
+    codes += [CodeSpec(n, reed_muller_set(n, d)) for d in (0, (n - 1) // 2, n - 1)]
+    seen = {}
+    for spec in codes:
+        _check_class_sharing(spec, rng, r, seen)
+    for name in ("ints", "cancel", "near-max"):
+        assert seen[name][0] and seen[name][1] >= seen[name][0], (name, seen)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_class_shared_block_matches_full_ensemble_on_every_down_set(n):
+    # the same on every decreasing code at n <= 5 (3, 5, 10, 27 and 119
+    # down-sets), including the codes whose BLTA group is LTA, but the
+    # empty one, which decodes every frame to the zero word and has no
+    # AWGN noise sigma
+    rng = np.random.default_rng(1400 + n)
+    r = random.Random(1400 + n)
+    seen = {}
+    absorbing = 0
+    for ms in down_sets_oracle(n)[1:]:
+        spec = CodeSpec(n, ms)
+        absorbing += decode._absorption(spec)[0] != (1,) * n
+        _check_class_sharing(spec, rng, r, seen)
+    assert absorbing or n == 1
 
 
 def test_coset_reps_share_only_affine_members_of_decreasing_codes():
@@ -972,7 +1101,8 @@ def test_coset_reps_share_only_affine_members_of_decreasing_codes():
 def test_coset_reps_memory_is_per_member():
     # classifying 1500 members holds arrays of one row per member, not one
     # entry per pair of members: an (L, L, n + 1) index array alone is
-    # 126 MB at L = 1500.  PW(6,32)'s BLTA group has 9 right LTA cosets
+    # 126 MB at L = 1500.  PW(6,32)'s BLTA group has 9 right LTA cosets,
+    # which fall in 3 right H-cosets
     spec = construct_pw(6, 32)
     perms = np.array(_blta_perms(spec, 1500, 840), dtype=np.intp)
     spec.is_decreasing()  # cached, so its work is not traced
@@ -983,7 +1113,7 @@ def test_coset_reps_memory_is_per_member():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
-    assert decoded.sum() == 9
+    assert decoded.sum() == 3
 
 
 def test_lta_path_counts_equal_oracle(monkeypatch):
@@ -1267,13 +1397,13 @@ class TestSimulate:
     def test_column_cap_changes_no_count(self, monkeypatch, cap):
         # SC and AE-8 error counts and an SC invariance count are those of
         # blocks cut by the LLR cap alone, and no decoder input is wider
-        # than the cap: at cap 8, AE-8 on PW(6,32), whose 8 members fall in
-        # 6 LTA cosets, decodes one frame (6 columns) a block, and on
-        # PW(8,128), 3 cosets, two frames; the invariance check, which
-        # decodes each frame beside its permuted copy (2 members), four
-        # frames a block.  Each AE block also holds the channel's LLRs, so
-        # the LLR cap counts one copy more than the columns
-        specs = [construct_pw(6, 32), construct_pw(8, 128)]
+        # than the cap: at cap 8, AE-8 on RM(2,6), whose 8 members fall in
+        # 8 cosets, decodes one frame (8 columns) a block, and on PW(6,32)
+        # and PW(8,128), 3 classes each, two frames; the invariance check,
+        # which decodes each frame beside its permuted copy (2 members),
+        # four frames a block.  Each AE block also holds the channel's
+        # LLRs, so the LLR cap counts one copy more than the columns
+        specs = [construct_pw(6, 32), construct_pw(8, 128), CodeSpec(6, reed_muller_set(6, 2))]
         runs = [
             (spec, chan, dec, _blta_perms(spec, 8, 29) if dec == "ae" else None)
             for spec in specs
@@ -1281,7 +1411,7 @@ class TestSimulate:
             for dec in ("sc", "ae")
         ]
         cosets = [int(decode._coset_reps(np.array(p), spec).sum()) for spec, _, dec, p in runs if dec == "ae"]
-        assert sorted(set(cosets)) == [3, 6]
+        assert sorted(set(cosets)) == [3, 8]
         t = sample_blta(block_profile(specs[0].monomials), 5)
 
         def counts():
@@ -1335,14 +1465,15 @@ class TestSimulate:
         for tile, rows, tile_id in ((decode._TILE, 256, ""), (9 * 64, 9, "-tile9"), (3 * 64, 8, "-tile8"))
     ])
     def test_block_draws_join_to_one_draw(self, monkeypatch, pw6, decoder, channel, tile, rows):
-        # the decode blocks are 70 frames (SC) or 14 (AE-4, whose 4 members
-        # are 4 LTA cosets: the block holds the channel's LLRs and 4 copies),
+        # the decode blocks are 70 frames (SC) or 17 (AE-4, whose 4 members
+        # are 3 classes: the block holds the channel's LLRs and 3 copies),
         # neither of which divides the 1000-frame batch, and the channel's
         # llrs is called once per slab of each block; joined in order, the
         # slabs are the oracle's one draw over the batch, and the generator
         # ends where that draw leaves it
         perms = np.array(_blta_perms(pw6, 4, 23) if decoder == "ae" else np.empty((0, pw6.N)), dtype=np.intp)
         decoded = decode._coset_reps(perms, pw6)
+        assert decoded.sum() == (3 if decoder == "ae" else 0)
         monkeypatch.setattr(decode, "_BLOCK_LLRS", 70 * pw6.N)
         monkeypatch.setattr(decode, "_TILE", tile)
         calls = []
@@ -1356,7 +1487,7 @@ class TestSimulate:
         inverses = np.argsort(perms, axis=1)
         decode._sim_batch((pw6, Recorder(), perms, inverses, decoded, 31, 2, 1000))
         sent, ref, rng = self._one_draw(pw6, channel, 31, 2, 1000)
-        step = 70 if decoder == "sc" else 14
+        step = 70 if decoder == "sc" else 17
         blocks = [min(step, 1000 - start) for start in range(0, 1000, step)]
         assert [len(x) for x, _, _ in calls] == [min(rows, b - lo) for b in blocks for lo in range(0, b, rows)]
         assert (np.vstack([x for x, _, _ in calls]) == sent).all()
@@ -1404,9 +1535,9 @@ class TestSimulate:
         assert peak < bound
 
     def test_ensemble_batch_memory_bounded_by_its_columns(self, monkeypatch):
-        # one 1024-frame AE-8 batch at N = 64, whose 8 members fall in 6
-        # LTA cosets, decodes 3 blocks of 341 frames, 2046 columns each,
-        # and a last one; it may hold the kernel's workspace and the
+        # one 1024-frame AE-8 batch at N = 64, whose 8 members fall in 3
+        # classes, decodes 1 block of 682 frames, 2046 columns, and a
+        # last one; it may hold the kernel's workspace and the
         # permuted input, (N - 1) and N float64 LLRs a column, the block's
         # decoded candidates (N uint8 a column) and 1 MB of slack for the
         # LLR block, the batch's codewords and info bits, the member scores
@@ -1416,7 +1547,7 @@ class TestSimulate:
         perms = np.array(_blta_perms(spec, 8, 29), dtype=np.intp)
         inverses = np.argsort(perms, axis=1)
         decoded = decode._coset_reps(perms, spec)
-        assert decoded.sum() == 6
+        assert decoded.sum() == 3
         columns = min(decode._BLOCK_LLRS // spec.N, decode._BLOCK_COLUMNS)
         assert columns < len(perms) * 1024
         bound = 8 * (2 * spec.N - 1) * columns + spec.N * columns + (1 << 20)
@@ -1489,6 +1620,40 @@ class TestSimulate:
         # an ensemble beside the SC decoder would be ignored
         with pytest.raises(ValueError, match="SC decoder takes no ensemble"):
             simulate_bler(spec, BecChannel(0.1), 10, seed=0, decoder="sc", perms=[[0, 1, 2, 3, 4, 5, 6, 7]])
+
+    @pytest.mark.parametrize("kwargs", [
+        {"num_frames": 10.5}, {"num_frames": 10.0}, {"num_frames": True}, {"num_frames": "10"},
+        {"num_frames": -3}, {"jobs": 0}, {"jobs": -3}, {"jobs": 1.5}, {"jobs": True},
+    ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+    def test_counts_must_be_integers_of_at_least_one(self, kwargs):
+        # a float frame count once died with a TypeError inside range, a
+        # bool one ran and reported frames=True, and jobs below 1 ran
+        # serially without a word
+        args = {"num_frames": 10, "jobs": 1, **kwargs}
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
+            simulate_bler(construct_pw(3, 4), BecChannel(0.1), seed=0, **args)
+
+    def test_counts_accept_numpy_integers(self):
+        res = simulate_bler(construct_pw(3, 4), BecChannel(0.1), np.int64(10), seed=0, jobs=np.int32(1))
+        assert res.frames == 10 and type(res.bler) is float
+
+    def test_decodes_per_frame(self):
+        # the first-pass SC decodes a frame: one for SC and an all-LTA
+        # ensemble, which SC decodes in place, else one per class: PW(6,32)'s
+        # ensemble of 6 right LTA cosets falls in 3 right H-cosets.  It is
+        # no CSV column: the golden bytes of test_cli pin every column
+        pw6 = construct_pw(6, 32)
+        rng = random.Random(29)  # the ensemble of _blta_perms(pw6, 8, 29)
+        maps = [sample_blta(block_profile(pw6.monomials), rng) for _ in range(8)]
+        lta = {tuple(blta_membership(m.inverse().compose(t), (1,) * 6) for m in maps) for t in maps}
+        assert len(lta) == 6
+        perms = [induced_permutation(t) for t in maps]
+        chan = AwgnBpskChannel(3.5)
+        assert simulate_bler(pw6, chan, 100, seed=1).decodes_per_frame == 1
+        assert simulate_bler(pw6, chan, 100, seed=1, decoder="ae", perms=_lta_perms(pw6, 8, random.Random(2))).decodes_per_frame == 1
+        res = simulate_bler(pw6, chan, 100, seed=1, decoder="ae", perms=perms)
+        assert res.decodes_per_frame == 3 and res.ensemble_size == 8
 
     @pytest.mark.parametrize("db, rate", [
         (float("nan"), 0.5), (float("inf"), 0.5), (float("-inf"), 0.5),
