@@ -17,7 +17,7 @@ import numbers
 import random
 import warnings
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -277,38 +277,60 @@ def _form_lut(n: int) -> np.ndarray:
     return lut
 
 
-def _aut_level(rows: np.ndarray, ms: MonomialSet, masks: Sequence[int]) -> np.ndarray:
-    """Which rows may follow each prefix: entry (p, v) of the (P, 2^n)
-    bool result is set iff, with row v appended to the k rows of prefix
-    p, every monomial in masks keeps its image inside ms.  Each monomial
-    must have x_k as its top variable.
+def _level_words(rows: np.ndarray, ms: MonomialSet, masks: Sequence[int]) -> Iterator[np.ndarray]:
+    """The (n, P) words of each monomial f in masks, in order.  With k
+    the number of rows of each prefix, A its matrix and f = x_k g, row j
+    of f's words, S_j, is the part outside ms of the image of (g o A) x_j.
+    Each monomial must have x_k as its top variable.
 
-    Write f = x_k g.  Then f o A = (g o A) (v . x), and with c the ANF of
-    g o A packed by row index, the image of (g o A) x_j is the word S_j =
-    (c ^ (c >> 2^j)) & _pat_lo(n, j).  So the image of f is the XOR of
-    S_j over the bits j of v: linear in v, and all 2^n rows come from n
-    words by doubling.  v = 0 and the rows in a prefix's span are not
-    excluded here."""
+    Once row v is appended, f o A = (g o A) (v . x), so the part of f's
+    image outside ms is the XOR of S_j[p] over the bits j of v.  With c
+    the ANF of g o A packed by row index, S_j = (c ^ (c >> 2^j)) &
+    _pat_lo(n, j), cut to the non-members."""
     n = ms.n
     lut = _form_lut(n)
     tabs = [lut[col] for col in rows.T]
     not_m = ~_by_row(ms)
     shifts = np.array([1 << j for j in range(n)], dtype=lut.dtype)[:, None]
     outside = np.array([_pat_lo(n, j) & not_m for j in range(n)], dtype=lut.dtype)[:, None]
-    # row v of image is the part of f's image outside ms, v-major so
-    # that each doubling step writes one contiguous block
-    image = np.empty((1 << n, len(rows)), dtype=lut.dtype)
-    image[0] = 0  # the doubling never writes row 0
-    alive = np.ones(image.shape, dtype=bool)
     top = 1 << rows.shape[1]
     for mask in masks:
         c = _support(tabs, mask ^ top, n)
-        s = (c ^ (c >> shifts)) & outside
+        yield (c ^ (c >> shifts)) & outside
+
+
+def _aut_level(rows: np.ndarray, ms: MonomialSet, masks: Sequence[int]) -> np.ndarray:
+    """Which rows may follow each prefix: entry (p, v) of the (P, 2^n)
+    bool result is set iff, with row v appended to the k rows of prefix
+    p, every monomial in masks keeps its image inside ms.  Each monomial
+    must have x_k as its top variable.
+
+    The image of each monomial is linear in v (`_level_words`), so all
+    2^n rows come from its n words by doubling.  v = 0 and the rows in a
+    prefix's span are not excluded here."""
+    n = ms.n
+    # row v of image is the part of f's image outside ms, v-major so
+    # that each doubling step writes one contiguous block
+    image = np.empty((1 << n, len(rows)), dtype=_form_lut(n).dtype)
+    image[0] = 0  # the doubling never writes row 0
+    alive = np.ones(image.shape, dtype=bool)
+    for s in _level_words(rows, ms, masks):
         for j in range(n):
             w = 1 << j
             np.bitwise_xor(image[:w], s[j], out=image[w:2 * w])
         alive &= image == 0
     return alive.T
+
+
+def _aut_every_row(rows: np.ndarray, ms: MonomialSet, masks: Sequence[int]) -> np.ndarray:
+    """(P,) bools: whether every row v may follow prefix p, that is,
+    whether `_aut_level` sets all of row p.  The image is linear in v
+    with the words S_j of `_level_words` as the images of the unit
+    vectors, so this holds iff every word of every monomial is zero."""
+    alive = np.ones(len(rows), dtype=bool)
+    for s in _level_words(rows, ms, masks):
+        alive &= ~s.any(axis=0)
+    return alive
 
 
 # ---------------------------------------------------------------------------

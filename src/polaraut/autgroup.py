@@ -33,11 +33,16 @@ The sweep builds matrices one row at a time and prunes as it goes:
 * One counted row.  The rows of the last block are never constrained by
   BLTA, since their block ends at column n - 1.  The sweep stops building
   at the counted row: the first row from which on no row meets a test or
-  a BLTA constraint, or row n - 1 if that row has a test.  Its survivors
-  are counted one chunk of prefixes at a time (`gf2._walk` holds no level
-  whole), and each stands for every completion of the free rows after it,
-  which all survive and share its BLTA verdict.  The first counterexample
-  is the first survivor outside BLTA, completed by the least free rows.
+  a BLTA constraint, or row n - 1 if that row has a test.  Its prefixes
+  are counted one chunk at a time (`gf2._walk` holds no level whole),
+  and none of their continuations is built.  Every row in a prefix's
+  span passes the next row's test (the lemma in `_sweep`), so a prefix
+  keeps all of the rows outside its span or none: all when the counted
+  row has no test, and on row n - 1 when every word of its test is zero.
+  Each counted prefix stands for every completion of the rows from the
+  counted row on, which all survive and share its BLTA verdict.  The
+  first counterexample is the first counted prefix outside BLTA,
+  completed by the least free rows.
 * Dual side.  The sweep walks ms or its dual D = {(2^n - 1) ^ m : m not
   in ms}, whichever `_cheaper_side` picks, and both give the same count
   and the same first counterexample:
@@ -74,6 +79,7 @@ import numpy as np
 from .gf2 import BitMatrix, _check_enum_n, _gl_extend, _outside_span, _walk
 from .affine import (
     AffineMap,
+    _aut_every_row,
     _aut_level,
     _blta_allowed,
     _by_row,
@@ -142,11 +148,32 @@ def _blta_alive(rows: np.ndarray, profile: Sequence[int]) -> np.ndarray:
 def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...] | None]:
     """Automorphism count of ms over GL(n,2), and its first automorphism
     outside BLTA(profile) in the lexicographic order of `enumerate_gl`.
+    ms must be decreasing.
 
     `gf2._walk`, the walk behind `enumerate_gl`, runs up to the counted
-    row with each row's test (`affine._aut_level`), and its chunks of
-    that row are counted, times the completions of the rows after it, in
-    table order.  See the module docstring for the pruning.
+    row d with each row's test (`affine._aut_level`), and each prefix of
+    row d that it yields counts every continuation of its rows d..n-1 or
+    none of them, in table order.  See the module docstring for the
+    pruning.
+
+    Lemma: every row v in the span of a prefix that passed the tests of
+    rows 0..k-1 passes the test of row k.  Write f = x_k g for a member
+    tested on row k, r_i for the prefix's rows and v = sum a_i r_i.  The
+    image of f is (g o A) (v . x) = sum a_i (g o A) (r_i . x) = sum a_i
+    (g x_i) o A.  g x_i is g when x_i divides g, else f with x_k moved
+    down to x_i; either way g x_i <= f, so it is a member of ms, and its
+    top variable is below k: its image was tested on its own row, which
+    the prefix passed, or the degree skip shows that it cannot leave ms.
+    So every term, and their sum, lies in ms.
+
+    The rows that pass a test form a subspace (module docstring), which
+    holds the prefix's span, of dimension d, by the lemma.  Row d has a
+    test only when d = n - 1 (a test on any row below n - 1 puts the
+    counted row after it), and then the subspace is either the span,
+    and no continuation passes, or every vector, when all of the test's
+    words are zero (`affine._aut_every_row`), and the 2^(n-1) vectors
+    outside the span pass.  A row d with no test passes all 2^n - 2^d of
+    them, and the rows after it are free.
     """
     n = ms.n
     _check_enum_n(n)
@@ -157,25 +184,27 @@ def _sweep(ms: MonomialSet, profile: Sequence[int]) -> tuple[int, tuple[int, ...
     last = max((k for k in range(n) if levels[k]), default=-1)
     # the counted row: rows after it meet neither a test nor a BLTA constraint
     depth = min(max(last + 1, n - profile[-1]), n - 1)
-    tail = math.prod((1 << n) - (1 << k) for k in range(depth + 1, n))
+    # the continuations of rows depth..n-1 that a counted prefix stands for
+    per = math.prod((1 << n) - (1 << k) for k in range(depth, n))
 
     def test(rows: np.ndarray, k: int) -> np.ndarray | None:
         return _aut_level(rows, ms, levels[k]) if levels[k] else None
 
     count = 0
     first = None
-    for rows, keep in _walk(n, depth, test):
-        count += int(np.count_nonzero(keep)) * tail
-        if first is None and (outside := ~_blta_alive(rows, profile)).any():
-            p, _ = np.nonzero(keep & outside[:, None])
-            if len(p):
-                # the first hit on its prefix, then the least free rows:
-                # each step extends the first row of the step before
-                r, pick = rows[p[:1]], keep[p[:1]]
-                for _ in range(depth, n):
-                    r = _gl_extend(r, pick)
-                    pick = _outside_span(r[:1], n)
-                first = tuple(r[0].tolist())
+    for rows in _walk(n, depth, test):
+        if levels[depth]:
+            counted = _aut_every_row(rows, ms, levels[depth])
+        else:
+            counted = np.ones(len(rows), dtype=bool)
+        count += int(np.count_nonzero(counted)) * per
+        if first is None and len(hit := np.flatnonzero(counted & ~_blta_alive(rows, profile))):
+            # the first counted prefix outside BLTA, completed by the least
+            # row outside the span at each step
+            r = rows[hit[:1]]
+            for _ in range(depth, n):
+                r = _gl_extend(r, _outside_span(r, n))[:1]
+            first = tuple(r[0].tolist())
     return count, first
 
 

@@ -14,9 +14,11 @@ row-major, and `_gl_extend` appends the rows a mask selects: `np.nonzero`
 lists them prefix-major, vector-ascending, which keeps every level in
 lexicographic order.  The walk goes depth first, `_CHUNK` prefixes of a
 level at a time, so it never holds a whole level, let alone the group.
-`enumerate_gl` completes the last row of each chunk; the sweep ANDs in
-its automorphism test, so only survivors are built, and counts its
-counted row, which is not always the last.
+The walk yields the chunks of its last row's prefixes: `enumerate_gl`
+completes each with the vectors outside its span; the sweep ANDs its
+automorphism test into every row before, so only survivors are built,
+and counts its counted row, which is not always the last, without
+building it.
 """
 
 from __future__ import annotations
@@ -403,8 +405,8 @@ def enumerate_gl(n: int) -> Iterator[BitMatrix]:
     _check_enum_n(n)
     # every walk row is a nonzero n-bit mask, so nothing needs checking
     make = BitMatrix._unchecked
-    for rows, outside in _walk(n, n - 1):
-        for masks in _gl_extend(rows, outside).tolist():
+    for rows in _walk(n, n - 1):
+        for masks in _gl_extend(rows, _outside_span(rows, n)).tolist():
             yield make(tuple(masks), n)
 
 
@@ -432,24 +434,24 @@ def _gl_extend(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return grown
 
 
-def _walk(n: int, depth: int, test=lambda rows, k: None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(prefix rows (P, depth), continuation mask (P, 2^n)) for each chunk
-    of at most `_CHUNK` prefixes of row `depth`, depth first, in table
-    order.  A mask that `test(rows, k)` returns for a chunk of k-row
-    prefixes is ANDed into their continuations, so the prefixes it drops
-    are never built."""
-    def level(rows: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _walk(n: int, depth: int, test=lambda rows, k: None) -> Iterator[np.ndarray]:
+    """The (P, depth) prefix rows of row `depth`, in chunks of at most
+    `_CHUNK` prefixes, depth first, in table order.  A mask that
+    `test(rows, k)` returns for a chunk of k-row prefixes, k < depth, is
+    ANDed into their continuations, so the prefixes it drops are never
+    built; row `depth` itself is left to the caller."""
+    def level(rows: np.ndarray, k: int) -> Iterator[np.ndarray]:
         for lo in range(0, len(rows), _CHUNK):
             chunk = rows[lo:lo + _CHUNK]
+            if k == depth:
+                yield chunk
+                continue
             keep = _outside_span(chunk, n)
             if (passed := test(chunk, k)) is not None:
                 keep &= passed
-            if k == depth:
-                yield chunk, keep
-            else:
-                grown = _gl_extend(chunk, keep)
-                del keep, passed  # neither is held while the rows below are walked
-                yield from level(grown, k + 1)
+            grown = _gl_extend(chunk, keep)
+            del keep, passed  # neither is held while the rows below are walked
+            yield from level(grown, k + 1)
     return level(np.zeros((1, 0), dtype=np.uint8), 0)
 
 

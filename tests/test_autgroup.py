@@ -28,7 +28,14 @@ from polaraut import (
     verify_blta_completeness,
 )
 from polaraut import autgroup, gf2
-from polaraut.affine import _aut_level, _form_lut, _members_to_test, _preserves, _support
+from polaraut.affine import (
+    _aut_every_row,
+    _aut_level,
+    _form_lut,
+    _members_to_test,
+    _preserves,
+    _support,
+)
 from polaraut.autgroup import (
     FalsificationError,
     _blta_alive,
@@ -264,6 +271,44 @@ class TestLevelSweep:
                 passing, failing = passing + ok, failing + bad
         assert passing > 0 and failing > 0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_span_passes_every_row_test(self, monkeypatch, n):
+        # the lemma behind the counted row (`_sweep`'s docstring): on every
+        # prefix the sweep walks, every row in the prefix's span passes the
+        # test of the next row, so at row n - 1 a prefix keeps every
+        # continuation or none, and the zero test says which
+        zero_tests = []  # per prefix at row n - 1 with a test: the verdict
+
+        def check(rows, ms, levels):
+            k = rows.shape[1]
+            level = _aut_level(rows, ms, levels[k])
+            outside = _outside_span(rows, n)
+            assert level[~outside].all(), (sorted(ms.masks), k)
+            if k == n - 1 and levels[k]:
+                got = _aut_every_row(rows, ms, levels[k])
+                assert np.array_equal(got, (level | ~outside).all(axis=1)), sorted(ms.masks)
+                zero_tests.extend(got.tolist())
+
+        def walk_spy(ms, levels):
+            def walk(n, depth, test):
+                def checked_test(rows, k):
+                    check(rows, ms, levels)
+                    return test(rows, k)
+                for rows in gf2._walk(n, depth, checked_test):
+                    check(rows, ms, levels)
+                    yield rows
+            return walk
+
+        for ms in down_sets_oracle(n):
+            levels = [[] for _ in range(n)]
+            for f in _members_to_test(ms):
+                levels[f.bit_length() - 1].append(f)
+            monkeypatch.setattr(autgroup, "_walk", walk_spy(ms, levels))
+            for profile in {block_profile(ms), (1,) * n}:
+                _sweep(ms, profile)
+        if n > 2:
+            assert True in zero_tests and False in zero_tests
+
     def test_matches_oracle_under_forced_profiles(self):
         rng = random.Random(8)
         codes = [ms for n in (1, 2, 3) for ms in all_decreasing_sets(n)]
@@ -285,13 +330,17 @@ class TestLevelSweep:
         def walk_spy(n, depth, test):
             state["call"] = call = {"n": n, "depth": depth, "chunks": 0, "tested": [], "hit": None}
             calls.append(call)
-            for rows, keep in gf2._walk(n, depth, test):
+            for rows in gf2._walk(n, depth, test):
                 call["chunks"] += 1
-                yield rows, keep
+                yield rows
 
         def level_spy(rows, ms, masks):
             state["call"]["tested"].append(rows.shape[1])
             return _aut_level(rows, ms, masks)
+
+        def every_row_spy(rows, ms, masks):  # the counted row's zero test
+            state["call"]["tested"].append(rows.shape[1])
+            return _aut_every_row(rows, ms, masks)
 
         def extend_spy(rows, keep):  # the sweep extends rows only to complete its hit
             if state["call"]["hit"] is None:
@@ -300,6 +349,7 @@ class TestLevelSweep:
 
         monkeypatch.setattr(autgroup, "_walk", walk_spy)
         monkeypatch.setattr(autgroup, "_aut_level", level_spy)
+        monkeypatch.setattr(autgroup, "_aut_every_row", every_row_spy)
         monkeypatch.setattr(autgroup, "_gl_extend", extend_spy)
         codes = all_decreasing_sets(3) + [reed_muller_set(4, r) for r in range(5)]
         codes += [construct_pw(4, k).monomials for k in (4, 8, 9, 10, 12, 13, 14)]

@@ -333,9 +333,9 @@ class TestEnumerateGl:
 
 
 def _walk_table(n):
-    """GL(n,2) from the walk itself: the last row of each of its chunks,
-    concatenated."""
-    return np.concatenate([_gl_extend(rows, outside) for rows, outside in _walk(n, n - 1)])
+    """GL(n,2) from the walk itself: each of its chunks completed by the
+    vectors outside their spans, concatenated."""
+    return np.concatenate([_gl_extend(rows, _outside_span(rows, n)) for rows in _walk(n, n - 1)])
 
 
 def _all_invertible(table):
@@ -429,10 +429,10 @@ class TestOutsideSpan:
         counts = []
         for depth in (0, 1, 2):
             chunks = list(_walk(3, depth))
-            for part, outside in chunks:
+            for part in chunks:
                 assert len(part) <= 5
-                assert np.array_equal(outside, outside_span_oracle(part, 3)), depth
-            assert np.array_equal(np.concatenate([part for part, _ in chunks]), rows)
+                assert np.array_equal(_outside_span(part, 3), outside_span_oracle(part, 3)), depth
+            assert np.array_equal(np.concatenate(chunks), rows)
             counts.append(len(chunks))
             rows = _gl_extend(rows, _outside_span(rows, 3))
         assert counts[0] == 1 and counts[1] == 2 and counts[2] > 8
