@@ -24,12 +24,14 @@ of the code's BLTA profile whose nodes min-sum SC decodes symmetrically
 again under the other members only the frames in which that argument
 fails: those in which the SC kernel saw a decision read an LLR with no
 sign, an exact 0.0 or a NaN, or an absorbed sum whose sign another order
-of its additions could change.  Plain SC is the empty ensemble; with no
-coset but the identity's, SC decodes the channel's block in place.  The
-decoders work on batches; the public single-frame entry points wrap a
-batch of one, and the public channel and encoding helpers keep
-frames-major (..., N) arrays.  The encoding helpers take only entries
-equal to 0 or 1.
+of its additions could change.  Each step of the decoding plan names
+the sum its decision certifies: the size of the node whose input it
+sums inside an absorbed block, or 0 (_plan).  Plain SC is the empty
+ensemble; with no coset but the identity's, SC decodes the channel's
+block in place.  The decoders work on batches; the public single-frame
+entry points wrap a batch of one, and the public channel and encoding
+helpers keep frames-major (..., N) arrays.  The encoding helpers take
+only entries equal to 0 or 1.
 """
 
 from __future__ import annotations
@@ -244,15 +246,35 @@ def is_codeword(x: np.ndarray, spec: CodeSpec) -> bool:
 # is ML, which is not SC.
 
 _F, _G, _G0, _XOR, _REP, _RATE1 = range(6)
-_Plan = tuple[tuple[int, int, int], ...]
+_Plan = tuple[tuple[int, int, int, int], ...]
 
 
 @functools.lru_cache(maxsize=32)
 def _plan(spec: CodeSpec) -> _Plan:
-    """Steps (op, lo, size) over the pruned tree of the code's information
-    mask, in decoding order.  Rate-0 nodes have none: the codeword starts
-    at 0."""
+    """Steps (op, lo, size, cert) over the pruned tree of the code's
+    information mask, in decoding order.  Rate-0 nodes have none: the
+    codeword starts at 0.  cert is the size S of the node whose input a
+    repetition or rate-1 decision sums inside an absorbed block, whose
+    sign _sc_batch certifies when it flags frames, and 0 for every other
+    step.
+
+    An absorbed block x_a..x_c of _absorption(spec) has nodes of size
+    S = 2^(c+1) and 2^a classes of the low bits.  A repetition step of
+    size S or more gets the largest such S, and the rate-1 step that ends
+    an interleaved repetition node, the node's last 2^a positions
+    (size = 2^a > 1 and lo % S = S - 2^a), gets S.  Those are the sums
+    whose additions a G step of _shared_block reorders.  A repetition step
+    first adds, down to node(S), rows that differ in a higher bit,
+    elementwise, which G permutes alike, and then sums node(S)'s S rows
+    in a tree log2(S) deep whose leaves G permutes.  An interleaved
+    repetition node sums each class of node(S)'s input in G0 steps, a
+    tree log2(S) - a deep, and the rate-1 step decides each class sum.
+    G of a smaller absorbed block permutes node(S)'s rows too, so the
+    largest S covers every block.  _shared_block's G step shows that the
+    other kinds of _absorbed need no certificate."""
     mask = _info_mask(spec).tobytes()
+    # (S, 2^a) of each absorbed block x_a..x_c, S = 2^(c+1), S ascending
+    absorbed = [(2 << (a + s - 1), 1 << a) for a, s in _blocks(_absorption(spec)) if s > 1]
     plan = []
 
     def walk(lo: int, size: int) -> None:
@@ -260,19 +282,20 @@ def _plan(spec: CodeSpec) -> _Plan:
         if not any(node):
             return
         if all(node):
-            plan.append((_RATE1, lo, size))
+            cert = next((S for S, low in absorbed if size == low > 1 and lo % S == S - low), 0)
+            plan.append((_RATE1, lo, size, cert))
         elif not any(node[:-1]):
-            plan.append((_REP, lo, size))
+            plan.append((_REP, lo, size, max((S for S, _ in absorbed if S <= size), default=0)))
         else:
             h = size // 2
             if any(node[:h]):
-                plan.append((_F, lo, h))
+                plan.append((_F, lo, h, 0))
                 walk(lo, h)
-                plan.append((_G, lo, h))
+                plan.append((_G, lo, h, 0))
             else:
-                plan.append((_G0, lo, h))
+                plan.append((_G0, lo, h, 0))
             walk(lo + h, h)
-            plan.append((_XOR, lo, h))
+            plan.append((_XOR, lo, h, 0))
 
     walk(0, len(mask))
     return tuple(plan)
@@ -290,37 +313,21 @@ def _absorbed(mask: np.ndarray, size: int, low: int) -> bool:
 
 
 @functools.lru_cache(maxsize=32)
-def _absorption(spec: CodeSpec) -> tuple[tuple[int, ...], dict[tuple[int, int, int], int]]:
-    """(profile, sums): the block profile of H, the group whose right
-    cosets decode alike (_shared_block), and the steps of _plan(spec)
-    whose decisions must certify sums, each with the size of the node
-    whose input it sums.
-
-    A block x_a..x_c of the code's BLTA profile, two variables or more, is
-    absorbed when _absorbed holds for its nodes, of size S = 2^(c+1), with
-    2^a classes; H is BLTA of the profile split into single variables
-    except at the absorbed blocks.  So H = LTA when no block is absorbed,
-    as for a code whose profile is all 1s, or one that is not decreasing.
-    A repetition step of size S or more gets the largest such S: it sums
-    the input of node(S) in a tree log2(S) deep.  The rate-1 step that ends
-    an interleaved repetition node, the node's last 2^a positions, gets S:
-    it decides the class sums, each over S / 2^a inputs."""
-    sums: dict[tuple[int, int, int], int] = {}
+def _absorption(spec: CodeSpec) -> tuple[int, ...]:
+    """The block profile of H, the group whose right cosets decode alike
+    (_shared_block).  A block x_a..x_c of the code's BLTA profile, two
+    variables or more, is absorbed when _absorbed holds for its nodes, of
+    size 2^(c+1), with 2^a classes; H is BLTA of the profile split into
+    single variables except at the absorbed blocks.  So H = LTA when no
+    block is absorbed, as for a code whose profile is all 1s, or one that
+    is not decreasing."""
     if not spec.is_decreasing():
-        return (1,) * spec.n, sums
+        return (1,) * spec.n
     mask = _info_mask(spec)
     profile = []
     for a, s in _blocks(block_profile(spec.monomials)):
-        size, low = 2 << (a + s - 1), 1 << a
-        if s == 1 or not _absorbed(mask, size, low):
-            profile += [1] * s
-            continue
-        profile.append(s)
-        for step in _plan(spec):
-            op, lo, width = step
-            if op == _REP and width >= size or op == _RATE1 and width == low > 1 and lo % size == size - low:
-                sums[step] = size
-    return tuple(profile), sums
+        profile += [s] if s > 1 and _absorbed(mask, 2 << (a + s - 1), 1 << a) else [1] * s
+    return tuple(profile)
 
 
 # f and g steps run over slabs of whole rows holding at most this many
@@ -359,11 +366,12 @@ def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     out += b
 
 
-def _sum_bound(terms: np.ndarray, depth: int) -> np.ndarray:
+def _sum_bound(terms: np.ndarray) -> np.ndarray:
     """A bound b, one per column (or per column and class, for terms of
     shape (rows, classes, batch)), such that a sum s of the terms computed
-    by any tree of additions `depth` deep with |s| > b has the sign of the
-    exact sum, and so does every other such sum of the same terms.
+    by any tree of additions depth = log2(rows) deep, as the kernel's sum
+    in halves is, with |s| > b has the sign of the exact sum, and so does
+    every other such sum of the same terms.
 
     Proof.  Let T be the exact sum of |terms| and u = 2^-53.  Each addition
     rounds its result by a factor within 1 +- u (exactly, where the result
@@ -380,28 +388,29 @@ def _sum_bound(terms: np.ndarray, depth: int) -> np.ndarray:
     terms overflows when T' < 2^1020; otherwise b is inf, and the test
     fails, as it does for a NaN or an infinite term (T' is then inf or
     NaN)."""
+    depth = len(terms).bit_length() - 1
     total = np.abs(terms).sum(axis=0)
     bound = total * 2.0 ** ((depth - 1).bit_length() - 50)
     bound[~(total < 2.0 ** 1020)] = np.inf
     return bound
 
 
-def _flag(undecided: np.ndarray, s: np.ndarray, bound: float | np.ndarray = 0.0,
-          terms: np.ndarray | None = None) -> bool:
-    """Mark in `undecided` each column of s (one row, or rows of positions)
-    with an entry whose sign a decision cannot trust, ~(|s| > bound):
-    with bound 0 an exact 0.0 or a NaN; with a _sum_bound of the `terms`
-    summed into s (along axis 0), a sum that another order of the same
-    additions could give another sign, unless all its terms have one sign
-    (none 0.0, none NaN), which every order keeps, overflow included.
-    Returns whether no column was marked."""
+def _flag(undecided: np.ndarray, s: np.ndarray, terms: np.ndarray | None) -> bool:
+    """Mark in `undecided` each column of s, rows of decided values, with
+    an entry whose sign a decision cannot trust: with no `terms`, an exact
+    0.0 or a NaN; given the (rows, len(s), batch) terms that s sums along
+    axis 0, a sum no larger in magnitude than their _sum_bound, which
+    another order of the same additions could give another sign, unless
+    all its terms have one sign (none 0.0, none NaN), which every order
+    keeps, overflow included.  Returns whether every entry passed the
+    magnitude test, in which case no column was marked."""
     mag = np.abs(s)
-    if terms is None:  # one bound for all: min propagates a NaN
-        if mag.min() > bound:
+    if terms is None:  # min propagates a NaN
+        if mag.min() > 0.0:
             return True
-        ok = mag > bound
+        ok = mag > 0.0
     else:
-        ok = mag > bound
+        ok = mag > _sum_bound(terms)
         if ok.all():
             return True
         ok |= (terms > 0).all(axis=0) | (terms < 0).all(axis=0)
@@ -414,24 +423,25 @@ def _flag(undecided: np.ndarray, s: np.ndarray, bound: float | np.ndarray = 0.0,
 # with an "invalid" warning, which this does not silence, and a NaN decides
 # as bit 0 (see the FOUND on noisy near-max LLRs in CHANGES.md)
 @np.errstate(over="ignore")
-def _sc_batch(llrs: np.ndarray, plan: _Plan, undecided: np.ndarray | None = None,
-              sums: dict[tuple[int, int, int], int] | None = None) -> np.ndarray:
+def _sc_batch(llrs: np.ndarray, plan: _Plan, undecided: np.ndarray | None = None) -> np.ndarray:
     """SC-decode a positions-major (size, batch) LLR block along a plan;
     returns the (size, batch) codewords (their u-vectors are the
     transform of them) in a fresh array.  Given a (batch,) boolean array
     `undecided`, also sets its entry for each column in which a repetition
-    or rate-1 decision reads an LLR with no sign, an exact 0.0 or a NaN.
-    Given also `sums` (_absorption), a repetition or rate-1 step that maps
-    to a node size S sets it, in place of that test, for each column whose
-    decision reads a sum of the input of node(S) that _flag cannot
-    certify: over all of node(S) for a repetition step, over each class
-    of the low bits for the rate-1 end of an interleaved repetition node.
+    or rate-1 decision reads a value _flag cannot trust: an LLR with no
+    sign, an exact 0.0 or a NaN, or, for a step whose cert (_plan) is a
+    node size S, a sum of node(S)'s input that _flag cannot certify, over
+    all of node(S) for a repetition step, over each class of the low bits
+    for the rate-1 end of an interleaved repetition node.
 
     Every LLR the kernel computes goes to this thread's (size - 1, batch)
     workspace, addressed by node size alone: node(s), the node of size s,
     owns rows [s - 1, 2s - 1), so sizes ascend from row 0, and the root's
     LLRs are the input.  Writing node(s) overwrites nothing still needed,
-    as the nodes on the path to it are all larger.
+    as the nodes on the path to it are all larger.  So at a decision,
+    node(cert) still holds the certified sums' terms: a repetition step's
+    sums, and the G0 steps before an interleaved rate-1 end, write only
+    smaller nodes.
 
     The re-decode of a rate-1 node of size s with an exact 0.0 LLR shares
     the workspace.  It decodes a copy of k <= batch of the node's columns
@@ -445,9 +455,7 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan, undecided: np.ndarray | None = None
     x = np.zeros(llrs.shape, dtype=np.uint8)
     rows = max(1, _TILE // batch)  # rows in a slab
     scratch = np.empty((min(rows, n_pos // 2), batch))
-    certify = sums if undecided is not None and sums else {}
-    for step in plan:
-        op, lo, size = step
+    for op, lo, size, cert in plan:
         # F, G and G0 read node(2 size) to write node(size); REP, RATE1 node(size)
         v = node[2 * size] if op <= _G0 else node[size]
         if op == _F:
@@ -474,31 +482,21 @@ def _sc_batch(llrs: np.ndarray, plan: _Plan, undecided: np.ndarray | None = None
             np.add(v[size:], v[:size], out=node[size])
         elif op == _XOR:
             x[lo:lo + size] ^= x[lo + size:lo + 2 * size]
-        elif op == _REP:
-            # each partial sum of h rows goes to node(h)
-            absorbed, terms, bound = certify.get(step, 0), None, 0.0
-            while len(v) > 1:
-                if len(v) == absorbed:  # node(S)'s input: the absorbed sum's terms
-                    terms, bound = v, _sum_bound(v, absorbed.bit_length() - 1)
-                h = len(v) // 2
-                v = np.add(v[h:], v[:h], out=node[h])
-            np.less(v, 0, out=x[lo:lo + size])
-            if undecided is not None:
-                _flag(undecided, v[0], bound, terms)
-        else:  # _RATE1
+        else:  # REP and RATE1 decide v; a repetition node first sums to one row
+            if op == _REP:  # each partial sum of h rows goes to node(h)
+                while len(v) > 1:
+                    h = len(v) // 2
+                    v = np.add(v[h:], v[:h], out=node[h])
             np.less(v, 0, out=x[lo:lo + size])
             if undecided is None:
-                signed = size == 1 or v.all()
-            elif step in certify:  # the class sums of an interleaved repetition node
-                terms = node[certify[step]].reshape(-1, size, batch)
-                signed = _flag(undecided, v, _sum_bound(terms, len(terms).bit_length() - 1), terms)
+                signed = len(v) == 1 or v.all()
             else:
-                signed = _flag(undecided, v)
-            if size > 1 and not signed:
+                signed = _flag(undecided, v, node[cert].reshape(-1, len(v), batch) if cert else None)
+            if len(v) > 1 and not signed:
                 cols = np.flatnonzero((v == 0).any(axis=0))
                 if len(cols):
                     h = size // 2
-                    halves = ((_F, 0, h), (_RATE1, 0, h), (_G, 0, h), (_RATE1, h, h), (_XOR, 0, h))
+                    halves = ((_F, 0, h, 0), (_RATE1, 0, h, 0), (_G, 0, h, 0), (_RATE1, h, h, 0), (_XOR, 0, h, 0))
                     x[lo:lo + size, cols] = _sc_batch(v[:, cols], halves)
     return x
 
@@ -545,8 +543,7 @@ def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult
 
 @np.errstate(over="ignore")  # an overflowing score is +-inf, as in correlation_score
 def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
-              undecided: np.ndarray | None = None,
-              sums: dict[tuple[int, int, int], int] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              undecided: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ensemble-decode a positions-major (N, B) block of LLRs under an
     (L, N) permutation array and its inverses (argsort along axis 1),
     running SC for every member.  Returns (codewords (N, B), chosen (B,),
@@ -554,7 +551,7 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
     highest score (numpy's argmax, so a NaN score wins).  Given a (B,)
     boolean array `undecided`, also sets its entry for each frame in which
     a decision of some member reads an exact 0.0 or a NaN, or a sum that
-    `sums` names and _sum_bound cannot certify (_sc_batch).
+    the plan certifies and _sum_bound cannot (_sc_batch).
 
     Member l decodes frame b permuted by pi_l, llrs[perms[l], b], and its
     candidate is the decoder's output through inverses[l].  Candidates
@@ -568,7 +565,7 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
     batch = llrs.shape[1]
     columns = None if undecided is None else np.zeros(n_perm * batch, dtype=bool)
     # column l*B + b of the decoder input is frame b permuted by pi_l
-    x = _sc_batch(llrs[perms.T].reshape(n_pos, -1), plan, columns, sums)
+    x = _sc_batch(llrs[perms.T].reshape(n_pos, -1), plan, columns)
     if undecided is not None:
         undecided |= columns.reshape(n_perm, batch).any(axis=0)
     scores = np.empty((n_perm, batch))
@@ -593,15 +590,16 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
 
 
 def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
-                  decoded: np.ndarray, sums: dict[tuple[int, int, int], int]) -> np.ndarray:
+                  decoded: np.ndarray) -> np.ndarray:
     """The codewords (N, B) that _ae_block decodes from a positions-major
     (N, B) block of LLRs under an (L, N) ensemble and its inverses, from
-    one SC decode per right H-coset of the members, H and `sums` being
-    _absorption(spec) of the plan's code (see _coset_reps).  `decoded`
-    marks the lowest-index member of each coset, and _ae_block decodes
-    those; with none marked, as for SC, the empty ensemble, or a
-    decreasing code whose every member is induced by an affine map in H,
-    SC decodes the block itself, in place.
+    one SC decode per right H-coset of the members, H being
+    _absorption(spec) of the plan's code (see _coset_reps); the plan
+    names the sums to certify (_plan).  `decoded` marks the lowest-index
+    member of each coset, and _ae_block decodes those; with none marked,
+    as for SC, the empty ensemble, or a decreasing code whose every
+    member is induced by an affine map in H, SC decodes the block itself,
+    in place.
 
     Proof.  Say member t is induced by T_t(x) = A_t x + b_t and shares the
     coset of member r: h = T_r^-1 o T_t is in H, and the code is
@@ -637,10 +635,11 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
       - rate-0 and rate-1: all zeros, and the sign of each LLR.
       - repetition: the sign of the sum of the node's S inputs, in a tree
         log2(S) deep whose leaves G permutes.  Another order may round
-        the sum to the other sign; _sum_bound certifies it.
+        the sum to the other sign; the plan gives its step cert S, and
+        _sum_bound certifies the sum.
       - interleaved repetition: G0 steps sum each class, in a tree
-        log2(S) - a deep, and a rate-1 step decides each class sum; the
-        same bound, per class.
+        log2(S) - a deep, and a rate-1 step, of cert S, decides each
+        class sum; the same bound, per class.
       - single parity check, alone or interleaved (per class, where the
         sum of two f values at the bottom is a G0 step and a rate-1 step
         decides it): min-sum SC is Wagner decoding (take the signs; if
@@ -675,9 +674,9 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
     k = int(decoded.sum())
     undecided = np.zeros(batch, dtype=bool) if k < len(decoded) else None
     if k:
-        x, _, scores = _ae_block(llrs, perms[decoded], inverses[decoded], plan, undecided, sums)
+        x, _, scores = _ae_block(llrs, perms[decoded], inverses[decoded], plan, undecided)
     else:
-        x, scores = _sc_batch(llrs, plan, undecided, sums), np.empty((0, batch))
+        x, scores = _sc_batch(llrs, plan, undecided), np.empty((0, batch))
     if undecided is None:  # every member is decoded, if any
         return x
     flagged = np.flatnonzero(undecided)
@@ -740,7 +739,7 @@ def _coset_reps(perms: np.ndarray, spec: CodeSpec) -> np.ndarray:
         images = np.hstack((images, images ^ cols[:, c:c + 1]))
     affine = (images == maps).all(axis=1)
     decoded = ~affine
-    starts = {a for a, _ in _blocks(_absorption(spec)[0])}
+    starts = {a for a, _ in _blocks(_absorption(spec))}
     below = np.array([(1 << max(a for a in starts if a <= c)) - 1 for c in range(spec.n)])
     if affine.all() and not (cols & below).any():
         return decoded
@@ -818,7 +817,9 @@ def sc_invariance_check(
 ) -> InvarianceReport:
     """Fraction of noisy frames with SC(pi(L)) == pi(SC(L)) bit-exactly,
     for the permutation induced by t (hard-decision codeword equality).
-    One SC call decodes each block of frames beside its permuted copies."""
+    One SC call decodes each block of frames beside its permuted copies,
+    so a block holds three copies of each frame: the channel's, and both
+    halves of the decoder's input."""
     if t.n != spec.n:
         raise ValueError("dimension mismatch")
     if trials < 1:
@@ -831,7 +832,7 @@ def sc_invariance_check(
     rng = np.random.default_rng([seed, 0])
     plan = _plan(spec)
     equal = 0
-    for _, llrs in _frames(spec, channel, rng, trials, 2):
+    for _, llrs in _frames(spec, channel, rng, trials, 2, 3):
         b = llrs.shape[1]
         x = _sc_batch(np.hstack((llrs, llrs[perm])), plan)
         equal += int((x[perm, :b] == x[:, b:]).all(axis=0).sum())
@@ -889,11 +890,15 @@ _SIM_BATCH = 1024  # fixed so results never depend on the worker count
 # PW(12,2048) at 256 frames a block), SC decodes the channel's block in
 # place: one column and one copy a frame.  Either way the flagged frames
 # decode again in chunks of at most the block's columns (_shared_block).
+# An SC invariance check decodes each frame beside its permuted copy, and
+# keeps the channel's block beside both: two columns and three copies a
+# frame.
 # The LLR cap bounds the one LLR buffer the channel writes for all of a
 # batch's blocks, and the kernel's workspace, which each thread retains up
-# to this size; it sets the block at n >= 10.  Below that the column cap
-# does: an SC batch is at most 1024 columns, but an ensemble multiplies
-# them by k.  One block of AE-8's 8192 columns at n <= 9 holds a 4 MB
+# to this size; it sets the block at n >= 10, and at n = 9 every block
+# but SC's (one copy a frame).  Below that the column cap does: an SC
+# batch is at most 1024 columns, but an ensemble multiplies them by k.
+# One block of AE-8's 8192 columns at n <= 9 holds a 4 MB
 # workspace and a 4 MB permuted input, both larger than a 2 MB L2, and
 # four blocks of 2048 columns decode within 3 % of its speed (blocks of
 # 1024 are about 9 % slower).  Cache locality comes from the kernel's row
@@ -906,11 +911,11 @@ _BLOCK_COLUMNS = 1 << 11
 
 
 def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.random.Generator,
-            count: int, columns: int, copies: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            count: int, columns: int, copies: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """`count` random frames of spec as (sent codewords (N, b), positions-major
     LLRs (N, b)) in blocks of the most frames b (b >= 1) that take at most
     _BLOCK_COLUMNS decoder columns, `columns` a frame, and hold at most
-    _BLOCK_LLRS LLRs, `copies` (default `columns`) copies of N a frame
+    _BLOCK_LLRS LLRs, `copies` copies of N a frame
     (see _BLOCK_COLUMNS).  Every block's LLRs are written to one buffer,
     so a block is valid only until the next one is yielded.
 
@@ -921,7 +926,6 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
     (count, N) draw would."""
     n_pos = spec.N
     sent = _encode(rng.integers(0, 2, size=(count, spec.K), dtype=np.uint8), spec)
-    copies = columns if copies is None else copies
     step = min(max(1, min(_BLOCK_LLRS // (n_pos * copies), _BLOCK_COLUMNS // columns)), count)
     buf = np.empty(n_pos * step)
     # frames in a slab: about _TILE LLRs, and at least 8 so that each row
@@ -939,11 +943,11 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
 def _sim_batch(args) -> int:
     spec, channel, perms, inverses, decoded, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
-    plan, sums = _plan(spec), _absorption(spec)[1]
+    plan = _plan(spec)
     k = int(decoded.sum())  # with k = 0, SC decodes the channel's block in place
     errors = 0
     for sent, llrs in _frames(spec, channel, rng, count, max(k, 1), k + 1):
-        x = _shared_block(llrs, perms, inverses, plan, decoded, sums)
+        x = _shared_block(llrs, perms, inverses, plan, decoded)
         errors += int((x != sent).any(axis=0).sum())
     return errors
 

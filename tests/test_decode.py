@@ -251,7 +251,7 @@ def test_sc_kernel_matches_oracle(n):
     g0_codes = 0
     for k in sorted({1, big // 4, big // 2, 3 * big // 4, big - 1, big} - {0}):
         for spec in (construct_pw(n, k), construct_bec(n, k, 0.5)):
-            g0_codes += any(op == _G0 for op, _, _ in _plan(spec))
+            g0_codes += any(op == _G0 for op, _, _, _ in _plan(spec))
             llrs = _llr_blocks(spec, rng, 24)
             x = _sc_batch(llrs.T, _plan(spec)).T
             x_ref, u_ref = sc_oracle(llrs, _mask(spec))
@@ -299,19 +299,64 @@ def test_sc_kernel_flags_decisions_without_a_sign():
     # infinity has a sign and decides by it
     big = 1.5e308
     cases = [
-        (construct_pw(2, 1), decode._REP,  # the sum (c + a) + (d + b)
+        (construct_pw(2, 1), decode._REP, 4,  # the sum (c + a) + (d + b), certified over node(4)
          [[1.0, 2.0, -3.0, 4.0], [big, -big, big, -big], [1.0, -1.0, 2.0, -2.0], [big, big, big, 1.0]],
          [False, True, True, False]),
-        (construct_pw(2, 4), decode._RATE1,
+        (construct_pw(2, 4), decode._RATE1, 0,
          [[1.0, -2.0, 3.0, -4.0], [1.0, np.nan, 3.0, 4.0], [1.0, 2.0, -0.0, 4.0], [big, -big, np.inf, -np.inf]],
          [False, True, True, False]),
     ]
-    for spec, op, columns, want in cases:
-        assert _plan(spec) == ((op, 0, 4),)
+    for spec, op, cert, columns, want in cases:
+        assert _plan(spec) == ((op, 0, 4, cert),)
         undecided = np.zeros(len(columns), dtype=bool)
         with np.errstate(invalid="ignore"):
             _sc_batch(np.array(columns).T, _plan(spec), undecided)
         assert undecided.tolist() == want, op
+
+
+def _sum_in_halves(terms, rng=None):
+    """terms summed along axis 0 in halves, as the kernel sums a repetition
+    node, down to one row; given rng, the rows of each level are shuffled
+    per column first, which gives another tree of the same depth."""
+    while len(terms) > 1:
+        if rng is not None:
+            terms = np.take_along_axis(terms, rng.random(terms.shape).argsort(axis=0), axis=0)
+        h = len(terms) // 2
+        terms = terms[h:] + terms[:h]
+    return terms[0]
+
+
+@pytest.mark.parametrize("size", [2, 4, 8, 16, 32, 64])
+def test_certificate_holds_under_other_orders_of_additions(size):
+    # _flag over terms of shape (S/c, c, B), the node(S) input of c class
+    # sums, leaves a column unmarked only when every class sum keeps its
+    # sign, which is not 0, under 20 random trees of the same depth.  The
+    # terms are AWGN values and the cancelling alphabet (+-2^53, +-1, 0.5,
+    # +-3), whose order decides the rounding, so some columns are marked;
+    # terms of one sign that overflow to +-inf are not
+    rng = np.random.default_rng(1300 + size)
+    batch, big = 512, 2.0 ** 53
+    marked = 0
+    for c in (1, 2, 4):
+        if c > size:
+            continue
+        shape = (size // c, c, batch)
+        awgn = 2.0 * (1.0 - 2.0 * rng.integers(0, 2, shape)) + rng.normal(0.0, 2.0, shape)
+        cancel = rng.choice([big, -big, 1.0, -1.0, 0.5, 3.0, -3.0], size=shape)
+        overflow = np.where(rng.random((1, c, batch)) < 0.5, -1.0, 1.0) * rng.uniform(1.0, 1.7, shape) * 2.0 ** 1023
+        for name, terms in ("awgn", awgn), ("cancel", cancel), ("overflow", overflow):
+            with np.errstate(over="ignore"):
+                s = _sum_in_halves(terms)
+                undecided = np.zeros(batch, dtype=bool)
+                assert not decode._flag(undecided, s, terms) or not undecided.any(), (c, name)
+                kept = ~undecided
+                assert (np.sign(s[:, kept]) != 0).all(), (c, name)
+                for _ in range(20):
+                    other = _sum_in_halves(terms, rng)
+                    assert (np.sign(other[:, kept]) == np.sign(s[:, kept])).all(), (c, name)
+            assert name != "overflow" or not undecided.any(), c
+            marked += int(undecided.sum())
+    assert marked
 
 
 def test_scores_overflow_to_inf_without_a_warning():
@@ -347,9 +392,9 @@ def test_plan_has_no_f_over_rate0_left_children():
     spec = construct_pw(12, 2048)
     mask = _mask(spec)
     plan = _plan(spec)
-    ops = [op for op, _, _ in plan]
-    assert not any(op == _F and _left_child_rate0(mask, lo, h) for op, lo, h in plan)
-    assert all(_left_child_rate0(mask, lo, h) for op, lo, h in plan if op == _G0)
+    ops = [op for op, _, _, _ in plan]
+    assert not any(op == _F and _left_child_rate0(mask, lo, h) for op, lo, h, _ in plan)
+    assert all(_left_child_rate0(mask, lo, h) for op, lo, h, _ in plan if op == _G0)
     # a plan that took f over every split had 356 f steps, 55 of them
     # over rate-0 left children, and the same XOR, repetition and rate-1
     # steps
@@ -678,12 +723,8 @@ def _flagged(block, perms, spec, decoded):
     undecided = np.zeros(block.shape[1], dtype=bool)
     if not decoded.all():  # some member is left to decode again
         for pi in perms[decoded] if decoded.any() else [slice(None)]:
-            _sc_batch(block[pi], _plan(spec), undecided, _sums(spec))
+            _sc_batch(block[pi], _plan(spec), undecided)
     return np.flatnonzero(undecided)
-
-
-def _sums(spec):
-    return decode._absorption(spec)[1]
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -705,9 +746,9 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
     full = decode._ae_block
     calls = []
 
-    def counted(llrs, perms, inverses, plan, undecided=None, sums=None):
+    def counted(llrs, perms, inverses, plan, undecided=None):
         calls.append((len(perms), llrs))
-        return full(llrs, perms, inverses, plan, undecided, sums)
+        return full(llrs, perms, inverses, plan, undecided)
 
     monkeypatch.setattr(decode, "_ae_block", counted)
     rng = np.random.default_rng(700 + n)
@@ -742,7 +783,7 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
                     want = _sc_batch(block, _plan(spec))
                     ref = None if name == "near-max" else sc_oracle(llrs, _mask(spec))[0]
                 calls.clear()
-                got = decode._shared_block(block, perms, inverses, _plan(spec), decoded, _sums(spec))
+                got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
                 flagged = _flagged(block, perms, spec, decoded)
             case = (spec.code_id(), decoded.tolist(), name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), case
@@ -772,9 +813,9 @@ def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
     full = decode._ae_block
     chunks = []
 
-    def counted(llrs, perms, inverses, plan, undecided=None, sums=None):
+    def counted(llrs, perms, inverses, plan, undecided=None):
         chunks.append(llrs)
-        return full(llrs, perms, inverses, plan, undecided, sums)
+        return full(llrs, perms, inverses, plan, undecided)
 
     monkeypatch.setattr(decode, "_ae_block", counted)
     rng = np.random.default_rng(900 + n)
@@ -793,7 +834,7 @@ def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
                 want = full(block, perms, inverses, _plan(spec))[0]
                 ref = ae_oracle(llrs, perms, _mask(spec))[0]
                 chunks.clear()
-                got = decode._shared_block(block, perms, inverses, _plan(spec), decoded, _sums(spec))
+                got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
                 sc = _sc_batch(block, _plan(spec))
                 flagged = _flagged(block, perms, spec, decoded)
             case = (k, name)
@@ -821,9 +862,9 @@ def test_noiseless_near_max_blocks_decode_once(monkeypatch, n):
     full = decode._ae_block
     calls = []
 
-    def counted(llrs, perms, inverses, plan, undecided=None, sums=None):
+    def counted(llrs, perms, inverses, plan, undecided=None):
         calls.append(len(perms))
-        return full(llrs, perms, inverses, plan, undecided, sums)
+        return full(llrs, perms, inverses, plan, undecided)
 
     monkeypatch.setattr(decode, "_ae_block", counted)
     rng = np.random.default_rng(1100 + n)
@@ -837,7 +878,7 @@ def test_noiseless_near_max_blocks_decode_once(monkeypatch, n):
         assert (not decoded.any()) == (perms is not several)
         assert not decoded.any() or 1 < decoded.sum() < len(perms)
         calls.clear()
-        got = decode._shared_block(block, perms, np.argsort(perms, axis=1), _plan(spec), decoded, _sums(spec))
+        got = decode._shared_block(block, perms, np.argsort(perms, axis=1), _plan(spec), decoded)
         assert (got == sent).all(), spec.code_id()
         assert calls == ([] if not decoded.any() else [decoded.sum()]), spec.code_id()
         assert not len(_flagged(block, perms, spec, decoded)), spec.code_id()
@@ -868,13 +909,13 @@ def test_flags_and_first_pass_only_where_a_member_needs_them(monkeypatch, n):
     events = []
     kernel, full = decode._sc_batch, decode._ae_block
 
-    def spy_kernel(llrs, plan, undecided=None, sums=None):
+    def spy_kernel(llrs, plan, undecided=None):
         events.append(("sc", undecided is not None))
-        return kernel(llrs, plan, undecided, sums)
+        return kernel(llrs, plan, undecided)
 
-    def spy_ensemble(llrs, perms, inverses, plan, undecided=None, sums=None):
+    def spy_ensemble(llrs, perms, inverses, plan, undecided=None):
         events.append(("ae", len(perms), undecided is not None))
-        return full(llrs, perms, inverses, plan, undecided, sums)
+        return full(llrs, perms, inverses, plan, undecided)
 
     rng = np.random.default_rng(1200 + n)
     r = random.Random(1200 + n)
@@ -888,7 +929,7 @@ def test_flags_and_first_pass_only_where_a_member_needs_them(monkeypatch, n):
         decoded = decode._coset_reps(perms, spec)
         k = int(decoded.sum())
         events.clear()
-        decode._shared_block(block, perms, np.argsort(perms, axis=1), _plan(spec), decoded, _sums(spec))
+        decode._shared_block(block, perms, np.argsort(perms, axis=1), _plan(spec), decoded)
         # the first call is the first pass: SC on the block, or _ae_block
         # on the marked members
         if name in ("empty", "lta"):
@@ -930,7 +971,7 @@ def test_coset_reps_match_blta_membership(n):
     lta, gl = (1,) * n, (n,)
     profiles = set()
     for spec in codes:
-        h = decode._absorption(spec)[0]
+        h = decode._absorption(spec)
         profiles.add(h)
         for trial in range(30):
             if trial % 3:
@@ -955,7 +996,7 @@ def test_absorbed_blocks_of_the_benchmark_codes():
     # LTA, and so H = LTA
     pw6, pw12 = construct_pw(6, 32), construct_pw(12, 2048)
     assert block_profile(pw6.monomials) == (1, 2, 2, 1)
-    profile, sums = decode._absorption(pw6)
+    profile = decode._absorption(pw6)
     assert profile == (1, 2, 1, 1, 1)
     nodes = {bytes(node) for node in _mask(pw6).reshape(-1, 8)}
     assert nodes == {bytes(b) for b in ([0] * 8, [0] * 7 + [1], [0] * 6 + [1] * 2, [0] * 2 + [1] * 6,
@@ -963,11 +1004,12 @@ def test_absorbed_blocks_of_the_benchmark_codes():
     # the repetition steps of size 8 or more and the rate-1 ends of the
     # interleaved repetition nodes certify their sums over node(8)
     plan = _plan(pw6)
+    sums = {(op, lo, size): cert for op, lo, size, cert in plan if cert}
     assert set(sums) == (
-        {step for step in plan if step[0] == decode._REP and step[2] >= 8}
+        {step[:3] for step in plan if step[0] == decode._REP and step[2] >= 8}
         | {(decode._RATE1, lo + 6, 2) for lo in range(0, 64, 8) if bytes(_mask(pw6)[lo:lo + 8]) == bytes([0] * 6 + [1] * 2)})
     assert set(sums.values()) == {8}
-    assert decode._absorption(pw12) == ((1,) * 12, {})
+    assert decode._absorption(pw12) == (1,) * 12 and not any(cert for *_, cert in _plan(pw12))
 
 
 def _class_blocks(spec, rng, frames=24):
@@ -989,7 +1031,7 @@ def _check_class_sharing(spec, rng, r, seen):
     block name, the frames in which some member's candidate (by SC on its
     own input) differs from its class's, which must all be flagged, and
     the frames flagged."""
-    h = decode._absorption(spec)[0]
+    h = decode._absorption(spec)
     maps = _coset_ensemble(spec, r, 3, h)
     perms = np.array([induced_permutation(t) for t in maps], dtype=np.intp)
     # the lowest-index member of each class, by brute force, or the
@@ -1004,7 +1046,7 @@ def _check_class_sharing(spec, rng, r, seen):
         block = np.ascontiguousarray(llrs.T)
         with np.errstate(invalid="ignore", over="ignore"):
             want = decode._ae_block(block, perms, inverses, plan)[0]
-            got = decode._shared_block(block, perms, inverses, plan, decoded, _sums(spec))
+            got = decode._shared_block(block, perms, inverses, plan, decoded)
             flagged = _flagged(block, perms, spec, decoded)
             # each member's candidate, through its inverse permutation
             cand = np.array([_sc_batch(np.ascontiguousarray(block[pi]), plan)[inv] for pi, inv in zip(perms, inverses)]
@@ -1055,7 +1097,7 @@ def test_class_shared_block_matches_full_ensemble_on_every_down_set(n):
     absorbing = 0
     for ms in down_sets_oracle(n)[1:]:
         spec = CodeSpec(n, ms)
-        absorbing += decode._absorption(spec)[0] != (1,) * n
+        absorbing += decode._absorption(spec) != (1,) * n
         _check_class_sharing(spec, rng, r, seen)
     assert absorbing or n == 1
 
@@ -1125,7 +1167,7 @@ def test_lta_path_counts_equal_oracle(monkeypatch):
     sizes = []
     frames_of = decode._frames
 
-    def recorded(spec, channel, rng, count, columns, copies=None):
+    def recorded(spec, channel, rng, count, columns, copies):
         sizes.append((columns, copies))
         return frames_of(spec, channel, rng, count, columns, copies)
 
@@ -1249,13 +1291,14 @@ class TestInvariance:
 
     @pytest.mark.parametrize("channel", [AwgnBpskChannel(1.0), BecChannel(0.4)], ids=["awgn", "bec"])
     def test_blocks_match_oracle_on_the_whole_stream(self, channel):
-        # the check decodes its frames in blocks of at most 512 at N = 1024,
-        # each beside its 512 permuted copies as 1024 decoder columns;
-        # the reference draws the same stream in one piece and decodes it
-        # with the plain recursive SC oracle
+        # the check decodes its frames in blocks of at most 341 at N = 1024,
+        # each beside its 341 permuted copies as 682 decoder columns, and
+        # holds the channel's block beside both: three copies a frame.  The
+        # reference draws the same stream in one piece and decodes it with
+        # the plain recursive SC oracle
         spec = construct_pw(10, 512)
         trials, seed = 2500, 7
-        step = min(decode._BLOCK_LLRS // spec.N, decode._BLOCK_COLUMNS)
+        step = min(decode._BLOCK_LLRS // (3 * spec.N), decode._BLOCK_COLUMNS // 2)
         assert trials > 2 * step  # three blocks or more
         t = sample_blta(block_profile(spec.monomials), 3)
         perm = induced_permutation(t)
@@ -1267,6 +1310,29 @@ class TestInvariance:
         equal = int((decoded_then_permuted == permuted_then_decoded).all(axis=1).sum())
         rep = sc_invariance_check(t, spec, trials=trials, seed=seed, channel=channel)
         assert (rep.trials, rep.equal) == (trials, equal)
+
+    @pytest.mark.parametrize("n, k", [(6, 32), (10, 512)])
+    def test_blocks_hold_three_copies_within_both_caps(self, monkeypatch, n, k):
+        # each block holds the channel's frames and both halves of the
+        # decoder input, the frames and their permuted copies: three copies
+        # of N a frame within the LLR cap, and two decoder columns a frame
+        # within the column cap, each block but the last as wide as both
+        # allow.  The column cap sets PW(6,32)'s blocks, the LLR cap
+        # PW(10,512)'s
+        spec = construct_pw(n, k)
+        frames, widths = decode._frames, []
+
+        def recorded(spec, channel, rng, count, columns, copies):
+            for sent, llrs in frames(spec, channel, rng, count, columns, copies):
+                widths.append(llrs.shape[1])
+                yield sent, llrs
+
+        monkeypatch.setattr(decode, "_frames", recorded)
+        t = sample_blta(block_profile(spec.monomials), 3)
+        assert sc_invariance_check(t, spec, trials=2500).trials == 2500
+        assert sum(widths) == 2500 and len(widths) > 2
+        assert all(3 * b * spec.N <= decode._BLOCK_LLRS and 2 * b <= decode._BLOCK_COLUMNS for b in widths)
+        assert widths[0] == min(decode._BLOCK_LLRS // (3 * spec.N), decode._BLOCK_COLUMNS // 2)
 
     def test_memory_bounded_by_blocks(self):
         # 4096 frames of N = 1024 held at once are 32 MB per float64 copy
@@ -1401,8 +1467,9 @@ class TestSimulate:
         # 8 cosets, decodes one frame (8 columns) a block, and on PW(6,32)
         # and PW(8,128), 3 classes each, two frames; the invariance check,
         # which decodes each frame beside its permuted copy (2 members),
-        # four frames a block.  Each AE block also holds the channel's
-        # LLRs, so the LLR cap counts one copy more than the columns
+        # four frames a block.  Each AE block and each invariance block also
+        # holds the channel's LLRs, so the LLR cap counts one copy more than
+        # the columns
         specs = [construct_pw(6, 32), construct_pw(8, 128), CodeSpec(6, reed_muller_set(6, 2))]
         runs = [
             (spec, chan, dec, _blta_perms(spec, 8, 29) if dec == "ae" else None)
@@ -1426,9 +1493,9 @@ class TestSimulate:
         calls = []
         frames = decode._frames
 
-        def recorded(spec, channel, rng, count, columns, copies=None):
+        def recorded(spec, channel, rng, count, columns, copies):
             widths = []
-            calls.append((spec.N, count, columns, copies or columns, widths))
+            calls.append((spec.N, count, columns, copies, widths))
             for sent, llrs in frames(spec, channel, rng, count, columns, copies):
                 widths.append(llrs.shape[1])
                 yield sent, llrs
@@ -1436,7 +1503,7 @@ class TestSimulate:
         monkeypatch.setattr(decode, "_frames", recorded)
         assert counts() == whole
         assert {(columns, copies) for _, _, columns, copies, _ in calls} == (
-            {(1, 1), (2, 2)} | {(k, k + 1) for k in cosets})
+            {(1, 1), (2, 3)} | {(k, k + 1) for k in cosets})
         for n_pos, count, columns, copies, widths in calls:
             assert sum(widths) == count and set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
             # each block but the last is as wide as both caps allow
@@ -1504,7 +1571,7 @@ class TestSimulate:
         monkeypatch.setattr(decode, "_TILE", tile)
         rng = np.random.default_rng([31, 2])
         blocks = [(sent.copy(), llrs.copy(), llrs)
-                  for sent, llrs in decode._frames(pw6, channel, rng, 1000, 1)]
+                  for sent, llrs in decode._frames(pw6, channel, rng, 1000, 1, 1)]
         sent, ref, ref_rng = self._one_draw(pw6, channel, 31, 2, 1000)
         assert [llrs.shape for _, llrs, _ in blocks] == [(pw6.N, 70)] * 14 + [(pw6.N, 20)]
         assert all(view.flags.c_contiguous for _, _, view in blocks)
