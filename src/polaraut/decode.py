@@ -14,19 +14,20 @@ f/g steps work on contiguous row blocks.  The Monte Carlo frames call
 each channel's public `llrs` on a slab of whole frames at a time, so
 the noise is drawn frames-major in the order one (frames, N) draw makes,
 and write each slab transposed into the decoder's block.  The ensemble
-decoder gathers one member's candidate at a time from the SC output,
-through the member's inverse permutation, and scores it frames-major in
-slabs of frames; no array of all candidates is built.  The Monte Carlo
-loop runs SC once per right H-coset of the members, which decode alike:
-H is the lower-triangular affine (LTA) group widened by GL on each block
-of the code's BLTA profile whose nodes min-sum SC decodes symmetrically
+decoder gathers every member's candidate from the SC output, through the
+members' inverse permutations, into one (N, members, frames) array, and
+scores them frames-major in slabs of frames.  The Monte Carlo loop runs
+SC once per right H-coset of the members, which decode alike: H is the
+lower-triangular affine (LTA) group widened by GL on each block of the
+code's BLTA profile whose nodes min-sum SC decodes symmetrically
 (_absorption), so one decode serves a class of LTA cosets.  It decodes
 again under the other members only the frames in which that argument
 fails: those in which the SC kernel saw a decision read an LLR with no
 sign, an exact 0.0 or a NaN, or an absorbed sum whose sign another order
-of its additions could change.  Each step of the decoding plan names
-the sum its decision certifies: the size of the node whose input it
-sums inside an absorbed block, or 0 (_plan).  Plain SC is the empty
+of its additions could change.  It scores only those frames and the
+ones whose decoded candidates differ.  Each step of the decoding plan
+names the sum its decision certifies: the size of the node whose input
+it sums inside an absorbed block, or 0 (_plan).  Plain SC is the empty
 ensemble; with no coset but the identity's, SC decodes the channel's
 block in place.  The decoders work on batches; the public single-frame
 entry points wrap a batch of one, and the public channel and encoding
@@ -541,26 +542,16 @@ def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult
     return DecodeResult(extract_info(x, spec), x, (correlation_score(x, llr),), 0)
 
 
-@np.errstate(over="ignore")  # an overflowing score is +-inf, as in correlation_score
-def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
-              undecided: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ensemble-decode a positions-major (N, B) block of LLRs under an
-    (L, N) permutation array and its inverses (argsort along axis 1),
-    running SC for every member.  Returns (codewords (N, B), chosen (B,),
-    scores (L, B)); the winner of a frame is its lowest-index member of
-    highest score (numpy's argmax, so a NaN score wins).  Given a (B,)
+def _candidates(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
+                undecided: np.ndarray | None = None) -> np.ndarray:
+    """The (N, k, B) candidates of k members, a (k, N) permutation array
+    and its inverses (argsort along axis 1), on a positions-major (N, B)
+    block of LLRs: member l decodes frame b permuted by pi_l,
+    llrs[perms[l], b], and its candidate [:, l, b] is SC's codeword
+    through inverses[l], all k de-interleaved in one gather.  Given a (B,)
     boolean array `undecided`, also sets its entry for each frame in which
     a decision of some member reads an exact 0.0 or a NaN, or a sum that
-    the plan certifies and _sum_bound cannot (_sc_batch).
-
-    Member l decodes frame b permuted by pi_l, llrs[perms[l], b], and its
-    candidate is the decoder's output through inverses[l].  Candidates
-    are scored frames-major, one row per frame, in slabs of frames: numpy
-    sums a contiguous axis pairwise, so no score depends on the slab.  A
-    score is correlation_score's sum (1 - 2 x_i) llr_i over one
-    frames-major row, with each term built as llr_i with its sign bit
-    flipped where x_i = 1: for every LLR but a NaN that is the product
-    exactly, so the score bytes are the same."""
+    the plan certifies and _sum_bound cannot (_sc_batch)."""
     n_perm, n_pos = perms.shape
     batch = llrs.shape[1]
     columns = None if undecided is None else np.zeros(n_perm * batch, dtype=bool)
@@ -568,6 +559,20 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
     x = _sc_batch(llrs[perms.T].reshape(n_pos, -1), plan, columns)
     if undecided is not None:
         undecided |= columns.reshape(n_perm, batch).any(axis=0)
+    return x.reshape(n_pos, n_perm, batch)[inverses.T, np.arange(n_perm)]
+
+
+@np.errstate(over="ignore")  # an overflowing score is +-inf, as in correlation_score
+def _scores(llrs: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """The (k, B) scores of (N, k, B) candidates (_candidates) against the
+    positions-major (N, B) LLRs of their frames.  Candidates are scored
+    frames-major, one row per frame, in slabs of frames: numpy sums a
+    contiguous axis pairwise, so no score depends on the slab, nor on
+    which other frames are scored.  A score is correlation_score's sum
+    (1 - 2 x_i) llr_i over one frames-major row, with each term built as
+    llr_i with its sign bit flipped where x_i = 1: for every LLR but a NaN
+    that is the product exactly, so the score bytes are the same."""
+    n_pos, n_perm, batch = cand.shape
     scores = np.empty((n_perm, batch))
     # frames in a slab: a wider slab transposes faster, a narrower one
     # holds less.  On perfbench's sim-long (n = 12, a 2-core VM), 8-frame
@@ -580,26 +585,44 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
         received = _transposed(llrs[:, lo:hi]).view(np.uint64)
         t = terms[:hi - lo]
         bits = t.view(np.uint64)
-        for s, inv in enumerate(inverses):
-            np.left_shift(x[inv, s * batch + lo:s * batch + hi].T, 63, out=bits, dtype=np.uint64)
+        for s in range(n_perm):
+            np.left_shift(cand[:, s, lo:hi].T, 63, out=bits, dtype=np.uint64)
             bits ^= received
             scores[s, lo:hi] = t.sum(axis=-1)
+    return scores
+
+
+def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
+              undecided: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ensemble-decode a positions-major (N, B) block of LLRs under an
+    (L, N) permutation array and its inverses (argsort along axis 1),
+    running SC for every member and scoring every frame: _candidates,
+    then _scores.  Returns (codewords (N, B), chosen (B,), scores (L, B));
+    the winner of a frame is its lowest-index member of highest score
+    (numpy's argmax, so a NaN score wins).  Given a (B,) boolean array
+    `undecided`, also sets its entry for each flagged frame, as
+    _candidates does.  This is ae_decode's decoder, the re-decode of
+    _shared_block, and the full ensemble its tests compare against."""
+    cand = _candidates(llrs, perms, inverses, plan, undecided)
+    scores = _scores(llrs, cand)
     chosen = scores.argmax(axis=0)
-    best = x[inverses[chosen].T, chosen * batch + np.arange(batch)]
+    best = cand[:, chosen, np.arange(len(chosen))]
     return best, chosen, scores
 
 
 def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _Plan,
-                  decoded: np.ndarray) -> np.ndarray:
+                  decoded: np.ndarray, tally: np.ndarray | None = None) -> np.ndarray:
     """The codewords (N, B) that _ae_block decodes from a positions-major
     (N, B) block of LLRs under an (L, N) ensemble and its inverses, from
     one SC decode per right H-coset of the members, H being
     _absorption(spec) of the plan's code (see _coset_reps); the plan
     names the sums to certify (_plan).  `decoded` marks the lowest-index
-    member of each coset, and _ae_block decodes those; with none marked,
-    as for SC, the empty ensemble, or a decreasing code whose every
-    member is induced by an affine map in H, SC decodes the block itself,
-    in place.
+    member of each coset, whose candidates _candidates decodes; with none
+    marked, as for SC, the empty ensemble, or a decreasing code whose
+    every member is induced by an affine map in H, SC decodes the block
+    itself, in place.  Given a (2,) integer array `tally`, adds to it the
+    block's contested frames, in which the decoded members' candidates
+    are not all one array, and its flagged frames, which decode again.
 
     Proof.  Say member t is induced by T_t(x) = A_t x + b_t and shares the
     coset of member r: h = T_r^-1 o T_t is in H, and the code is
@@ -665,6 +688,17 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
     r is the identity, whose input is the block and whose candidate is
     SC's codeword: every member's candidate is SC's, whichever wins.
 
+    The first pass scores only the contested frames and the flagged
+    ones.  In an unflagged frame every member's candidate is its decoded
+    member's, so in one that is not contested all L candidates are one
+    array, and an argmax over members whose candidates are one array
+    returns that array whatever their scores, NaN included: the frame
+    takes it unscored.  A contested frame takes the candidate of the
+    argmax of the decoded members' scores, as above, and so does a
+    flagged one, whose decoded scores the re-decode below needs.  So
+    with one decoded member, or every member decoded, only flagged or
+    only contested frames are scored.
+
     Each flagged frame is decoded again under every member not decoded,
     in chunks of frames no wider than the first decode's columns (or of
     one frame), and given the candidate of the argmax of all L scores.
@@ -673,10 +707,23 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
     batch = llrs.shape[1]
     k = int(decoded.sum())
     undecided = np.zeros(batch, dtype=bool) if k < len(decoded) else None
+    contested = 0
     if k:
-        x, _, scores = _ae_block(llrs, perms[decoded], inverses[decoded], plan, undecided)
+        cand = _candidates(llrs, perms[decoded], inverses[decoded], plan, undecided)
+        scored = (cand[:, 1:] != cand[:, :1]).reshape(-1, batch).any(axis=0)
+        contested = int(scored.sum())
+        if undecided is not None:
+            scored |= undecided
+        frames = np.flatnonzero(scored)
+        picked = _scores(llrs[:, frames], cand[:, :, frames])
+        x = cand[:, 0].copy()
+        x[:, frames] = cand[:, picked.argmax(axis=0), frames]
+        scores = np.empty((k, batch))
+        scores[:, frames] = picked
     else:
         x, scores = _sc_batch(llrs, plan, undecided), np.empty((0, batch))
+    if tally is not None:
+        tally += (contested, 0 if undecided is None else int(undecided.sum()))
     if undecided is None:  # every member is decoded, if any
         return x
     flagged = np.flatnonzero(undecided)
@@ -853,8 +900,13 @@ class SimulationResult:
     seed: int
     # first-pass SC decodes a frame: 1 for SC and when every member shares
     # the identity's coset, else the members _coset_reps marks (one per
-    # class); a diagnostic, not written to the CSV
+    # class).  Frames whose decoded classes gave more than one candidate,
+    # and frames the first pass flagged to decode again under the other
+    # members; both 0 for SC (_shared_block).  Diagnostics, not written to
+    # the CSV
     decodes_per_frame: int = 1
+    contested_frames: int = 0
+    flagged_frames: int = 0
 
     @property
     def bler(self) -> float:
@@ -940,16 +992,18 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
         yield block, llrs
 
 
-def _sim_batch(args) -> int:
+def _sim_batch(args) -> tuple[int, int, int]:
+    """One batch's (errors, contested frames, flagged frames)."""
     spec, channel, perms, inverses, decoded, seed, batch_idx, count = args
     rng = np.random.default_rng([seed, batch_idx])
     plan = _plan(spec)
     k = int(decoded.sum())  # with k = 0, SC decodes the channel's block in place
     errors = 0
+    tally = np.zeros(2, dtype=np.int64)
     for sent, llrs in _frames(spec, channel, rng, count, max(k, 1), k + 1):
-        x = _shared_block(llrs, perms, inverses, plan, decoded)
+        x = _shared_block(llrs, perms, inverses, plan, decoded, tally)
         errors += int((x != sent).any(axis=0).sum())
-    return errors
+    return errors, int(tally[0]), int(tally[1])
 
 
 def simulate_bler(
@@ -999,9 +1053,10 @@ def simulate_bler(
         from multiprocessing import Pool  # only a pool pays for importing it
 
         with Pool(workers) as pool:
-            errors = sum(pool.map(_sim_batch, batches))
+            counts = pool.map(_sim_batch, batches)
     else:
-        errors = sum(_sim_batch(b) for b in batches)
+        counts = [_sim_batch(b) for b in batches]
+    errors, contested, flagged = (sum(c) for c in zip(*counts))
     return SimulationResult(
         frames=num_frames,
         errors=errors,
@@ -1010,4 +1065,6 @@ def simulate_bler(
         ensemble_size=len(perm_arr) or 1,
         seed=seed,
         decodes_per_frame=max(int(decoded.sum()), 1),
+        contested_frames=contested,
+        flagged_frames=flagged,
     )

@@ -742,15 +742,17 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
     # near-max blocks' opposite infinities flag some.  Two more ensembles
     # leave no member to decode again: the empty one, plain SC, whose
     # codewords are SC's on the block, and the Reed-Muller ensemble's
-    # first member of each coset, all decoded, the full ensemble's
-    full = decode._ae_block
+    # first member of each coset, all decoded, the full ensemble's.  Every
+    # decode of members, the first pass's and each re-decode's through
+    # _ae_block, goes through _candidates
+    full, candidates = decode._ae_block, decode._candidates
     calls = []
 
     def counted(llrs, perms, inverses, plan, undecided=None):
         calls.append((len(perms), llrs))
-        return full(llrs, perms, inverses, plan, undecided)
+        return candidates(llrs, perms, inverses, plan, undecided)
 
-    monkeypatch.setattr(decode, "_ae_block", counted)
+    monkeypatch.setattr(decode, "_candidates", counted)
     rng = np.random.default_rng(700 + n)
     r = random.Random(700 + n)
     big = 1 << n
@@ -856,17 +858,18 @@ def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
 def test_noiseless_near_max_blocks_decode_once(monkeypatch, n):
     # noiseless +-1.5e308 LLRs: every sum overflows to +-inf of its true
     # sign, so no decision reads an exact 0.0 or a NaN and no frame decodes
-    # again, under all-LTA ensembles (SC in place, no _ae_block call) and
-    # one of several cosets (the first _ae_block call alone, whose scores
-    # overflow to inf without the warning the suite turns into an error)
-    full = decode._ae_block
+    # again, under all-LTA ensembles (SC in place, no _candidates call) and
+    # one of several cosets (the first pass's _candidates call alone, whose
+    # scores overflow to inf without the warning the suite turns into an
+    # error)
+    candidates = decode._candidates
     calls = []
 
     def counted(llrs, perms, inverses, plan, undecided=None):
         calls.append(len(perms))
-        return full(llrs, perms, inverses, plan, undecided)
+        return candidates(llrs, perms, inverses, plan, undecided)
 
-    monkeypatch.setattr(decode, "_ae_block", counted)
+    monkeypatch.setattr(decode, "_candidates", counted)
     rng = np.random.default_rng(1100 + n)
     r = random.Random(1100 + n)
     pw, rm = construct_pw(n, 1 << (n - 1)), CodeSpec(n, reed_muller_set(n, (n - 1) // 2))
@@ -902,12 +905,13 @@ def test_flags_and_first_pass_only_where_a_member_needs_them(monkeypatch, n):
     # one path for four ensembles of a Reed-Muller code, on a BEC block
     # whose erasures flag frames: the kernel gets a flag array only when
     # some member is left to decode again (not for SC, the empty ensemble,
-    # nor when every member is decoded), and _ae_block makes a first pass
-    # only when some member is marked (not for SC nor for an all-LTA
-    # ensemble, which SC decodes in place).  simulate_bler's SC decodes
-    # the same way
+    # nor when every member is decoded), and _candidates makes a first
+    # pass only when some member is marked (not for SC nor for an all-LTA
+    # ensemble, which SC decodes in place); each re-decode, through
+    # _ae_block, decodes through _candidates too.  simulate_bler's SC
+    # decodes the same way
     events = []
-    kernel, full = decode._sc_batch, decode._ae_block
+    kernel, candidates = decode._sc_batch, decode._candidates
 
     def spy_kernel(llrs, plan, undecided=None):
         events.append(("sc", undecided is not None))
@@ -915,7 +919,7 @@ def test_flags_and_first_pass_only_where_a_member_needs_them(monkeypatch, n):
 
     def spy_ensemble(llrs, perms, inverses, plan, undecided=None):
         events.append(("ae", len(perms), undecided is not None))
-        return full(llrs, perms, inverses, plan, undecided)
+        return candidates(llrs, perms, inverses, plan, undecided)
 
     rng = np.random.default_rng(1200 + n)
     r = random.Random(1200 + n)
@@ -924,13 +928,13 @@ def test_flags_and_first_pass_only_where_a_member_needs_them(monkeypatch, n):
     reps = mixed[decode._coset_reps(mixed, spec)]
     block = np.ascontiguousarray(BecChannel(0.4).llrs(_codewords(spec, 64, rng), rng, spec.rate).T)
     monkeypatch.setattr(decode, "_sc_batch", spy_kernel)
-    monkeypatch.setattr(decode, "_ae_block", spy_ensemble)
+    monkeypatch.setattr(decode, "_candidates", spy_ensemble)
     for name, perms in ("empty", mixed[:0]), ("lta", _lta_perms(spec, 8, r)), ("mixed", mixed), ("reps", reps):
         decoded = decode._coset_reps(perms, spec)
         k = int(decoded.sum())
         events.clear()
         decode._shared_block(block, perms, np.argsort(perms, axis=1), _plan(spec), decoded)
-        # the first call is the first pass: SC on the block, or _ae_block
+        # the first call is the first pass: SC on the block, or _candidates
         # on the marked members
         if name in ("empty", "lta"):
             assert k == 0 and events[0] == ("sc", name == "lta"), name
@@ -944,6 +948,87 @@ def test_flags_and_first_pass_only_where_a_member_needs_them(monkeypatch, n):
     events.clear()
     simulate_bler(spec, BecChannel(0.4), 300, seed=1)
     assert events and all(e == ("sc", False) for e in events)
+
+
+def _member_candidates(block, perms, inverses, plan):
+    """Each member's candidate (members, N, B), by SC on its own input."""
+    return np.array([_sc_batch(np.ascontiguousarray(block[pi]), plan)[inv] for pi, inv in zip(perms, inverses)])
+
+
+def _classes(spec, r, count):
+    """8 permutations in `count` right H-cosets, H of _absorption(spec), not
+    all in H: `count` draws from the code's BLTA group, each in a coset of
+    its own, and others that are one of them times a map of H on the
+    right, in shuffled order."""
+    h = decode._absorption(spec)
+    profile = block_profile(spec.monomials)
+    bases = []
+    while len(bases) < count or all(blta_membership(t, h) for t in bases):
+        t = sample_blta(profile, r)
+        if all(not blta_membership(b.inverse().compose(t), h) for b in bases):
+            bases = bases[:count - 1] + [t]
+    maps = bases + [bases[i % count].compose(sample_blta(h, r)) for i in range(8 - count)]
+    r.shuffle(maps)
+    return np.array([induced_permutation(t) for t in maps], dtype=np.intp)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_first_pass_scores_only_contested_and_flagged_frames(monkeypatch, n):
+    # the first pass scores exactly the contested frames, in which the
+    # decoded members' candidates (each by SC on its own input) are not
+    # all one array, and the flagged ones, whose scores the re-decode
+    # reads; it hands _scores their LLRs and candidates, and _scores gives
+    # _ae_block's score bytes for them.  The blocks are AWGN at 3.5 dB and
+    # every kind of _class_blocks; the codes are a PW code of rate 1/2 and
+    # a Reed-Muller code; the ensembles are one of several classes, its
+    # decoded members alone (none is flagged) and one of a single class
+    # (none is contested).  Some frames are contested only by a third
+    # class, and some are flagged but not contested
+    scores = decode._scores
+    calls = []
+
+    def spy(llrs, cand):
+        out = scores(llrs, cand)
+        calls.append((llrs.copy(), cand.copy(), out))
+        return out
+
+    monkeypatch.setattr(decode, "_scores", spy)
+    rng = np.random.default_rng(1500 + n)
+    r = random.Random(1500 + n)
+    third_only = flagged_only = contested_frames = 0
+    for spec in construct_pw(n, 1 << (n - 1)), CodeSpec(n, reed_muller_set(n, (n - 1) // 2)):
+        plan = _plan(spec)
+        mixed, one = _classes(spec, r, 3), _classes(spec, r, 1)
+        assert decode._coset_reps(mixed, spec).sum() == 3 and decode._coset_reps(one, spec).sum() == 1
+        awgn = AwgnBpskChannel(3.5).llrs(_codewords(spec, 256, rng), rng, spec.rate)
+        blocks = [("awgn3.5", awgn)] + _class_blocks(spec, rng)
+        for ensemble, perms in ("mixed", mixed), ("reps", mixed[decode._coset_reps(mixed, spec)]), ("one", one):
+            inverses = np.argsort(perms, axis=1)
+            decoded = decode._coset_reps(perms, spec)
+            for name, llrs in blocks:
+                block = np.ascontiguousarray(llrs.T)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    cand = _member_candidates(block, perms[decoded], inverses[decoded], plan)
+                    flagged = np.isin(np.arange(block.shape[1]), _flagged(block, perms, spec, decoded))
+                    want = decode._ae_block(block, perms[decoded], inverses[decoded], plan)
+                    calls.clear()
+                    got = decode._shared_block(block, perms, inverses, plan, decoded)
+                case = (spec.code_id(), ensemble, name)
+                contested = (cand != cand[:1]).any(axis=(0, 1))
+                frames = np.flatnonzero(contested | flagged)
+                # the first call is the first pass's; the others re-decode
+                (first, given, out), *_ = calls
+                assert first.shape == (spec.N, len(frames)) and first.tobytes() == block[:, frames].tobytes(), case
+                assert given.tobytes() == cand.transpose(1, 0, 2)[:, :, frames].tobytes(), case
+                assert out.tobytes() == want[2][:, frames].tobytes(), case
+                assert ensemble != "reps" or not flagged.any(), case
+                assert ensemble != "one" or not contested.any(), case
+                if ensemble == "reps":  # nothing to decode again: the winners are _ae_block's
+                    assert got.tobytes() == want[0].tobytes(), case
+                contested_frames += int(contested.sum())
+                third_only += int((contested & ~flagged & (cand[1:2] == cand[:1]).all(axis=(0, 1))).sum())
+                flagged_only += int((flagged & ~contested).sum())
+    assert contested_frames and third_only and flagged_only
 
 
 def _first_of_coset(maps, profile):
@@ -1721,6 +1806,43 @@ class TestSimulate:
         assert simulate_bler(pw6, chan, 100, seed=1, decoder="ae", perms=_lta_perms(pw6, 8, random.Random(2))).decodes_per_frame == 1
         res = simulate_bler(pw6, chan, 100, seed=1, decoder="ae", perms=perms)
         assert res.decodes_per_frame == 3 and res.ensemble_size == 8
+
+    @pytest.mark.parametrize("channel", [AwgnBpskChannel(1.0), AwgnBpskChannel(3.5), BecChannel(0.3)],
+                             ids=["awgn1", "awgn3.5", "bec0.3"])
+    def test_contested_and_flagged_frames(self, pw6, channel):
+        # the counters equal a brute-force count over the same frames (two
+        # batches of (seed, batch index) draws), with one SC decode per
+        # decoded member: contested frames, in which their candidates are
+        # not all one array, and flagged frames (_flagged), when some member
+        # is left to decode again.  Both are 0 for SC; an all-LTA ensemble
+        # contests nothing and an ensemble of one member per class flags
+        # nothing.  A pool of two gives the same counts.  No CSV column
+        # holds them: the golden bytes of test_cli pin every column
+        mixed = np.array(_blta_perms(pw6, 8, 29), dtype=np.intp)
+        ensembles = {"sc": mixed[:0], "lta": _lta_perms(pw6, 8, random.Random(2)), "mixed": mixed,
+                     "reps": mixed[decode._coset_reps(mixed, pw6)]}
+        plan = _plan(pw6)
+        counts = {}
+        for name, perms in ensembles.items():
+            args = {} if name == "sc" else {"decoder": "ae", "perms": perms}
+            res = simulate_bler(pw6, channel, 1500, seed=3, **args)
+            inverses = np.argsort(perms, axis=1)
+            decoded = decode._coset_reps(perms, pw6)
+            contested = flagged = 0
+            for idx, count in enumerate((1024, 476)):
+                for _, block in decode._frames(pw6, channel, np.random.default_rng([3, idx]), count, 1, 1):
+                    if decoded.any():
+                        cand = _member_candidates(block, perms[decoded], inverses[decoded], plan)
+                        contested += int((cand != cand[:1]).any(axis=(0, 1)).sum())
+                    flagged += len(_flagged(block, perms, pw6, decoded))
+            assert (res.contested_frames, res.flagged_frames) == (contested, flagged), name
+            counts[name] = contested, flagged
+            if name == "mixed":
+                assert simulate_bler(pw6, channel, 1500, seed=3, jobs=2, **args) == res
+        assert counts["sc"] == (0, 0) and counts["lta"][0] == 0 and counts["reps"][1] == 0
+        assert counts["mixed"][0] and counts["reps"][0] == counts["mixed"][0]
+        if isinstance(channel, BecChannel):  # erasures flag frames
+            assert counts["lta"][1] and counts["mixed"][1]
 
     @pytest.mark.parametrize("db, rate", [
         (float("nan"), 0.5), (float("inf"), 0.5), (float("-inf"), 0.5),
