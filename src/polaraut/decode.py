@@ -6,7 +6,9 @@ node uses the min-sum rule (bit-exact and platform independent), the
 variable node uses g(a, b, u) = b + (1 - 2u) a, and an LLR of exactly 0
 decodes to bit 0, so every decoding path is deterministic.  Erasure
 channels use +-1000.0 as the certainty sentinel and exactly 0.0 for an
-erasure.
+erasure.  Every frame enters the decoders through _bounded, which
+rejects a NaN or +-inf and scales a frame of LLRs near the float maximum
+by a power of two, so that no value the decoders form overflows.
 
 Internally everything is positions-major: codewords and LLR blocks are
 (N, frames) arrays, so that the encoder's XOR passes and the decoder's
@@ -22,14 +24,13 @@ lower-triangular affine (LTA) group widened by GL on each block of the
 code's BLTA profile whose nodes min-sum SC decodes symmetrically
 (_absorption), so one decode serves a class of LTA cosets.  It decodes
 again under the other members only the frames in which that argument
-fails: those in which the SC kernel saw a decision read an LLR with no
-sign, an exact 0.0 or a NaN, or an absorbed sum whose sign another order
-of its additions could change.  It scores only those frames and the
-ones whose decoded candidates differ.  Each step of the decoding plan
-names the sum its decision certifies: the size of the node whose input
-it sums inside an absorbed block, or 0 (_plan).  Plain SC is the empty
-ensemble; with no coset but the identity's, SC decodes the channel's
-block in place.  The decoders work on batches; the public single-frame
+fails: those in which the SC kernel saw a decision read an exact 0.0,
+or an absorbed sum whose sign another order of its additions could
+change.  It scores only those frames and the ones whose decoded
+candidates differ.  Each step of the decoding plan names the sum its
+decision certifies: the size of the node whose input it sums inside an
+absorbed block, or 0 (_plan).  Plain SC is the empty ensemble; with no
+coset but the identity's, SC decodes the channel's block in place.  The decoders work on batches; the public single-frame
 entry points wrap a batch of one, and the public channel and encoding
 helpers keep frames-major (..., N) arrays.  The encoding helpers take
 only entries equal to 0 or 1.
@@ -48,7 +49,6 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from .affine import AffineMap, _blocks, block_profile, induced_permutation
-from .gf2 import _reduce
 from .monomial import CodeSpec
 
 __all__ = [
@@ -358,9 +358,7 @@ def _workspace(rows: int, cols: int) -> np.ndarray:
 
 def _g(a: np.ndarray, b: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
     """g = b + (1 - 2u) a into out, in three passes: a with its sign bit
-    flipped where the bit u is 1 is (1 - 2u) a exactly, for every a but a
-    NaN, whose sign no decision reads (both tests, < 0 and == 0, are false
-    on a NaN of either sign)."""
+    flipped where the bit u is 1 is (1 - 2u) a exactly."""
     bits = out.view(np.uint64)
     np.left_shift(u, 63, out=bits, dtype=np.uint64)
     np.bitwise_xor(bits, a.view(np.uint64), out=bits)
@@ -386,54 +384,76 @@ def _sum_bound(terms: np.ndarray) -> np.ndarray:
     of two k makes the product exact unless it is subnormal, where it
     loses at most 2^-1075, less than the margin once T' >= 2^-1024, and
     below that every partial sum is subnormal and exact.  No sum of the
-    terms overflows when T' < 2^1020; otherwise b is inf, and the test
-    fails, as it does for a NaN or an infinite term (T' is then inf or
-    NaN)."""
+    terms overflows: T' < 2^1020 (_bounded)."""
     depth = len(terms).bit_length() - 1
-    total = np.abs(terms).sum(axis=0)
-    bound = total * 2.0 ** ((depth - 1).bit_length() - 50)
-    bound[~(total < 2.0 ** 1020)] = np.inf
-    return bound
+    return np.abs(terms).sum(axis=0) * 2.0 ** ((depth - 1).bit_length() - 50)
 
 
 def _flag(undecided: np.ndarray, s: np.ndarray, terms: np.ndarray | None) -> bool:
     """Mark in `undecided` each column of s, rows of decided values, with
     an entry whose sign a decision cannot trust: with no `terms`, an exact
-    0.0 or a NaN; given the (rows, len(s), batch) terms that s sums along
-    axis 0, a sum no larger in magnitude than their _sum_bound, which
-    another order of the same additions could give another sign, unless
-    all its terms have one sign (none 0.0, none NaN), which every order
-    keeps, overflow included.  Returns whether every entry passed the
-    magnitude test, in which case no column was marked."""
-    mag = np.abs(s)
-    if terms is None:  # min propagates a NaN
-        if mag.min() > 0.0:
+    0.0; given the (rows, len(s), batch) terms that s sums along axis 0, a
+    sum no larger in magnitude than their _sum_bound, which another order
+    of the same additions could give another sign.  Returns whether no
+    column was marked."""
+    if terms is None:
+        if s.all():
             return True
-        ok = mag > 0.0
+        ok = s != 0
     else:
-        ok = mag > _sum_bound(terms)
+        ok = np.abs(s) > _sum_bound(terms)
         if ok.all():
             return True
-        ok |= (terms > 0).all(axis=0) | (terms < 0).all(axis=0)
     undecided |= ~ok.reshape(-1, len(undecided)).all(axis=0)
     return False
 
 
-# g and repetition sums of LLRs near the float maximum overflow: same-sign
-# terms give +-inf, which decides by its sign; opposite infinities give NaN
-# with an "invalid" warning, which this does not silence, and a NaN decides
-# as bit 0 (see the FOUND on noisy near-max LLRs in CHANGES.md)
-@np.errstate(over="ignore")
+def _bounded(llrs: np.ndarray) -> np.ndarray:
+    """Frames-major (..., N) float64 LLRs with each frame whose largest
+    |LLR| is 2^(1019 - n) or more scaled by a power of two to below that,
+    and the others as they are: llrs itself when no frame needs scaling,
+    else a new array.  ValueError on a NaN or +-inf.  The common case
+    costs one max and one min over the array.  Every frame enters the
+    decoders through here (_llr_frame, _frames), and the decoders decode
+    and score the scaled frame.  A power of two commutes with every float
+    step of min-sum SC while the values stay normal, so the scaled frame
+    decides as the frame would in floats of unbounded exponent, unless
+    the scaling rounds an LLR that it takes below 2^-1022.
+
+    Proof that then no node value, certified total (_sum_bound) or score
+    reaches 2^1020: nothing overflows, and, with finite inputs, nothing
+    is a NaN.  Let P = 2^(1019 - n), so every |LLR| < P.  Rounding is
+    monotone, so a float sum of j values of magnitude at most B, in any
+    order, is at most j B whenever j B is a float, as it is for B a power
+    of two times P and j <= N.  The values of a node of size N / 2^d are
+    at most 2^d P: f keeps the smaller magnitude of two values of the node
+    above it, and g and G0 add two.  A repetition step sums the S values
+    of a node of size S, at most (N / S) P each, and _sum_bound sums their
+    magnitudes; the re-decode of a rate-1 node of size s runs the same
+    steps on its values, at most (N / s) P each; a score sums N terms
+    +-llr_i.  Each is at most N P = 2^1019."""
+    top = 1019 - (llrs.shape[-1].bit_length() - 1)
+    limit = 2.0 ** top
+    if llrs.max() < limit and llrs.min() > -limit:  # both are False on a NaN
+        return llrs
+    peak = np.abs(llrs).max(axis=-1, keepdims=True)
+    if not np.isfinite(peak).all():
+        raise ValueError("LLRs must be finite (no NaN or +-inf)")
+    # peak < 2^e for e = frexp(peak)[1]: scale by 2^(top - e) where e > top
+    return np.ldexp(llrs, np.minimum(top - np.frexp(peak)[1], 0))
+
+
 def _sc_batch(llrs: np.ndarray, plan: _Plan, undecided: np.ndarray | None = None) -> np.ndarray:
     """SC-decode a positions-major (size, batch) LLR block along a plan;
     returns the (size, batch) codewords (their u-vectors are the
     transform of them) in a fresh array.  Given a (batch,) boolean array
     `undecided`, also sets its entry for each column in which a repetition
-    or rate-1 decision reads a value _flag cannot trust: an LLR with no
-    sign, an exact 0.0 or a NaN, or, for a step whose cert (_plan) is a
-    node size S, a sum of node(S)'s input that _flag cannot certify, over
-    all of node(S) for a repetition step, over each class of the low bits
-    for the rate-1 end of an interleaved repetition node.
+    or rate-1 decision reads a value _flag cannot trust: an exact 0.0, or,
+    for a step whose cert (_plan) is a node size S, a sum of node(S)'s
+    input that _flag cannot certify, over all of node(S) for a repetition
+    step, over each class of the low bits for the rate-1 end of an
+    interleaved repetition node.  The LLRs are finite and bounded
+    (_bounded), so nothing overflows.
 
     Every LLR the kernel computes goes to this thread's (size - 1, batch)
     workspace, addressed by node size alone: node(s), the node of size s,
@@ -516,8 +536,9 @@ def correlation_score(codeword: np.ndarray, llr: np.ndarray) -> float | np.ndarr
     permutation consistent up to rounding: score(pi(x), pi(llr)) equals
     score(x, llr) in exact arithmetic, but the permuted terms are summed in
     another order, so the floats can differ in the last bits.  A single
-    frame gives a float, leading axes give an array of scores.  A sum that
-    overflows is +-inf, as in the SC kernel."""
+    frame gives a float, leading axes give an array of scores.  Any finite
+    or infinite LLRs are scored: a sum that overflows is +-inf, without a
+    warning."""
     terms = np.empty(np.broadcast_shapes(np.shape(codeword), np.shape(llr)))
     np.multiply(codeword, 2.0, out=terms)
     np.subtract(1.0, terms, out=terms)
@@ -530,13 +551,14 @@ def _llr_frame(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> np.ndarray:
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (spec.N,):
         raise ValueError(f"expected {spec.N} LLRs, got shape {llr.shape}")
-    if not np.isfinite(llr).all():
-        raise ValueError("LLRs must be finite (no NaN or +-inf)")
-    return llr
+    return _bounded(llr)
 
 
 def sc_decode(llr: Sequence[float] | np.ndarray, spec: CodeSpec) -> DecodeResult:
-    """Plain successive cancellation decoding of one frame."""
+    """Plain successive cancellation decoding of one frame.  ValueError
+    unless the LLRs are finite.  A frame whose largest |LLR| is
+    2^(1019 - n) or more is decoded scaled by a power of two that brings
+    it below (_bounded), and its score is the scaled frame's."""
     llr = _llr_frame(llr, spec)
     x = _sc_batch(llr[:, None], _plan(spec))[:, 0]
     return DecodeResult(extract_info(x, spec), x, (correlation_score(x, llr),), 0)
@@ -550,8 +572,8 @@ def _candidates(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan:
     llrs[perms[l], b], and its candidate [:, l, b] is SC's codeword
     through inverses[l], all k de-interleaved in one gather.  Given a (B,)
     boolean array `undecided`, also sets its entry for each frame in which
-    a decision of some member reads an exact 0.0 or a NaN, or a sum that
-    the plan certifies and _sum_bound cannot (_sc_batch)."""
+    a decision of some member reads an exact 0.0, or a sum that the plan
+    certifies and _sum_bound cannot (_sc_batch)."""
     n_perm, n_pos = perms.shape
     batch = llrs.shape[1]
     columns = None if undecided is None else np.zeros(n_perm * batch, dtype=bool)
@@ -562,7 +584,6 @@ def _candidates(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan:
     return x.reshape(n_pos, n_perm, batch)[inverses.T, np.arange(n_perm)]
 
 
-@np.errstate(over="ignore")  # an overflowing score is +-inf, as in correlation_score
 def _scores(llrs: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """The (k, B) scores of (N, k, B) candidates (_candidates) against the
     positions-major (N, B) LLRs of their frames.  Candidates are scored
@@ -570,8 +591,8 @@ def _scores(llrs: np.ndarray, cand: np.ndarray) -> np.ndarray:
     contiguous axis pairwise, so no score depends on the slab, nor on
     which other frames are scored.  A score is correlation_score's sum
     (1 - 2 x_i) llr_i over one frames-major row, with each term built as
-    llr_i with its sign bit flipped where x_i = 1: for every LLR but a NaN
-    that is the product exactly, so the score bytes are the same."""
+    llr_i with its sign bit flipped where x_i = 1, which is the product
+    exactly, so the score bytes are the same."""
     n_pos, n_perm, batch = cand.shape
     scores = np.empty((n_perm, batch))
     # frames in a slab: a wider slab transposes faster, a narrower one
@@ -599,9 +620,8 @@ def _ae_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, plan: _
     running SC for every member and scoring every frame: _candidates,
     then _scores.  Returns (codewords (N, B), chosen (B,), scores (L, B));
     the winner of a frame is its lowest-index member of highest score
-    (numpy's argmax, so a NaN score wins).  Given a (B,) boolean array
-    `undecided`, also sets its entry for each flagged frame, as
-    _candidates does.  This is ae_decode's decoder, the re-decode of
+    (numpy's argmax).  Given a (B,) boolean array `undecided`, also sets
+    its entry for each flagged frame, as _candidates does.  This is ae_decode's decoder, the re-decode of
     _shared_block, and the full ensemble its tests compare against."""
     cand = _candidates(llrs, perms, inverses, plan, undecided)
     scores = _scores(llrs, cand)
@@ -635,18 +655,16 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
     the member T_r o l, which no one decodes: r' is r after the LTA step
     below, and t is r' after the G step.  Each step's exceptions are
     conditions on the values a decision reads up to sign and order (an
-    exact 0.0 or NaN; a sum that an order of its additions could give
-    another sign; terms that do not share one sign), which the LTA step
-    keeps, so r's flags cover both steps.
+    exact 0.0; a sum that an order of its additions could give another
+    sign), which the LTA step keeps, so r's flags cover both steps.
 
     The LTA step.  Under an LTA map, every f, g, G0 and repetition sum of
     one decoding is the same float operation on the same operands as one
     of the other's, up to operand order and a sign flip: f is min/max,
     which is symmetric; g's two forms are exact negations; sums commute.
     So both give the same candidate, the same array, except where a
-    decision reads an LLR with no sign, an exact 0.0 or a NaN (which
-    only opposite infinities make): it gives bit 0 in both, where the
-    sign flip calls for complementary bits.
+    decision reads an exact 0.0: it gives bit 0 in both, where the sign
+    flip calls for complementary bits.
 
     The G step, for one absorbed block x_a..x_c, whose nodes have size
     S = 2^(c+1).  G permutes the positions of each node of size S alike,
@@ -667,7 +685,7 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
         sum of two f values at the bottom is a G0 step and a rate-1 step
         decides it): min-sum SC is Wagner decoding (take the signs; if
         their parity is odd, flip the least reliable bit), which is
-        symmetric, whenever no decision in the node reads 0.0 or NaN.
+        symmetric, whenever no decision in the node reads 0.0.
         By induction over the node's halves: with f exact on magnitudes
         and signs, the left half decodes the f values by Wagner, each g
         of an unflipped pair adds two terms of one sign, and the flipped
@@ -675,13 +693,13 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
         the flip for the smaller.  So a tie for the least reliable bit
         under odd parity, or two zeros, makes some g or the bottom sum an
         exact 0.0, and no decision reads one exactly when the input has
-        no NaN and either a unique least magnitude or no zero and even
-        parity, a condition every permutation keeps.  Ties therefore need
-        no flag of their own.  (Wagner is a proof device: no SPC step
-        enters the kernel.)
+        either a unique least magnitude or no zero and even parity, a
+        condition every permutation keeps.  Ties therefore need no flag
+        of their own.  (Wagner is a proof device: no SPC step enters the
+        kernel.)
     So t's candidate is r's, the same array, and its score is the same
-    float, unless r's decoding reads an LLR with no sign, or an absorbed
-    sum that _sum_bound cannot certify; _sc_batch flags those frames in
+    float, unless r's decoding reads an exact 0.0, or an absorbed sum
+    that _sum_bound cannot certify; _sc_batch flags those frames in
     the decoded members.  As r is the lowest index of its coset, the
     lowest-index member of highest score among all L is a decoded one,
     and it is the one the decoded members choose.  With no member marked,
@@ -692,10 +710,10 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
     ones.  In an unflagged frame every member's candidate is its decoded
     member's, so in one that is not contested all L candidates are one
     array, and an argmax over members whose candidates are one array
-    returns that array whatever their scores, NaN included: the frame
-    takes it unscored.  A contested frame takes the candidate of the
-    argmax of the decoded members' scores, as above, and so does a
-    flagged one, whose decoded scores the re-decode below needs.  So
+    returns that array whatever their scores: the frame takes it
+    unscored.  A contested frame takes the candidate of the argmax of the
+    decoded members' scores, as above, and so does a flagged one, whose
+    decoded scores the re-decode below needs.  So
     with one decoded member, or every member decoded, only flagged or
     only contested frames are scored.
 
@@ -740,17 +758,6 @@ def _shared_block(llrs: np.ndarray, perms: np.ndarray, inverses: np.ndarray, pla
     return x
 
 
-def _span_key(basis: list[int]) -> tuple[int, ...]:
-    """The reduced echelon form of a basis kept by gf2._reduce: one vector
-    per leading bit, none holding another's leading bit, ascending; equal
-    spans give equal keys."""
-    rows = list(basis)
-    for i, v in enumerate(rows):  # clear v's leading bit from the rows before it
-        for j in range(i):
-            rows[j] = min(rows[j], rows[j] ^ v)
-    return tuple(sorted(rows))
-
-
 def _coset_reps(perms: np.ndarray, spec: CodeSpec) -> np.ndarray:
     """The members _shared_block decodes, as an (L,) boolean mask: the
     lowest-index member of each right H-coset, H from _absorption(spec),
@@ -764,17 +771,13 @@ def _coset_reps(perms: np.ndarray, spec: CodeSpec) -> np.ndarray:
     Position i holds the point ~i, so member l's point map is T_l(x) =
     ~pi_l(~x), with T_l(0) = b_l and column c of A_l T_l(e_c) ^ b_l.  The
     columns give all N images by doubling; a member is affine when they
-    match.  The linear part is in H when column c has no bit below the
-    first row of c's block of H's profile.
-
-    Key.  Affine members share a coset when A_t = A_r B with B in H's
-    linear part, block lower triangular.  Column c of A_r B is a
-    combination of A_r's columns from the start of c's block on, with an
-    invertible diagonal block, so this holds exactly when A_t and A_r have
-    the same spans V_a = span(col_a, ..., col_(n-1)) at every block start
-    a.  Each member is keyed by the reduced echelon form (_span_key) of
-    V_a at each block start, reducing its columns with gf2._reduce from
-    the last one.  Cost O(L N + L n^3)."""
+    match.  A linear part is in H when its column c has no bit below the
+    first row of c's block of H's profile (`below`).  Affine member t
+    shares the coset of r when the linear part of T_r^-1 o T_t, whose
+    column c is T_r^-1(T_t(e_c)) ^ T_r^-1(T_t(0)), is in H: each member is
+    tested against the lowest-index member of each coset found before it,
+    through that member's inverse point map.  Cost O(L N), and O(N + L n)
+    per coset."""
     n_perm, n_pos = perms.shape
     if not (n_perm and spec.is_decreasing()):  # none to share
         return np.ones(n_perm, dtype=bool)
@@ -790,14 +793,13 @@ def _coset_reps(perms: np.ndarray, spec: CodeSpec) -> np.ndarray:
     below = np.array([(1 << max(a for a in starts if a <= c)) - 1 for c in range(spec.n)])
     if affine.all() and not (cols & below).any():
         return decoded
-    first = {}
-    for t in np.flatnonzero(affine).tolist():
-        row, basis, key = cols[t].tolist(), [], []
-        for c in reversed(range(spec.n)):
-            _reduce(basis, row[c])
-            if c in starts:
-                key.append(_span_key(basis))
-        decoded[t] = first.setdefault(tuple(key), t) == t
+    left, inverse = affine.copy(), np.empty(n_pos, dtype=maps.dtype)
+    while left.any():
+        r = int(np.argmax(left))
+        decoded[r] = True
+        inverse[maps[r]] = np.arange(n_pos)
+        linear = inverse[maps[:, units]] ^ inverse[maps[:, :1]]
+        left &= (linear & below).any(axis=1)
     return decoded
 
 
@@ -833,6 +835,9 @@ def ae_decode(
     correlation with the original LLRs; the best candidate wins.  Each
     entry must be a permutation of range(N) (ValueError otherwise) and
     should be induced by an automorphism of the code (not verified here).
+    The LLRs must be finite (ValueError otherwise); a frame whose largest
+    |LLR| is 2^(1019 - n) or more is decoded scaled by a power of two that
+    brings it below (_bounded), and its scores are the scaled frame's.
     """
     llr = _llr_frame(llr, spec)
     best, chosen, scores = _ae_block(llr[:, None], *_perm_array(perms, spec.N), _plan(spec))
@@ -864,9 +869,8 @@ def sc_invariance_check(
 ) -> InvarianceReport:
     """Fraction of noisy frames with SC(pi(L)) == pi(SC(L)) bit-exactly,
     for the permutation induced by t (hard-decision codeword equality).
-    One SC call decodes each block of frames beside its permuted copies,
-    so a block holds three copies of each frame: the channel's, and both
-    halves of the decoder's input."""
+    SC decodes each block of frames in place, and then its permuted copy,
+    so a block holds two copies of each frame."""
     if t.n != spec.n:
         raise ValueError("dimension mismatch")
     if trials < 1:
@@ -879,10 +883,9 @@ def sc_invariance_check(
     rng = np.random.default_rng([seed, 0])
     plan = _plan(spec)
     equal = 0
-    for _, llrs in _frames(spec, channel, rng, trials, 2, 3):
-        b = llrs.shape[1]
-        x = _sc_batch(np.hstack((llrs, llrs[perm])), plan)
-        equal += int((x[perm, :b] == x[:, b:]).all(axis=0).sum())
+    for _, llrs in _frames(spec, channel, rng, trials, 1, 2):
+        x = _sc_batch(llrs, plan)
+        equal += int((x[perm] == _sc_batch(llrs[perm], plan)).all(axis=0).sum())
     return InvarianceReport(trials, equal)
 
 
@@ -942,9 +945,8 @@ _SIM_BATCH = 1024  # fixed so results never depend on the worker count
 # PW(12,2048) at 256 frames a block), SC decodes the channel's block in
 # place: one column and one copy a frame.  Either way the flagged frames
 # decode again in chunks of at most the block's columns (_shared_block).
-# An SC invariance check decodes each frame beside its permuted copy, and
-# keeps the channel's block beside both: two columns and three copies a
-# frame.
+# An SC invariance check decodes the channel's block in place, and then
+# its permuted copy: one column and two copies a frame.
 # The LLR cap bounds the one LLR buffer the channel writes for all of a
 # batch's blocks, and the kernel's workspace, which each thread retains up
 # to this size; it sets the block at n >= 10, and at n = 9 every block
@@ -969,7 +971,8 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
     _BLOCK_COLUMNS decoder columns, `columns` a frame, and hold at most
     _BLOCK_LLRS LLRs, `copies` copies of N a frame
     (see _BLOCK_COLUMNS).  Every block's LLRs are written to one buffer,
-    so a block is valid only until the next one is yielded.
+    so a block is valid only until the next one is yielded.  Each frame
+    is bounded (_bounded) as its slab is written.
 
     The info bits are drawn at once.  Each block calls the channel's
     public `llrs` on a slab of whole frames at a time and writes the
@@ -988,7 +991,7 @@ def _frames(spec: CodeSpec, channel: BecChannel | AwgnBpskChannel, rng: np.rando
         bits = _transposed(block)
         llrs = buf[:block.size].reshape(block.shape)
         for lo in range(0, len(bits), rows):
-            _transposed(channel.llrs(bits[lo:lo + rows], rng, spec.rate), llrs[:, lo:lo + rows])
+            _transposed(_bounded(channel.llrs(bits[lo:lo + rows], rng, spec.rate)), llrs[:, lo:lo + rows])
         yield block, llrs
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -280,37 +281,34 @@ def test_sc_kernel_extreme_llrs_match_oracle(n):
 
 
 def test_sc_kernel_near_float_max_llrs():
-    # noiseless LLRs of +-1.5e308: g and repetition sums overflow to +-inf,
-    # which must still decide by its sign, and without the overflow warning
-    # that the suite turns into an error
+    # noiseless LLRs of +-1.5e308, bounded as they enter the decoders: no
+    # g or repetition sum overflows, and every decision is the sent bit
     rng = np.random.default_rng(400)
     for n in range(1, 9):
         for k in sorted({1, 1 << (n - 1), 1 << n}):
             spec = construct_pw(n, k)
             sent = _codewords(spec, 50, rng)
-            x = _sc_batch(((1.0 - 2.0 * sent) * 1.5e308).T, _plan(spec)).T
+            x = _sc_batch(decode._bounded((1.0 - 2.0 * sent) * 1.5e308).T, _plan(spec)).T
             assert (x == sent).all(), (n, k)
 
 
 def test_sc_kernel_flags_decisions_without_a_sign():
     # the flag marks exactly the columns in which a repetition or rate-1
-    # decision reads an exact 0.0 or a NaN: a repetition sum that cancels,
-    # or meets opposite infinities; a +-0.0 or a NaN in a rate-1 node.  An
-    # infinity has a sign and decides by it
+    # decision reads an exact 0.0: a repetition sum that cancels, near the
+    # float maximum too once bounded; a +-0.0 in a rate-1 node
     big = 1.5e308
     cases = [
         (construct_pw(2, 1), decode._REP, 4,  # the sum (c + a) + (d + b), certified over node(4)
          [[1.0, 2.0, -3.0, 4.0], [big, -big, big, -big], [1.0, -1.0, 2.0, -2.0], [big, big, big, 1.0]],
          [False, True, True, False]),
         (construct_pw(2, 4), decode._RATE1, 0,
-         [[1.0, -2.0, 3.0, -4.0], [1.0, np.nan, 3.0, 4.0], [1.0, 2.0, -0.0, 4.0], [big, -big, np.inf, -np.inf]],
-         [False, True, True, False]),
+         [[1.0, -2.0, 3.0, -4.0], [1.0, 2.0, -0.0, 4.0], [big, -big, big, -big]],
+         [False, True, False]),
     ]
     for spec, op, cert, columns, want in cases:
         assert _plan(spec) == ((op, 0, 4, cert),)
         undecided = np.zeros(len(columns), dtype=bool)
-        with np.errstate(invalid="ignore"):
-            _sc_batch(np.array(columns).T, _plan(spec), undecided)
+        _sc_batch(decode._bounded(np.array(columns)).T, _plan(spec), undecided)
         assert undecided.tolist() == want, op
 
 
@@ -333,7 +331,7 @@ def test_certificate_holds_under_other_orders_of_additions(size):
     # sign, which is not 0, under 20 random trees of the same depth.  The
     # terms are AWGN values and the cancelling alphabet (+-2^53, +-1, 0.5,
     # +-3), whose order decides the rounding, so some columns are marked;
-    # terms of one sign that overflow to +-inf are not
+    # columns whose terms have one sign, near the bound of _bounded, are not
     rng = np.random.default_rng(1300 + size)
     batch, big = 512, 2.0 ** 53
     marked = 0
@@ -343,28 +341,32 @@ def test_certificate_holds_under_other_orders_of_additions(size):
         shape = (size // c, c, batch)
         awgn = 2.0 * (1.0 - 2.0 * rng.integers(0, 2, shape)) + rng.normal(0.0, 2.0, shape)
         cancel = rng.choice([big, -big, 1.0, -1.0, 0.5, 3.0, -3.0], size=shape)
-        overflow = np.where(rng.random((1, c, batch)) < 0.5, -1.0, 1.0) * rng.uniform(1.0, 1.7, shape) * 2.0 ** 1023
-        for name, terms in ("awgn", awgn), ("cancel", cancel), ("overflow", overflow):
-            with np.errstate(over="ignore"):
-                s = _sum_in_halves(terms)
-                undecided = np.zeros(batch, dtype=bool)
-                assert not decode._flag(undecided, s, terms) or not undecided.any(), (c, name)
-                kept = ~undecided
-                assert (np.sign(s[:, kept]) != 0).all(), (c, name)
-                for _ in range(20):
-                    other = _sum_in_halves(terms, rng)
-                    assert (np.sign(other[:, kept]) == np.sign(s[:, kept])).all(), (c, name)
-            assert name != "overflow" or not undecided.any(), c
+        # the values of a node of size S are below 2^1019 / S (_bounded)
+        one_sign = np.where(rng.random((1, c, batch)) < 0.5, -1.0, 1.0) * rng.uniform(0.5, 1.0, shape) * 2.0 ** 1019 / size
+        for name, terms in ("awgn", awgn), ("cancel", cancel), ("one-sign", one_sign):
+            s = _sum_in_halves(terms)
+            undecided = np.zeros(batch, dtype=bool)
+            assert not decode._flag(undecided, s, terms) or not undecided.any(), (c, name)
+            kept = ~undecided
+            assert (np.sign(s[:, kept]) != 0).all(), (c, name)
+            for _ in range(20):
+                other = _sum_in_halves(terms, rng)
+                assert (np.sign(other[:, kept]) == np.sign(s[:, kept])).all(), (c, name)
+            assert name != "one-sign" or not undecided.any(), c
             marked += int(undecided.sum())
     assert marked
 
 
 def test_scores_overflow_to_inf_without_a_warning():
-    # the score sums follow the kernel's overflow rule: +-inf, and no
-    # warning for the suite to turn into an error
+    # the public score of any LLRs overflows to +-inf, with no warning for
+    # the suite to turn into an error; the decoders score the frame they
+    # decode, which _bounded has scaled by 2^-6 at n = 1, and no score
+    # overflows
     spec = construct_pw(1, 1)
-    assert sc_decode([1.5e308, 1.5e308], spec).scores == (np.inf,)
-    assert ae_decode([1.5e308, 1.5e308], [[0, 1], [1, 0]], spec).scores == (np.inf, np.inf)
+    assert correlation_score([0, 0], [1.5e308, 1.5e308]) == np.inf
+    assert correlation_score([[0, 0], [1, 1]], [1.5e308, 1.5e308]).tolist() == [np.inf, -np.inf]
+    assert sc_decode([1.5e308, 1.5e308], spec).scores == (1.5e308 / 32,)
+    assert ae_decode([1.5e308, 1.5e308], [[0, 1], [1, 0]], spec).scores == (1.5e308 / 32,) * 2
 
 
 @pytest.mark.parametrize("tile", [1, 7, 100])
@@ -628,6 +630,97 @@ def test_decoders_reject_non_finite_llrs(bad, decoder):
             ae_decode(llr, [list(range(4))], spec)
 
 
+class _NonFiniteChannel:
+    """AWGN at 2 dB with one LLR of a given value in each slab, as a
+    channel that could give a NaN or +-inf would."""
+
+    param_value = 2.0
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def llrs(self, x, rng, rate):
+        out = AwgnBpskChannel(2.0).llrs(x, rng, rate)
+        out[-1, -1] = self.bad
+        return out
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_monte_carlo_rejects_non_finite_llrs(bad):
+    # the frames of the Monte Carlo loop and of the invariance check enter
+    # the decoders through the same check as the public decoders'
+    spec = construct_pw(4, 8)
+    channel = _NonFiniteChannel(bad)
+    with pytest.raises(ValueError, match="LLRs must be finite"):
+        simulate_bler(spec, channel, 10, seed=0)
+    with pytest.raises(ValueError, match="LLRs must be finite"):
+        simulate_bler(spec, channel, 10, seed=0, decoder="ae", perms=[list(range(spec.N))])
+    with pytest.raises(ValueError, match="LLRs must be finite"):
+        sc_invariance_check(AffineMap.identity(4), spec, trials=10, channel=channel)
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_bounded_scales_each_frame_by_the_least_power_of_two(n):
+    # a frame whose largest |LLR| is below 2^(1019 - n) is kept as it is,
+    # and one at 2^(1019 - n) or above is scaled by the power of two that
+    # brings its largest |LLR| into [2^(1018 - n), 2^(1019 - n)): the
+    # bytes of np.ldexp of the frame by a negative exponent.  With no frame
+    # to scale, the array itself comes back; otherwise a new one, and the
+    # input is left as it was
+    n_pos = 1 << n
+    top = 1019 - n
+    rng = np.random.default_rng(1600 + n)
+    peaks = [0.0, 1.0, 2.0 ** top * (1 - 2.0 ** -53), 2.0 ** top, 2.0 ** top * 1.5, 2.0 ** (top + 1),
+             np.nextafter(2.0 ** 1022, 0.0), 1.5e308, sys.float_info.max]
+    frames = rng.uniform(-1.0, 1.0, (len(peaks), n_pos)) * np.array(peaks)[:, None]
+    frames[np.arange(len(peaks)), rng.integers(0, n_pos, len(peaks))] = np.where(rng.random(len(peaks)) < 0.5, -1.0, 1.0) * peaks
+    given = frames.copy()
+    kept = frames[:3]
+    assert decode._bounded(kept) is kept
+    got = decode._bounded(frames)
+    assert got is not frames and frames.tobytes() == given.tobytes()
+    for frame, peak, out in zip(frames, peaks, got):
+        if peak < 2.0 ** top:
+            assert out.tobytes() == frame.tobytes(), peak
+        else:
+            shift = next(k for k in range(1, 2048) if peak * 2.0 ** -k < 2.0 ** top)
+            assert out.tobytes() == np.ldexp(frame, -shift).tobytes(), peak
+            assert 2.0 ** (top - 1) <= np.abs(out).max() < 2.0 ** top, peak
+    # one frame, as _llr_frame passes it
+    assert decode._bounded(frames[4]).tobytes() == got[4].tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_near_max_frames_decode_as_the_oracle_on_the_frame_scaled(n):
+    # 200 random-sign +-1.5e308 U(0.5, 1) frames of PW(n, N/2), where the
+    # kernel once formed inf - inf: sc_decode and ae_decode warn nothing
+    # and give the oracle's codewords (and ensemble winner) on the frames
+    # scaled by 2^-(n + 2), in which nothing overflows.  So does SC on the
+    # blocks of _frames at 3075 dB, on the channel's frames so scaled
+    spec = construct_pw(n, 1 << (n - 1))
+    mask = _mask(spec)
+    rng = np.random.default_rng(1700 + n)
+    shape = (200, spec.N)
+    llrs = np.where(rng.random(shape) < 0.5, -1.0, 1.0) * rng.uniform(0.5, 1.0, shape) * 1.5e308
+    scaled = llrs * 2.0 ** -(n + 2)
+    perms = _blta_perms(spec, 4, 1700 + n)
+    sc_want = sc_oracle(scaled, mask)[0]
+    ae_want, chosen, _ = ae_oracle(scaled, np.array(perms, dtype=np.intp), mask)
+    channel, count = AwgnBpskChannel(3075.0), 300
+    ref = np.random.default_rng([n, 0])
+    sent = polar_encode(ref.integers(0, 2, size=(count, spec.K), dtype=np.uint8), spec)
+    frames_want = sc_oracle(channel.llrs(sent, ref, spec.rate) * 2.0 ** -(n + 2), mask)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, llr in enumerate(llrs):
+            assert (sc_decode(llr, spec).codeword == sc_want[f]).all(), f
+            res = ae_decode(llr, perms, spec)
+            assert (res.codeword == ae_want[f]).all() and res.chosen == chosen[f], f
+        blocks = decode._frames(spec, channel, np.random.default_rng([n, 0]), count, 1, 1)
+        got = np.vstack([_sc_batch(block, _plan(spec)).T for _, block in blocks])
+    assert (got == frames_want).all() and (got == sent).all()
+
+
 def _blta_perms(spec, count, seed):
     rng = random.Random(seed)
     profile = block_profile(spec.monomials)
@@ -690,13 +783,16 @@ def _coset_ensemble(spec, rng, bases=4, right=None):
 
 def _shared_blocks(spec, rng):
     """(name, frames-major LLRs): AWGN, AWGN with exact zeros in 5 % of the
-    LLRs, BEC at 0.4, and noisy +-1.5e308 LLRs, whose sums overflow."""
+    LLRs, BEC at 0.4, and noisy +-1.5e308 LLRs, bounded as they enter the
+    decoders (_bounded): all of one magnitude, so that sums cancel
+    exactly."""
     frames = 24
     awgn, bec = AwgnBpskChannel(1.0), BecChannel(0.4)
     zeros = awgn.llrs(_codewords(spec, frames, rng), rng, spec.rate)
     zeros[rng.random(zeros.shape) < 0.05] = 0.0
     near_max = (1.0 - 2.0 * _codewords(spec, frames, rng)) * 1.5e308
     near_max[rng.random(near_max.shape) < 0.2] *= -1.0
+    near_max = decode._bounded(near_max)
     return [("awgn", awgn.llrs(_codewords(spec, frames, rng), rng, spec.rate)), ("zeros", zeros),
             ("bec", bec.llrs(_codewords(spec, frames, rng), rng, spec.rate)), ("near-max", near_max)]
 
@@ -717,9 +813,8 @@ def _not_lta(n, rng):
 def _flagged(block, perms, spec, decoded):
     """The frames _shared_block decodes again: those in which a decision of
     a member `decoded` marks (of SC on the block, with none marked) reads
-    an exact 0.0 or a NaN, or an absorbed sum that the bound cannot
-    certify; none when every member is decoded, as in the empty
-    ensemble."""
+    an exact 0.0, or an absorbed sum that the bound cannot certify; none
+    when every member is decoded, as in the empty ensemble."""
     undecided = np.zeros(block.shape[1], dtype=bool)
     if not decoded.all():  # some member is left to decode again
         for pi in perms[decoded] if decoded.any() else [slice(None)]:
@@ -731,20 +826,18 @@ def _flagged(block, perms, spec, decoded):
 def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
     # one SC decode per right LTA coset gives the full ensemble's codewords
     # and the oracle's, for ensembles whose cosets hold several members, on
-    # AWGN, AWGN with exact zeros, BEC and near-max LLRs (against the full
-    # ensemble alone: the oracle's f and g round overflowing sums
-    # otherwise).  The codes are PW and BEC-constructed at three rates (PW
-    # at rate 1/2 alone at n > 10, where the oracle is slow), and a
-    # Reed-Muller code, whose BLTA group is GL(n, 2), for ensembles of
-    # several cosets at every n (from n = 10 on the others all have BLTA =
-    # LTA).  The frames re-decoded are exactly those the kernel flags, in
-    # chunks of at most the first decode's columns; exact zeros and the
-    # near-max blocks' opposite infinities flag some.  Two more ensembles
-    # leave no member to decode again: the empty one, plain SC, whose
-    # codewords are SC's on the block, and the Reed-Muller ensemble's
-    # first member of each coset, all decoded, the full ensemble's.  Every
-    # decode of members, the first pass's and each re-decode's through
-    # _ae_block, goes through _candidates
+    # AWGN, AWGN with exact zeros, BEC and near-max LLRs.  The codes are PW
+    # and BEC-constructed at three rates (PW at rate 1/2 alone at n > 10,
+    # where the oracle is slow), and a Reed-Muller code, whose BLTA group is
+    # GL(n, 2), for ensembles of several cosets at every n (from n = 10 on
+    # the others all have BLTA = LTA).  The frames re-decoded are exactly
+    # those the kernel flags, in chunks of at most the first decode's
+    # columns; exact zeros and the near-max blocks' exact cancellations flag
+    # some.  Two more ensembles leave no member to decode again: the empty
+    # one, plain SC, whose codewords are SC's on the block, and the
+    # Reed-Muller ensemble's first member of each coset, all decoded, the
+    # full ensemble's.  Every decode of members, the first pass's and each
+    # re-decode's through _ae_block, goes through _candidates
     full, candidates = decode._ae_block, decode._candidates
     calls = []
 
@@ -777,19 +870,18 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
         width, first = (1, []) if not decoded.any() else (decoded.sum(), [(decoded.sum(), 24)])
         for name, llrs in _shared_blocks(spec, rng):
             block = np.ascontiguousarray(llrs.T)
-            with np.errstate(invalid="ignore", over="ignore"):
-                if len(perms):
-                    want = full(block, perms, inverses, _plan(spec))[0]
-                    ref = None if name == "near-max" else ae_oracle(llrs, perms, _mask(spec))[0]
-                else:
-                    want = _sc_batch(block, _plan(spec))
-                    ref = None if name == "near-max" else sc_oracle(llrs, _mask(spec))[0]
-                calls.clear()
-                got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
-                flagged = _flagged(block, perms, spec, decoded)
+            if len(perms):
+                want = full(block, perms, inverses, _plan(spec))[0]
+                ref = ae_oracle(llrs, perms, _mask(spec))[0]
+            else:
+                want = _sc_batch(block, _plan(spec))
+                ref = sc_oracle(llrs, _mask(spec))[0]
+            calls.clear()
+            got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
+            flagged = _flagged(block, perms, spec, decoded)
             case = (spec.code_id(), decoded.tolist(), name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), case
-            assert ref is None or (got.T == ref).all(), case
+            assert (got.T == ref).all(), case
             assert [(members, f.shape[1]) for members, f in calls[:len(first)]] == first, case
             redecodes = calls[len(first):]
             assert all(members * f.shape[1] <= width * len(llrs) for members, f in redecodes), case
@@ -799,19 +891,18 @@ def test_shared_ensemble_matches_full_ensemble(monkeypatch, n):
             near_max_redecodes += name == "near-max" and bool(redecodes)
     assert shared
     assert zero_redecodes  # decisions on exact zeros flagged some frames
-    assert near_max_redecodes  # and so did decisions on opposite infinities
+    assert near_max_redecodes  # and so did exact cancellations near the bound
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
-    # an all-LTA ensemble of a PW code decodes as one SC pass over the
-    # block, plus a full-ensemble re-decode of each flagged frame: its
-    # codewords are the full ensemble's and the oracle's, at three rates
-    # (rate 1/2 alone at n > 10, where the oracle is slow), on AWGN, AWGN
-    # with exact zeros, BEC and near-max LLRs (against the full ensemble
-    # alone: the oracle's f and g round overflowing sums otherwise).  The
-    # frames re-decoded are exactly those the kernel flags, in chunks of at
-    # most the block's columns over the ensemble's size
+    # an all-LTA ensemble of a PW code decodes as one SC pass over the block,
+    # plus a full-ensemble re-decode of each flagged frame: its codewords are
+    # the full ensemble's and the oracle's, at three rates (rate 1/2 alone at
+    # n > 10, where the oracle is slow), on AWGN, AWGN with exact zeros, BEC
+    # and near-max LLRs.  The frames re-decoded are exactly those the kernel
+    # flags, in chunks of at most the block's columns over the ensemble's
+    # size
     full = decode._ae_block
     chunks = []
 
@@ -832,15 +923,14 @@ def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
         assert decoded.tolist() == [False] * len(perms)
         for name, llrs in _shared_blocks(spec, rng):
             block = np.ascontiguousarray(llrs.T)
-            with np.errstate(invalid="ignore", over="ignore"):
-                want = full(block, perms, inverses, _plan(spec))[0]
-                ref = ae_oracle(llrs, perms, _mask(spec))[0]
-                chunks.clear()
-                got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
-                sc = _sc_batch(block, _plan(spec))
-                flagged = _flagged(block, perms, spec, decoded)
+            want = full(block, perms, inverses, _plan(spec))[0]
+            ref = ae_oracle(llrs, perms, _mask(spec))[0]
+            chunks.clear()
+            got = decode._shared_block(block, perms, inverses, _plan(spec), decoded)
+            sc = _sc_batch(block, _plan(spec))
+            flagged = _flagged(block, perms, spec, decoded)
             case = (k, name)
-            assert (got == want).all() and (name == "near-max" or (got.T == ref).all()), case
+            assert (got == want).all() and (got.T == ref).all(), case
             assert all(c.shape[1] <= len(llrs) // len(perms) for c in chunks), case
             again = np.hstack(chunks or [block[:, :0]])
             assert again.tobytes() == block[:, flagged].tobytes(), case
@@ -848,7 +938,7 @@ def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
             near_max_redecodes += len(flagged) if name == "near-max" else 0
             sc_differs += (sc != want).any(axis=0).sum()
     assert zero_redecodes  # decisions on exact zeros flagged some frames
-    assert near_max_redecodes  # and so did decisions on opposite infinities
+    assert near_max_redecodes  # and so did exact cancellations near the bound
     # where SC alone is not the full ensemble; at n = 3 no frame of these
     # blocks tells them apart
     assert sc_differs or n == 3
@@ -856,12 +946,11 @@ def test_lta_block_matches_full_ensemble_and_oracle(monkeypatch, n):
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_noiseless_near_max_blocks_decode_once(monkeypatch, n):
-    # noiseless +-1.5e308 LLRs: every sum overflows to +-inf of its true
-    # sign, so no decision reads an exact 0.0 or a NaN and no frame decodes
-    # again, under all-LTA ensembles (SC in place, no _candidates call) and
-    # one of several cosets (the first pass's _candidates call alone, whose
-    # scores overflow to inf without the warning the suite turns into an
-    # error)
+    # noiseless +-1.5e308 LLRs, bounded as they enter the decoders: every
+    # sum has its true sign, so no decision reads an exact 0.0 and no frame
+    # decodes again, under all-LTA ensembles (SC in place, no _candidates
+    # call) and one of several cosets (the first pass's _candidates call
+    # alone, whose scores are finite)
     candidates = decode._candidates
     calls = []
 
@@ -875,8 +964,9 @@ def test_noiseless_near_max_blocks_decode_once(monkeypatch, n):
     pw, rm = construct_pw(n, 1 << (n - 1)), CodeSpec(n, reed_muller_set(n, (n - 1) // 2))
     several = np.array([induced_permutation(t) for t in _coset_ensemble(rm, r)], dtype=np.intp)
     for spec, perms in (pw, _lta_perms(pw, 8, r)), (rm, _lta_perms(rm, 8, r)), (rm, several):
-        sent = np.ascontiguousarray(_codewords(spec, 64, rng).T)
-        block = (1.0 - 2.0 * sent) * 1.5e308
+        sent = _codewords(spec, 64, rng)
+        block = np.ascontiguousarray(decode._bounded((1.0 - 2.0 * sent) * 1.5e308).T)
+        sent = sent.T
         decoded = decode._coset_reps(perms, spec)
         assert (not decoded.any()) == (perms is not several)
         assert not decoded.any() or 1 < decoded.sum() < len(perms)
@@ -889,10 +979,11 @@ def test_noiseless_near_max_blocks_decode_once(monkeypatch, n):
 
 @pytest.mark.parametrize("n, k, shared", [(6, 32, True), (10, 512, False)])
 def test_ensemble_at_overflowing_snr_warns_nothing(n, k, shared):
-    # at 3075 dB the LLRs are about +-6.3e307, all of the right sign: SC's
-    # sums and the scores overflow to +-inf, without the warning the suite
-    # turns into an error.  PW(6,32)'s ensemble spans several cosets, so its
-    # members are scored; PW(10,512)'s is all LTA, so it decodes as SC
+    # at 3075 dB the LLRs are about +-6.3e307, all of the right sign, and
+    # _frames bounds them, so no sum nor score overflows, and nothing warns
+    # (the suite turns warnings into errors).  PW(6,32)'s ensemble spans
+    # several cosets, so its members are scored; PW(10,512)'s is all LTA, so
+    # it decodes as SC
     spec = construct_pw(n, k)
     perms = _blta_perms(spec, 8, 40)
     decoded = decode._coset_reps(np.array(perms, dtype=np.intp), spec)
@@ -1007,12 +1098,11 @@ def test_first_pass_scores_only_contested_and_flagged_frames(monkeypatch, n):
             decoded = decode._coset_reps(perms, spec)
             for name, llrs in blocks:
                 block = np.ascontiguousarray(llrs.T)
-                with np.errstate(invalid="ignore", over="ignore"):
-                    cand = _member_candidates(block, perms[decoded], inverses[decoded], plan)
-                    flagged = np.isin(np.arange(block.shape[1]), _flagged(block, perms, spec, decoded))
-                    want = decode._ae_block(block, perms[decoded], inverses[decoded], plan)
-                    calls.clear()
-                    got = decode._shared_block(block, perms, inverses, plan, decoded)
+                cand = _member_candidates(block, perms[decoded], inverses[decoded], plan)
+                flagged = np.isin(np.arange(block.shape[1]), _flagged(block, perms, spec, decoded))
+                want = decode._ae_block(block, perms[decoded], inverses[decoded], plan)
+                calls.clear()
+                got = decode._shared_block(block, perms, inverses, plan, decoded)
                 case = (spec.code_id(), ensemble, name)
                 contested = (cand != cand[:1]).any(axis=(0, 1))
                 frames = np.flatnonzero(contested | flagged)
@@ -1129,13 +1219,12 @@ def _check_class_sharing(spec, rng, r, seen):
     plan = _plan(spec)
     for name, llrs in _class_blocks(spec, rng):
         block = np.ascontiguousarray(llrs.T)
-        with np.errstate(invalid="ignore", over="ignore"):
-            want = decode._ae_block(block, perms, inverses, plan)[0]
-            got = decode._shared_block(block, perms, inverses, plan, decoded)
-            flagged = _flagged(block, perms, spec, decoded)
-            # each member's candidate, through its inverse permutation
-            cand = np.array([_sc_batch(np.ascontiguousarray(block[pi]), plan)[inv] for pi, inv in zip(perms, inverses)]
-                            + [_sc_batch(block, plan)])
+        want = decode._ae_block(block, perms, inverses, plan)[0]
+        got = decode._shared_block(block, perms, inverses, plan, decoded)
+        flagged = _flagged(block, perms, spec, decoded)
+        # each member's candidate, through its inverse permutation
+        cand = np.array([_sc_batch(np.ascontiguousarray(block[pi]), plan)[inv] for pi, inv in zip(perms, inverses)]
+                        + [_sc_batch(block, plan)])
         case = (spec.code_id(), decoded.tolist(), name)
         assert got.tobytes() == want.tobytes(), case
         assert decoded.tolist() == [q == t for t, q in enumerate(first)], case
@@ -1376,14 +1465,13 @@ class TestInvariance:
 
     @pytest.mark.parametrize("channel", [AwgnBpskChannel(1.0), BecChannel(0.4)], ids=["awgn", "bec"])
     def test_blocks_match_oracle_on_the_whole_stream(self, channel):
-        # the check decodes its frames in blocks of at most 341 at N = 1024,
-        # each beside its 341 permuted copies as 682 decoder columns, and
-        # holds the channel's block beside both: three copies a frame.  The
+        # the check decodes its frames in blocks of at most 512 at N = 1024,
+        # each in place and then its permuted copy: two copies a frame.  The
         # reference draws the same stream in one piece and decodes it with
         # the plain recursive SC oracle
         spec = construct_pw(10, 512)
         trials, seed = 2500, 7
-        step = min(decode._BLOCK_LLRS // (3 * spec.N), decode._BLOCK_COLUMNS // 2)
+        step = min(decode._BLOCK_LLRS // (2 * spec.N), decode._BLOCK_COLUMNS)
         assert trials > 2 * step  # three blocks or more
         t = sample_blta(block_profile(spec.monomials), 3)
         perm = induced_permutation(t)
@@ -1397,13 +1485,12 @@ class TestInvariance:
         assert (rep.trials, rep.equal) == (trials, equal)
 
     @pytest.mark.parametrize("n, k", [(6, 32), (10, 512)])
-    def test_blocks_hold_three_copies_within_both_caps(self, monkeypatch, n, k):
-        # each block holds the channel's frames and both halves of the
-        # decoder input, the frames and their permuted copies: three copies
-        # of N a frame within the LLR cap, and two decoder columns a frame
-        # within the column cap, each block but the last as wide as both
-        # allow.  The column cap sets PW(6,32)'s blocks, the LLR cap
-        # PW(10,512)'s
+    def test_blocks_hold_two_copies_within_both_caps(self, monkeypatch, n, k):
+        # each block holds the channel's frames, which SC decodes in place,
+        # and their permuted copies: two copies of N a frame within the LLR
+        # cap, and one decoder column a frame within the column cap, each
+        # block but the last as wide as both allow.  The column cap sets
+        # PW(6,32)'s blocks, the LLR cap PW(10,512)'s
         spec = construct_pw(n, k)
         frames, widths = decode._frames, []
 
@@ -1414,10 +1501,10 @@ class TestInvariance:
 
         monkeypatch.setattr(decode, "_frames", recorded)
         t = sample_blta(block_profile(spec.monomials), 3)
-        assert sc_invariance_check(t, spec, trials=2500).trials == 2500
-        assert sum(widths) == 2500 and len(widths) > 2
-        assert all(3 * b * spec.N <= decode._BLOCK_LLRS and 2 * b <= decode._BLOCK_COLUMNS for b in widths)
-        assert widths[0] == min(decode._BLOCK_LLRS // (3 * spec.N), decode._BLOCK_COLUMNS // 2)
+        assert sc_invariance_check(t, spec, trials=4500).trials == 4500
+        assert sum(widths) == 4500 and len(widths) > 2
+        assert all(2 * b * spec.N <= decode._BLOCK_LLRS and b <= decode._BLOCK_COLUMNS for b in widths)
+        assert widths[0] == min(decode._BLOCK_LLRS // (2 * spec.N), decode._BLOCK_COLUMNS)
 
     def test_memory_bounded_by_blocks(self):
         # 4096 frames of N = 1024 held at once are 32 MB per float64 copy
@@ -1551,8 +1638,8 @@ class TestSimulate:
         # than the cap: at cap 8, AE-8 on RM(2,6), whose 8 members fall in
         # 8 cosets, decodes one frame (8 columns) a block, and on PW(6,32)
         # and PW(8,128), 3 classes each, two frames; the invariance check,
-        # which decodes each frame beside its permuted copy (2 members),
-        # four frames a block.  Each AE block and each invariance block also
+        # which decodes its block in place and then the permuted copy, eight
+        # frames a block.  Each AE block and each invariance block also
         # holds the channel's LLRs, so the LLR cap counts one copy more than
         # the columns
         specs = [construct_pw(6, 32), construct_pw(8, 128), CodeSpec(6, reed_muller_set(6, 2))]
@@ -1588,7 +1675,7 @@ class TestSimulate:
         monkeypatch.setattr(decode, "_frames", recorded)
         assert counts() == whole
         assert {(columns, copies) for _, _, columns, copies, _ in calls} == (
-            {(1, 1), (2, 3)} | {(k, k + 1) for k in cosets})
+            {(1, 1), (1, 2)} | {(k, k + 1) for k in cosets})
         for n_pos, count, columns, copies, widths in calls:
             assert sum(widths) == count and set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
             # each block but the last is as wide as both caps allow
